@@ -44,6 +44,10 @@ from .synthetic import gen_dataset, gen_ground_truth
 
 __all__ = ["RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_outputs"]
 
+# Bumped by any change that alters trials.csv bytes on purpose, together
+# with the digests in tests/test_golden.py.
+NUMERICS_VERSION = 1
+
 
 @dataclass(frozen=True)
 class RunOutput:
@@ -233,6 +237,7 @@ def _base_meta(cfg: RunConfig, protocol: str) -> dict:
         protocol=protocol,
         root_seed=cfg.root_seed,
         artifact_version=__version__,
+        numerics_version=NUMERICS_VERSION,
         kernel_backend=backend_name(),
     )
     return meta

@@ -25,15 +25,7 @@ from .data_model import (
     validate_bounds,
 )
 from .dgm import DebiasedHessian, DgmRelease, dgm_release, dgm_train
-from .dp_core import (
-    MixingMatrix,
-    NoiseMatrix,
-    PrivacyParams,
-    bernoulli_mixing,
-    calibrate,
-    gaussian_noise,
-    sensitivity_bound,
-)
+from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from .evaluation import (
     AggregateReport,
     TrialReport,
@@ -57,8 +49,6 @@ __all__ = [
     "DgmRelease",
     "GroundTruth",
     "K_GRID",
-    "MixingMatrix",
-    "NoiseMatrix",
     "PartyPartition",
     "PrivacyParams",
     "RandomStream",
@@ -68,7 +58,6 @@ __all__ = [
     "TrialReport",
     "aggregate",
     "as_stream",
-    "bernoulli_mixing",
     "bgm_train",
     "calibrate",
     "choose_k",

@@ -5,22 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dgm import DgmRelease
-from .linalg import solve_symmetric
+from .linalg import solve_normal_equations
 
 __all__ = ["ols_train", "bgm_train"]
-
-
-def _ols_train_diag(x: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """ols_train plus the min |eigenvalue| of the solved system matrix."""
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be n-by-d with y of length n")
-    n, d = x.shape
-    system = (x.T @ x) / n + lam * np.eye(d)
-    return solve_symmetric(system, (x.T @ y) / n)
 
 
 def ols_train(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
@@ -29,7 +16,7 @@ def ols_train(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
     With lam = 0 and full-rank X this is the exact least-squares solution;
     rank-deficient systems with lam = 0 raise SingularSystemError.
     """
-    weights, _ = _ols_train_diag(x, y, lam)
+    weights, _, _ = solve_normal_equations(x, y, lam, scale=len(y))
     return weights
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "SplitDataset",
     "DataFormatError",
     "validate_bounds",
+    "check_release_input",
     "partition_evenly",
     "slice_party",
     "normalize_minmax",
@@ -85,23 +86,29 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Outcome of the |entry| <= 1 check; lists offenders when it fails."""
+    """Outcome of the |entry| <= 1 check: how many entries offend and the
+    first one in row-major order, as a 0-based (row, col) index."""
 
-    ok: bool
-    violations: tuple[tuple[int, int], ...]
+    count: int
+    first: tuple[int, int] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.count == 0
 
 
 def validate_bounds(data: DataMatrix) -> BoundsReport:
     """Check that every |entry| <= 1 (bound inclusive).
 
     Returns a report rather than raising, so callers can normalize and
-    retry.
+    retry.  Its size does not grow with the number of offenders.
     """
     mask = np.abs(data.values) > 1.0
-    if not mask.any():
-        return BoundsReport(ok=True, violations=())
-    pairs = tuple((int(r), int(c)) for r, c in np.argwhere(mask))
-    return BoundsReport(ok=False, violations=pairs)
+    count = int(np.count_nonzero(mask))
+    if count == 0:
+        return BoundsReport(count=0, first=None)
+    row, col = np.unravel_index(int(mask.argmax()), mask.shape)
+    return BoundsReport(count=count, first=(int(row), int(col)))
 
 
 @dataclass(frozen=True)
@@ -159,6 +166,19 @@ def partition_evenly(d_plus_1: int, m: int) -> PartyPartition:
         blocks.append((start, start + width))
         start += width
     return PartyPartition(blocks=tuple(blocks))
+
+
+def check_release_input(data: DataMatrix, partition: PartyPartition) -> None:
+    """The precondition of every release: the per-party sensitivity bound
+    assumes |entry| <= 1 and a partition that covers every column."""
+    report = validate_bounds(data)
+    if not report.ok:
+        raise ValueError(
+            f"data violates the |entry| <= 1 bound at {report.count} "
+            f"position(s), first {report.first}; normalize first"
+        )
+    if partition.total_columns != data.values.shape[1]:
+        raise ValueError("partition does not cover this matrix")
 
 
 def slice_party(data: DataMatrix, partition: PartyPartition, j: int) -> np.ndarray:
@@ -232,35 +252,47 @@ def split_train_test(
 def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     """Ingest a UTF-8, comma-separated file with a header row.
 
-    Non-numeric cells and ragged rows are fatal, reported with 1-based
-    row/column positions.  If ``label_column`` names a column other than
+    Unreadable files, non-numeric or non-finite cells and ragged rows are
+    fatal, reported with 1-based row/column positions where there is one
+    (the header is row 1).  If ``label_column`` names a column other than
     the last one, columns are reordered so the label comes last.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: file is empty") from None
-        names = [h.strip() for h in header]
-        rows: list[list[float]] = []
-        for lineno, raw in enumerate(reader, start=2):
-            if len(raw) != len(names):
-                raise DataFormatError(
-                    f"{path}: expected {len(names)} cells, found {len(raw)}", row=lineno
-                )
-            parsed = []
-            for col, cell in enumerate(raw, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: file is empty") from None
+            names = [h.strip() for h in header]
+            rows: list[list[float]] = []
+            for lineno, raw in enumerate(reader, start=2):
+                if len(raw) != len(names):
                     raise DataFormatError(
-                        f"{path}: non-numeric cell {cell!r}", row=lineno, column=col
-                    ) from None
-            rows.append(parsed)
+                        f"{path}: expected {len(names)} cells, found {len(raw)}", row=lineno
+                    )
+                parsed = []
+                for col, cell in enumerate(raw, start=1):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{path}: non-numeric cell {cell!r}", row=lineno, column=col
+                        ) from None
+                rows.append(parsed)
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: file is not valid UTF-8") from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():  # float() accepts "nan" and "inf"
+        r, c = np.unravel_index(int(finite.argmin()), finite.shape)
+        raise DataFormatError(
+            f"{path}: non-finite cell {float(values[r, c])!r}", row=int(r) + 2, column=int(c) + 1
+        )
     if label_column is not None:
         if label_column not in names:
             raise DataFormatError(f"{path}: no column named {label_column!r}")

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, validate_bounds
+from .data_model import DataMatrix, PartyPartition, check_release_input
 from .dp_core import PrivacyParams, gaussian_noise, sensitivity_bound
-from .linalg import solve_symmetric
+from .linalg import solve_normal_equations
 from .streams import RandomStream, as_stream
 
 __all__ = ["DgmRelease", "DebiasedHessian", "dgm_release", "dgm_train"]
@@ -61,14 +61,7 @@ def dgm_release(
     operation.  Requires the bounds check to pass (the sensitivity bound
     assumes |entry| <= 1).
     """
-    report = validate_bounds(data)
-    if not report.ok:
-        raise ValueError(
-            f"data violates the |entry| <= 1 bound at {len(report.violations)} "
-            f"position(s), first {report.violations[0]}; normalize first"
-        )
-    if partition.total_columns != data.values.shape[1]:
-        raise ValueError("partition does not cover this matrix")
+    check_release_input(data, partition)
     stream = as_stream(root_seed)
     noise_std = sensitivity_bound(partition.d_max) * priv.sigma
     party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
@@ -78,7 +71,7 @@ def dgm_release(
         public = np.empty_like(data.values)
         for (a, b), party_stream in zip(partition.blocks, party_streams):
             noise = gaussian_noise(data.n, b - a, noise_std, party_stream)
-            public[:, a:b] = data.values[:, a:b] + noise.entries
+            public[:, a:b] = data.values[:, a:b] + noise
     return DgmRelease(public_matrix=public, noise_std=noise_std, party_seeds=party_streams)
 
 
@@ -95,16 +88,10 @@ def dgm_train(
     when the regularized matrix is numerically singular (the small-
     eigenvalue failure mode).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    x_pub = rel.public_matrix[:, :-1]
-    y_pub = rel.public_matrix[:, -1]
-    n = rel.n
     bias = 4.0 * d_max * priv.sigma**2
-    hessian = (x_pub.T @ x_pub) / n - bias * np.eye(rel.d)
-    rhs = (x_pub.T @ y_pub) / n
-    system = hessian + lam * np.eye(rel.d)
-    weights, min_eig = solve_symmetric(system, rhs)
+    weights, hessian, min_eig = solve_normal_equations(
+        rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam, scale=rel.n, shift=bias
+    )
     return weights, DebiasedHessian(
         matrix=hessian, bias_removed=bias, min_abs_eigenvalue=min_eig
     )

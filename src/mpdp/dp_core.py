@@ -1,44 +1,33 @@
 """Privacy primitives shared by both release mechanisms.
 
 Noise-scale calibration for the Gaussian mechanism, the per-row L2
-sensitivity bound for bounded party blocks, seeded Gaussian noise
-matrices, and the shared Rademacher mixing matrix.
+sensitivity bound for bounded party blocks, and seeded Gaussian noise
+matrices.  The shared Rademacher mixing matrix lives in ``kernels``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import rademacher_matrix
 from .streams import RandomStream
 
-__all__ = [
-    "PrivacyParams",
-    "NoiseMatrix",
-    "MixingMatrix",
-    "calibrate",
-    "sensitivity_bound",
-    "gaussian_noise",
-    "bernoulli_mixing",
-]
+__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise"]
 
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """An (epsilon, delta) privacy budget with its derived noise scales.
+    """An (epsilon, delta) privacy budget with its derived noise multiplier.
 
-    ``sigma`` is the Gaussian-mechanism multiplier sqrt(2*ln(1.25/delta))/epsilon.
-    ``noise_std`` is the per-entry noise standard deviation 2*sqrt(d_max)*sigma;
-    it is None until the budget is bound to a partition via :meth:`bind`.
+    ``sigma`` is the Gaussian-mechanism multiplier sqrt(2*ln(1.25/delta))/epsilon;
+    a release's per-entry noise std is ``sensitivity_bound(d_max) * sigma``.
     """
 
     epsilon: float
     delta: float
     sigma: float
-    noise_std: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
@@ -47,10 +36,6 @@ class PrivacyParams:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-
-    def bind(self, d_max: int) -> "PrivacyParams":
-        """Bind to a partition whose widest party block has d_max columns."""
-        return replace(self, noise_std=sensitivity_bound(d_max) * self.sigma)
 
 
 def calibrate(epsilon: float, delta: float) -> PrivacyParams:
@@ -74,22 +59,12 @@ def sensitivity_bound(d_max: int) -> float:
     return 2.0 * math.sqrt(d_max)
 
 
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """A dense matrix of i.i.d. zero-mean Gaussian draws."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray
-    std: float
-
-
 def gaussian_noise(
     rows: int,
     cols: int,
     std: float,
     rng: RandomStream | np.random.Generator,
-) -> NoiseMatrix:
+) -> np.ndarray:
     """rows-by-cols matrix of independent N(0, std^2) draws.
 
     std = 0 yields the exact zero matrix.  The same stream always yields
@@ -102,29 +77,8 @@ def gaussian_noise(
     if isinstance(rng, RandomStream):
         rng = rng.generator()
     if std == 0.0:
-        entries = np.zeros((rows, cols))
-    else:
-        entries = rng.standard_normal((rows, cols))
-        entries *= std
-    return NoiseMatrix(rows=rows, cols=cols, entries=entries, std=float(std))
+        return np.zeros((rows, cols))
+    entries = rng.standard_normal((rows, cols))
+    entries *= std
+    return entries
 
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    """A k-by-n matrix of i.i.d. Rademacher (+-1) entries.
-
-    Regenerating from the same seed yields bit-identical entries, so the
-    seed alone is enough to share the matrix between parties.
-    """
-
-    k: int
-    n: int
-    entries: np.ndarray
-    seed: int
-
-
-def bernoulli_mixing(k: int, n: int, seed: int) -> MixingMatrix:
-    """Materialise the seed-defined k-by-n Rademacher mixing matrix."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be positive")
-    return MixingMatrix(k=k, n=n, entries=rademacher_matrix(seed, k, n), seed=int(seed))

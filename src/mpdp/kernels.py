@@ -7,25 +7,15 @@ bit 1 -> +1.0, bit 0 -> -1.0).  Because entries are pure integer
 functions of (seed, row, column, n), any tile of the matrix can be
 generated independently, which lets the sketch product ``B @ D`` stream
 through D without ever materialising B (k*n can reach 3e10 entries).
-
-Two implementations of the sketch product are provided: a numba
-``@njit`` kernel (default) and a pure-numpy chunked fallback.  Set the
-environment variable ``MPDP_DISABLE_NUMBA=1`` (or any non-empty value)
-before import to force the numpy path; it is also used automatically
-when numba is not importable.  Both paths generate bit-identical mixing
-matrices; the accumulated float products agree to summation-order
-rounding.  ``benchmarks/bench_kernels.py`` compares the two.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "backend_name",
     "rademacher_matrix",
     "rademacher_tile",
@@ -36,26 +26,15 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Fallback tiling: fixed constants so the reduction order (and therefore
-# the exact float result) does not depend on the call site.
+# Fixed tiling: the reduction order (and therefore the exact float result)
+# does not depend on the call site.
 _ROW_CHUNK = 512
 _COL_CHUNK = 1 << 16
 
-_DISABLE = bool(os.environ.get("MPDP_DISABLE_NUMBA", ""))
-
-NUMBA_ENABLED = False
-if not _DISABLE:
-    try:
-        import numba as _nb
-        from numba import njit as _njit, prange as _prange
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """The sketch kernel in use, as recorded in run_meta (numpy is the only one)."""
+    return "numpy"
 
 
 def rademacher_tile(seed: int, n: int, row0: int, rows: int, col0: int, cols: int) -> np.ndarray:
@@ -91,7 +70,18 @@ def rademacher_matrix(seed: int, k: int, n: int) -> np.ndarray:
     return rademacher_tile(seed, n, 0, k, 0, n)
 
 
-def _sketch_product_numpy(seed: int, data: np.ndarray, k: int) -> np.ndarray:
+def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
+    """Compute ``B @ data`` for the seed-defined k-by-n mixing matrix B.
+
+    ``data`` must be a C-contiguous float64 array of shape (n, c); the
+    result has shape (k, c).  B is never materialised.
+    """
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("data must be 2-dimensional")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    seed = int(seed)
     n, cols = data.shape
     out = np.zeros((k, cols), dtype=np.float64)
     for r0 in range(0, k, _ROW_CHUNK):
@@ -106,64 +96,3 @@ def _sketch_product_numpy(seed: int, data: np.ndarray, k: int) -> np.ndarray:
             for j in range(cols):
                 out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
     return out
-
-
-if NUMBA_ENABLED:
-    _GOLD_NB = _nb.uint64(0x9E3779B97F4A7C15)
-    _RB = 64  # rows per parallel work item; accumulators stay in L1
-
-    @_njit(cache=True, inline="always")
-    def _mix64(z):
-        z = (z ^ (z >> _nb.uint64(30))) * _nb.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _nb.uint64(27))) * _nb.uint64(0x94D049BB133111EB)
-        return z ^ (z >> _nb.uint64(31))
-
-    @_njit(cache=True, parallel=True)
-    def _sketch_product_numba(seed, data, k):
-        n, c = data.shape
-        nblk = (n + 63) // 64
-        nrb = (k + _RB - 1) // _RB
-        out = np.empty((k, c), dtype=np.float64)
-        for rbi in _prange(nrb):
-            r0 = rbi * _RB
-            m = min(_RB, k - r0)
-            acc = np.zeros((c, _RB), dtype=np.float64)
-            zbuf = np.empty(_RB, dtype=np.uint64)
-            sbuf = np.empty(_RB, dtype=np.float64)
-            for b in range(nblk):
-                for rr in range(m):
-                    ctr = _nb.uint64(r0 + rr) * _nb.uint64(nblk) + _nb.uint64(b) + _nb.uint64(1)
-                    zbuf[rr] = _mix64(_nb.uint64(seed) + ctr * _GOLD_NB)
-                i0 = b * 64
-                imax = n - i0
-                if imax > 64:
-                    imax = 64
-                for t in range(imax):
-                    i = i0 + t
-                    tt = _nb.uint64(t)
-                    for rr in range(m):
-                        sbuf[rr] = 2.0 * _nb.float64((zbuf[rr] >> tt) & _nb.uint64(1)) - 1.0
-                    for j in range(c):
-                        dij = data[i, j]
-                        for rr in range(m):
-                            acc[j, rr] += sbuf[rr] * dij
-            for rr in range(m):
-                for j in range(c):
-                    out[r0 + rr, j] = acc[j, rr]
-        return out
-
-
-def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
-    """Compute ``B @ data`` for the seed-defined k-by-n mixing matrix B.
-
-    ``data`` must be a C-contiguous float64 array of shape (n, c); the
-    result has shape (k, c).  B is never materialised.
-    """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("data must be 2-dimensional")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if NUMBA_ENABLED:
-        return _sketch_product_numba(np.uint64(seed), data, k)
-    return _sketch_product_numpy(int(seed), data, k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularSystemError", "solve_symmetric", "min_abs_eigenvalue"]
+__all__ = ["SingularSystemError", "solve_symmetric", "solve_normal_equations"]
 
 COND_LIMIT = 1e14
 
@@ -23,12 +23,6 @@ class SingularSystemError(ArithmeticError):
         super().__init__(message)
         self.min_abs_eig = min_abs_eig
         self.cond = cond
-
-
-def min_abs_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest |eigenvalue| of a symmetric matrix (full eigendecomposition;
-    exact and cheap for the d <= 128 sizes used here)."""
-    return float(np.abs(np.linalg.eigvalsh(matrix)).min())
 
 
 def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -48,3 +42,24 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
         )
     x = scipy.linalg.solve(matrix, rhs, assume_a="sym")
     return x, lo
+
+
+def solve_normal_equations(
+    x: np.ndarray, y: np.ndarray, lam: float, scale: float = 1.0, shift: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve (H + lam*I) w = X'y / scale with H = X'X / scale - shift*I.
+
+    The one core of every trainer: OLS and BGM use scale = n, DGM also
+    subtracts its known noise variance as ``shift``, RMGM uses the raw
+    Gram matrix (scale = 1).  Returns (w, H, min |eigenvalue| of H + lam*I).
+    """
+    if lam < 0:
+        raise ValueError(f"lam must be non-negative, got {lam}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("x must be n-by-d with y of length n")
+    eye = np.eye(x.shape[1])
+    hessian = (x.T @ x) / scale - shift * eye
+    weights, min_eig = solve_symmetric(hessian + lam * eye, (x.T @ y) / scale)
+    return weights, hessian, min_eig

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, validate_bounds
+from .data_model import DataMatrix, PartyPartition, check_release_input
 from .dp_core import PrivacyParams, gaussian_noise, sensitivity_bound
 from .kernels import sketch_product
-from .linalg import solve_symmetric
+from .linalg import solve_normal_equations
 from .streams import RandomStream, as_stream
 
 __all__ = ["RmgmRelease", "K_GRID", "choose_k", "rmgm_release", "rmgm_train"]
@@ -94,14 +94,7 @@ def rmgm_release(
     ``_mixing_matrix`` is a test hook injecting a fixed B; production
     callers must leave it None.
     """
-    report = validate_bounds(data)
-    if not report.ok:
-        raise ValueError(
-            f"data violates the |entry| <= 1 bound at {len(report.violations)} "
-            f"position(s), first {report.violations[0]}; normalize first"
-        )
-    if partition.total_columns != data.values.shape[1]:
-        raise ValueError("partition does not cover this matrix")
+    check_release_input(data, partition)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= data.n:
@@ -123,8 +116,7 @@ def rmgm_release(
     party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
     if noise_std > 0.0:
         for (a, b), party_stream in zip(partition.blocks, party_streams):
-            noise = gaussian_noise(k, b - a, noise_std, party_stream)
-            mixed[:, a:b] += noise.entries
+            mixed[:, a:b] += gaussian_noise(k, b - a, noise_std, party_stream)
     return RmgmRelease(
         public_matrix=mixed,
         k=k,
@@ -142,11 +134,7 @@ def rmgm_train(rel: RmgmRelease, lam: float = 1e-5) -> tuple[np.ndarray, float]:
     The unregularized Gram matrix is PSD by construction; a singular
     system can only arise from rank deficiency (k < d with lam = 0).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
-    x_pub = rel.public_matrix[:, :-1]
-    y_pub = rel.public_matrix[:, -1]
-    gram = x_pub.T @ x_pub
-    system = gram + lam * np.eye(rel.d)
-    weights, min_eig = solve_symmetric(system, x_pub.T @ y_pub)
+    weights, _, min_eig = solve_normal_equations(
+        rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam
+    )
     return weights, min_eig

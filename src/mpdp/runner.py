@@ -15,9 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .baselines import _ols_train_diag
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data_model import (
+    DataFormatError,
     DataMatrix,
     PartyPartition,
     load_csv,
@@ -37,7 +37,7 @@ from .evaluation import (
     weight_distance,
 )
 from .kernels import backend_name
-from .linalg import SingularSystemError
+from .linalg import SingularSystemError, solve_normal_equations
 from .rmgm import choose_k, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
@@ -68,6 +68,12 @@ def _run_tasks(tasks, worker, workers: int):
     trials = [t for batch in results for t in batch]
     trials.sort(key=_sort_key)
     return tuple(trials)
+
+
+def _least_squares(x, y, lam: float):
+    """OLS (and BGM, on a release): (weights, min |eigenvalue|)."""
+    weights, _, min_eig = solve_normal_equations(x, y, lam, scale=len(y))
+    return weights, min_eig
 
 
 def _trial_methods(
@@ -116,9 +122,7 @@ def _trial_methods(
         )
 
     if "ols" in cfg.methods:
-        record(
-            "ols", None, None, lambda: _ols_train_diag(data.features(), data.labels(), cfg.lam)
-        )
+        record("ols", None, None, lambda: _least_squares(data.features(), data.labels(), cfg.lam))
     for eps_index, eps in enumerate(cfg.eps_grid):
         priv = calibrate(eps, cfg.delta)
         if "dgm" in cfg.methods or "bgm" in cfg.methods:
@@ -135,7 +139,7 @@ def _trial_methods(
                     "bgm",
                     eps,
                     None,
-                    lambda release=release: _ols_train_diag(
+                    lambda release=release: _least_squares(
                         release.public_matrix[:, :-1], release.public_matrix[:, -1], cfg.lam
                     ),
                 )
@@ -203,6 +207,12 @@ def run_real(cfg: RunConfig) -> RunOutput:
     if not cfg.csv_path:
         raise ValueError("real-data runs need csv_path")
     data = load_csv(cfg.csv_path, label_column=cfg.label_column)
+    if data.n < 5:
+        raise DataFormatError(f"{cfg.csv_path}: {data.n} data rows; the 4:1 split needs at least 5")
+    if cfg.m > data.d + 1:
+        raise ConfigError(
+            f"cannot split the {data.d + 1} columns of {cfg.csv_path} among m={cfg.m} parties"
+        )
     root = RandomStream(cfg.root_seed)
     trials = _run_tasks(
         range(cfg.seeds), lambda seed: _real_trial(cfg, root, data, seed), cfg.workers

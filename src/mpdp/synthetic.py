@@ -47,21 +47,13 @@ def gen_dataset(
     n: int,
     truth: GroundTruth,
     rng: RandomStream | np.random.Generator,
-    label_noise: float = 0.0,
 ) -> DataMatrix:
-    """n rows of U(-1, 1) features with noiseless labels y = w.x.
-
-    ``label_noise`` optionally adds N(0, label_noise^2) to the labels for
-    robustness experiments; the default 0 is the reference protocol and
-    the only setting the convergence guarantees describe.
-    """
+    """n rows of U(-1, 1) features with noiseless labels y = w.x."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if isinstance(rng, RandomStream):
         rng = rng.generator()
     features = rng.uniform(-1.0, 1.0, size=(n, truth.d))
     labels = features @ truth.w_star
-    if label_noise:
-        labels = labels + rng.normal(0.0, label_noise, size=n)
     names = tuple(f"x{i + 1}" for i in range(truth.d)) + ("y",)
     return DataMatrix(np.column_stack([features, labels]), names)

@@ -168,6 +168,38 @@ class TestRealCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "column 2" in err
 
+    @pytest.mark.parametrize(
+        "csv_text, extra, where",
+        [
+            (None, ["--label-column", "expenses", "--parties", "11"], None),
+            ("a,b,c\n1,2,3\n4,nan,6\n7,8,9\n1,1,1\n2,2,2\n", [], "row 3, column 2"),
+            ("a,b,c\n1,2,3\n4,5,6\n7,8,9\n1,1,-inf\n2,2,2\n", [], "row 5, column 3"),
+            ("a,b,c\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n", [], None),
+            ("a,b\n1,2\n\xff,3\n", [], None),
+            ("", [], None),
+        ],
+        ids=[
+            "more-parties-than-csv-columns",
+            "nan-cell",
+            "inf-cell",
+            "four-rows",
+            "not-utf8",
+            "missing-file",
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):
+        # csv_text None runs the bundled fixture; "" names a file never written
+        path = FIXTURE if csv_text is None else tmp_path / "bad.csv"
+        if csv_text:
+            path.write_bytes(csv_text.encode("latin-1"))
+        args = ["real", "--csv", str(path), "--seeds", "1", "--out", str(tmp_path / "res")]
+        assert main(args + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if where is not None:
+            assert where in err
+        assert not (tmp_path / "res").exists()
+
 
 class TestExportCommand:
     def test_export_files_and_sidecar(self, tmp_path):

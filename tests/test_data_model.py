@@ -45,11 +45,15 @@ class TestValidateBounds:
         assert validate_bounds(matrix(np.zeros((3, 3)))).ok
 
     def test_reports_offending_cell(self):
-        values = np.zeros((2, 3))
-        values[0, 2] = 1.5
+        # the report holds a count and the first offender in row-major
+        # order, not a list of every offending cell
+        values = np.zeros((4, 3))
+        values[1, 2] = -1.5
+        values[3, 0] = 1.5
+        values[2, :] = 7.0
         report = validate_bounds(matrix(values))
         assert not report.ok
-        assert report.violations == ((0, 2),)
+        assert (report.count, report.first) == (5, (1, 2))
 
     def test_bound_is_inclusive(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])

@@ -43,7 +43,7 @@ class TestRelease:
         rebuilt = np.empty_like(data.values)
         for (a, b), stream in zip(part.blocks, release.party_seeds):
             noise = gaussian_noise(data.n, b - a, release.noise_std, stream)
-            rebuilt[:, a:b] = data.values[:, a:b] + noise.entries
+            rebuilt[:, a:b] = data.values[:, a:b] + noise
         np.testing.assert_array_equal(release.public_matrix, rebuilt)
 
     def test_blockwise_equals_concatenated(self):
@@ -56,7 +56,7 @@ class TestRelease:
         blocks = []
         for j, (a, b) in enumerate(part.blocks, start=1):
             noise = gaussian_noise(data.n, b - a, release.noise_std, root.child(j))
-            blocks.append(data.values[:, a:b] + noise.entries)
+            blocks.append(data.values[:, a:b] + noise)
         np.testing.assert_array_equal(release.public_matrix, np.concatenate(blocks, axis=1))
 
     def test_rejects_out_of_bounds_data(self):

@@ -1,5 +1,3 @@
-import importlib
-
 import numpy as np
 import pytest
 
@@ -33,8 +31,11 @@ class TestRademacherMatrix:
             np.testing.assert_array_equal(tile, full[:, col0 : col0 + cols])
 
     def test_entry_mean_near_zero(self):
-        m = kernels.rademacher_matrix(2024, 1000, 1000)
-        assert abs(m.mean()) < 3 / np.sqrt(m.size)
+        # |mean| < 3/sqrt(N) is a 3-sigma band for N fair signs; the
+        # pinned seeds make it deterministic
+        for seed in (2024, 20240810):
+            m = kernels.rademacher_matrix(seed, 1000, 1000)
+            assert abs(m.mean()) < 3 / np.sqrt(m.size)
 
 
 class TestSketchProduct:
@@ -74,25 +75,3 @@ class TestSketchProduct:
         with pytest.raises(ValueError):
             kernels.sketch_product(1, np.zeros((5, 2)), 0)
 
-
-class TestBackendParity:
-    def test_numpy_fallback_matches_default_backend(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        data = rng.uniform(-1, 1, size=(1000, 6))
-        got = kernels.sketch_product(42, data, 37)
-        fallback = kernels._sketch_product_numpy(42, data, 37)
-        np.testing.assert_allclose(got, fallback, rtol=1e-12, atol=1e-10)
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        data = rng.uniform(-1, 1, size=(500, 3))
-        before = kernels.sketch_product(42, data, 9)
-        monkeypatch.setenv("MPDP_DISABLE_NUMBA", "1")
-        importlib.reload(kernels)
-        try:
-            assert kernels.backend_name() == "numpy"
-            after = kernels.sketch_product(42, data, 9)
-            np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-10)
-        finally:
-            monkeypatch.delenv("MPDP_DISABLE_NUMBA")
-            importlib.reload(kernels)

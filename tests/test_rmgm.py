@@ -92,7 +92,7 @@ class TestRelease:
         for j, (a, b) in enumerate(part.blocks, start=1):
             block = np.ascontiguousarray(slice_party(data, part, j))
             mixed = sketch_product(release.mixing_seed, block, k) / math.sqrt(k)
-            mixed += gaussian_noise(k, b - a, release.noise_std, root.child(j)).entries
+            mixed += gaussian_noise(k, b - a, release.noise_std, root.child(j))
             np.testing.assert_array_equal(release.public_matrix[:, a:b], mixed)
 
     def test_rejects_out_of_bounds_data(self):

@@ -49,13 +49,6 @@ class TestDataset:
         moment = (data.features() ** 2).mean()
         assert abs(moment - 1 / 3) < 1 / 300
 
-    def test_label_noise_flag_changes_labels_only(self):
-        truth = gen_ground_truth(3, RandomStream(11))
-        clean = gen_dataset(30, truth, RandomStream(12))
-        noisy = gen_dataset(30, truth, RandomStream(12), label_noise=0.1)
-        np.testing.assert_array_equal(clean.features(), noisy.features())
-        assert (clean.labels() != noisy.labels()).any()
-
 
 class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):

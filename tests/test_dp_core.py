@@ -9,7 +9,7 @@ from mpdp.dp_core import (
     gaussian_noise,
     sensitivity_bound,
 )
-from mpdp.kernels import sketch_product
+from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.streams import RandomStream
 
 
@@ -107,6 +107,32 @@ class TestGaussianNoise:
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
             gaussian_noise(2, 2, -1.0, RandomStream(0))
+
+
+class TestBernoulliMixing:
+    # The k-by-n mixing matrix is defined by its seed alone and
+    # regenerated by rademacher_matrix(seed, k, n).
+    def test_codomain(self):
+        m = rademacher_matrix(5, 1, 1)
+        assert m.shape == (1, 1)
+        assert m[0, 0] in (-1.0, 1.0)
+
+    def test_bit_identical_regeneration(self):
+        a = rademacher_matrix(12, 100, 100)
+        b = rademacher_matrix(12, 100, 100)
+        np.testing.assert_array_equal(a, b)
+
+    def test_different_seeds_differ(self):
+        a = rademacher_matrix(1, 8, 8)
+        b = rademacher_matrix(2, 8, 8)
+        assert (a != b).any()
+
+    def test_plus_fraction_within_binomial_band(self):
+        # For 1e6 fair draws, P(|fraction - 0.5| > 0.00175) < 1e-3 by the
+        # exact binomial tail; the pinned seed makes this deterministic.
+        m = rademacher_matrix(20240810, 1000, 1000)
+        frac = (m == 1.0).mean()
+        assert 0.49825 <= frac <= 0.50175
 
 
 class TestInnerProductPreservation:

@@ -72,11 +72,15 @@ def _overrides(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in skip or value is None:
             continue
-        if key in ("n_grid",):
-            value = tuple(int(x) for x in str(value).split(","))
-        elif key in ("eps_grid",):
-            value = tuple(float(x) for x in str(value).split(","))
-        elif key in ("methods",):
+        try:
+            if key in ("n_grid",):
+                value = tuple(int(x) for x in str(value).split(","))
+            elif key in ("eps_grid",):
+                value = tuple(float(x) for x in str(value).split(","))
+        except ValueError as exc:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"bad value for {flag}: {value!r} ({exc})") from exc
+        if key in ("methods",):
             value = tuple(x.strip().lower() for x in str(value).split(","))
         out[key] = value
     return out
@@ -99,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _overrides(args)
         if args.command == "real" and "k_mode" not in file_values and "k_mode" not in overrides:
             overrides["k_mode"] = "grid"  # the real-data protocol sweeps the k grid
-        cfg = build_config(file_values, overrides)
+        cfg = build_config(file_values, overrides, protocol=args.command)
 
         if args.command == "synthetic":
             if cfg.full:

@@ -6,6 +6,7 @@ cannot change an experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .rmgm import K_GRID
@@ -43,7 +44,13 @@ class RunConfig:
     root_seed: int = 12345
     workers: int = 1
 
-    def validate(self) -> "RunConfig":
+    def validate(self, protocol: str = "synthetic") -> "RunConfig":
+        """Check every field; ``protocol`` is the command the config is for.
+
+        Real runs split the CSV's own columns, which ``run_real`` checks
+        against m once the file is read, so ``d`` bounds m only for
+        synthetic and export runs.
+        """
         for method in self.methods:
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
@@ -59,14 +66,16 @@ class RunConfig:
             raise ConfigError("d must be >= 1")
         if self.m < 2:
             raise ConfigError("m must be >= 2")
-        if self.d + 1 < self.m:
+        if protocol != "real" and self.d + 1 < self.m:
             raise ConfigError(f"cannot split d+1={self.d + 1} columns among m={self.m} parties")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
         if self.k_mode not in ("synthetic", "grid", "rate"):
             raise ConfigError(f"k_mode must be synthetic, grid or rate, got {self.k_mode!r}")
-        if self.lam < 0:
-            raise ConfigError("lambda must be non-negative")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError("lambda must be finite and non-negative")
+        if any(k < 1 for k in self.k_grid) or not self.k_grid:
+            raise ConfigError("k_grid entries must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.root_seed < 0:
@@ -143,7 +152,9 @@ def parse_config_file(path: str) -> dict[str, object]:
     return values
 
 
-def build_config(file_values: dict[str, object], overrides: dict[str, object]) -> RunConfig:
+def build_config(
+    file_values: dict[str, object], overrides: dict[str, object], protocol: str = "synthetic"
+) -> RunConfig:
     """Layer CLI overrides on top of file values on top of defaults."""
     known = {f.name for f in fields(RunConfig)}
     merged = dict(file_values)
@@ -157,4 +168,4 @@ def build_config(file_values: dict[str, object], overrides: dict[str, object]) -
             cfg = replace(cfg, n_grid=FULL_N_GRID)
         if "seeds" not in merged:
             cfg = replace(cfg, seeds=1000)
-    return cfg.validate()
+    return cfg.validate(protocol)

@@ -27,8 +27,22 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 # Fixed tiling: the reduction order (and therefore the exact float result)
-# does not depend on the call site.
-_ROW_CHUNK = 512
+# does not depend on the call site.  A tile is a power-of-two number of
+# rows between _MIN_ROWS and _MAX_ROWS, the most whose tile fits in
+# _TILE_BYTES (per-core L2), by at most _COL_CHUNK columns.  Each tile is
+# reused from cache by every column of D; the largest tile is 8 x 65536
+# float64 (4 MiB), reached once n >= 16 384.
+#
+# The bits are those of numerics_version 1, which used 512-row tiles.
+# OpenBLAS's gemv reduces rows in groups of 4, so every row chunk that is
+# a multiple of 4 and divides 512 leaves each row in the same group, or
+# the same remainder, as a 512-row tile did.  numpy hands a 1-row tile to
+# ``dot``, which rounds differently from gemv, so a lone last row joins
+# the tile before it, except when k % 512 == 1, where the 512-row tiling
+# had a 1-row tile too.
+_MIN_ROWS = 8
+_MAX_ROWS = 512
+_TILE_BYTES = 1 << 20
 _COL_CHUNK = 1 << 16
 
 
@@ -70,11 +84,25 @@ def rademacher_matrix(seed: int, k: int, n: int) -> np.ndarray:
     return rademacher_tile(seed, n, 0, k, 0, n)
 
 
+def _row_tiles(k: int, width: int) -> list[tuple[int, int]]:
+    """The (start, end) row ranges of the sketch tiles for k rows of
+    tiles at most ``width`` columns wide."""
+    rows = _MAX_ROWS
+    while rows > _MIN_ROWS and rows * width * 8 > _TILE_BYTES:
+        rows //= 2
+    bounds = [*range(0, k, rows), k]
+    if k % rows == 1 and k % _MAX_ROWS != 1:
+        del bounds[-2]  # lone last row: keep it on the gemv path
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
     """Compute ``B @ data`` for the seed-defined k-by-n mixing matrix B.
 
     ``data`` must be a C-contiguous float64 array of shape (n, c); the
-    result has shape (k, c).  B is never materialised.
+    result has shape (k, c).  B is never materialised: the working memory
+    beyond ``data`` and the result is one tile (at most 4 MiB) plus one
+    transposed column chunk of ``data`` (at most c x 65536 float64).
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -83,16 +111,18 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     seed = int(seed)
     n, cols = data.shape
+    tiles = _row_tiles(k, min(n, _COL_CHUNK))
     out = np.zeros((k, cols), dtype=np.float64)
-    for r0 in range(0, k, _ROW_CHUNK):
-        r1 = min(r0 + _ROW_CHUNK, k)
-        for i0 in range(0, n, _COL_CHUNK):
-            i1 = min(i0 + _COL_CHUNK, n)
+    for i0 in range(0, n, _COL_CHUNK):
+        i1 = min(i0 + _COL_CHUNK, n)
+        # one contiguous (c, chunk) copy per column chunk; every matvec
+        # operand is one of its rows
+        chunk = np.ascontiguousarray(data[i0:i1].T)
+        for r0, r1 in tiles:
             tile = rademacher_tile(seed, n, r0, r1 - r0, i0, i1 - i0)
-            # one matvec per column with a contiguous operand: the bits of
-            # each output column must not depend on which other columns
-            # were sketched alongside it (party blocks are sliced out and
-            # reconstructed bitwise)
+            # one matvec per column: the bits of each output column must
+            # not depend on which other columns were sketched alongside
+            # it (party blocks are sliced out and reconstructed bitwise)
             for j in range(cols):
-                out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
+                out[r0:r1, j] += tile @ chunk[j]
     return out

@@ -10,9 +10,15 @@ order and still produce identical output files.
 from __future__ import annotations
 
 import os
+import platform
+import resource
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .config import ConfigError, RunConfig
@@ -176,12 +182,13 @@ def _synthetic_trial(cfg: RunConfig, root: RandomStream, n: int, seed: int):
 def run_synthetic(cfg: RunConfig) -> RunOutput:
     """The convergence protocol: a (method, n, epsilon, seed) sweep on
     generated data, measuring weight-space distance to the ground truth."""
+    started = time.perf_counter()
     root = RandomStream(cfg.root_seed)
     tasks = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
     trials = _run_tasks(
         tasks, lambda task: _synthetic_trial(cfg, root, task[0], task[1]), cfg.workers
     )
-    return RunOutput(trials=trials, meta=_base_meta(cfg, protocol="synthetic"))
+    return RunOutput(trials=trials, meta=_base_meta(cfg, "synthetic", started))
 
 
 def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int):
@@ -204,6 +211,7 @@ def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int)
 
 def run_real(cfg: RunConfig) -> RunOutput:
     """The real-data protocol on a user-supplied CSV."""
+    started = time.perf_counter()
     if not cfg.csv_path:
         raise ValueError("real-data runs need csv_path")
     data = load_csv(cfg.csv_path, label_column=cfg.label_column)
@@ -217,7 +225,7 @@ def run_real(cfg: RunConfig) -> RunOutput:
     trials = _run_tasks(
         range(cfg.seeds), lambda seed: _real_trial(cfg, root, data, seed), cfg.workers
     )
-    meta = _base_meta(cfg, protocol="real")
+    meta = _base_meta(cfg, "real", started)
     meta["dataset_rows_total"] = data.n
     meta["dataset_rows_train"] = round(0.8 * data.n)
     meta["dataset_features"] = data.d
@@ -241,7 +249,15 @@ def export_synthetic(cfg: RunConfig, out_dir: str) -> tuple[str, str]:
     return data_path, wstar_path
 
 
-def _base_meta(cfg: RunConfig, protocol: str) -> dict:
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes vs KiB
+
+
+def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
+    """Config echo, versions and the run's wall time and peak RSS, taken
+    when the trials are done (``started`` is a ``perf_counter`` reading)."""
     meta = {f"config_{k}": v for k, v in asdict(cfg).items()}
     meta.update(
         protocol=protocol,
@@ -249,6 +265,11 @@ def _base_meta(cfg: RunConfig, protocol: str) -> dict:
         artifact_version=__version__,
         numerics_version=NUMERICS_VERSION,
         kernel_backend=backend_name(),
+        python_version=platform.python_version(),
+        numpy_version=np.__version__,
+        scipy_version=scipy.__version__,
+        wall_s=round(time.perf_counter() - started, 3),
+        peak_rss_mb=round(_peak_rss_mb(), 1),
     )
     return meta
 

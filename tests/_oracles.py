@@ -4,9 +4,14 @@ Everything here is deliberately primitive: Gram matrices and right-hand
 sides are accumulated with Python loops and the final system is solved
 with an explicit matrix inverse.  None of the production solve path
 (symmetric factorization, eigenvalue gating) is reused.
+
+``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
+numerics_version 1; the current kernel must match it bit for bit.
 """
 
 import numpy as np
+
+from mpdp.kernels import rademacher_tile
 
 
 def gram_loops(x):
@@ -60,3 +65,18 @@ def norm_loops(v):
     for value in v:
         s += value * value
     return s**0.5
+
+
+def sketch_product_v1(seed, data, k):
+    """The sketch kernel as it defined numerics_version 1: 512-row tiles,
+    one strided-column copy per tile per column of ``data``."""
+    n, cols = data.shape
+    out = np.zeros((k, cols))
+    for r0 in range(0, k, 512):
+        r1 = min(r0 + 512, k)
+        for i0 in range(0, n, 1 << 16):
+            i1 = min(i0 + (1 << 16), n)
+            tile = rademacher_tile(seed, n, r0, r1 - r0, i0, i1 - i0)
+            for j in range(cols):
+                out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
+    return out

@@ -85,12 +85,13 @@ class TestSyntheticCommand:
             assert main(args + ["--out", str(tmp_path / out)]) == 0
         assert read(tmp_path / "a" / "trials.csv") == read(tmp_path / "b" / "trials.csv")
         assert read(tmp_path / "a" / "aggregates.csv") == read(tmp_path / "b" / "aggregates.csv")
-        # run_meta echoes the config; everything but the output paths matches
+        # run_meta echoes the config; everything but the output paths and
+        # the measured wall time and peak RSS matches
         meta = [
             sorted(
                 line
                 for line in read(tmp_path / name / "run_meta").decode().splitlines()
-                if not line.startswith("config_out_dir")
+                if not line.startswith(("config_out_dir", "wall_s", "peak_rss_mb"))
             )
             for name in ("a", "b")
         ]
@@ -131,6 +132,20 @@ class TestSyntheticCommand:
         assert "artifact_version" in meta
         assert "kernel_backend" in meta
 
+    def test_run_meta_records_cost_and_software(self, tmp_path):
+        out = tmp_path / "res"
+        args = ["synthetic", "--n-grid", "500", "--eps-grid", "1.0", "--methods", "ols",
+                "--seeds", "1", "--out", str(out)]
+        assert main(args) == 0
+        meta = dict(
+            line.split(" = ", 1) for line in (out / "run_meta").read_text().splitlines()
+        )
+        assert float(meta["wall_s"]) >= 0
+        assert float(meta["peak_rss_mb"]) > 0
+        assert meta["numpy_version"] == np.__version__
+        for key in ("python_version", "scipy_version"):
+            assert meta[key]
+
 
 class TestRealCommand:
     def test_fixture_smoke_run(self, tmp_path):
@@ -157,6 +172,17 @@ class TestRealCommand:
         meta = (out / "run_meta").read_text()
         assert "dataset_rows_total = 100" in meta
         assert "dataset_rows_train = 80" in meta
+
+    def test_parties_checked_against_csv_columns_not_synthetic_d(self, tmp_path):
+        # 20 columns: more than the synthetic default d + 1 = 11
+        path = tmp_path / "wide.csv"
+        values = np.random.default_rng(0).uniform(0, 1, size=(50, 20))
+        lines = [",".join(f"c{j}" for j in range(20))]
+        lines += [",".join(format(v, ".6f") for v in row) for row in values]
+        path.write_text("\n".join(lines) + "\n")
+        args = ["real", "--csv", str(path), "--seeds", "1", "--eps-grid", "1.0"]
+        assert main(args + ["--parties", "12", "--out", str(tmp_path / "ok")]) == 0
+        assert main(args + ["--parties", "22", "--out", str(tmp_path / "bad")]) == 2
 
     def test_missing_csv_is_config_error(self):
         assert main(["real", "--seeds", "1"]) == 2

@@ -1,7 +1,42 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mpdp
 from mpdp import kernels
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
+
+# Run in a child with BLAS pinned to one thread: the frozen kernel's own
+# bits change with the OpenBLAS thread count once a tile is large enough
+# for gemv or dot to be split across threads (e.g. k = 10, n = 70 000).
+_FROZEN_CHECK = """
+import json
+import numpy as np
+from _oracles import sketch_product_v1
+from mpdp.kernels import sketch_product
+
+rng = np.random.default_rng(11)
+cases = 0
+bad = []
+for n in (50, 700, 2000, 70_000):  # tiles of 512, 128, 64 and 8 rows
+    data = rng.uniform(-1, 1, size=(n, 7))
+    for k in (*range(1, 14), 65, 113, 129, 257, 511, 512, 513, 1025):
+        if k * n > 8e7:
+            continue
+        for c in (1, 3, 7):
+            block = np.ascontiguousarray(data[:, 7 - c:])
+            cases += 1
+            if not np.array_equal(sketch_product(3, block, k), sketch_product_v1(3, block, k)):
+                bad.append([n, k, c])
+print(json.dumps({"cases": cases, "mismatched": bad}))
+"""
 
 
 class TestRademacherMatrix:
@@ -72,3 +107,40 @@ class TestSketchProduct:
         with pytest.raises(ValueError):
             kernels.sketch_product(1, np.zeros((5, 2)), 0)
 
+
+class TestMatchesFrozenKernel:
+    def test_bit_identical_to_numerics_v1_kernel(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _FROZEN_CHECK],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["cases"] == 4 * 21 * 3  # n x k x c
+        assert result["mismatched"] == []
+
+    def test_row_tiles(self):
+        wide = kernels._COL_CHUNK
+        assert kernels._row_tiles(12, wide) == [(0, 8), (8, 12)]
+        assert kernels._row_tiles(1000, 2000)[:2] == [(0, 64), (64, 128)]
+        assert kernels._row_tiles(1000, 50)[0] == (0, 512)
+        # a lone last row stays on gemv unless 512-row tiles had one too
+        assert kernels._row_tiles(1, wide) == [(0, 1)]
+        assert kernels._row_tiles(9, wide) == [(0, 9)]
+        assert kernels._row_tiles(521, wide)[-1] == (512, 521)
+        assert kernels._row_tiles(513, wide)[-1] == (512, 513)
+        assert kernels._row_tiles(129, 2000)[-1] == (64, 129)
+
+
+class TestWorkingMemory:
+    @pytest.mark.parametrize("n, c, k", [(16_000, 13, 3000), (300_000, 11, 113)])
+    def test_peak_under_32_mib(self, n, c, k):
+        data = np.random.default_rng(4).uniform(-1, 1, size=(n, c))
+        tracemalloc.start()
+        try:
+            kernels.sketch_product(6, data, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1,4 +1,5 @@
-"""Golden digests: ``trials.csv`` bytes for two small pinned configs.
+"""Golden digests: ``trials.csv`` and ``aggregates.csv`` bytes for two
+small pinned configs.
 
 The rerun tests only compare a run with another run of the same code;
 these pin the bytes across versions.  A change that alters numerics on
@@ -25,6 +26,7 @@ SYNTHETIC_CFG = (
     "root_seed = 7\n"
 )
 SYNTHETIC_DIGEST = "d661e649569c496029de5aef4bfd06503747d1bba39494236978e46850930072"
+SYNTHETIC_AGGREGATES_DIGEST = "70fe9b9f253d74421669064a98f6017d914f0a61aa90ee98e6f14f2787b5d3b7"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -35,21 +37,49 @@ REAL_CFG = (
     "m = 3\n"
 )
 REAL_DIGEST = "2724b6654f67ec10ab2fc748d4abc222e2aa9effea9310955052b86480f601cc"
+REAL_AGGREGATES_DIGEST = "fcb2af9b61d248f62a993cb8d15fd4a5db14cf31eab339ac5391cdb55e646b0a"
+
+CONFIGS = {"synthetic": SYNTHETIC_CFG, "real": REAL_CFG}
+
+
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    """Output directory of each pinned config, run once per module."""
+    outs = {}
+
+    def get(command):
+        if command not in outs:
+            work = tmp_path_factory.mktemp(command)
+            cfg = work / "run.cfg"
+            cfg.write_text(CONFIGS[command])
+            out = work / "res"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            outs[command] = out
+        return outs[command]
+
+    return get
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize(
-    "command, cfg_text, digest",
-    [
-        ("synthetic", SYNTHETIC_CFG, SYNTHETIC_DIGEST),
-        ("real", REAL_CFG, REAL_DIGEST),
-    ],
+    "command, digest",
+    [("synthetic", SYNTHETIC_DIGEST), ("real", REAL_DIGEST)],
     ids=["synthetic", "real"],
 )
-def test_trials_csv_digest(tmp_path, command, cfg_text, digest):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(cfg_text)
-    out = tmp_path / "res"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    assert hashlib.sha256((out / "trials.csv").read_bytes()).hexdigest() == digest
+def test_trials_csv_digest(run_outputs, command, digest):
+    out = run_outputs(command)
+    assert _sha256(out / "trials.csv") == digest
     meta = (out / "run_meta").read_text().splitlines()
     assert f"numerics_version = {NUMERICS_VERSION}" in meta
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [("synthetic", SYNTHETIC_AGGREGATES_DIGEST), ("real", REAL_AGGREGATES_DIGEST)],
+    ids=["synthetic", "real"],
+)
+def test_aggregates_csv_digest(run_outputs, command, digest):
+    assert _sha256(run_outputs(command) / "aggregates.csv") == digest

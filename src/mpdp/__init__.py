@@ -24,7 +24,7 @@ from .data_model import (
     split_train_test,
     validate_bounds,
 )
-from .dgm import DebiasedHessian, DgmRelease, dgm_release, dgm_train
+from .dgm import DgmRelease, dgm_release, dgm_train
 from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from .evaluation import (
     AggregateReport,
@@ -45,7 +45,6 @@ __all__ = [
     "BoundsReport",
     "DataFormatError",
     "DataMatrix",
-    "DebiasedHessian",
     "DgmRelease",
     "GroundTruth",
     "K_GRID",

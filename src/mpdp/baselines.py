@@ -10,17 +10,17 @@ from .linalg import solve_normal_equations
 __all__ = ["ols_train", "bgm_train"]
 
 
-def ols_train(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> np.ndarray:
-    """Solve ((1/n) X'X + lam*I) w = (1/n) X'Y.
+def ols_train(x: np.ndarray, y: np.ndarray, lam: float = 0.0) -> tuple[np.ndarray, float]:
+    """Solve ((1/n) X'X + lam*I) w = (1/n) X'Y; returns (weights, min
+    |eigenvalue| of the regularized matrix).
 
     With lam = 0 and full-rank X this is the exact least-squares solution;
     rank-deficient systems with lam = 0 raise SingularSystemError.
     """
-    weights, _, _ = solve_normal_equations(x, y, lam, scale=len(y))
-    return weights
+    return solve_normal_equations(x, y, lam, scale=len(y))
 
 
-def bgm_train(rel: DgmRelease, lam: float = 0.0) -> np.ndarray:
+def bgm_train(rel: DgmRelease, lam: float = 0.0) -> tuple[np.ndarray, float]:
     """Plain least squares on an additive-noise release, no de-biasing.
 
     The retained noise variance keeps the Gram matrix comfortably

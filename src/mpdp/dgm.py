@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DataMatrix, PartyPartition, check_release_input
-from .dp_core import PrivacyParams, gaussian_noise, sensitivity_bound
+from .dp_core import PrivacyParams, add_party_noise
 from .linalg import solve_normal_equations
 from .streams import RandomStream, as_stream
 
-__all__ = ["DgmRelease", "DebiasedHessian", "dgm_release", "dgm_train"]
+__all__ = ["DgmRelease", "dgm_release", "dgm_train"]
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class DgmRelease:
         return self.public_matrix.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class DebiasedHessian:
-    """The de-biased Gram matrix and its diagnostics."""
-
-    matrix: np.ndarray
-    bias_removed: float
-    min_abs_eigenvalue: float
-
-
 def dgm_release(
     data: DataMatrix,
     partition: PartyPartition,
@@ -62,16 +53,8 @@ def dgm_release(
     assumes |entry| <= 1).
     """
     check_release_input(data, partition)
-    stream = as_stream(root_seed)
-    noise_std = sensitivity_bound(partition.d_max) * priv.sigma
-    party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
-    if noise_std == 0.0:
-        public = data.values.copy()
-    else:
-        public = np.empty_like(data.values)
-        for (a, b), party_stream in zip(partition.blocks, party_streams):
-            noise = gaussian_noise(data.n, b - a, noise_std, party_stream)
-            public[:, a:b] = data.values[:, a:b] + noise
+    public = data.values.copy(order="K")
+    noise_std, party_streams = add_party_noise(public, partition, priv, as_stream(root_seed))
     return DgmRelease(public_matrix=public, noise_std=noise_std, party_seeds=party_streams)
 
 
@@ -80,18 +63,16 @@ def dgm_train(
     d_max: int,
     priv: PrivacyParams,
     lam: float = 1e-5,
-) -> tuple[np.ndarray, DebiasedHessian]:
+) -> tuple[np.ndarray, float]:
     """Solve the de-biased normal equations on a released matrix.
 
     Computes H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features
-    X, then solves (H + lam*I) w = (1/n) X'Y.  Raises SingularSystemError
-    when the regularized matrix is numerically singular (the small-
-    eigenvalue failure mode).
+    X, then solves (H + lam*I) w = (1/n) X'Y and returns (weights, min
+    |eigenvalue| of H + lam*I).  Raises SingularSystemError when the
+    regularized matrix is numerically singular (the small-eigenvalue
+    failure mode).
     """
     bias = 4.0 * d_max * priv.sigma**2
-    weights, hessian, min_eig = solve_normal_equations(
+    return solve_normal_equations(
         rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam, scale=rel.n, shift=bias
-    )
-    return weights, DebiasedHessian(
-        matrix=hessian, bias_removed=bias, min_abs_eigenvalue=min_eig
     )

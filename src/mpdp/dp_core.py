@@ -1,8 +1,9 @@
 """Privacy primitives shared by both release mechanisms.
 
 Noise-scale calibration for the Gaussian mechanism, the per-row L2
-sensitivity bound for bounded party blocks, and seeded Gaussian noise
-matrices.  The shared Rademacher mixing matrix lives in ``kernels``.
+sensitivity bound for bounded party blocks, seeded Gaussian noise
+matrices and the per-party noise step both releases end with.  The
+shared Rademacher mixing matrix lives in ``kernels``.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import PartyPartition
 from .streams import RandomStream
 
-__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise"]
+__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise", "add_party_noise"]
 
 
 @dataclass(frozen=True)
@@ -82,3 +84,22 @@ def gaussian_noise(
     entries *= std
     return entries
 
+
+def add_party_noise(
+    matrix: np.ndarray,
+    partition: PartyPartition,
+    priv: PrivacyParams,
+    stream: RandomStream,
+) -> tuple[float, tuple[RandomStream, ...]]:
+    """The Gaussian mechanism of both releases, applied in place.
+
+    Party j adds N(0, std^2) noise, std = sensitivity_bound(d_max) * sigma,
+    drawn from ``stream.child(j)`` to its own column block of ``matrix``.
+    Returns (std, the per-party streams) so a release can be rebuilt.
+    """
+    std = sensitivity_bound(partition.d_max) * priv.sigma
+    party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
+    if std > 0.0:
+        for (a, b), party_stream in zip(partition.blocks, party_streams):
+            matrix[:, a:b] += gaussian_noise(matrix.shape[0], b - a, std, party_stream)
+    return std, party_streams

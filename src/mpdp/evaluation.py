@@ -51,6 +51,21 @@ TRIAL_COLUMNS = (
     "status",
 )
 
+# aggregates.csv columns before the per-beta tail_prob_<beta> columns
+AGGREGATE_COLUMNS = (
+    "method",
+    "n",
+    "epsilon",
+    "k",
+    "kind",
+    "num_trials",
+    "num_failed",
+    "mean_distance",
+    "median_distance",
+    "std_error",
+    "pathology_rate",
+)
+
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -209,26 +224,7 @@ def _fmt(value) -> str:
 def trials_to_csv(trials) -> str:
     """Render trials as CSV text (stable column set, no wall times)."""
     lines = [",".join(TRIAL_COLUMNS)]
-    for t in trials:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    t.method,
-                    t.seed,
-                    t.n,
-                    t.d,
-                    t.m,
-                    t.k,
-                    t.epsilon,
-                    t.delta,
-                    t.distance,
-                    t.test_mse,
-                    t.min_abs_eig,
-                    t.status,
-                )
-            )
-        )
+    lines += [",".join(_fmt(getattr(t, c)) for c in TRIAL_COLUMNS) for t in trials]
     return "\n".join(lines) + "\n"
 
 
@@ -240,36 +236,9 @@ def aggregates_to_csv(reports) -> str:
     configured beta.
     """
     betas = reports[0].tail_probs if reports else ()
-    header = [
-        "method",
-        "n",
-        "epsilon",
-        "k",
-        "kind",
-        "num_trials",
-        "num_failed",
-        "mean_distance",
-        "median_distance",
-        "std_error",
-        "pathology_rate",
-    ] + [f"tail_prob_{format(b, 'g')}" for b, _ in betas]
+    header = list(AGGREGATE_COLUMNS) + [f"tail_prob_{format(b, 'g')}" for b, _ in betas]
     lines = [",".join(header)]
     for r in reports:
-        row = [
-            _fmt(v)
-            for v in (
-                r.method,
-                r.n,
-                r.epsilon,
-                r.k,
-                r.kind,
-                r.num_trials,
-                r.num_failed,
-                r.mean_distance,
-                r.median_distance,
-                r.std_error,
-                r.pathology_rate,
-            )
-        ] + [_fmt(p) for _, p in r.tail_probs]
-        lines.append(",".join(row))
+        row = [getattr(r, c) for c in AGGREGATE_COLUMNS] + [p for _, p in r.tail_probs]
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -46,12 +46,13 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
 
 def solve_normal_equations(
     x: np.ndarray, y: np.ndarray, lam: float, scale: float = 1.0, shift: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Solve (H + lam*I) w = X'y / scale with H = X'X / scale - shift*I.
 
     The one core of every trainer: OLS and BGM use scale = n, DGM also
     subtracts its known noise variance as ``shift``, RMGM uses the raw
-    Gram matrix (scale = 1).  Returns (w, H, min |eigenvalue| of H + lam*I).
+    Gram matrix (scale = 1).  Returns (w, min |eigenvalue| of H + lam*I),
+    the return value of every trainer.
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
@@ -61,5 +62,4 @@ def solve_normal_equations(
         raise ValueError("x must be n-by-d with y of length n")
     eye = np.eye(x.shape[1])
     hessian = (x.T @ x) / scale - shift * eye
-    weights, min_eig = solve_symmetric(hessian + lam * eye, (x.T @ y) / scale)
-    return weights, hessian, min_eig
+    return solve_symmetric(hessian + lam * eye, (x.T @ y) / scale)

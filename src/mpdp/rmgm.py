@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DataMatrix, PartyPartition, check_release_input
-from .dp_core import PrivacyParams, gaussian_noise, sensitivity_bound
+from .dp_core import PrivacyParams, add_party_noise
 from .kernels import sketch_product
 from .linalg import solve_normal_equations
 from .streams import RandomStream, as_stream
@@ -54,15 +54,15 @@ def choose_k(
     d_max: int | None = None,
     mode: str = "synthetic",
     grid: tuple[int, ...] | None = None,
-) -> int | tuple[int, ...]:
-    """Select the compressed row count k.
+) -> tuple[int, ...]:
+    """The compressed row counts k to release with, as a tuple.
 
-    - "synthetic": k = max(1, round(sqrt(n)/sigma)), the scaling used for
-      the convergence experiments.
-    - "grid": returns the candidate list (default ``K_GRID``) for the
-      harness to sweep; the best k is picked downstream by test MSE.
-    - "rate": k = max(1, round(sqrt(n*d) / (sqrt(d_max)*sigma))), the
-      rate-optimal scaling including the dimension factors.
+    - "synthetic": (k,) with k = max(1, round(sqrt(n)/sigma)), the scaling
+      used for the convergence experiments.
+    - "grid": the candidate list (default ``K_GRID``) for the harness to
+      sweep; the best k is picked downstream by test MSE.
+    - "rate": (k,) with k = max(1, round(sqrt(n*d) / (sqrt(d_max)*sigma))),
+      the rate-optimal scaling including the dimension factors.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -71,11 +71,11 @@ def choose_k(
     if sigma <= 0:
         raise ValueError(f"sigma must be positive in {mode!r} mode, got {sigma}")
     if mode == "synthetic":
-        return max(1, round(math.sqrt(n) / sigma))
+        return (max(1, round(math.sqrt(n) / sigma)),)
     if mode == "rate":
         if d is None or d_max is None:
             raise ValueError("rate mode requires d and d_max")
-        return max(1, round(math.sqrt(n * d) / (math.sqrt(d_max) * sigma)))
+        return (max(1, round(math.sqrt(n * d) / (math.sqrt(d_max) * sigma))),)
     raise ValueError(f"unknown k mode {mode!r}")
 
 
@@ -85,14 +85,11 @@ def rmgm_release(
     priv: PrivacyParams,
     k: int,
     root_seed: int | RandomStream,
-    _mixing_matrix: np.ndarray | None = None,
 ) -> RmgmRelease:
     """Release B D^j / sqrt(k) + R^j for every party, with one shared B.
 
     B is derived from child("mixing") and streamed through the product
     (never materialised); party j's noise comes from child(j).
-    ``_mixing_matrix`` is a test hook injecting a fixed B; production
-    callers must leave it None.
     """
     check_release_input(data, partition)
     if k < 1:
@@ -105,18 +102,9 @@ def rmgm_release(
         )
     stream = as_stream(root_seed)
     mixing_seed = stream.child("mixing").seed64()
-    if _mixing_matrix is not None:
-        if _mixing_matrix.shape != (k, data.n):
-            raise ValueError("injected mixing matrix has the wrong shape")
-        mixed = _mixing_matrix @ data.values
-    else:
-        mixed = sketch_product(mixing_seed, data.values, k)
+    mixed = sketch_product(mixing_seed, data.values, k)
     mixed /= math.sqrt(k)
-    noise_std = sensitivity_bound(partition.d_max) * priv.sigma
-    party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
-    if noise_std > 0.0:
-        for (a, b), party_stream in zip(partition.blocks, party_streams):
-            mixed[:, a:b] += gaussian_noise(k, b - a, noise_std, party_stream)
+    noise_std, party_streams = add_party_noise(mixed, partition, priv, stream)
     return RmgmRelease(
         public_matrix=mixed,
         k=k,
@@ -134,7 +122,4 @@ def rmgm_train(rel: RmgmRelease, lam: float = 1e-5) -> tuple[np.ndarray, float]:
     The unregularized Gram matrix is PSD by construction; a singular
     system can only arise from rank deficiency (k < d with lam = 0).
     """
-    weights, _, min_eig = solve_normal_equations(
-        rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam
-    )
-    return weights, min_eig
+    return solve_normal_equations(rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam)

@@ -21,6 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .baselines import bgm_train, ols_train
 from .config import ConfigError, RunConfig
 from .data_model import (
     DataFormatError,
@@ -35,6 +36,7 @@ from .data_model import (
 from .dgm import dgm_release, dgm_train
 from .dp_core import calibrate
 from .evaluation import (
+    AggregateReport,
     TrialReport,
     aggregate,
     aggregates_to_csv,
@@ -43,7 +45,7 @@ from .evaluation import (
     weight_distance,
 )
 from .kernels import backend_name
-from .linalg import SingularSystemError, solve_normal_equations
+from .linalg import SingularSystemError
 from .rmgm import choose_k, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
@@ -53,6 +55,9 @@ __all__ = ["RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
 NUMERICS_VERSION = 1
+
+# Recorded in run_meta ("unset" when absent).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -76,12 +81,6 @@ def _run_tasks(tasks, worker, workers: int):
     return tuple(trials)
 
 
-def _least_squares(x, y, lam: float):
-    """OLS (and BGM, on a release): (weights, min |eigenvalue|)."""
-    weights, _, min_eig = solve_normal_equations(x, y, lam, scale=len(y))
-    return weights, min_eig
-
-
 def _trial_methods(
     cfg: RunConfig,
     base: RandomStream,
@@ -99,68 +98,46 @@ def _trial_methods(
     """
     reports: list[TrialReport] = []
 
-    def record(method, eps, k, body):
+    def fit(method, eps, k, train, *args):
+        """Time ``train(*args, lam=cfg.lam)`` and record its outcome."""
         start = time.perf_counter()
-        common = dict(
-            method=method,
-            seed=seed,
-            n=data.n,
-            d=data.d,
-            m=cfg.m,
-            epsilon=eps,
-            delta=None if eps is None else cfg.delta,
-            k=k,
-        )
         try:
-            weights, min_eig = body()
+            weights, min_eig = train(*args, lam=cfg.lam)
+            outcome = dict(measure(weights), min_abs_eig=min_eig)
         except SingularSystemError as exc:
             if cfg.strict:
                 raise
-            reports.append(TrialReport(**common, status="singular", min_abs_eig=exc.min_abs_eig))
-            return
+            outcome = dict(status="singular", min_abs_eig=exc.min_abs_eig)
         reports.append(
             TrialReport(
-                **common,
-                **measure(weights),
-                min_abs_eig=min_eig,
+                method=method,
+                seed=seed,
+                n=data.n,
+                d=data.d,
+                m=cfg.m,
+                epsilon=eps,
+                delta=None if eps is None else cfg.delta,
+                k=k,
                 wall_time=time.perf_counter() - start,
+                **outcome,
             )
         )
 
     if "ols" in cfg.methods:
-        record("ols", None, None, lambda: _least_squares(data.features(), data.labels(), cfg.lam))
+        fit("ols", None, None, ols_train, data.features(), data.labels())
     for eps_index, eps in enumerate(cfg.eps_grid):
         priv = calibrate(eps, cfg.delta)
         if "dgm" in cfg.methods or "bgm" in cfg.methods:
             release = dgm_release(data, partition, priv, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
-
-                def train_dgm(release=release, priv=priv):
-                    weights, diag = dgm_train(release, partition.d_max, priv, cfg.lam)
-                    return weights, diag.min_abs_eigenvalue
-
-                record("dgm", eps, None, train_dgm)
+                fit("dgm", eps, None, dgm_train, release, partition.d_max, priv)
             if "bgm" in cfg.methods:
-                record(
-                    "bgm",
-                    eps,
-                    None,
-                    lambda release=release: _least_squares(
-                        release.public_matrix[:, :-1], release.public_matrix[:, -1], cfg.lam
-                    ),
-                )
+                fit("bgm", eps, None, bgm_train, release)
         if "rmgm" in cfg.methods:
-            if cfg.k_mode == "grid":
-                ks = choose_k(data.n, priv.sigma, mode="grid", grid=cfg.k_grid)
-            else:
-                ks = (
-                    choose_k(
-                        data.n, priv.sigma, d=data.d, d_max=partition.d_max, mode=cfg.k_mode
-                    ),
-                )
+            ks = choose_k(data.n, priv.sigma, data.d, partition.d_max, cfg.k_mode, cfg.k_grid)
             for k in ks:
                 release = rmgm_release(data, partition, priv, k, base.child("rmgm", eps_index, k))
-                record("rmgm", eps, k, lambda release=release: rmgm_train(release, cfg.lam))
+                fit("rmgm", eps, k, rmgm_train, release)
     return reports
 
 
@@ -271,23 +248,23 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         wall_s=round(time.perf_counter() - started, 3),
         peak_rss_mb=round(_peak_rss_mb(), 1),
     )
+    # the BLAS thread count can change the last bits of sketch_product
+    for var in BLAS_THREAD_VARS:
+        meta[var] = os.environ.get(var, "unset")
     return meta
 
 
-def best_k_rows(trials) -> list[tuple[float, int, float]]:
-    """Per epsilon, the grid k with the lowest mean test MSE, as
-    (epsilon, k, mean_mse) rows."""
-    by_eps: dict[float, dict[int, list[float]]] = {}
-    for t in trials:
-        if t.method != "rmgm" or t.status != "ok" or t.test_mse is None:
+def best_k_rows(reports) -> list[tuple[float, int, float]]:
+    """Per epsilon, the grid k with the lowest mean test MSE among the
+    ``aggregate`` reports, as (epsilon, k, mean_mse) rows.  Ties go to
+    the smallest k; groups with no successful trial are skipped."""
+    best: dict[float, AggregateReport] = {}
+    for r in reports:
+        if r.method != "rmgm" or r.kind != "real":
             continue
-        by_eps.setdefault(t.epsilon, {}).setdefault(t.k, []).append(t.test_mse)
-    rows = []
-    for eps in sorted(by_eps):
-        means = {k: sum(v) / len(v) for k, v in by_eps[eps].items()}
-        best = min(sorted(means), key=lambda k: means[k])
-        rows.append((eps, best, means[best]))
-    return rows
+        if r.epsilon not in best or r.mean_distance < best[r.epsilon].mean_distance:
+            best[r.epsilon] = r
+    return [(eps, best[eps].k, best[eps].mean_distance) for eps in sorted(best)]
 
 
 def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
@@ -318,7 +295,7 @@ def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
         paths["best_k"] = os.path.join(out_dir, "best_k.csv")
         with open(paths["best_k"], "w", encoding="utf-8", newline="") as fh:
             fh.write("epsilon,best_k,mean_test_mse\n")
-            for eps, k, mse in best_k_rows(output.trials):
+            for eps, k, mse in best_k_rows(reports):
                 fh.write(f"{format(eps, 'g')},{k},{format(mse, '.17g')}\n")
 
     paths["run_meta"] = os.path.join(out_dir, "run_meta")

@@ -66,10 +66,11 @@ def test_criterion_1_exact_formula_suite():
     part = partition_evenly(5, 2)
     priv = calibrate(1.0, 0.5)
     release = dgm_release(data, part, priv, base.child("r"))
-    _, diag = dgm_train(release, part.d_max, priv, lam=1e-5)
-    x = release.public_matrix[:, :-1]
-    rebuilt = diag.matrix + diag.bias_removed * np.eye(4)
-    assert np.abs(rebuilt - x.T @ x / 300).max() < 1e-10
+    got, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
+    x, y = release.public_matrix[:, :-1], release.public_matrix[:, -1]
+    debiased = x.T @ x / 300 - 4 * part.d_max * priv.sigma**2 * np.eye(4)
+    want = np.linalg.solve(debiased + 1e-5 * np.eye(4), x.T @ y / 300)
+    assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
     comp = rmgm_release(data, part, priv, 16, base.child("r2"))
@@ -118,10 +119,10 @@ def test_criterion_2_oracle_equivalence():
         got, _ = rmgm_train(comp, lam=lam)
         worst = max(worst, np.abs(got - rmgm_oracle(comp.public_matrix, lam)).max())
 
-        got = ols_train(data.features(), data.labels(), lam=lam)
+        got, _ = ols_train(data.features(), data.labels(), lam=lam)
         worst = max(worst, np.abs(got - ols_oracle(data.features(), data.labels(), lam)).max())
 
-        got = bgm_train(release, lam=lam)
+        got, _ = bgm_train(release, lam=lam)
         want = ols_oracle(release.public_matrix[:, :-1], release.public_matrix[:, -1], lam)
         worst = max(worst, np.abs(got - want).max())
     report(2, worst < 1e-10, f"20 instances, worst trainer-vs-oracle gap {worst:.2e}")
@@ -228,7 +229,7 @@ def test_criterion_7_real_data_spot_check():
     if not os.path.exists(REAL_INSURANCE):
         out = _real_run(FIXTURE, seeds=3)
         ols_mse = [t.test_mse for t in out.trials if t.method == "ols"]
-        rows = best_k_rows(out.trials)
+        rows = best_k_rows(aggregate(out.trials))
         smoke = len(ols_mse) == 3 and all(m >= 0 for m in ols_mse) and len(rows) == 1
         report(
             7,
@@ -240,7 +241,7 @@ def test_criterion_7_real_data_spot_check():
 
     out = _real_run(REAL_INSURANCE, seeds=20)
     ols_mse = float(np.mean([t.test_mse for t in out.trials if t.method == "ols"]))
-    ((_, best_k, best_mse),) = best_k_rows(out.trials)
+    ((_, best_k, best_mse),) = best_k_rows(aggregate(out.trials))
     passed = 0.05 <= best_mse <= 0.12 and 0.004 <= ols_mse <= 0.02
     report(
         7,

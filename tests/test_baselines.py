@@ -19,7 +19,7 @@ class TestOls:
         rng = np.random.default_rng(0)
         x = np.eye(4) + 0.01 * rng.standard_normal((4, 4))
         w_star = rng.uniform(-1, 1, 4)
-        weights = ols_train(x, x @ w_star)
+        weights, _ = ols_train(x, x @ w_star)
         assert np.linalg.norm(weights - w_star) < 1e-10
 
     def test_matches_brute_force_oracle(self):
@@ -28,7 +28,8 @@ class TestOls:
         y = rng.uniform(-1, 1, size=200)
         for lam in (0.0, 1e-5, 0.1):
             expected = ols_oracle(x, y, lam)
-            assert np.abs(ols_train(x, y, lam) - expected).max() < 1e-10
+            weights, _ = ols_train(x, y, lam)
+            assert np.abs(weights - expected).max() < 1e-10
 
     def test_rank_deficient_without_ridge(self):
         rng = np.random.default_rng(2)
@@ -49,8 +50,8 @@ class TestBgm:
 
     def test_zero_noise_release_equals_plain_least_squares(self):
         data, release = self._release(sigma_zero=True)
-        noisy = bgm_train(release, lam=1e-5)
-        clean = ols_train(data.features(), data.labels(), lam=1e-5)
+        noisy, _ = bgm_train(release, lam=1e-5)
+        clean, _ = ols_train(data.features(), data.labels(), lam=1e-5)
         assert np.abs(noisy - clean).max() < 1e-12
 
     def test_matches_brute_force_oracle(self):
@@ -58,7 +59,8 @@ class TestBgm:
         expected = ols_oracle(
             release.public_matrix[:, :-1], release.public_matrix[:, -1], 1e-5
         )
-        assert np.abs(bgm_train(release, lam=1e-5) - expected).max() < 1e-10
+        weights, _ = bgm_train(release, lam=1e-5)
+        assert np.abs(weights - expected).max() < 1e-10
 
     def test_biased_toward_zero_under_real_noise(self):
         # the retained noise variance shrinks the solution hard: the
@@ -70,7 +72,7 @@ class TestBgm:
         release = dgm_release(
             data, partition_evenly(11, 6), priv, RandomStream(77).child("r")
         )
-        weights = bgm_train(release, lam=1e-5)
+        weights, _ = bgm_train(release, lam=1e-5)
         assert np.linalg.norm(weights) < 0.5 * np.linalg.norm(truth.w_star)
         assert np.linalg.norm(weights - truth.w_star) > 0.1
 
@@ -90,7 +92,7 @@ class TestBgmNonConvergence:
                 truth = gen_ground_truth(10, base.child("t"))
                 data = gen_dataset(n, truth, base.child("d"))
                 release = dgm_release(data, part, priv, base.child("r"))
-                weights = bgm_train(release, lam=1e-5)
+                weights, _ = bgm_train(release, lam=1e-5)
                 distances.append(np.linalg.norm(weights - truth.w_star))
             medians.append(np.median(distances))
         spread = max(medians) - min(medians)
@@ -103,5 +105,5 @@ class TestOlsConvergence:
             base = RandomStream(41).child(seed)
             truth = gen_ground_truth(10, base.child("t"))
             data = gen_dataset(10**4, truth, base.child("d"))
-            weights = ols_train(data.features(), data.labels(), lam=1e-5)
+            weights, _ = ols_train(data.features(), data.labels(), lam=1e-5)
             assert np.linalg.norm(weights - truth.w_star) <= 1e-3

@@ -145,6 +145,8 @@ class TestSyntheticCommand:
         assert meta["numpy_version"] == np.__version__
         for key in ("python_version", "scipy_version"):
             assert meta[key]
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert meta[var] == os.environ.get(var, "unset")
 
 
 class TestRealCommand:
@@ -172,6 +174,29 @@ class TestRealCommand:
         meta = (out / "run_meta").read_text()
         assert "dataset_rows_total = 100" in meta
         assert "dataset_rows_train = 80" in meta
+
+    def test_best_k_mean_equals_aggregate_mean(self, tmp_path):
+        # best_k.csv must carry the exact mean_distance of the matching
+        # rmgm row in aggregates.csv (with these seeds a plain
+        # sum/len mean differs from fmean in the last digits)
+        out = tmp_path / "res"
+        args = ["real", "--csv", FIXTURE, "--label-column", "expenses",
+                "--eps-grid", "1.0,0.5,0.1", "--seeds", "7", "--out", str(out)]
+        with pytest.warns(UserWarning, match="k="):
+            assert main(args) == 0
+        header, *rows = (out / "aggregates.csv").read_text().strip().split("\n")
+        columns = header.split(",")
+        means = {}
+        for row in rows:
+            cell = dict(zip(columns, row.split(",")))
+            if cell["method"] == "rmgm":
+                means[(float(cell["epsilon"]), int(cell["k"]))] = cell["mean_distance"]
+        best = (out / "best_k.csv").read_text().strip().split("\n")[1:]
+        assert len(best) == 3
+        for row in best:
+            eps, k, mean = row.split(",")
+            assert mean == means[(float(eps), int(k))]
+            assert float(mean) == min(float(v) for (e, _), v in means.items() if e == float(eps))
 
     def test_parties_checked_against_csv_columns_not_synthetic_d(self, tmp_path):
         # 20 columns: more than the synthetic default d + 1 = 11
@@ -341,3 +366,21 @@ class TestStrictMode:
         rows = (out / "trials.csv").read_text().strip().split("\n")[1:]
         singular = [r for r in rows if r.endswith(",singular")]
         assert len(singular) == 2
+
+    def test_singular_trials_are_timed(self, monkeypatch):
+        import time
+
+        import mpdp.runner as runner_module
+        from mpdp.linalg import SingularSystemError
+
+        def always_singular(*args, **kwargs):
+            time.sleep(0.002)
+            raise SingularSystemError("forced", min_abs_eig=1e-9, cond=np.inf)
+
+        monkeypatch.setattr(runner_module, "dgm_train", always_singular)
+        cfg = build_config(
+            {}, {"methods": ("dgm",), "n_grid": (500,), "eps_grid": (1.0,), "seeds": 2}
+        )
+        trials = run_synthetic(cfg).trials
+        assert [t.status for t in trials] == ["singular", "singular"]
+        assert all(t.wall_time >= 0.002 for t in trials)

@@ -82,9 +82,8 @@ class TestTrain:
     def test_zero_noise_zero_ridge_reduces_to_exact_ols(self):
         truth, data, part = small_instance(10, n=500, d=4)
         release = dgm_release(data, part, ZERO_NOISE, RandomStream(11))
-        weights, diag = dgm_train(release, part.d_max, ZERO_NOISE, lam=0.0)
+        weights, _ = dgm_train(release, part.d_max, ZERO_NOISE, lam=0.0)
         assert np.linalg.norm(weights - truth.w_star) < 1e-8
-        assert diag.bias_removed == 0.0
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(12, n=50, d=3)
@@ -93,19 +92,6 @@ class TestTrain:
         weights, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
         expected = dgm_oracle(release.public_matrix, part.d_max, priv.sigma, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
-
-    def test_debias_identity(self):
-        # adding the removed bias back recovers the raw Gram matrix
-        for seed in range(5):
-            _, data, part = small_instance(100 + seed, n=80, d=4)
-            priv = calibrate(0.7, 1e-3)
-            release = dgm_release(data, part, priv, RandomStream(200 + seed))
-            _, diag = dgm_train(release, part.d_max, priv, lam=1e-5)
-            x = release.public_matrix[:, :-1]
-            raw_gram = x.T @ x / release.n
-            rebuilt = diag.matrix + diag.bias_removed * np.eye(release.d)
-            assert np.abs(rebuilt - raw_gram).max() < 1e-12
-            assert np.abs(diag.matrix - diag.matrix.T).max() < 1e-12
 
     def test_singular_system_raises(self):
         # duplicated feature columns leave the de-biased matrix rank
@@ -118,7 +104,8 @@ class TestTrain:
             dgm_train(release, 2, ZERO_NOISE, lam=0.0)
 
     def test_hessian_estimate_is_unbiased(self):
-        # mean of the de-biased Gram matrix over repeated releases of one
+        # mean of the de-biased Gram matrix (the raw Gram of the release
+        # minus the bias dgm_train removes) over repeated releases of one
         # fixed dataset stays within 3 standard errors of the raw Gram
         truth = gen_ground_truth(5, RandomStream(14).child("t"))
         data = gen_dataset(10**4, truth, RandomStream(14).child("d"))
@@ -126,11 +113,12 @@ class TestTrain:
         priv = calibrate(1.0, 1e-2)
         x = data.features()
         raw_gram = x.T @ x / data.n
+        bias = 4 * part.d_max * priv.sigma**2 * np.eye(5)
         samples = []
         for seed in range(200):
             release = dgm_release(data, part, priv, RandomStream(15).child(seed))
-            _, diag = dgm_train(release, part.d_max, priv, lam=0.0)
-            samples.append(diag.matrix)
+            noisy = release.public_matrix[:, :-1]
+            samples.append(noisy.T @ noisy / data.n - bias)
         samples = np.asarray(samples)
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))

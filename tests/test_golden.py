@@ -1,5 +1,5 @@
 """Golden digests: ``trials.csv`` and ``aggregates.csv`` bytes for two
-small pinned configs.
+small pinned configs, and ``best_k.csv`` for the real one.
 
 The rerun tests only compare a run with another run of the same code;
 these pin the bytes across versions.  A change that alters numerics on
@@ -38,6 +38,7 @@ REAL_CFG = (
 )
 REAL_DIGEST = "2724b6654f67ec10ab2fc748d4abc222e2aa9effea9310955052b86480f601cc"
 REAL_AGGREGATES_DIGEST = "fcb2af9b61d248f62a993cb8d15fd4a5db14cf31eab339ac5391cdb55e646b0a"
+REAL_BEST_K_DIGEST = "23cc27291858cd557d9a32527008dc985f78fd43f38a0754bc08ec5bb10e2609"
 
 CONFIGS = {"synthetic": SYNTHETIC_CFG, "real": REAL_CFG}
 
@@ -83,3 +84,7 @@ def test_trials_csv_digest(run_outputs, command, digest):
 )
 def test_aggregates_csv_digest(run_outputs, command, digest):
     assert _sha256(run_outputs(command) / "aggregates.csv") == digest
+
+
+def test_best_k_csv_digest(run_outputs):
+    assert _sha256(run_outputs("real") / "best_k.csv") == REAL_BEST_K_DIGEST

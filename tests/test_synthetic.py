@@ -54,7 +54,7 @@ class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
         truth = gen_ground_truth(10, RandomStream(13))
         data = gen_dataset(5000, truth, RandomStream(14))
-        weights = ols_train(data.features(), data.labels(), lam=0.0)
+        weights, _ = ols_train(data.features(), data.labels(), lam=0.0)
         assert np.linalg.norm(weights - truth.w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):

@@ -56,7 +56,8 @@ __all__ = ["RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_
 # with the digests in tests/test_golden.py.
 NUMERICS_VERSION = 1
 
-# Recorded in run_meta ("unset" when absent).
+# Recorded in run_meta ("unset" when absent): the BLAS thread count can
+# change the last bits of sketch_product.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -248,7 +249,6 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         wall_s=round(time.perf_counter() - started, 3),
         peak_rss_mb=round(_peak_rss_mb(), 1),
     )
-    # the BLAS thread count can change the last bits of sketch_product
     for var in BLAS_THREAD_VARS:
         meta[var] = os.environ.get(var, "unset")
     return meta

@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .linalg import SingularSystemError
 from .rmgm import K_GRID, RmgmRelease, choose_k, rmgm_release, rmgm_train
-from .streams import RandomStream, as_stream
+from .streams import RandomStream
 from .synthetic import GroundTruth, gen_dataset, gen_ground_truth
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "SplitDataset",
     "TrialReport",
     "aggregate",
-    "as_stream",
     "bgm_train",
     "calibrate",
     "choose_k",

@@ -5,6 +5,9 @@ Subcommands:
   real        mean-squared-error protocol on a user-supplied CSV
   export      write one generated dataset plus its ground-truth sidecar
 
+Every flag except --config and --full sets one config-file key and takes
+the same text as that key does in a config file.
+
 Exit codes: 0 success, 2 configuration or input-format errors,
 3 a singular trained system under --strict.
 """
@@ -14,108 +17,91 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, build_config, parse_config_file
+from .config import (FULL_PRESET, ConfigError, RunConfig, build_config, parse_config_file,
+                     parse_value)
 from .data_model import DataFormatError
 from .linalg import SingularSystemError
 from .runner import export_synthetic, run_real, run_synthetic, write_outputs
 
-__all__ = ["main"]
+__all__ = ["main", "config_from_argv"]
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="key = value configuration file")
-    parser.add_argument("--seeds", type=int, metavar="N", help="trials per grid cell")
-    parser.add_argument("--root-seed", type=int, metavar="U64", dest="root_seed")
-    parser.add_argument("--out", metavar="DIR", dest="out_dir", help="output directory")
-    parser.add_argument("--workers", type=int, metavar="N", help="parallel trial workers")
-    parser.add_argument("--strict", action="store_true", default=None,
-                        help="abort on singular trained systems instead of recording them")
-    parser.add_argument("--lambda", type=float, dest="lam", metavar="L",
-                        help="ridge stabilizer added to every solved system")
+# Flags named unlike the config key they set; any other --some-flag sets some_flag.
+_KEY_OF_FLAG = {"parties": "m", "csv": "csv_path", "out": "out_dir", "n": "n_grid"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="key = value configuration file")
+    common.add_argument("--seeds", metavar="N", help="trials per grid cell")
+    common.add_argument("--root-seed", metavar="U64")
+    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--workers", metavar="N", help="parallel trial workers")
+    common.add_argument("--strict", action="store_const", const="true",
+                        help="abort on singular trained systems instead of recording them")
+    common.add_argument("--lambda", metavar="L",
+                        help="ridge stabilizer added to every solved system")
+
     parser = argparse.ArgumentParser(prog="mpdp")
     sub = parser.add_subparsers(dest="command", required=True)
+    p_syn = sub.add_parser("synthetic", parents=[common],
+                           help="convergence sweep on generated data")
+    p_syn.add_argument("--full", action="store_true",
+                       help="the paper's grid (n up to 3e6, 1000 seeds) below file and flags")
+    p_syn.add_argument("--n-grid", metavar="N,N,...", help="training sizes (commas or spaces)")
+    p_syn.add_argument("--eps-grid", metavar="E,E,...", help="privacy budgets (commas or spaces)")
+    p_syn.add_argument("--methods", metavar="M,M,...", help="subset of ols,dgm,rmgm,bgm")
 
-    p_syn = sub.add_parser("synthetic", help="convergence sweep on generated data")
-    _add_common(p_syn)
-    p_syn.add_argument("--full", action="store_true", default=None,
-                       help="full-scale grid (n up to 3e6, 1000 seeds); hours of runtime")
-    p_syn.add_argument("--n-grid", dest="n_grid", metavar="N,N,...",
-                       help="comma-separated training sizes")
-    p_syn.add_argument("--eps-grid", dest="eps_grid", metavar="E,E,...",
-                       help="comma-separated privacy budgets")
-    p_syn.add_argument("--methods", metavar="M,M,...",
-                       help="subset of ols,dgm,rmgm,bgm")
-
-    p_real = sub.add_parser("real", help="test-MSE protocol on a CSV dataset")
-    _add_common(p_real)
-    p_real.add_argument("--csv", dest="csv_path", metavar="PATH", help="dataset file")
-    p_real.add_argument("--label-column", dest="label_column", metavar="NAME")
-    p_real.add_argument("--parties", dest="m", type=int, metavar="M")
-    p_real.add_argument("--eps-grid", dest="eps_grid", metavar="E,E,...")
+    p_real = sub.add_parser("real", parents=[common], help="test-MSE protocol on a CSV dataset")
+    p_real.add_argument("--csv", metavar="PATH", help="dataset file")
+    p_real.add_argument("--label-column", metavar="NAME")
+    p_real.add_argument("--parties", metavar="M")
+    p_real.add_argument("--eps-grid", metavar="E,E,...")
     p_real.add_argument("--methods", metavar="M,M,...")
-    p_real.add_argument("--k-mode", dest="k_mode", choices=("synthetic", "grid", "rate"))
+    p_real.add_argument("--k-mode", metavar="{synthetic,grid,rate}")
 
     p_exp = sub.add_parser("export", help="write a generated dataset + ground-truth sidecar")
-    p_exp.add_argument("--d", type=int, default=10, metavar="D", help="feature count")
-    p_exp.add_argument("--n", type=int, default=1000, metavar="N", help="row count")
-    p_exp.add_argument("--root-seed", type=int, default=12345, dest="root_seed", metavar="U64")
-    p_exp.add_argument("--out", default="export", dest="out_dir", metavar="DIR")
+    p_exp.add_argument("--d", metavar="D", help="feature count")
+    p_exp.add_argument("--n", metavar="N", help="row count")
+    p_exp.add_argument("--root-seed", metavar="U64")
+    p_exp.add_argument("--out", metavar="DIR")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    skip = {"command", "config"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
+def _flag_values(flags: dict[str, str]) -> dict[str, object]:
+    """The flags' texts, each parsed by its config key's parser."""
+    values = {}
+    for dest, text in flags.items():
         try:
-            if key in ("n_grid",):
-                value = tuple(int(x) for x in str(value).split(","))
-            elif key in ("eps_grid",):
-                value = tuple(float(x) for x in str(value).split(","))
+            field_name, value = parse_value(_KEY_OF_FLAG.get(dest, dest), text)
         except ValueError as exc:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"bad value for {flag}: {value!r} ({exc})") from exc
-        if key in ("methods",):
-            value = tuple(x.strip().lower() for x in str(value).split(","))
-        out[key] = value
-    return out
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"bad value for {flag}: {text!r} ({exc})") from exc
+        values[field_name] = value
+    return values
+
+
+def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
+    """The command and the validated config that ``argv`` asks for."""
+    args = vars(_build_parser().parse_args(argv))
+    flags = {dest: text for dest, text in args.items() if text is not None}
+    command = flags.pop("command")
+    config_path = flags.pop("config", None)
+    preset = FULL_PRESET if flags.pop("full", False) else {}
+    file_values = parse_config_file(config_path) if config_path else {}
+    cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
+    if preset:
+        print("warning: --full runs n up to 3e6 with 1000 seeds; expect hours", file=sys.stderr)
+    return command, cfg
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "export":
-            cfg = build_config(
-                {},
-                {"d": args.d, "n_grid": (args.n,), "root_seed": args.root_seed,
-                 "out_dir": args.out_dir, "m": 2},  # m is unused by export
-            )
-            data_path, wstar_path = export_synthetic(cfg, args.out_dir)
+        command, cfg = config_from_argv(argv)
+        if command == "export":
+            data_path, wstar_path = export_synthetic(cfg)
             print(f"wrote {data_path} and {wstar_path}")
             return 0
-
-        file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        overrides = _overrides(args)
-        if args.command == "real" and "k_mode" not in file_values and "k_mode" not in overrides:
-            overrides["k_mode"] = "grid"  # the real-data protocol sweeps the k grid
-        cfg = build_config(file_values, overrides, protocol=args.command)
-
-        if args.command == "synthetic":
-            if cfg.full:
-                print(
-                    "warning: --full runs n up to 3e6 with 1000 seeds; expect hours",
-                    file=sys.stderr,
-                )
-            output = run_synthetic(cfg)
-        else:
-            if not cfg.csv_path:
-                raise ConfigError("real runs need --csv PATH (or csv_path in the config file)")
-            output = run_real(cfg)
+        output = run_synthetic(cfg) if command == "synthetic" else run_real(cfg)
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,30 @@
 """Run configuration: a plain key=value file plus CLI-flag overrides.
 
-Flags win over file values.  Unknown keys are fatal so silent typos
+Each settings flag sets one config-file key, and its text goes through
+that key's parser (``parse_value``).  Flags win over file values, which
+win over the ``--full`` preset.  Unknown keys are fatal so silent typos
 cannot change an experiment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .rmgm import K_GRID
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_file", "build_config", "FULL_N_GRID"]
+__all__ = [
+    "ConfigError", "RunConfig", "parse_value", "parse_config_file", "build_config", "FULL_PRESET",
+]
 
 DESK_N_GRID = (10_000, 30_000, 100_000, 300_000)
-FULL_N_GRID = (10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000)
+# synthetic --full: the paper's grid, below the config file and the flags
+FULL_PRESET = {"n_grid": DESK_N_GRID + (1_000_000, 3_000_000), "seeds": 1000}
+
+_PROTOCOL_DEFAULTS = {  # per-command defaults, below every other layer
+    "real": {"k_mode": "grid"},  # the real-data protocol sweeps the k grid
+    "export": {"n_grid": (1000,), "out_dir": "export"},
+}
 
 METHODS = ("ols", "dgm", "rmgm", "bgm")
 
@@ -40,7 +50,6 @@ class RunConfig:
     csv_path: str | None = None
     out_dir: str = "results"
     strict: bool = False
-    full: bool = False
     root_seed: int = 12345
     workers: int = 1
 
@@ -48,8 +57,8 @@ class RunConfig:
         """Check every field; ``protocol`` is the command the config is for.
 
         Real runs split the CSV's own columns, which ``run_real`` checks
-        against m once the file is read, so ``d`` bounds m only for
-        synthetic and export runs.
+        against m once the file is read, and export splits nothing, so
+        ``d`` bounds m only for synthetic runs.
         """
         for method in self.methods:
             if method not in METHODS:
@@ -66,7 +75,7 @@ class RunConfig:
             raise ConfigError("d must be >= 1")
         if self.m < 2:
             raise ConfigError("m must be >= 2")
-        if protocol != "real" and self.d + 1 < self.m:
+        if protocol == "synthetic" and self.d + 1 < self.m:
             raise ConfigError(f"cannot split d+1={self.d + 1} columns among m={self.m} parties")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
@@ -80,16 +89,16 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.root_seed < 0:
             raise ConfigError("root seed must be non-negative")
+        if protocol == "export" and len(self.n_grid) != 1:
+            raise ConfigError("export writes one dataset: give one row count")
+        if protocol == "real" and not self.csv_path:
+            raise ConfigError("real runs need --csv PATH (or csv_path in the config file)")
         return self
 
 
-# config-file key -> (field name, parser)
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+def _numbers(kind):
+    """A parser for numbers separated by commas and/or spaces."""
+    return lambda text: tuple(kind(x) for x in text.replace(",", " ").split())
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -97,7 +106,7 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -105,25 +114,33 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# config-file key -> (field name, parser); parse_value strips the text first
 _KEYS = {
     "methods": ("methods", _str_list),
-    "n_grid": ("n_grid", _int_list),
-    "eps_grid": ("eps_grid", _float_list),
+    "n_grid": ("n_grid", _numbers(int)),
+    "eps_grid": ("eps_grid", _numbers(float)),
     "delta": ("delta", float),
     "d": ("d", int),
     "m": ("m", int),
     "seeds": ("seeds", int),
-    "betas": ("betas", _float_list),
-    "k_mode": ("k_mode", str.strip),
-    "k_grid": ("k_grid", _int_list),
+    "betas": ("betas", _numbers(float)),
+    "k_mode": ("k_mode", str),
+    "k_grid": ("k_grid", _numbers(int)),
     "lambda": ("lam", float),
-    "label_column": ("label_column", str.strip),
-    "csv_path": ("csv_path", str.strip),
-    "out_dir": ("out_dir", str.strip),
+    "label_column": ("label_column", str),
+    "csv_path": ("csv_path", str),
+    "out_dir": ("out_dir", str),
     "strict": ("strict", _bool),
     "root_seed": ("root_seed", int),
     "workers": ("workers", int),
 }
+
+
+def parse_value(key: str, text: str) -> tuple[str, object]:
+    """(field name, value) of the known config key ``key`` set to ``text``;
+    a bad value raises ValueError."""
+    field_name, parser = _KEYS[key]
+    return field_name, parser(text.strip())
 
 
 def parse_config_file(path: str) -> dict[str, object]:
@@ -144,28 +161,22 @@ def parse_config_file(path: str) -> dict[str, object]:
         key = key.strip().lower()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field_name, parser = _KEYS[key]
         try:
-            values[field_name] = parser(text.strip())
+            field_name, value = parse_value(key, text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        values[field_name] = value
     return values
 
 
-def build_config(
-    file_values: dict[str, object], overrides: dict[str, object], protocol: str = "synthetic"
-) -> RunConfig:
-    """Layer CLI overrides on top of file values on top of defaults."""
-    known = {f.name for f in fields(RunConfig)}
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(merged) - known
+def build_config(*layers: dict[str, object], protocol: str = "synthetic") -> RunConfig:
+    """Field values layered lowest first (the CLI passes the ``--full``
+    preset, the config file, then the flags) over the protocol's
+    defaults, validated for ``protocol``."""
+    merged = dict(_PROTOCOL_DEFAULTS.get(protocol, {}))
+    for layer in layers:
+        merged.update(layer)
+    unknown = set(merged) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    cfg = RunConfig(**merged)
-    if cfg.full:
-        if "n_grid" not in merged:
-            cfg = replace(cfg, n_grid=FULL_N_GRID)
-        if "seeds" not in merged:
-            cfg = replace(cfg, seeds=1000)
-    return cfg.validate(protocol)
+    return RunConfig(**merged).validate(protocol)

@@ -231,16 +231,12 @@ def normalize_minmax(train: DataMatrix, test: DataMatrix) -> SplitDataset:
     )
 
 
-def split_train_test(
-    data: DataMatrix, rng: RandomStream | np.random.Generator
-) -> tuple[DataMatrix, DataMatrix]:
+def split_train_test(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix, DataMatrix]:
     """Uniformly random 4:1 row split with |train| = round(0.8 * n)."""
     if data.n < 5:
         raise ValueError(f"need at least 5 rows to split 4:1, got {data.n}")
-    if isinstance(rng, RandomStream):
-        rng = rng.generator()
     n_train = round(0.8 * data.n)
-    perm = rng.permutation(data.n)
+    perm = stream.generator().permutation(data.n)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return (

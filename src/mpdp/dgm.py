@@ -16,7 +16,7 @@ import numpy as np
 from .data_model import DataMatrix, PartyPartition, check_release_input
 from .dp_core import PrivacyParams, add_party_noise
 from .linalg import solve_normal_equations
-from .streams import RandomStream, as_stream
+from .streams import RandomStream
 
 __all__ = ["DgmRelease", "dgm_release", "dgm_train"]
 
@@ -43,7 +43,7 @@ def dgm_release(
     data: DataMatrix,
     partition: PartyPartition,
     priv: PrivacyParams,
-    root_seed: int | RandomStream,
+    stream: RandomStream,
 ) -> DgmRelease:
     """Release data + per-party Gaussian noise.
 
@@ -54,7 +54,7 @@ def dgm_release(
     """
     check_release_input(data, partition)
     public = data.values.copy(order="K")
-    noise_std, party_streams = add_party_noise(public, partition, priv, as_stream(root_seed))
+    noise_std, party_streams = add_party_noise(public, partition, priv, stream)
     return DgmRelease(public_matrix=public, noise_std=noise_std, party_seeds=party_streams)
 
 

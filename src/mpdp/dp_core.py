@@ -61,12 +61,7 @@ def sensitivity_bound(d_max: int) -> float:
     return 2.0 * math.sqrt(d_max)
 
 
-def gaussian_noise(
-    rows: int,
-    cols: int,
-    std: float,
-    rng: RandomStream | np.random.Generator,
-) -> np.ndarray:
+def gaussian_noise(rows: int, cols: int, std: float, stream: RandomStream) -> np.ndarray:
     """rows-by-cols matrix of independent N(0, std^2) draws.
 
     std = 0 yields the exact zero matrix.  The same stream always yields
@@ -76,11 +71,9 @@ def gaussian_noise(
         raise ValueError("rows and cols must be positive")
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
-    if isinstance(rng, RandomStream):
-        rng = rng.generator()
     if std == 0.0:
         return np.zeros((rows, cols))
-    entries = rng.standard_normal((rows, cols))
+    entries = stream.generator().standard_normal((rows, cols))
     entries *= std
     return entries
 

@@ -20,7 +20,7 @@ from .data_model import DataMatrix, PartyPartition, check_release_input
 from .dp_core import PrivacyParams, add_party_noise
 from .kernels import sketch_product
 from .linalg import solve_normal_equations
-from .streams import RandomStream, as_stream
+from .streams import RandomStream
 
 __all__ = ["RmgmRelease", "K_GRID", "choose_k", "rmgm_release", "rmgm_train"]
 
@@ -84,7 +84,7 @@ def rmgm_release(
     partition: PartyPartition,
     priv: PrivacyParams,
     k: int,
-    root_seed: int | RandomStream,
+    stream: RandomStream,
 ) -> RmgmRelease:
     """Release B D^j / sqrt(k) + R^j for every party, with one shared B.
 
@@ -100,7 +100,6 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    stream = as_stream(root_seed)
     mixing_seed = stream.child("mixing").seed64()
     mixed = sketch_product(mixing_seed, data.values, k)
     mixed /= math.sqrt(k)

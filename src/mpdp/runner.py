@@ -38,6 +38,7 @@ from .dp_core import calibrate
 from .evaluation import (
     AggregateReport,
     TrialReport,
+    _fmt,
     aggregate,
     aggregates_to_csv,
     test_mse,
@@ -211,14 +212,15 @@ def run_real(cfg: RunConfig) -> RunOutput:
     return RunOutput(trials=trials, meta=meta)
 
 
-def export_synthetic(cfg: RunConfig, out_dir: str) -> tuple[str, str]:
-    """Write one generated dataset plus a sidecar with its ground truth."""
+def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
+    """Write one generated dataset of n_grid[0] rows plus a sidecar with
+    its ground truth under the configured output directory."""
     root = RandomStream(cfg.root_seed).child("export")
     truth = gen_ground_truth(cfg.d, root.child("truth"))
     data = gen_dataset(cfg.n_grid[0], truth, root.child("data"))
-    os.makedirs(out_dir, exist_ok=True)
-    data_path = os.path.join(out_dir, "synthetic.csv")
-    wstar_path = os.path.join(out_dir, "synthetic_wstar.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    data_path = os.path.join(cfg.out_dir, "synthetic.csv")
+    wstar_path = os.path.join(cfg.out_dir, "synthetic_wstar.csv")
     save_csv(data, data_path)
     with open(wstar_path, "w", encoding="utf-8") as fh:
         fh.write("w_star\n")
@@ -287,16 +289,14 @@ def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
     with open(paths["timings"], "w", encoding="utf-8", newline="") as fh:
         fh.write("method,seed,n,epsilon,k,wall_time\n")
         for t in output.trials:
-            eps = "" if t.epsilon is None else format(t.epsilon, "g")
-            k = "" if t.k is None else str(t.k)
-            fh.write(f"{t.method},{t.seed},{t.n},{eps},{k},{t.wall_time:.6f}\n")
+            fh.write(f"{t.method},{t.seed},{t.n},{_fmt(t.epsilon)},{_fmt(t.k)},{t.wall_time:.6f}\n")
 
     if output.meta.get("protocol") == "real":
         paths["best_k"] = os.path.join(out_dir, "best_k.csv")
         with open(paths["best_k"], "w", encoding="utf-8", newline="") as fh:
             fh.write("epsilon,best_k,mean_test_mse\n")
             for eps, k, mse in best_k_rows(reports):
-                fh.write(f"{format(eps, 'g')},{k},{format(mse, '.17g')}\n")
+                fh.write(f"{_fmt(eps)},{k},{_fmt(mse)}\n")
 
     paths["run_meta"] = os.path.join(out_dir, "run_meta")
     with open(paths["run_meta"], "w", encoding="utf-8", newline="") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RandomStream", "as_stream"]
+__all__ = ["RandomStream"]
 
 
 def _tag_to_int(tag: int | str) -> int:
@@ -60,10 +60,3 @@ class RandomStream:
     def seed64(self) -> int:
         """A 64-bit seed word derived from this stream (for raw kernels)."""
         return int(self._seed_sequence().generate_state(1, np.uint64)[0])
-
-
-def as_stream(seed: int | RandomStream) -> RandomStream:
-    """Coerce an integer root seed or an existing stream to a RandomStream."""
-    if isinstance(seed, RandomStream):
-        return seed
-    return RandomStream(int(seed))

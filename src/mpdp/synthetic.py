@@ -34,26 +34,18 @@ class GroundTruth:
         return self.w_star.size
 
 
-def gen_ground_truth(d: int, rng: RandomStream | np.random.Generator) -> GroundTruth:
+def gen_ground_truth(d: int, stream: RandomStream) -> GroundTruth:
     """d independent U(-1/d, 1/d) draws."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if isinstance(rng, RandomStream):
-        rng = rng.generator()
-    return GroundTruth(rng.uniform(-1.0 / d, 1.0 / d, size=d))
+    return GroundTruth(stream.generator().uniform(-1.0 / d, 1.0 / d, size=d))
 
 
-def gen_dataset(
-    n: int,
-    truth: GroundTruth,
-    rng: RandomStream | np.random.Generator,
-) -> DataMatrix:
+def gen_dataset(n: int, truth: GroundTruth, stream: RandomStream) -> DataMatrix:
     """n rows of U(-1, 1) features with noiseless labels y = w.x."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(rng, RandomStream):
-        rng = rng.generator()
-    features = rng.uniform(-1.0, 1.0, size=(n, truth.d))
+    features = stream.generator().uniform(-1.0, 1.0, size=(n, truth.d))
     labels = features @ truth.w_star
     names = tuple(f"x{i + 1}" for i in range(truth.d)) + ("y",)
     return DataMatrix(np.column_stack([features, labels]), names)

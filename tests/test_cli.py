@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from mpdp.cli import main
+from mpdp.cli import config_from_argv, main
 from mpdp.config import ConfigError, build_config, parse_config_file
 from mpdp.runner import run_real, run_synthetic, write_outputs
 
@@ -13,6 +13,24 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# (command, flag, the config line it stands for): each pair must build
+# the same RunConfig
+FLAG_CASES = [
+    ("synthetic", ["--n-grid", "1000 2000"], "n_grid = 1000 2000"),
+    ("synthetic", ["--eps-grid", "1.0 0.5"], "eps_grid = 1.0 0.5"),
+    ("synthetic", ["--methods", "ols,"], "methods = ols,"),
+    ("synthetic", ["--n-grid", "1000, 2000"], "n_grid = 1000, 2000"),
+    ("synthetic", ["--seeds", "7"], "seeds = 7"),
+    ("synthetic", ["--lambda", "1e-4"], "lambda = 1e-4"),
+    ("synthetic", ["--root-seed", "42"], "root_seed = 42"),
+    ("synthetic", ["--workers", "2"], "workers = 2"),
+    ("synthetic", ["--strict"], "strict = true"),
+    ("real", ["--parties", "3"], "m = 3"),
+    ("real", ["--k-mode", "rate"], "k_mode = rate"),
+    ("real", ["--label-column", "expenses"], "label_column = expenses"),
+]
 
 
 class TestConfig:
@@ -47,10 +65,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({}, {"m": 12, "d": 10})
 
-    def test_full_flag_expands_grid(self):
-        cfg = build_config({}, {"full": True})
-        assert max(cfg.n_grid) == 3_000_000
+    def test_full_flag_expands_grid(self, tmp_path):
+        # --full is a preset below the config file, which is below the flags
+        _, cfg = config_from_argv(["synthetic", "--full"])
+        assert cfg.n_grid == (10_000, 30_000, 100_000, 300_000, 1_000_000, 3_000_000)
         assert cfg.seeds == 1000
+        path = tmp_path / "run.cfg"
+        path.write_text("n_grid = 2000\nseeds = 20\n")
+        _, cfg = config_from_argv(["synthetic", "--full", "--config", str(path)])
+        assert (cfg.n_grid, cfg.seeds) == ((2000,), 20)
+        _, cfg = config_from_argv(["synthetic", "--full", "--config", str(path), "--seeds", "3"])
+        assert (cfg.n_grid, cfg.seeds) == ((2000,), 3)
+
+    @pytest.mark.parametrize(
+        "command, flag, line", FLAG_CASES, ids=[line for _, _, line in FLAG_CASES]
+    )
+    def test_flag_and_config_line_build_the_same_config(self, tmp_path, command, flag, line):
+        # a flag takes the same text as its config-file key
+        base = ["--csv", FIXTURE] if command == "real" else []
+        _, from_flag = config_from_argv([command, *base, *flag])
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        _, from_file = config_from_argv([command, *base, "--config", str(path)])
+        assert from_flag == from_file
+        assert from_flag != config_from_argv([command, *base])[1]
+
+    def test_real_protocol_defaults_to_k_grid(self, tmp_path):
+        assert config_from_argv(["synthetic"])[1].k_mode == "synthetic"
+        assert config_from_argv(["real", "--csv", FIXTURE])[1].k_mode == "grid"
+        path = tmp_path / "run.cfg"
+        path.write_text("k_mode = rate\n")
+        _, cfg = config_from_argv(["real", "--csv", FIXTURE, "--config", str(path)])
+        assert cfg.k_mode == "rate"
 
 
 class TestSyntheticCommand:
@@ -176,12 +222,13 @@ class TestRealCommand:
         assert "dataset_rows_train = 80" in meta
 
     def test_best_k_mean_equals_aggregate_mean(self, tmp_path):
-        # best_k.csv must carry the exact mean_distance of the matching
-        # rmgm row in aggregates.csv (with these seeds a plain
-        # sum/len mean differs from fmean in the last digits)
+        # best_k.csv must carry the exact epsilon text and mean_distance
+        # of the matching rmgm row in aggregates.csv (with these seeds a
+        # plain sum/len mean differs from fmean in the last digits, and
+        # 0.1234567 has more than the 6 digits of a "%g" epsilon)
         out = tmp_path / "res"
         args = ["real", "--csv", FIXTURE, "--label-column", "expenses",
-                "--eps-grid", "1.0,0.5,0.1", "--seeds", "7", "--out", str(out)]
+                "--eps-grid", "1.0,0.5,0.1,0.1234567", "--seeds", "7", "--out", str(out)]
         with pytest.warns(UserWarning, match="k="):
             assert main(args) == 0
         header, *rows = (out / "aggregates.csv").read_text().strip().split("\n")
@@ -190,13 +237,13 @@ class TestRealCommand:
         for row in rows:
             cell = dict(zip(columns, row.split(",")))
             if cell["method"] == "rmgm":
-                means[(float(cell["epsilon"]), int(cell["k"]))] = cell["mean_distance"]
+                means[(cell["epsilon"], int(cell["k"]))] = cell["mean_distance"]
         best = (out / "best_k.csv").read_text().strip().split("\n")[1:]
-        assert len(best) == 3
+        assert len(best) == 4
         for row in best:
             eps, k, mean = row.split(",")
-            assert mean == means[(float(eps), int(k))]
-            assert float(mean) == min(float(v) for (e, _), v in means.items() if e == float(eps))
+            assert mean == means[(eps, int(k))]
+            assert float(mean) == min(float(v) for (e, _), v in means.items() if e == eps)
 
     def test_parties_checked_against_csv_columns_not_synthetic_d(self, tmp_path):
         # 20 columns: more than the synthetic default d + 1 = 11
@@ -265,6 +312,17 @@ class TestExportCommand:
         values = [float(v) for v in wstar[1:]]
         assert len(values) == 3
         assert all(abs(v) <= 1 / 3 for v in values)
+
+    @pytest.mark.parametrize(
+        "flags", [["--n", "3"], ["--d", "0"], ["--n", "x"], ["--n", "10 20"]], ids=" ".join
+    )
+    def test_bad_export_flags_exit_2(self, tmp_path, flags):
+        assert main(["export", *flags, "--out", str(tmp_path / "exp")]) == 2
+        assert not (tmp_path / "exp").exists()
+
+    def test_export_with_fewer_columns_than_default_parties(self, tmp_path):
+        # export splits nothing among parties, so m = 6 > d + 1 is no error
+        assert main(["export", "--d", "1", "--n", "5", "--out", str(tmp_path / "exp")]) == 0
 
     def test_reexport_is_byte_identical(self, tmp_path):
         for out in ("e1", "e2"):

@@ -14,7 +14,10 @@ from mpdp.cli import main
 
 NUMBERS = ("0", "1", "0.25", "-3", "7", "1e3", " 2 ")
 BAD_CELLS = ("nan", "inf", "", "x", "1e999", "y")
-GOOD_CONFIG = ("d = 3", "k_grid = 2, 3", "k_mode = rate", "betas = 0.5", "lambda = 1e-4")
+GOOD_CONFIG = (
+    "d = 3", "k_grid = 2, 3", "k_grid = 2 3", "k_mode = rate", "betas = 0.5", "lambda = 1e-4",
+    "methods = ols,", "n_grid = 12 20",
+)
 BAD_CONFIG = (
     "m = 1", "k_grid = 0", "k_grid =", "delta = 2", "lambda = -1", "lambda = inf",
     "n_grid = x", "label_column = zz", "bogus = 1", "no equals sign",
@@ -57,11 +60,13 @@ def invocations(draw):
     if draw(st.booleans()):
         args = ["real", "--csv", "{csv}", "--parties", draw(_pick(("2", "3"), ("0", "9")))]
         args += draw(_flag("--label-column", ("c0", "y"), ("zz",)))
-        args += draw(_flag("--k-mode", ("synthetic", "grid", "rate")))
+        args += draw(_flag("--k-mode", ("synthetic", "grid", "rate"), ("bogus",)))
     else:  # always a small n grid: the default runs n up to 3e5
-        args = ["synthetic", "--n-grid", draw(_pick(("5", "12,20"), ("0", "x", "")))]
-    args += draw(_flag("--eps-grid", ("1.0", "0.5,1"), ("0", "2", "abc", "1,,1", "nan")))
-    args += draw(_flag("--methods", ("ols", "ols,rmgm", "dgm,bgm"), ("svm", "")))
+        n_grid = draw(_pick(("5", "12,20", "12 20", "5,"), ("0", "x", "")))
+        args = ["synthetic", "--n-grid", n_grid]
+    eps_good, eps_bad = ("1.0", "0.5,1", "0.5 1", "1.0,"), ("0", "2", "abc", "1,,1", "nan")
+    args += draw(_flag("--eps-grid", eps_good, eps_bad))
+    args += draw(_flag("--methods", ("ols", "ols,rmgm", "dgm,bgm", "ols,"), ("svm", "")))
     args += ["--seeds", draw(_pick(("1", "2"), ("0",)))]  # the default 200 would be slow
     args += draw(_flag("--workers", ("1", "2"), ("0",)))
     args += draw(_flag("--lambda", ("0", "1e-5"), ("-1", "nan", "inf")))

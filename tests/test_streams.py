@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpdp.streams import RandomStream, as_stream
+from mpdp.streams import RandomStream
 
 
 def test_same_path_same_output():
@@ -32,12 +32,6 @@ def test_child_extends_path():
 def test_seed64_stable_value():
     # Frozen regression value: flags any change in the derivation scheme.
     assert RandomStream(12345).child("mixing").seed64() == 16625284544937917324
-
-
-def test_as_stream_coercion():
-    assert as_stream(9) == RandomStream(9)
-    s = RandomStream(9).child(1)
-    assert as_stream(s) is s
 
 
 def test_negative_inputs_rejected():

@@ -35,7 +35,7 @@ from .evaluation import (
     weight_distance,
 )
 from .linalg import SingularSystemError
-from .rmgm import K_GRID, RmgmRelease, choose_k, rmgm_release, rmgm_train
+from .rmgm import K_GRID, RmgmRelease, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import GroundTruth, gen_dataset, gen_ground_truth
 
@@ -52,6 +52,7 @@ __all__ = [
     "PrivacyParams",
     "RandomStream",
     "RmgmRelease",
+    "RmgmSketch",
     "SingularSystemError",
     "SplitDataset",
     "TrialReport",
@@ -68,6 +69,7 @@ __all__ = [
     "normalize_minmax",
     "ols_train",
     "partition_evenly",
+    "rmgm_mix",
     "rmgm_release",
     "rmgm_train",
     "save_csv",

@@ -28,6 +28,10 @@ __all__ = ["main", "config_from_argv"]
 # Flags named unlike the config key they set; any other --some-flag sets some_flag.
 _KEY_OF_FLAG = {"parties": "m", "csv": "csv_path", "out": "out_dir", "n": "n_grid"}
 
+# A synthetic sweep that generates this many rows (seeds x sum(n_grid))
+# takes hours; the --full grid generates 4.7e9.
+_HOURS_OF_ROWS = 10**9
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -89,8 +93,10 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     preset = FULL_PRESET if flags.pop("full", False) else {}
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
-    if preset:
-        print("warning: --full runs n up to 3e6 with 1000 seeds; expect hours", file=sys.stderr)
+    rows = cfg.seeds * sum(cfg.n_grid)
+    if command == "synthetic" and rows >= _HOURS_OF_ROWS:
+        print(f"warning: {cfg.seeds} seeds at n up to {max(cfg.n_grid)} generate {rows:.2g} "
+              "rows; expect hours", file=sys.stderr)
     return command, cfg
 
 

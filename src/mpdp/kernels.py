@@ -33,13 +33,14 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # reused from cache by every column of D; the largest tile is 8 x 65536
 # float64 (4 MiB), reached once n >= 16 384.
 #
-# The bits are those of numerics_version 1, which used 512-row tiles.
-# OpenBLAS's gemv reduces rows in groups of 4, so every row chunk that is
-# a multiple of 4 and divides 512 leaves each row in the same group, or
-# the same remainder, as a 512-row tile did.  numpy hands a 1-row tile to
-# ``dot``, which rounds differently from gemv, so a lone last row joins
-# the tile before it, except when k % 512 == 1, where the 512-row tiling
-# had a 1-row tile too.
+# OpenBLAS's gemv reduces rows in groups of _ROW_GROUP, and rounds a
+# trailing group of 2 or 3 rows differently; numpy hands a 1-row product
+# to ``dot``, which rounds differently again and is split across BLAS
+# threads.  So k is rounded up to a whole number of groups and the extra
+# (at most 3) regenerated rows are dropped: every tile starts on a group
+# boundary and holds whole groups, row r's bits depend only on
+# (seed, r, D), and the k-row sketch is the first k rows of any larger one.
+_ROW_GROUP = 4
 _MIN_ROWS = 8
 _MAX_ROWS = 512
 _TILE_BYTES = 1 << 20
@@ -86,21 +87,21 @@ def rademacher_matrix(seed: int, k: int, n: int) -> np.ndarray:
 
 def _row_tiles(k: int, width: int) -> list[tuple[int, int]]:
     """The (start, end) row ranges of the sketch tiles for k rows of
-    tiles at most ``width`` columns wide."""
+    tiles at most ``width`` columns wide; the last one ends at k rounded
+    up to a multiple of _ROW_GROUP."""
     rows = _MAX_ROWS
     while rows > _MIN_ROWS and rows * width * 8 > _TILE_BYTES:
         rows //= 2
-    bounds = [*range(0, k, rows), k]
-    if k % rows == 1 and k % _MAX_ROWS != 1:
-        del bounds[-2]  # lone last row: keep it on the gemv path
-    return list(zip(bounds[:-1], bounds[1:]))
+    padded = -(-k // _ROW_GROUP) * _ROW_GROUP
+    return [(r0, min(r0 + rows, padded)) for r0 in range(0, padded, rows)]
 
 
 def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
     """Compute ``B @ data`` for the seed-defined k-by-n mixing matrix B.
 
     ``data`` must be a C-contiguous float64 array of shape (n, c); the
-    result has shape (k, c).  B is never materialised: the working memory
+    result has shape (k, c) and is bit for bit the first k rows of the
+    result for any larger k.  B is never materialised: the working memory
     beyond ``data`` and the result is one tile (at most 4 MiB) plus one
     transposed column chunk of ``data`` (at most c x 65536 float64).
     """
@@ -112,7 +113,7 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
     seed = int(seed)
     n, cols = data.shape
     tiles = _row_tiles(k, min(n, _COL_CHUNK))
-    out = np.zeros((k, cols), dtype=np.float64)
+    out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
     for i0 in range(0, n, _COL_CHUNK):
         i1 = min(i0 + _COL_CHUNK, n)
         # one contiguous (c, chunk) copy per column chunk; every matvec
@@ -125,4 +126,4 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
             # it (party blocks are sliced out and reconstructed bitwise)
             for j in range(cols):
                 out[r0:r1, j] += tile @ chunk[j]
-    return out
+    return out[:k]

@@ -6,6 +6,14 @@ n, the noise is lower-order in n, and plain least squares on the release
 is consistent without any de-biasing; the Gram matrix is PSD by
 construction, so the small-eigenvalue failure mode of the additive-noise
 release cannot occur.
+
+B is public and drawn independently of the data, and its row r depends
+only on (mixing seed, r, n).  So a trial mixes once, at the largest k it
+needs (``rmgm_mix``), and every release takes the first k rows of that
+sketch, scales them by 1/sqrt(k) and adds its own noise
+(``rmgm_release``).  Each release is still the Gaussian mechanism on
+B_k D^j / sqrt(k): every column of B_k has norm sqrt(k), so a changed
+row moves party j's block by exactly the row's change in that block.
 """
 
 from __future__ import annotations
@@ -22,9 +30,27 @@ from .kernels import sketch_product
 from .linalg import solve_normal_equations
 from .streams import RandomStream
 
-__all__ = ["RmgmRelease", "K_GRID", "choose_k", "rmgm_release", "rmgm_train"]
+__all__ = ["RmgmSketch", "RmgmRelease", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train"]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
+
+
+@dataclass(frozen=True)
+class RmgmSketch:
+    """B D for one trial's shared mixing matrix B at k_max rows, unscaled.
+
+    The first k rows are B_k D for every k <= k_max.  ``partition`` is the
+    one the data was checked against; every release noises its blocks.
+    """
+
+    product: np.ndarray
+    mixing_seed: int
+    n: int
+    partition: PartyPartition
+
+    @property
+    def k_max(self) -> int:
+        return self.product.shape[0]
 
 
 @dataclass(frozen=True)
@@ -79,35 +105,54 @@ def choose_k(
     raise ValueError(f"unknown k mode {mode!r}")
 
 
-def rmgm_release(
+def rmgm_mix(
     data: DataMatrix,
     partition: PartyPartition,
+    k_max: int,
+    stream: RandomStream,
+) -> RmgmSketch:
+    """Check the data and sketch it once with the shared B, at k_max rows.
+
+    B is derived from child("mixing") and streamed through the product
+    (never materialised).
+    """
+    check_release_input(data, partition)
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
+    mixing_seed = stream.child("mixing").seed64()
+    return RmgmSketch(
+        product=sketch_product(mixing_seed, data.values, k_max),
+        mixing_seed=mixing_seed,
+        n=data.n,
+        partition=partition,
+    )
+
+
+def rmgm_release(
+    sketch: RmgmSketch,
     priv: PrivacyParams,
     k: int,
     stream: RandomStream,
 ) -> RmgmRelease:
-    """Release B D^j / sqrt(k) + R^j for every party, with one shared B.
+    """Release B_k D^j / sqrt(k) + R^j for every party from the shared sketch.
 
-    B is derived from child("mixing") and streamed through the product
-    (never materialised); party j's noise comes from child(j).
+    B_k D is the first k rows of ``sketch``; party j's noise comes from
+    child(j).
     """
-    check_release_input(data, partition)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k >= data.n:
+    if not 1 <= k <= sketch.k_max:
+        raise ValueError(f"k must be in [1, {sketch.k_max}], got {k}")
+    if k >= sketch.n:
         warnings.warn(
-            f"k={k} is not small relative to n={data.n}; the released noise "
+            f"k={k} is not small relative to n={sketch.n}; the released noise "
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    mixing_seed = stream.child("mixing").seed64()
-    mixed = sketch_product(mixing_seed, data.values, k)
-    mixed /= math.sqrt(k)
-    noise_std, party_streams = add_party_noise(mixed, partition, priv, stream)
+    mixed = sketch.product[:k] / math.sqrt(k)
+    noise_std, party_streams = add_party_noise(mixed, sketch.partition, priv, stream)
     return RmgmRelease(
         public_matrix=mixed,
         k=k,
-        mixing_seed=mixing_seed,
+        mixing_seed=sketch.mixing_seed,
         noise_std=noise_std,
         party_seeds=party_streams,
     )

@@ -47,7 +47,7 @@ from .evaluation import (
 )
 from .kernels import backend_name
 from .linalg import SingularSystemError
-from .rmgm import choose_k, rmgm_release, rmgm_train
+from .rmgm import choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
 
@@ -55,10 +55,11 @@ __all__ = ["RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 
-# Recorded in run_meta ("unset" when absent): the BLAS thread count can
-# change the last bits of sketch_product.
+# Recorded in run_meta ("unset" when absent) so a run states its BLAS
+# setup; tests/test_kernels.py checks that trials.csv is the same under
+# one and two OpenBLAS threads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -95,8 +96,8 @@ def _trial_methods(
 
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
-    the same data; dgm and bgm share one release per epsilon so their
-    comparison is paired.
+    the same data; dgm and bgm share one release per epsilon, and every
+    rmgm release mixes with the same B, so their comparisons are paired.
     """
     reports: list[TrialReport] = []
 
@@ -127,8 +128,16 @@ def _trial_methods(
 
     if "ols" in cfg.methods:
         fit("ols", None, None, ols_train, data.features(), data.labels())
-    for eps_index, eps in enumerate(cfg.eps_grid):
-        priv = calibrate(eps, cfg.delta)
+    privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
+    if "rmgm" in cfg.methods:
+        # one shared B per trial: every (eps, k) release is a prefix of
+        # the sketch at the largest k
+        ks = [
+            choose_k(data.n, priv.sigma, data.d, partition.d_max, cfg.k_mode, cfg.k_grid)
+            for priv in privs
+        ]
+        sketch = rmgm_mix(data, partition, max(map(max, ks)), base)
+    for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
         if "dgm" in cfg.methods or "bgm" in cfg.methods:
             release = dgm_release(data, partition, priv, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
@@ -136,9 +145,8 @@ def _trial_methods(
             if "bgm" in cfg.methods:
                 fit("bgm", eps, None, bgm_train, release)
         if "rmgm" in cfg.methods:
-            ks = choose_k(data.n, priv.sigma, data.d, partition.d_max, cfg.k_mode, cfg.k_grid)
-            for k in ks:
-                release = rmgm_release(data, partition, priv, k, base.child("rmgm", eps_index, k))
+            for k in ks[eps_index]:
+                release = rmgm_release(sketch, priv, k, base.child("rmgm", eps_index, k))
                 fit("rmgm", eps, k, rmgm_train, release)
     return reports
 

@@ -24,7 +24,7 @@ from mpdp.dgm import dgm_release, dgm_train
 from mpdp.dp_core import calibrate, sensitivity_bound
 from mpdp.evaluation import aggregate, tail_probability, weight_distance
 from mpdp.kernels import sketch_product
-from mpdp.rmgm import rmgm_release, rmgm_train
+from mpdp.rmgm import rmgm_mix, rmgm_release, rmgm_train
 from mpdp.runner import best_k_rows, run_real
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
@@ -73,7 +73,7 @@ def test_criterion_1_exact_formula_suite():
     assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
-    comp = rmgm_release(data, part, priv, 16, base.child("r2"))
+    comp = rmgm_release(rmgm_mix(data, part, 16, base.child("r2")), priv, 16, base.child("r2"))
     xc = comp.public_matrix[:, :-1]
     assert np.linalg.eigvalsh(xc.T @ xc).min() >= -1e-10
 
@@ -115,7 +115,7 @@ def test_criterion_2_oracle_equivalence():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            comp = rmgm_release(data, part, priv, k, base.child("rmgm"))
+            comp = rmgm_release(rmgm_mix(data, part, k, base), priv, k, base.child("rmgm"))
         got, _ = rmgm_train(comp, lam=lam)
         worst = max(worst, np.abs(got - rmgm_oracle(comp.public_matrix, lam)).max())
 

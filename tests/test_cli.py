@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestConfig:
         assert (cfg.n_grid, cfg.seeds) == ((2000,), 20)
         _, cfg = config_from_argv(["synthetic", "--full", "--config", str(path), "--seeds", "3"])
         assert (cfg.n_grid, cfg.seeds) == ((2000,), 3)
+
+    @pytest.mark.parametrize(
+        "argv, warns",
+        [(["--full"], True), (["--full", "--n-grid", "1000", "--seeds", "2"], False)],
+        ids=["full", "full_replaced_by_flags"],
+    )
+    def test_hours_warning_follows_built_config(self, capsys, argv, warns):
+        config_from_argv(["synthetic", *argv])
+        assert ("expect hours" in capsys.readouterr().err) == warns
 
     @pytest.mark.parametrize(
         "command, flag, line", FLAG_CASES, ids=[line for _, _, line in FLAG_CASES]
@@ -244,6 +254,26 @@ class TestRealCommand:
             eps, k, mean = row.split(",")
             assert mean == means[(eps, int(k))]
             assert float(mean) == min(float(v) for (e, _), v in means.items() if e == eps)
+
+    def test_k_rows_do_not_depend_on_the_rest_of_the_grid(self, tmp_path):
+        # every release is a prefix of one sketch at the trial's largest
+        # k, so adding k = 1001 to the grid leaves the k = 30 rows as they are
+        rows = []
+        for grid in ("30", "30, 1001"):
+            work = tmp_path / f"grid{len(rows)}"
+            work.mkdir()
+            (work / "run.cfg").write_text(f"k_grid = {grid}\n")
+            args = ["real", "--csv", FIXTURE, "--label-column", "expenses", "--seeds", "3",
+                    "--eps-grid", "1.0,0.5", "--config", str(work / "run.cfg"),
+                    "--out", str(work / "res")]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k = 1001 is not small next to n = 80
+                assert main(args) == 0
+            header, *lines = (work / "res" / "trials.csv").read_text().splitlines()
+            k_col = header.split(",").index("k")
+            rows.append([line for line in lines if line.split(",")[k_col] == "30"])
+        assert len(rows[0]) == 3 * 2
+        assert rows[0] == rows[1]
 
     def test_parties_checked_against_csv_columns_not_synthetic_d(self, tmp_path):
         # 20 columns: more than the synthetic default d + 1 = 11

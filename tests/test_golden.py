@@ -16,7 +16,9 @@ from mpdp.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
 
-NUMERICS_VERSION = 1
+# 2: one mixing matrix B per trial, every RMGM release a prefix of its
+# sketch, and sketch rows padded to whole gemv groups of 4
+NUMERICS_VERSION = 2
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -25,8 +27,8 @@ SYNTHETIC_CFG = (
     "seeds = 5\n"
     "root_seed = 7\n"
 )
-SYNTHETIC_DIGEST = "d661e649569c496029de5aef4bfd06503747d1bba39494236978e46850930072"
-SYNTHETIC_AGGREGATES_DIGEST = "70fe9b9f253d74421669064a98f6017d914f0a61aa90ee98e6f14f2787b5d3b7"
+SYNTHETIC_DIGEST = "2732eb2c8ad84c1bce5faa9d52b9cce4b77f4af9b4b33aefec1e3cab0bc3054f"
+SYNTHETIC_AGGREGATES_DIGEST = "347e3d270aad020a0bb4d882cdb512e8593827b1fa6ace817112042fae784f47"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -36,9 +38,9 @@ REAL_CFG = (
     "seeds = 3\n"
     "m = 3\n"
 )
-REAL_DIGEST = "2724b6654f67ec10ab2fc748d4abc222e2aa9effea9310955052b86480f601cc"
-REAL_AGGREGATES_DIGEST = "fcb2af9b61d248f62a993cb8d15fd4a5db14cf31eab339ac5391cdb55e646b0a"
-REAL_BEST_K_DIGEST = "23cc27291858cd557d9a32527008dc985f78fd43f38a0754bc08ec5bb10e2609"
+REAL_DIGEST = "777872450f81c30be84da00fd2a86565420755a6d606c93bc97c2575aa68578a"
+REAL_AGGREGATES_DIGEST = "a80240318939ea014677ee76486f9be096bba0b2626216a0862dd797f5698c09"
+REAL_BEST_K_DIGEST = "3c667d9cf2bae2bdc344e32705186f76917c25e63f0d27daa86bf36e0deae5b0"
 
 CONFIGS = {"synthetic": SYNTHETIC_CFG, "real": REAL_CFG}
 

@@ -16,6 +16,8 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 # Run in a child with BLAS pinned to one thread: the frozen kernel's own
 # bits change with the OpenBLAS thread count once a tile is large enough
 # for gemv or dot to be split across threads (e.g. k = 10, n = 70 000).
+# numerics_version 2 kept the rows of every k with k % 4 in {0, 1} and
+# k % 512 != 1; the others now end in a whole gemv group of 4 rows.
 _FROZEN_CHECK = """
 import json
 import numpy as np
@@ -27,7 +29,7 @@ cases = 0
 bad = []
 for n in (50, 700, 2000, 70_000):  # tiles of 512, 128, 64 and 8 rows
     data = rng.uniform(-1, 1, size=(n, 7))
-    for k in (*range(1, 14), 65, 113, 129, 257, 511, 512, 513, 1025):
+    for k in (4, 5, 8, 9, 12, 13, 16, 17, 65, 113, 129, 257, 512, 1024):
         if k * n > 8e7:
             continue
         for c in (1, 3, 7):
@@ -117,7 +119,7 @@ class TestMatchesFrozenKernel:
             env=env, capture_output=True, text=True, timeout=600, check=True,
         )
         result = json.loads(proc.stdout)
-        assert result["cases"] == 4 * 21 * 3  # n x k x c
+        assert result["cases"] == 4 * 14 * 3  # n x k x c
         assert result["mismatched"] == []
 
     def test_row_tiles(self):
@@ -125,12 +127,58 @@ class TestMatchesFrozenKernel:
         assert kernels._row_tiles(12, wide) == [(0, 8), (8, 12)]
         assert kernels._row_tiles(1000, 2000)[:2] == [(0, 64), (64, 128)]
         assert kernels._row_tiles(1000, 50)[0] == (0, 512)
-        # a lone last row stays on gemv unless 512-row tiles had one too
-        assert kernels._row_tiles(1, wide) == [(0, 1)]
-        assert kernels._row_tiles(9, wide) == [(0, 9)]
-        assert kernels._row_tiles(521, wide)[-1] == (512, 521)
-        assert kernels._row_tiles(513, wide)[-1] == (512, 513)
-        assert kernels._row_tiles(129, 2000)[-1] == (64, 129)
+        # the last tile ends at k rounded up to whole groups of 4 rows, so
+        # no tile has a lone row or a 2- or 3-row remainder
+        assert kernels._row_tiles(1, wide) == [(0, 4)]
+        assert kernels._row_tiles(9, wide) == [(0, 8), (8, 12)]
+        assert kernels._row_tiles(14, wide) == [(0, 8), (8, 16)]
+        assert kernels._row_tiles(513, 50) == [(0, 512), (512, 516)]
+        assert kernels._row_tiles(129, 2000)[-1] == (128, 132)
+        for k in range(1, 300):
+            for width in (50, 2000, wide):
+                tiles = kernels._row_tiles(k, width)
+                assert tiles[0][0] == 0 and k <= tiles[-1][1] < k + 4
+                assert all(r1 == s0 for (_, r1), (s0, _) in zip(tiles, tiles[1:]))
+                assert all(r0 % 4 == 0 and (r1 - r0) % 4 == 0 for r0, r1 in tiles)
+
+
+# Each k-row sketch must be the first k rows of a larger one.  At the
+# parent tiling, k % 4 in {2, 3} and k in {1, 513, 1025} broke this.
+_PREFIX_KS = (*range(1, 41), 113, 513, 1025)
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("n", [700, 16_000, 70_000])
+    def test_every_sketch_is_a_prefix_of_a_larger_one(self, n):
+        data = np.random.default_rng(n).uniform(-1, 1, size=(n, 3))
+        full = kernels.sketch_product(12, data, 1030)
+        bad = [k for k in _PREFIX_KS
+               if not np.array_equal(kernels.sketch_product(12, data, k), full[:k])]
+        assert bad == []
+
+
+class TestBlasThreads:
+    def test_trials_csv_same_under_one_and_two_blas_threads(self, tmp_path):
+        # k in {1, 513} at 16 000 training rows: the two k whose lone last
+        # row once went to numpy's dot, which OpenBLAS splits across threads
+        values = np.random.default_rng(3).uniform(0, 1, size=(20_000, 6))
+        csv = tmp_path / "data.csv"
+        np.savetxt(csv, values, fmt="%.17g", delimiter=",", header="a,b,c,d,e,y", comments="")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"csv_path = {csv}\nmethods = rmgm\nm = 3\neps_grid = 1.0\n"
+                       "k_grid = 1, 513\nseeds = 2\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "mpdp", "real", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600, check=True,
+            )
+            runs.append((out / "trials.csv").read_text())
+        assert runs[0].count("\nrmgm,") == 4  # 2 seeds x 2 k
+        assert runs[0] == runs[1]
 
 
 class TestWorkingMemory:

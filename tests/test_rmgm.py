@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mpdp.data_model import partition_evenly, slice_party
-from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise
+from mpdp.data_model import DataMatrix, partition_evenly, slice_party
+from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError
-from mpdp.rmgm import K_GRID, RmgmRelease, choose_k, rmgm_release, rmgm_train
+from mpdp.rmgm import K_GRID, RmgmRelease, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -23,8 +24,13 @@ def small_instance(seed, n=100, d=3, m=2):
     return truth, data, partition_evenly(d + 1, m)
 
 
+def release_at(data, part, priv, k, stream):
+    """One release at k rows from a sketch of exactly k rows."""
+    return rmgm_release(rmgm_mix(data, part, k, stream), priv, k, stream)
+
+
 def force_mixing(monkeypatch, matrix):
-    """Make rmgm_release mix with the fixed matrix B = ``matrix``."""
+    """Make rmgm_mix mix with the fixed matrix B = ``matrix``."""
 
     def product(seed, values, k):
         assert matrix.shape == (k, values.shape[0])
@@ -63,13 +69,13 @@ class TestChooseK:
 class TestRelease:
     def test_shape_is_k_rows(self):
         _, data, part = small_instance(1, n=200, d=5, m=3)
-        release = rmgm_release(data, part, calibrate(1.0, 1e-5), 7, RandomStream(2))
+        release = release_at(data, part, calibrate(1.0, 1e-5), 7, RandomStream(2))
         assert release.public_matrix.shape == (7, 6)
         assert release.k == 7
 
     def test_single_mixing_seed_shared(self):
         _, data, part = small_instance(3)
-        release = rmgm_release(data, part, ZERO_NOISE, 5, RandomStream(4))
+        release = release_at(data, part, ZERO_NOISE, 5, RandomStream(4))
         assert isinstance(release.mixing_seed, int)
         assert release.mixing_seed == RandomStream(4).child("mixing").seed64()
 
@@ -78,7 +84,7 @@ class TestRelease:
         # column-sum vector of the data (sqrt(1) = 1)
         _, data, part = small_instance(5, n=40)
         force_mixing(monkeypatch, np.ones((1, 40)))
-        release = rmgm_release(data, part, ZERO_NOISE, 1, RandomStream(6))
+        release = release_at(data, part, ZERO_NOISE, 1, RandomStream(6))
         np.testing.assert_allclose(
             release.public_matrix[0], data.values.sum(axis=0), rtol=1e-12
         )
@@ -91,7 +97,7 @@ class TestRelease:
         priv = calibrate(0.5, 1e-4)
         root = RandomStream(10)
         k = 6
-        release = rmgm_release(data, part, priv, k, root)
+        release = release_at(data, part, priv, k, root)
         for j, (a, b) in enumerate(part.blocks, start=1):
             block = np.ascontiguousarray(slice_party(data, part, j))
             mixed = sketch_product(release.mixing_seed, block, k) / math.sqrt(k)
@@ -99,16 +105,14 @@ class TestRelease:
             np.testing.assert_array_equal(release.public_matrix[:, a:b], mixed)
 
     def test_rejects_out_of_bounds_data(self):
-        from mpdp.data_model import DataMatrix
-
         data = DataMatrix(np.array([[3.0, 0.0], [0.0, 0.0]]), ("a", "y"))
         with pytest.raises(ValueError, match="bound"):
-            rmgm_release(data, partition_evenly(2, 2), ZERO_NOISE, 1, RandomStream(0))
+            release_at(data, partition_evenly(2, 2), ZERO_NOISE, 1, RandomStream(0))
 
     def test_warns_when_k_not_small(self):
         _, data, part = small_instance(11, n=20)
         with pytest.warns(UserWarning, match="k="):
-            rmgm_release(data, part, ZERO_NOISE, 30, RandomStream(12))
+            release_at(data, part, ZERO_NOISE, 30, RandomStream(12))
 
     def test_gram_preserved_without_noise(self):
         # sigma = 0, k = 4000, n = 1e4: the compressed Gram matrix stays
@@ -120,12 +124,89 @@ class TestRelease:
             truth = gen_ground_truth(10, base.child("t"))
             data = gen_dataset(10**4, truth, base.child("d"))
             part = partition_evenly(11, 6)
-            release = rmgm_release(data, part, ZERO_NOISE, 4000, base.child("r"))
+            release = release_at(data, part, ZERO_NOISE, 4000, base.child("r"))
             x = data.features()
             x_mixed = release.public_matrix[:, :-1]
             deviation = np.abs(x_mixed.T @ x_mixed / data.n - x.T @ x / data.n).max()
             hits += deviation <= 0.2
         assert hits >= 48  # 0.95 * 50, rounded up
+
+
+class TestSharedSketch:
+    def test_release_from_larger_sketch_is_bit_identical(self):
+        # one sketch at k_max serves every smaller k: the release equals
+        # the one from a sketch of exactly k rows, for every k
+        _, data, part = small_instance(21, n=300, d=5, m=3)
+        priv = calibrate(0.5, 1e-4)
+        root = RandomStream(22)
+        sketch = rmgm_mix(data, part, 41, root)
+        assert sketch.k_max == 41
+        for k in (1, 2, 3, 6, 7, 13, 40, 41):
+            shared = rmgm_release(sketch, priv, k, root.child("r", k))
+            alone = rmgm_release(rmgm_mix(data, part, k, root), priv, k, root.child("r", k))
+            np.testing.assert_array_equal(shared.public_matrix, alone.public_matrix)
+            assert shared.mixing_seed == alone.mixing_seed
+
+    def test_party_rebuilds_its_block_from_a_shared_sketch(self):
+        # party j sketches only its own block at k rows and adds its own
+        # noise: that is its block of a release cut from a k_max sketch
+        _, data, part = small_instance(23, n=70, d=5, m=3)
+        priv = calibrate(0.5, 1e-4)
+        root = RandomStream(24)
+        sketch = rmgm_mix(data, part, 33, root)
+        for k in (2, 5, 33):
+            release = rmgm_release(sketch, priv, k, root.child("r", k))
+            for j, (a, b) in enumerate(part.blocks, start=1):
+                block = np.ascontiguousarray(slice_party(data, part, j))
+                mixed = sketch_product(release.mixing_seed, block, k) / math.sqrt(k)
+                mixed += gaussian_noise(k, b - a, release.noise_std, root.child("r", k, j))
+                np.testing.assert_array_equal(release.public_matrix[:, a:b], mixed)
+
+    def test_k_beyond_sketch_rejected(self):
+        _, data, part = small_instance(25)
+        sketch = rmgm_mix(data, part, 8, RandomStream(26))
+        for k in (0, 9):
+            with pytest.raises(ValueError, match="k must be"):
+                rmgm_release(sketch, ZERO_NOISE, k, RandomStream(27))
+
+    def test_warns_for_each_release_k_not_small(self):
+        _, data, part = small_instance(28, n=20)
+        sketch = rmgm_mix(data, part, 30, RandomStream(29))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rmgm_release(sketch, ZERO_NOISE, 19, RandomStream(30))
+        with pytest.warns(UserWarning, match="k=20 "):
+            rmgm_release(sketch, ZERO_NOISE, 20, RandomStream(30))
+
+
+class TestSensitivity:
+    @pytest.mark.parametrize("flip", [True, False], ids=["sign_flipped_corner", "other_corner"])
+    def test_block_moves_by_exactly_the_row_change(self, flip):
+        # neighbouring datasets differ in row i, a corner of [-1, 1]^(d+1)
+        # replaced by its sign flip or by another corner.  Every column of
+        # B_k has norm sqrt(k), so for each k cut from one shared sketch
+        # party j's noiseless block moves by exactly ||delta_j||, which is
+        # within sensitivity_bound(d_max)
+        rng = np.random.default_rng(31)
+        _, data, part = small_instance(32, n=64, d=6, m=3)
+        k_max = 24
+        for i in (0, 17, 63):
+            corner = rng.choice([-1.0, 1.0], size=data.d + 1)
+            other = -corner if flip else rng.choice([-1.0, 1.0], size=data.d + 1)
+            values, neighbour = data.values.copy(), data.values.copy()
+            values[i], neighbour[i] = corner, other
+            root = RandomStream(33 + i)
+            sketches = [
+                rmgm_mix(DataMatrix(v, data.column_names), part, k_max, root)
+                for v in (values, neighbour)
+            ]
+            for k in (1, 2, 5, 12, k_max):
+                a_rel, b_rel = (rmgm_release(s, ZERO_NOISE, k, root) for s in sketches)
+                for a, b in part.blocks:
+                    change = np.linalg.norm(corner[a:b] - other[a:b])
+                    moved = np.linalg.norm(b_rel.public_matrix[:, a:b] - a_rel.public_matrix[:, a:b])
+                    np.testing.assert_allclose(moved, change, rtol=1e-12)
+                    assert moved <= sensitivity_bound(part.d_max) * (1 + 1e-12)
 
 
 class TestTrain:
@@ -137,28 +218,28 @@ class TestTrain:
         forced = np.zeros((k, 50))
         forced[:, :k] = np.sqrt(k) * np.eye(k)
         force_mixing(monkeypatch, forced)
-        release = rmgm_release(data, part, ZERO_NOISE, k, RandomStream(15))
+        release = release_at(data, part, ZERO_NOISE, k, RandomStream(15))
         weights, _ = rmgm_train(release, lam=0.0)
         assert np.linalg.norm(weights - truth.w_star) < 1e-6
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(16, n=100, d=3)
         priv = calibrate(1.0, 0.5)
-        release = rmgm_release(data, part, priv, 20, RandomStream(17))
+        release = release_at(data, part, priv, 20, RandomStream(17))
         weights, _ = rmgm_train(release, lam=1e-5)
         expected = rmgm_oracle(release.public_matrix, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
     def test_rank_deficient_without_ridge(self):
         _, data, part = small_instance(18, n=50, d=3)
-        release = rmgm_release(data, part, calibrate(1.0, 1e-5), 2, RandomStream(19))
+        release = release_at(data, part, calibrate(1.0, 1e-5), 2, RandomStream(19))
         with pytest.raises(SingularSystemError):
             rmgm_train(release, lam=0.0)
 
     def test_gram_matrix_is_psd(self):
         for seed in range(10):
             _, data, part = small_instance(20 + seed, n=80, d=4)
-            release = rmgm_release(
+            release = release_at(
                 data, part, calibrate(1.0, 1e-3), 6, RandomStream(40 + seed)
             )
             x = release.public_matrix[:, :-1]
@@ -186,7 +267,7 @@ class TestConvergenceTendency:
                 part = partition_evenly(11, 6)
                 priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
-                release = rmgm_release(data, part, priv, k, base.child("r"))
+                release = release_at(data, part, priv, k, base.child("r"))
                 weights, _ = rmgm_train(release, lam=1e-5)
                 distances.append(np.linalg.norm(weights - truth.w_star))
             medians.append(np.median(distances))
@@ -204,7 +285,7 @@ class TestConvergenceTendency:
                 data = gen_dataset(10**5, truth, base.child("d"))
                 part = partition_evenly(11, 6)
                 (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
-                release = rmgm_release(data, part, priv, k, base.child("r", int(eps * 10)))
+                release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))
                 weights, _ = rmgm_train(release, lam=1e-5)
                 distances.append(np.linalg.norm(weights - truth.w_star))
             medians.append(np.median(distances))

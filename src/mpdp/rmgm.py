@@ -30,7 +30,9 @@ from .kernels import sketch_product
 from .linalg import solve_normal_equations
 from .streams import RandomStream
 
-__all__ = ["RmgmSketch", "RmgmRelease", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train"]
+__all__ = [
+    "RmgmSketch", "RmgmRelease", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train",
+]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
 
@@ -40,7 +42,8 @@ class RmgmSketch:
     """B D for one trial's shared mixing matrix B at k_max rows, unscaled.
 
     The first k rows are B_k D for every k <= k_max.  ``partition`` is the
-    one the data was checked against; every release noises its blocks.
+    one the data was checked against; it gives every release its party
+    blocks.
     """
 
     product: np.ndarray
@@ -117,8 +120,6 @@ def rmgm_mix(
     (never materialised).
     """
     check_release_input(data, partition)
-    if k_max < 1:
-        raise ValueError(f"k must be >= 1, got {k_max}")
     mixing_seed = stream.child("mixing").seed64()
     return RmgmSketch(
         product=sketch_product(mixing_seed, data.values, k_max),

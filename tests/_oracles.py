@@ -6,7 +6,8 @@ with an explicit matrix inverse.  None of the production solve path
 (symmetric factorization, eigenvalue gating) is reused.
 
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
-numerics_version 1; the current kernel must match it bit for bit.
+numerics_version 1; the current kernel must match it bit for bit for
+every k whose rows numerics_version 2 kept (k % 4 in {0, 1}, k % 512 != 1).
 """
 
 import numpy as np

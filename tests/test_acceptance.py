@@ -115,7 +115,8 @@ def test_criterion_2_oracle_equivalence():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            comp = rmgm_release(rmgm_mix(data, part, k, base), priv, k, base.child("rmgm"))
+            sketch = rmgm_mix(data, part, k, base.child("rmgm"))
+            comp = rmgm_release(sketch, priv, k, base.child("rmgm"))
         got, _ = rmgm_train(comp, lam=lam)
         worst = max(worst, np.abs(got - rmgm_oracle(comp.public_matrix, lam)).max())
 

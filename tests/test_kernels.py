@@ -142,8 +142,8 @@ class TestMatchesFrozenKernel:
                 assert all(r0 % 4 == 0 and (r1 - r0) % 4 == 0 for r0, r1 in tiles)
 
 
-# Each k-row sketch must be the first k rows of a larger one.  At the
-# parent tiling, k % 4 in {2, 3} and k in {1, 513, 1025} broke this.
+# Each k-row sketch must be the first k rows of a larger one.  With the
+# numerics_version 1 tiling, k % 4 in {2, 3} and k in {1, 513, 1025} broke this.
 _PREFIX_KS = (*range(1, 41), 113, 513, 1025)
 
 

@@ -204,7 +204,9 @@ class TestSensitivity:
                 a_rel, b_rel = (rmgm_release(s, ZERO_NOISE, k, root) for s in sketches)
                 for a, b in part.blocks:
                     change = np.linalg.norm(corner[a:b] - other[a:b])
-                    moved = np.linalg.norm(b_rel.public_matrix[:, a:b] - a_rel.public_matrix[:, a:b])
+                    moved = np.linalg.norm(
+                        b_rel.public_matrix[:, a:b] - a_rel.public_matrix[:, a:b]
+                    )
                     np.testing.assert_allclose(moved, change, rtol=1e-12)
                     assert moved <= sensitivity_bound(part.d_max) * (1 + 1e-12)
 

@@ -15,7 +15,6 @@ from .data_model import (
     DataFormatError,
     DataMatrix,
     PartyPartition,
-    SplitDataset,
     load_csv,
     normalize_minmax,
     partition_evenly,
@@ -24,7 +23,7 @@ from .data_model import (
     split_train_test,
     validate_bounds,
 )
-from .dgm import DgmRelease, dgm_release, dgm_train
+from .dgm import dgm_release, dgm_train
 from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from .evaluation import (
     AggregateReport,
@@ -35,9 +34,9 @@ from .evaluation import (
     weight_distance,
 )
 from .linalg import SingularSystemError
-from .rmgm import K_GRID, RmgmRelease, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
+from .rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
-from .synthetic import GroundTruth, gen_dataset, gen_ground_truth
+from .synthetic import gen_dataset, gen_ground_truth
 
 __all__ = [
     "__version__",
@@ -45,16 +44,12 @@ __all__ = [
     "BoundsReport",
     "DataFormatError",
     "DataMatrix",
-    "DgmRelease",
-    "GroundTruth",
     "K_GRID",
     "PartyPartition",
     "PrivacyParams",
     "RandomStream",
-    "RmgmRelease",
     "RmgmSketch",
     "SingularSystemError",
-    "SplitDataset",
     "TrialReport",
     "aggregate",
     "bgm_train",

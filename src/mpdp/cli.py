@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration or input-format errors,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import (FULL_PRESET, ConfigError, RunConfig, build_config, parse_config_file,
@@ -84,6 +85,16 @@ def _flag_values(flags: dict[str, str]) -> dict[str, object]:
     return values
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Fail before any trial runs if ``out_dir`` cannot be made a writable
+    directory: it or its nearest existing ancestor must be one."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write to --out {out_dir!r}: {path} is not a writable directory")
+
+
 def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     """The command and the validated config that ``argv`` asks for."""
     args = vars(_build_parser().parse_args(argv))
@@ -93,6 +104,7 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     preset = FULL_PRESET if flags.pop("full", False) else {}
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
+    _check_out_dir(cfg.out_dir)
     rows = cfg.seeds * sum(cfg.n_grid)
     if command == "synthetic" and rows >= _HOURS_OF_ROWS:
         print(f"warning: {cfg.seeds} seeds at n up to {max(cfg.n_grid)} generate {rows:.2g} "

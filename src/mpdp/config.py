@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .dp_core import calibrate
 from .rmgm import K_GRID
 
 __all__ = [
@@ -71,6 +72,11 @@ class RunConfig:
             raise ConfigError("eps_grid entries must be in (0, 1]")
         if not 0 < self.delta < 1:
             raise ConfigError("delta must be in (0, 1)")
+        for eps in self.eps_grid:
+            try:
+                calibrate(eps, self.delta)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.m < 2:
@@ -147,7 +153,7 @@ def parse_config_file(path: str) -> dict[str, object]:
     """Parse a key = value file into RunConfig field values."""
     values: dict[str, object] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -19,7 +19,6 @@ __all__ = [
     "DataMatrix",
     "BoundsReport",
     "PartyPartition",
-    "SplitDataset",
     "DataFormatError",
     "validate_bounds",
     "check_release_input",
@@ -191,18 +190,9 @@ def slice_party(data: DataMatrix, partition: PartyPartition, j: int) -> np.ndarr
     return data.values[:, a:b]
 
 
-@dataclass(frozen=True)
-class SplitDataset:
-    """A normalized train/test pair plus the per-column (min, max) stats
-    that defined the normalization (computed on the training portion)."""
-
-    train: DataMatrix
-    test: DataMatrix
-    normalization_stats: tuple[tuple[float, float], ...]
-
-
-def normalize_minmax(train: DataMatrix, test: DataMatrix) -> SplitDataset:
-    """Affine-map each column to [0, 1] using train-only min/max.
+def normalize_minmax(train: DataMatrix, test: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
+    """The (train, test) pair with each column affine-mapped to [0, 1]
+    using train-only min/max.
 
     Constant training columns map to 0.5 everywhere.  Test values are
     clamped into [0, 1] since they may exceed the training range.
@@ -223,11 +213,9 @@ def normalize_minmax(train: DataMatrix, test: DataMatrix) -> SplitDataset:
             np.clip(out, 0.0, 1.0, out=out)
         return out
 
-    stats = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return SplitDataset(
-        train=DataMatrix(apply(train.values, clamp=False), train.column_names),
-        test=DataMatrix(apply(test.values, clamp=True), test.column_names),
-        normalization_stats=stats,
+    return (
+        DataMatrix(apply(train.values, clamp=False), train.column_names),
+        DataMatrix(apply(test.values, clamp=True), test.column_names),
     )
 
 
@@ -246,7 +234,8 @@ def split_train_test(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix
 
 
 def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
-    """Ingest a UTF-8, comma-separated file with a header row.
+    """Ingest a UTF-8 (optionally BOM-prefixed), comma-separated file with
+    a header row.
 
     Unreadable files, non-numeric or non-finite cells and ragged rows are
     fatal, reported with 1-based row/column positions where there is one
@@ -254,13 +243,15 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     the last one, columns are reordered so the label comes last.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataFormatError(f"{path}: file is empty") from None
             names = [h.strip() for h in header]
+            if not any(names):
+                raise DataFormatError(f"{path}: the header row names no column", row=1)
             rows: list[list[float]] = []
             for lineno, raw in enumerate(reader, start=2):
                 if len(raw) != len(names):

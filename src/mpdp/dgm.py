@@ -1,15 +1,14 @@
 """Additive-noise release with de-biased training (DGM-OLS).
 
 Release: each party adds i.i.d. N(0, 4*d_max*sigma^2) noise to its own
-block, labels included.  Training: the known noise variance is
-subtracted from the Gram matrix before solving, which restores
-consistency but can leave the de-biased matrix with eigenvalues near
-zero; the solver surfaces that failure mode instead of hiding it.
+block, labels included, and the published matrix is the release.
+Training: the known noise variance is subtracted from the Gram matrix
+before solving, which restores consistency but can leave the de-biased
+matrix with eigenvalues near zero; the solver surfaces that failure mode
+instead of hiding it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,34 +17,13 @@ from .dp_core import PrivacyParams, add_party_noise
 from .linalg import solve_normal_equations
 from .streams import RandomStream
 
-__all__ = ["DgmRelease", "dgm_release", "dgm_train"]
-
-
-@dataclass(frozen=True)
-class DgmRelease:
-    """A noisy copy of the private matrix: same shape, one noise draw per
-    party block, reconstructible from the recorded per-party streams."""
-
-    public_matrix: np.ndarray
-    noise_std: float
-    party_seeds: tuple[RandomStream, ...]
-
-    @property
-    def n(self) -> int:
-        return self.public_matrix.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.public_matrix.shape[1] - 1
+__all__ = ["dgm_release", "dgm_train"]
 
 
 def dgm_release(
-    data: DataMatrix,
-    partition: PartyPartition,
-    priv: PrivacyParams,
-    stream: RandomStream,
-) -> DgmRelease:
-    """Release data + per-party Gaussian noise.
+    data: DataMatrix, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
+) -> np.ndarray:
+    """The published matrix D + R: the data plus per-party Gaussian noise.
 
     Party j's noise comes from the derived stream child(j), so releasing
     block-by-block and releasing the concatenated matrix are the same
@@ -54,15 +32,12 @@ def dgm_release(
     """
     check_release_input(data, partition)
     public = data.values.copy(order="K")
-    noise_std, party_streams = add_party_noise(public, partition, priv, stream)
-    return DgmRelease(public_matrix=public, noise_std=noise_std, party_seeds=party_streams)
+    add_party_noise(public, partition, priv, stream)
+    return public
 
 
 def dgm_train(
-    rel: DgmRelease,
-    d_max: int,
-    priv: PrivacyParams,
-    lam: float = 1e-5,
+    public: np.ndarray, d_max: int, priv: PrivacyParams, lam: float
 ) -> tuple[np.ndarray, float]:
     """Solve the de-biased normal equations on a released matrix.
 
@@ -74,5 +49,5 @@ def dgm_train(
     """
     bias = 4.0 * d_max * priv.sigma**2
     return solve_normal_equations(
-        rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam, scale=rel.n, shift=bias
+        public[:, :-1], public[:, -1], lam, scale=public.shape[0], shift=bias
     )

@@ -44,13 +44,16 @@ def calibrate(epsilon: float, delta: float) -> PrivacyParams:
     """Noise multiplier for an (epsilon, delta) budget.
 
     Requires 0 < epsilon <= 1 (the Gaussian-mechanism guarantee holds only
-    in that range) and 0 < delta < 1.  Deterministic; uses natural log.
+    in that range), 0 < delta < 1 and a finite sigma^2 (DGM's de-biasing
+    subtracts it).  Deterministic; uses natural log.
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     sigma = math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    if not math.isfinite(sigma * sigma):
+        raise ValueError(f"epsilon {epsilon:g} is too small: the noise variance overflows")
     return PrivacyParams(epsilon=float(epsilon), delta=float(delta), sigma=sigma)
 
 
@@ -79,20 +82,15 @@ def gaussian_noise(rows: int, cols: int, std: float, stream: RandomStream) -> np
 
 
 def add_party_noise(
-    matrix: np.ndarray,
-    partition: PartyPartition,
-    priv: PrivacyParams,
-    stream: RandomStream,
-) -> tuple[float, tuple[RandomStream, ...]]:
+    matrix: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
+) -> None:
     """The Gaussian mechanism of both releases, applied in place.
 
     Party j adds N(0, std^2) noise, std = sensitivity_bound(d_max) * sigma,
-    drawn from ``stream.child(j)`` to its own column block of ``matrix``.
-    Returns (std, the per-party streams) so a release can be rebuilt.
+    drawn from ``stream.child(j)`` to its own column block of ``matrix``;
+    whoever holds j's stream can rebuild (and remove) j's noise.
     """
     std = sensitivity_bound(partition.d_max) * priv.sigma
-    party_streams = tuple(stream.child(j) for j in range(1, partition.m + 1))
     if std > 0.0:
-        for (a, b), party_stream in zip(partition.blocks, party_streams):
-            matrix[:, a:b] += gaussian_noise(matrix.shape[0], b - a, std, party_stream)
-    return std, party_streams
+        for j, (a, b) in enumerate(partition.blocks, start=1):
+            matrix[:, a:b] += gaussian_noise(matrix.shape[0], b - a, std, stream.child(j))

@@ -161,8 +161,9 @@ def _group_key(t: TrialReport):
     )
 
 
-def aggregate(trials, betas=(0.05, 0.1, 0.2, 0.5)) -> list[AggregateReport]:
-    """Group trials by (method, n, epsilon, k) and summarize each group.
+def aggregate(trials, betas) -> list[AggregateReport]:
+    """Group trials by (method, n, epsilon, k) and summarize each group,
+    with one tail probability per beta in ``betas``.
 
     Trials are sorted by seed first, so the output is independent of the
     execution order that produced them.  Failed trials count toward the
@@ -200,7 +201,7 @@ def aggregate(trials, betas=(0.05, 0.1, 0.2, 0.5)) -> list[AggregateReport]:
                     else 0.0
                 ),
                 pathology_rate=(
-                    sum(1 for e in eigs if e < PATHOLOGY_THRESHOLD) / len(eigs)
+                    sum(1 for e in eigs if not e >= PATHOLOGY_THRESHOLD) / len(eigs)  # nan counts
                     if eigs
                     else 0.0
                 ),

@@ -29,8 +29,11 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     """Solve ``matrix @ x = rhs`` for symmetric ``matrix``.
 
     Returns (x, min |eigenvalue|).  Raises SingularSystemError when the
-    eigenvalue-based condition estimate exceeds COND_LIMIT.
+    eigenvalue-based condition estimate exceeds COND_LIMIT, or when the
+    system has a non-finite entry (its eigenvalues are then unknown: nan).
     """
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan, cond=np.inf)
     eigs = np.abs(np.linalg.eigvalsh(matrix))
     lo, hi = float(eigs.min()), float(eigs.max())
     cond = np.inf if lo == 0.0 else hi / lo

@@ -31,7 +31,7 @@ from .linalg import solve_normal_equations
 from .streams import RandomStream
 
 __all__ = [
-    "RmgmSketch", "RmgmRelease", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train",
+    "RmgmSketch", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train",
 ]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
@@ -43,7 +43,9 @@ class RmgmSketch:
 
     The first k rows are B_k D for every k <= k_max.  ``partition`` is the
     one the data was checked against; it gives every release its party
-    blocks.
+    blocks.  Exactly one mixing seed is stored: the shared B is what makes
+    the per-party blocks combinable, so per-party mixing matrices are
+    unrepresentable.
     """
 
     product: np.ndarray
@@ -54,26 +56,6 @@ class RmgmSketch:
     @property
     def k_max(self) -> int:
         return self.product.shape[0]
-
-
-@dataclass(frozen=True)
-class RmgmRelease:
-    """A k-row compressed noisy release.
-
-    Exactly one mixing seed is stored: the shared matrix B is what makes
-    the per-party blocks combinable, so a release with per-party mixing
-    matrices is unrepresentable.
-    """
-
-    public_matrix: np.ndarray
-    k: int
-    mixing_seed: int
-    noise_std: float
-    party_seeds: tuple[RandomStream, ...]
-
-    @property
-    def d(self) -> int:
-        return self.public_matrix.shape[1] - 1
 
 
 def choose_k(
@@ -130,12 +112,9 @@ def rmgm_mix(
 
 
 def rmgm_release(
-    sketch: RmgmSketch,
-    priv: PrivacyParams,
-    k: int,
-    stream: RandomStream,
-) -> RmgmRelease:
-    """Release B_k D^j / sqrt(k) + R^j for every party from the shared sketch.
+    sketch: RmgmSketch, priv: PrivacyParams, k: int, stream: RandomStream
+) -> np.ndarray:
+    """The published k-row matrix B_k D^j / sqrt(k) + R^j of every party.
 
     B_k D is the first k rows of ``sketch``; party j's noise comes from
     child(j).
@@ -148,18 +127,12 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    mixed = sketch.product[:k] / math.sqrt(k)
-    noise_std, party_streams = add_party_noise(mixed, sketch.partition, priv, stream)
-    return RmgmRelease(
-        public_matrix=mixed,
-        k=k,
-        mixing_seed=sketch.mixing_seed,
-        noise_std=noise_std,
-        party_seeds=party_streams,
-    )
+    public = sketch.product[:k] / math.sqrt(k)
+    add_party_noise(public, sketch.partition, priv, stream)
+    return public
 
 
-def rmgm_train(rel: RmgmRelease, lam: float = 1e-5) -> tuple[np.ndarray, float]:
+def rmgm_train(public: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Plain least squares on the compressed release.
 
     Solves (X'X + lam*I) w = X'Y on the public k-by-d feature block and
@@ -167,4 +140,4 @@ def rmgm_train(rel: RmgmRelease, lam: float = 1e-5) -> tuple[np.ndarray, float]:
     The unregularized Gram matrix is PSD by construction; a singular
     system can only arise from rank deficiency (k < d with lam = 0).
     """
-    return solve_normal_equations(rel.public_matrix[:, :-1], rel.public_matrix[:, -1], lam)
+    return solve_normal_equations(public[:, :-1], public[:, -1], lam)

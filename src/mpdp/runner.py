@@ -153,8 +153,8 @@ def _trial_methods(
 
 def _synthetic_trial(cfg: RunConfig, root: RandomStream, n: int, seed: int):
     base = root.child("synthetic", seed)
-    truth = gen_ground_truth(cfg.d, base.child("truth"))
-    data = gen_dataset(n, truth, base.child("data"))
+    w_star = gen_ground_truth(cfg.d, base.child("truth"))
+    data = gen_dataset(n, w_star, base.child("data"))
     partition = partition_evenly(cfg.d + 1, cfg.m)
     return _trial_methods(
         cfg,
@@ -162,7 +162,7 @@ def _synthetic_trial(cfg: RunConfig, root: RandomStream, n: int, seed: int):
         data,
         partition,
         seed,
-        measure=lambda weights: {"distance": weight_distance(weights, truth.w_star)},
+        measure=lambda weights: {"distance": weight_distance(weights, w_star)},
     )
 
 
@@ -183,16 +183,15 @@ def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int)
     with train statistics, release the training matrix, score on the
     held-out rows."""
     base = root.child("real", seed)
-    train_raw, test_raw = split_train_test(data, base.child("split"))
-    split = normalize_minmax(train_raw, test_raw)
+    train, test = normalize_minmax(*split_train_test(data, base.child("split")))
     partition = partition_evenly(data.d + 1, cfg.m)
     return _trial_methods(
         cfg,
         base,
-        split.train,
+        train,
         partition,
         seed,
-        measure=lambda weights: {"test_mse": test_mse(weights, split.test)},
+        measure=lambda weights: {"test_mse": test_mse(weights, test)},
     )
 
 
@@ -224,15 +223,15 @@ def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
     """Write one generated dataset of n_grid[0] rows plus a sidecar with
     its ground truth under the configured output directory."""
     root = RandomStream(cfg.root_seed).child("export")
-    truth = gen_ground_truth(cfg.d, root.child("truth"))
-    data = gen_dataset(cfg.n_grid[0], truth, root.child("data"))
+    w_star = gen_ground_truth(cfg.d, root.child("truth"))
+    data = gen_dataset(cfg.n_grid[0], w_star, root.child("data"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     data_path = os.path.join(cfg.out_dir, "synthetic.csv")
     wstar_path = os.path.join(cfg.out_dir, "synthetic_wstar.csv")
     save_csv(data, data_path)
     with open(wstar_path, "w", encoding="utf-8") as fh:
         fh.write("w_star\n")
-        for v in truth.w_star:
+        for v in w_star:
             fh.write(format(v, ".17g") + "\n")
     return data_path, wstar_path
 

@@ -7,45 +7,29 @@ bounded-entries requirement holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_model import DataMatrix
 from .streams import RandomStream
 
-__all__ = ["GroundTruth", "gen_ground_truth", "gen_dataset"]
+__all__ = ["gen_ground_truth", "gen_dataset"]
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """The generating weight vector; every |w_i| <= 1/d."""
-
-    w_star: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w_star, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("w_star must be a non-empty vector")
-        object.__setattr__(self, "w_star", w)
-
-    @property
-    def d(self) -> int:
-        return self.w_star.size
-
-
-def gen_ground_truth(d: int, stream: RandomStream) -> GroundTruth:
-    """d independent U(-1/d, 1/d) draws."""
+def gen_ground_truth(d: int, stream: RandomStream) -> np.ndarray:
+    """The generating weight vector w*: d independent U(-1/d, 1/d) draws."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    return GroundTruth(stream.generator().uniform(-1.0 / d, 1.0 / d, size=d))
+    return stream.generator().uniform(-1.0 / d, 1.0 / d, size=d)
 
 
-def gen_dataset(n: int, truth: GroundTruth, stream: RandomStream) -> DataMatrix:
-    """n rows of U(-1, 1) features with noiseless labels y = w.x."""
+def gen_dataset(n: int, w_star: np.ndarray, stream: RandomStream) -> DataMatrix:
+    """n rows of U(-1, 1) features with noiseless labels y = w*.x."""
+    w_star = np.asarray(w_star, dtype=np.float64)
+    if w_star.ndim != 1 or w_star.size < 1:
+        raise ValueError("w_star must be a non-empty vector")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    features = stream.generator().uniform(-1.0, 1.0, size=(n, truth.d))
-    labels = features @ truth.w_star
-    names = tuple(f"x{i + 1}" for i in range(truth.d)) + ("y",)
+    features = stream.generator().uniform(-1.0, 1.0, size=(n, w_star.size))
+    labels = features @ w_star
+    names = tuple(f"x{i + 1}" for i in range(w_star.size)) + ("y",)
     return DataMatrix(np.column_stack([features, labels]), names)

@@ -61,20 +61,20 @@ def test_criterion_1_exact_formula_suite():
 
     # de-bias identity on a real release
     base = RandomStream(1)
-    truth = gen_ground_truth(4, base.child("t"))
-    data = gen_dataset(300, truth, base.child("d"))
+    w_star = gen_ground_truth(4, base.child("t"))
+    data = gen_dataset(300, w_star, base.child("d"))
     part = partition_evenly(5, 2)
     priv = calibrate(1.0, 0.5)
     release = dgm_release(data, part, priv, base.child("r"))
     got, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
-    x, y = release.public_matrix[:, :-1], release.public_matrix[:, -1]
+    x, y = release[:, :-1], release[:, -1]
     debiased = x.T @ x / 300 - 4 * part.d_max * priv.sigma**2 * np.eye(4)
     want = np.linalg.solve(debiased + 1e-5 * np.eye(4), x.T @ y / 300)
     assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
     comp = rmgm_release(rmgm_mix(data, part, 16, base.child("r2")), priv, 16, base.child("r2"))
-    xc = comp.public_matrix[:, :-1]
+    xc = comp[:, :-1]
     assert np.linalg.eigvalsh(xc.T @ xc).min() >= -1e-10
 
     # metric definitions
@@ -103,14 +103,14 @@ def test_criterion_2_oracle_equivalence():
         lam = 1e-5
 
         base = RandomStream(1000 + i)
-        truth = gen_ground_truth(d, base.child("t"))
-        data = gen_dataset(n, truth, base.child("d"))
+        w_star = gen_ground_truth(d, base.child("t"))
+        data = gen_dataset(n, w_star, base.child("d"))
         part = partition_evenly(d + 1, m)
         priv = calibrate(eps, delta)
 
         release = dgm_release(data, part, priv, base.child("dgm"))
         got, _ = dgm_train(release, part.d_max, priv, lam=lam)
-        want = dgm_oracle(release.public_matrix, part.d_max, priv.sigma, lam)
+        want = dgm_oracle(release, part.d_max, priv.sigma, lam)
         worst = max(worst, np.abs(got - want).max())
 
         with warnings.catch_warnings():
@@ -118,13 +118,13 @@ def test_criterion_2_oracle_equivalence():
             sketch = rmgm_mix(data, part, k, base.child("rmgm"))
             comp = rmgm_release(sketch, priv, k, base.child("rmgm"))
         got, _ = rmgm_train(comp, lam=lam)
-        worst = max(worst, np.abs(got - rmgm_oracle(comp.public_matrix, lam)).max())
+        worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 
         got, _ = ols_train(data.features(), data.labels(), lam=lam)
         worst = max(worst, np.abs(got - ols_oracle(data.features(), data.labels(), lam)).max())
 
         got, _ = bgm_train(release, lam=lam)
-        want = ols_oracle(release.public_matrix[:, :-1], release.public_matrix[:, -1], lam)
+        want = ols_oracle(release[:, :-1], release[:, -1], lam)
         worst = max(worst, np.abs(got - want).max())
     report(2, worst < 1e-10, f"20 instances, worst trainer-vs-oracle gap {worst:.2e}")
 
@@ -230,7 +230,7 @@ def test_criterion_7_real_data_spot_check():
     if not os.path.exists(REAL_INSURANCE):
         out = _real_run(FIXTURE, seeds=3)
         ols_mse = [t.test_mse for t in out.trials if t.method == "ols"]
-        rows = best_k_rows(aggregate(out.trials))
+        rows = best_k_rows(aggregate(out.trials, betas=(0.1,)))
         smoke = len(ols_mse) == 3 and all(m >= 0 for m in ols_mse) and len(rows) == 1
         report(
             7,
@@ -242,7 +242,7 @@ def test_criterion_7_real_data_spot_check():
 
     out = _real_run(REAL_INSURANCE, seeds=20)
     ols_mse = float(np.mean([t.test_mse for t in out.trials if t.method == "ols"]))
-    ((_, best_k, best_mse),) = best_k_rows(aggregate(out.trials))
+    ((_, best_k, best_mse),) = best_k_rows(aggregate(out.trials, betas=(0.1,)))
     passed = 0.05 <= best_mse <= 0.12 and 0.004 <= ols_mse <= 0.02
     report(
         7,

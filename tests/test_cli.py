@@ -52,6 +52,11 @@ class TestConfig:
         assert cfg.seeds == 2  # flag wins over file
         assert cfg.lam == 1e-4
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfseeds = 3\n")
+        assert parse_config_file(str(path)) == {"seeds": 3}
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("not_a_key = 3\n")
@@ -65,6 +70,18 @@ class TestConfig:
             build_config({}, {"methods": ("svm",)})
         with pytest.raises(ConfigError):
             build_config({}, {"m": 12, "d": 10})
+
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-320", "5e-324"])
+    @pytest.mark.parametrize("argv", [
+        ["synthetic", "--n-grid", "50"],
+        ["synthetic", "--n-grid", "50", "--strict"],
+        ["real", "--csv", FIXTURE, "--k-mode", "rate"],
+    ], ids=["synthetic", "synthetic-strict", "real-rate"])
+    def test_eps_whose_noise_variance_overflows_exits_2(self, tmp_path, capsys, argv, eps):
+        out = tmp_path / "res"
+        assert main(argv + ["--seeds", "1", "--eps-grid", eps, "--out", str(out)]) == 2
+        assert "noise variance overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_flag_expands_grid(self, tmp_path):
         # --full is a preset below the config file, which is below the flags
@@ -305,6 +322,8 @@ class TestRealCommand:
             ("a,b,c\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n", [], None),
             ("a,b\n1,2\n\xff,3\n", [], None),
             ("", [], None),
+            ("\n\n\n", [], "row 1"),
+            ("\n1,2\n3,4\n5,6\n7,8\n9,9\n", [], "row 1"),
         ],
         ids=[
             "more-parties-than-csv-columns",
@@ -313,6 +332,8 @@ class TestRealCommand:
             "four-rows",
             "not-utf8",
             "missing-file",
+            "blank-lines-only",
+            "blank-header",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):
@@ -327,6 +348,39 @@ class TestRealCommand:
         if where is not None:
             assert where in err
         assert not (tmp_path / "res").exists()
+
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet exports start UTF-8 files with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\n1,2\n3,4\n5,6\n7,8\n9,9\n1,1\n")
+        args = ["real", "--csv", str(path), "--seeds", "1", "--parties", "2", "--methods", "ols",
+                "--label-column", "x", "--out", str(tmp_path / "res")]
+        assert main(args) == 0
+        assert (tmp_path / "res" / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["synthetic", "--n-grid", "20", "--seeds", "1"],
+    ["real", "--csv", FIXTURE, "--seeds", "1"],
+    ["export", "--n", "20"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")], ids=["at", "under"])
+def test_out_at_or_under_a_file_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, command, out
+):
+    import mpdp.runner as runner_module
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    for name in ("_synthetic_trial", "_real_trial", "gen_dataset"):
+        monkeypatch.setattr(runner_module, name, no_trial)
+    (tmp_path / "afile").write_text("keep\n")
+    assert main(command + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "keep\n"
 
 
 class TestExportCommand:
@@ -375,7 +429,7 @@ class TestRunnerSweep:
         out = run_synthetic(cfg)
         assert len(out.trials) == 4 * 3 * 2 * 3 + 4 * 2
         assert all(t.status in ("ok", "singular") for t in out.trials)
-        assert aggregate(out.trials)
+        assert aggregate(out.trials, betas=(0.1,))
 
     def test_synthetic_k_grid_sweep_rows(self):
         cfg = build_config(
@@ -454,6 +508,20 @@ class TestStrictMode:
         rows = (out / "trials.csv").read_text().strip().split("\n")[1:]
         singular = [r for r in rows if r.endswith(",singular")]
         assert len(singular) == 2
+
+    @pytest.mark.parametrize("strict, code", [(True, 3), (False, 0)], ids=["strict", "recorded"])
+    def test_overflowing_system_is_singular(self, tmp_path, strict, code):
+        # at eps = 1e-153 sigma^2 is finite, but the release's Gram matrix
+        # and DGM's de-biasing shift overflow to non-finite entries
+        out = tmp_path / "res"
+        args = ["synthetic", "--n-grid", "50", "--seeds", "1", "--eps-grid", "1e-153",
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(args + (["--strict"] if strict else [])) == code
+        if not strict:
+            rows = (out / "trials.csv").read_text().strip().split("\n")[1:]
+            assert sorted(r.rsplit(",", 1)[1] for r in rows) == ["ok"] + ["singular"] * 3
 
     def test_singular_trials_are_timed(self, monkeypatch):
         import time

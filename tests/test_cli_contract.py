@@ -1,6 +1,8 @@
-"""The exit-code contract under generated input: malformed CSVs, config
-files and flag combinations must end in 0 (ok), 2 (config or input
-error) or 3 (singular under --strict), never in an escaped exception."""
+"""The exit-code contract under generated input: malformed CSVs (blank or
+BOM-prefixed headers included), config files, flag combinations, budgets
+down to the smallest float and an --out at or under a file must end in 0
+(ok), 2 (config or input error) or 3 (singular under --strict), never in
+an escaped exception."""
 
 import contextlib
 import io
@@ -36,9 +38,11 @@ def _flag(flag, good, bad=()):
 
 @st.composite
 def csv_texts(draw):
-    """A numeric table (label last) with up to two cells spoiled, dropped or added."""
+    """A numeric table (label last) with up to two cells spoiled, dropped or
+    added, now and then behind a byte-order mark or under a blank header."""
     cols = draw(st.integers(1, 5))
-    table = [[f"c{j}" for j in range(cols - 1)] + ["y"]]
+    header = draw(_pick(("plain",), ("bom", "blank")))
+    table = [[] if header == "blank" else [f"c{j}" for j in range(cols - 1)] + ["y"]]
     table += draw(st.lists(
         st.lists(st.sampled_from(NUMBERS), min_size=cols, max_size=cols), min_size=3, max_size=8
     ))
@@ -51,12 +55,13 @@ def csv_texts(draw):
             del row[-1:]
         else:
             row.append(draw(st.sampled_from(NUMBERS)))
-    return "\n".join(",".join(r) for r in table) + "\n"
+    return ("\ufeff" if header == "bom" else "") + "\n".join(",".join(r) for r in table) + "\n"
 
 
 @st.composite
 def invocations(draw):
-    """(argv with a {csv} placeholder, CSV text, config lines or None)."""
+    """(argv with {csv} and {tmp} placeholders, CSV text, config lines or
+    None); {tmp}/afile is an existing file."""
     if draw(st.booleans()):
         args = ["real", "--csv", "{csv}", "--parties", draw(_pick(("2", "3"), ("0", "9")))]
         args += draw(_flag("--label-column", ("c0", "y"), ("zz",)))
@@ -64,13 +69,15 @@ def invocations(draw):
     else:  # always a small n grid: the default runs n up to 3e5
         n_grid = draw(_pick(("5", "12,20", "12 20", "5,"), ("0", "x", "")))
         args = ["synthetic", "--n-grid", n_grid]
-    eps_good, eps_bad = ("1.0", "0.5,1", "0.5 1", "1.0,"), ("0", "2", "abc", "1,,1", "nan")
+    eps_good = ("1.0", "0.5,1", "0.5 1", "1.0,", "1e-153")  # 1e-153: finite sigma^2, huge Gram
+    eps_bad = ("0", "2", "abc", "1,,1", "nan", "1e-300", "1e-320", "5e-324")
     args += draw(_flag("--eps-grid", eps_good, eps_bad))
     args += draw(_flag("--methods", ("ols", "ols,rmgm", "dgm,bgm", "ols,"), ("svm", "")))
     args += ["--seeds", draw(_pick(("1", "2"), ("0",)))]  # the default 200 would be slow
     args += draw(_flag("--workers", ("1", "2"), ("0",)))
     args += draw(_flag("--lambda", ("0", "1e-5"), ("-1", "nan", "inf")))
     args += draw(st.sampled_from(([], ["--strict"])))
+    args += ["--out", os.path.join("{tmp}", draw(st.sampled_from(("out", "afile", "afile/sub"))))]
     config = draw(st.one_of(st.none(), st.lists(_pick(GOOD_CONFIG, BAD_CONFIG), max_size=3)))
     return args, draw(csv_texts()), config
 
@@ -95,11 +102,12 @@ def test_exit_code_is_0_2_or_3(invocation):
         csv_path = os.path.join(tmp, "data.csv")
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
-        argv = [a.replace("{csv}", csv_path) for a in args]
+        with open(os.path.join(tmp, "afile"), "w", encoding="utf-8") as fh:
+            fh.write("not a directory\n")
+        argv = [a.replace("{csv}", csv_path).replace("{tmp}", tmp) for a in args]
         if config is not None:
             config_path = os.path.join(tmp, "run.cfg")
             with open(config_path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(config) + "\n")
             argv += ["--config", config_path]
-        argv += ["--out", os.path.join(tmp, "out")]
         assert _exit_code(argv) in (0, 2, 3)

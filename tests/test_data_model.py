@@ -120,21 +120,21 @@ class TestNormalize:
     def test_affine_map_to_unit_interval(self):
         train = matrix([[0.0], [5.0], [10.0]])
         test = matrix([[2.5]])
-        split = normalize_minmax(train, test)
-        np.testing.assert_allclose(split.train.values[:, 0], [0.0, 0.5, 1.0])
-        assert split.normalization_stats == ((0.0, 10.0),)
+        train_n, test_n = normalize_minmax(train, test)
+        np.testing.assert_allclose(train_n.values[:, 0], [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(test_n.values[:, 0], [0.25])
 
     def test_test_values_clamped(self):
         train = matrix([[0.0], [10.0]])
         test = matrix([[12.0], [-3.0]])
-        split = normalize_minmax(train, test)
-        np.testing.assert_array_equal(split.test.values[:, 0], [1.0, 0.0])
+        _, test_n = normalize_minmax(train, test)
+        np.testing.assert_array_equal(test_n.values[:, 0], [1.0, 0.0])
 
     def test_constant_column_maps_to_half(self):
         train = matrix([[7.0], [7.0], [7.0]])
-        split = normalize_minmax(train, matrix([[7.0]]))
-        assert (split.train.values == 0.5).all()
-        assert (split.test.values == 0.5).all()
+        train_n, test_n = normalize_minmax(train, matrix([[7.0]]))
+        assert (train_n.values == 0.5).all()
+        assert (test_n.values == 0.5).all()
 
     def test_idempotent_on_normalized_data(self):
         rng = np.random.default_rng(1)
@@ -142,17 +142,16 @@ class TestNormalize:
         values[0] = 0.0
         values[1] = 1.0
         train = matrix(values)
-        once = normalize_minmax(train, train)
-        twice = normalize_minmax(once.train, once.train)
-        np.testing.assert_allclose(twice.train.values, once.train.values, atol=1e-12)
+        once, _ = normalize_minmax(train, train)
+        twice, _ = normalize_minmax(once, once)
+        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
 
     def test_output_always_passes_bounds_check(self):
         rng = np.random.default_rng(2)
         train = matrix(rng.normal(0, 100, size=(40, 5)))
         test = matrix(rng.normal(0, 300, size=(10, 5)))
-        split = normalize_minmax(train, test)
-        assert validate_bounds(split.train).ok
-        assert validate_bounds(split.test).ok
+        for part in normalize_minmax(train, test):
+            assert validate_bounds(part).ok
 
 
 class TestSplit:

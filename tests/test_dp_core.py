@@ -31,6 +31,13 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(eps, 1e-5)
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-320, 5e-324])
+    def test_epsilon_whose_noise_variance_overflows(self, eps):
+        # sigma^2 is inf (eps = 1e-300) or sigma itself is (1e-320, 5e-324)
+        with pytest.raises(ValueError, match="noise variance overflows"):
+            calibrate(eps, 1e-5)
+        assert math.isfinite(calibrate(1e-153, 1e-5).sigma ** 2)
+
     @pytest.mark.parametrize("delta", [0.0, -1e-5, 1.0, 1.5])
     def test_delta_domain(self, delta):
         with pytest.raises(ValueError):

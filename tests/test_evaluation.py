@@ -134,6 +134,16 @@ class TestAggregate:
         assert report.mean_distance == 0.2
         assert report.pathology_rate == 0.5
 
+    def test_non_finite_system_counts_as_pathological(self):
+        # a system with a non-finite entry is singular with unknown (nan)
+        # eigenvalues
+        trials = [
+            trial(seed=0, distance=None, status="singular", min_abs_eig=math.nan),
+            trial(seed=1, min_abs_eig=0.5),
+        ]
+        (report,) = aggregate(trials, betas=(0.1,))
+        assert report.pathology_rate == 0.5
+
     def test_std_error_is_stdev_over_sqrt_count(self):
         values = [0.1, 0.2, 0.4, 0.8]
         trials = [trial(seed=i, distance=v) for i, v in enumerate(values)]

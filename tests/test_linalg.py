@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpdp.linalg import SingularSystemError, solve_normal_equations
+from mpdp.linalg import SingularSystemError, solve_normal_equations, solve_symmetric
 
 
 class TestSolveNormalEquations:
@@ -31,3 +31,15 @@ class TestSolveNormalEquations:
         # shifting the identity Gram matrix by exactly 1 leaves the zero matrix
         with pytest.raises(SingularSystemError):
             solve_normal_equations(np.eye(3), np.ones(3), 0.0, shift=1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_system_is_singular(self, bad):
+        # eigvalsh cannot take such a matrix, and scipy's solve refuses such
+        # a right-hand side: both are reported as singular, with unknown
+        # eigenvalues
+        matrix = np.eye(2)
+        matrix[0, 1] = matrix[1, 0] = bad
+        for system in ((matrix, np.ones(2)), (np.eye(2), np.array([1.0, bad]))):
+            with pytest.raises(SingularSystemError) as caught:
+                solve_symmetric(*system)
+            assert np.isnan(caught.value.min_abs_eig)

@@ -8,7 +8,7 @@ from mpdp.data_model import DataMatrix, partition_evenly, slice_party
 from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError
-from mpdp.rmgm import K_GRID, RmgmRelease, choose_k, rmgm_mix, rmgm_release, rmgm_train
+from mpdp.rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -19,9 +19,9 @@ ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
 def small_instance(seed, n=100, d=3, m=2):
     base = RandomStream(seed)
-    truth = gen_ground_truth(d, base.child("t"))
-    data = gen_dataset(n, truth, base.child("d"))
-    return truth, data, partition_evenly(d + 1, m)
+    w_star = gen_ground_truth(d, base.child("t"))
+    data = gen_dataset(n, w_star, base.child("d"))
+    return w_star, data, partition_evenly(d + 1, m)
 
 
 def release_at(data, part, priv, k, stream):
@@ -70,14 +70,13 @@ class TestRelease:
     def test_shape_is_k_rows(self):
         _, data, part = small_instance(1, n=200, d=5, m=3)
         release = release_at(data, part, calibrate(1.0, 1e-5), 7, RandomStream(2))
-        assert release.public_matrix.shape == (7, 6)
-        assert release.k == 7
+        assert release.shape == (7, 6)
 
     def test_single_mixing_seed_shared(self):
         _, data, part = small_instance(3)
-        release = release_at(data, part, ZERO_NOISE, 5, RandomStream(4))
-        assert isinstance(release.mixing_seed, int)
-        assert release.mixing_seed == RandomStream(4).child("mixing").seed64()
+        sketch = rmgm_mix(data, part, 5, RandomStream(4))
+        assert isinstance(sketch.mixing_seed, int)
+        assert sketch.mixing_seed == RandomStream(4).child("mixing").seed64()
 
     def test_forced_all_ones_mixing_row(self, monkeypatch):
         # with B = [1 1 ... 1] and no noise the single release row is the
@@ -86,23 +85,25 @@ class TestRelease:
         force_mixing(monkeypatch, np.ones((1, 40)))
         release = release_at(data, part, ZERO_NOISE, 1, RandomStream(6))
         np.testing.assert_allclose(
-            release.public_matrix[0], data.values.sum(axis=0), rtol=1e-12
+            release[0], data.values.sum(axis=0), rtol=1e-12
         )
 
     def test_per_party_blockwise_consistency(self):
         # slicing a party block out and releasing it against the shared
         # mixing seed plus its own noise stream reproduces the joint
         # release bit for bit
-        _, data, part = small_instance(9, n=64, d=5, m=3)
+        _, data, part = small_instance(9, n=64, d=6, m=3)  # blocks (3, 2, 2)
         priv = calibrate(0.5, 1e-4)
         root = RandomStream(10)
         k = 6
         release = release_at(data, part, priv, k, root)
+        mixing_seed = root.child("mixing").seed64()
+        std = sensitivity_bound(part.d_max) * priv.sigma
         for j, (a, b) in enumerate(part.blocks, start=1):
             block = np.ascontiguousarray(slice_party(data, part, j))
-            mixed = sketch_product(release.mixing_seed, block, k) / math.sqrt(k)
-            mixed += gaussian_noise(k, b - a, release.noise_std, root.child(j))
-            np.testing.assert_array_equal(release.public_matrix[:, a:b], mixed)
+            mixed = sketch_product(mixing_seed, block, k) / math.sqrt(k)
+            mixed += gaussian_noise(k, b - a, std, root.child(j))
+            np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_rejects_out_of_bounds_data(self):
         data = DataMatrix(np.array([[3.0, 0.0], [0.0, 0.0]]), ("a", "y"))
@@ -121,12 +122,12 @@ class TestRelease:
         hits = 0
         for seed in range(50):
             base = RandomStream(13000 + seed)
-            truth = gen_ground_truth(10, base.child("t"))
-            data = gen_dataset(10**4, truth, base.child("d"))
+            w_star = gen_ground_truth(10, base.child("t"))
+            data = gen_dataset(10**4, w_star, base.child("d"))
             part = partition_evenly(11, 6)
             release = release_at(data, part, ZERO_NOISE, 4000, base.child("r"))
             x = data.features()
-            x_mixed = release.public_matrix[:, :-1]
+            x_mixed = release[:, :-1]
             deviation = np.abs(x_mixed.T @ x_mixed / data.n - x.T @ x / data.n).max()
             hits += deviation <= 0.2
         assert hits >= 48  # 0.95 * 50, rounded up
@@ -144,23 +145,23 @@ class TestSharedSketch:
         for k in (1, 2, 3, 6, 7, 13, 40, 41):
             shared = rmgm_release(sketch, priv, k, root.child("r", k))
             alone = rmgm_release(rmgm_mix(data, part, k, root), priv, k, root.child("r", k))
-            np.testing.assert_array_equal(shared.public_matrix, alone.public_matrix)
-            assert shared.mixing_seed == alone.mixing_seed
+            np.testing.assert_array_equal(shared, alone)
 
     def test_party_rebuilds_its_block_from_a_shared_sketch(self):
         # party j sketches only its own block at k rows and adds its own
         # noise: that is its block of a release cut from a k_max sketch
-        _, data, part = small_instance(23, n=70, d=5, m=3)
+        _, data, part = small_instance(23, n=70, d=6, m=3)  # blocks (3, 2, 2)
         priv = calibrate(0.5, 1e-4)
         root = RandomStream(24)
         sketch = rmgm_mix(data, part, 33, root)
+        std = sensitivity_bound(part.d_max) * priv.sigma
         for k in (2, 5, 33):
             release = rmgm_release(sketch, priv, k, root.child("r", k))
             for j, (a, b) in enumerate(part.blocks, start=1):
                 block = np.ascontiguousarray(slice_party(data, part, j))
-                mixed = sketch_product(release.mixing_seed, block, k) / math.sqrt(k)
-                mixed += gaussian_noise(k, b - a, release.noise_std, root.child("r", k, j))
-                np.testing.assert_array_equal(release.public_matrix[:, a:b], mixed)
+                mixed = sketch_product(sketch.mixing_seed, block, k) / math.sqrt(k)
+                mixed += gaussian_noise(k, b - a, std, root.child("r", k, j))
+                np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_k_beyond_sketch_rejected(self):
         _, data, part = small_instance(25)
@@ -205,7 +206,7 @@ class TestSensitivity:
                 for a, b in part.blocks:
                     change = np.linalg.norm(corner[a:b] - other[a:b])
                     moved = np.linalg.norm(
-                        b_rel.public_matrix[:, a:b] - a_rel.public_matrix[:, a:b]
+                        b_rel[:, a:b] - a_rel[:, a:b]
                     )
                     np.testing.assert_allclose(moved, change, rtol=1e-12)
                     assert moved <= sensitivity_bound(part.d_max) * (1 + 1e-12)
@@ -215,21 +216,21 @@ class TestTrain:
     def test_identity_padding_recovers_weights(self, monkeypatch):
         # B = sqrt(k) * [I_k | 0] selects the first k rows exactly, so
         # training on the release is least squares on noise-free rows
-        truth, data, part = small_instance(14, n=50, d=3)
+        w_star, data, part = small_instance(14, n=50, d=3)
         k = 10
         forced = np.zeros((k, 50))
         forced[:, :k] = np.sqrt(k) * np.eye(k)
         force_mixing(monkeypatch, forced)
         release = release_at(data, part, ZERO_NOISE, k, RandomStream(15))
         weights, _ = rmgm_train(release, lam=0.0)
-        assert np.linalg.norm(weights - truth.w_star) < 1e-6
+        assert np.linalg.norm(weights - w_star) < 1e-6
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(16, n=100, d=3)
         priv = calibrate(1.0, 0.5)
         release = release_at(data, part, priv, 20, RandomStream(17))
         weights, _ = rmgm_train(release, lam=1e-5)
-        expected = rmgm_oracle(release.public_matrix, 1e-5)
+        expected = rmgm_oracle(release, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
     def test_rank_deficient_without_ridge(self):
@@ -244,11 +245,11 @@ class TestTrain:
             release = release_at(
                 data, part, calibrate(1.0, 1e-3), 6, RandomStream(40 + seed)
             )
-            x = release.public_matrix[:, :-1]
+            x = release[:, :-1]
             assert np.linalg.eigvalsh(x.T @ x).min() >= -1e-10
 
     def test_release_stores_exactly_one_mixing_seed(self):
-        fields = {f.name for f in RmgmRelease.__dataclass_fields__.values()}
+        fields = {f.name for f in RmgmSketch.__dataclass_fields__.values()}
         assert "mixing_seed" in fields
         assert not any(f.startswith("mixing") and f != "mixing_seed" for f in fields)
 
@@ -264,14 +265,14 @@ class TestConvergenceTendency:
             distances = []
             for seed in range(30):
                 base = RandomStream(60000 + seed)
-                truth = gen_ground_truth(10, base.child("t"))
-                data = gen_dataset(n, truth, base.child("d"))
+                w_star = gen_ground_truth(10, base.child("t"))
+                data = gen_dataset(n, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
                 priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r"))
                 weights, _ = rmgm_train(release, lam=1e-5)
-                distances.append(np.linalg.norm(weights - truth.w_star))
+                distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[1] < medians[0]
 
@@ -283,12 +284,12 @@ class TestConvergenceTendency:
             distances = []
             for seed in range(100):
                 base = RandomStream(70000 + seed)
-                truth = gen_ground_truth(10, base.child("t"))
-                data = gen_dataset(10**5, truth, base.child("d"))
+                w_star = gen_ground_truth(10, base.child("t"))
+                data = gen_dataset(10**5, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
                 (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))
                 weights, _ = rmgm_train(release, lam=1e-5)
-                distances.append(np.linalg.norm(weights - truth.w_star))
+                distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[0] <= medians[1] <= medians[2]

@@ -7,59 +7,63 @@ from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
 
-class TestGroundTruth:
+class TestGeneratingWeights:
     def test_support_scales_with_dimension(self):
-        truth = gen_ground_truth(10, RandomStream(0))
-        assert truth.d == 10
-        assert (np.abs(truth.w_star) <= 0.1).all()
+        w_star = gen_ground_truth(10, RandomStream(0))
+        assert w_star.shape == (10,)
+        assert (np.abs(w_star) <= 0.1).all()
 
     def test_one_dimensional_support(self):
-        truth = gen_ground_truth(1, RandomStream(1))
-        assert abs(truth.w_star[0]) <= 1.0
+        w_star = gen_ground_truth(1, RandomStream(1))
+        assert abs(w_star[0]) <= 1.0
 
     def test_deterministic(self):
         a = gen_ground_truth(5, RandomStream(2).child("t"))
         b = gen_ground_truth(5, RandomStream(2).child("t"))
-        np.testing.assert_array_equal(a.w_star, b.w_star)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestDataset:
     def test_generated_data_is_bounded(self):
-        truth = gen_ground_truth(10, RandomStream(3))
-        data = gen_dataset(500, truth, RandomStream(4))
+        w_star = gen_ground_truth(10, RandomStream(3))
+        data = gen_dataset(500, w_star, RandomStream(4))
         assert validate_bounds(data).ok
         assert data.values.shape == (500, 11)
 
     def test_zero_weights_give_zero_labels(self):
-        truth = gen_ground_truth(4, RandomStream(5))
-        zero = type(truth)(np.zeros(4))
-        data = gen_dataset(20, zero, RandomStream(6))
+        data = gen_dataset(20, np.zeros(4), RandomStream(6))
         assert (data.labels() == 0.0).all()
 
+    @pytest.mark.parametrize("w_star", [np.zeros((2, 3)), np.zeros(0), np.float64(0.5)],
+                             ids=["2d", "empty", "scalar"])
+    def test_rejects_a_w_star_that_is_not_a_non_empty_vector(self, w_star):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            gen_dataset(20, w_star, RandomStream(6))
+
     def test_labels_are_exact_inner_products(self):
-        truth = gen_ground_truth(6, RandomStream(7))
-        data = gen_dataset(50, truth, RandomStream(8))
-        np.testing.assert_array_equal(data.labels(), data.features() @ truth.w_star)
+        w_star = gen_ground_truth(6, RandomStream(7))
+        data = gen_dataset(50, w_star, RandomStream(8))
+        np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
 
     def test_feature_second_moment(self):
         # E[x^2] = 1/3 for U(-1, 1); at 1e6 rows x 10 columns the sample
         # mean of x^2 is far inside a 1% band.
-        truth = gen_ground_truth(10, RandomStream(9))
-        data = gen_dataset(10**6, truth, RandomStream(10))
+        w_star = gen_ground_truth(10, RandomStream(9))
+        data = gen_dataset(10**6, w_star, RandomStream(10))
         moment = (data.features() ** 2).mean()
         assert abs(moment - 1 / 3) < 1 / 300
 
 
 class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
-        truth = gen_ground_truth(10, RandomStream(13))
-        data = gen_dataset(5000, truth, RandomStream(14))
+        w_star = gen_ground_truth(10, RandomStream(13))
+        data = gen_dataset(5000, w_star, RandomStream(14))
         weights, _ = ols_train(data.features(), data.labels(), lam=0.0)
-        assert np.linalg.norm(weights - truth.w_star) < 1e-8
+        assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):
-        truth = gen_ground_truth(10, RandomStream(15))
-        data = gen_dataset(10**5, truth, RandomStream(16))
+        w_star = gen_ground_truth(10, RandomStream(15))
+        data = gen_dataset(10**5, w_star, RandomStream(16))
         x = data.features()
         gram = x.T @ x / data.n
         assert np.linalg.eigvalsh(gram).min() > 0.25

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .baselines import bgm_train, ols_train
 from .data_model import (
-    BoundsReport,
     DataFormatError,
     DataMatrix,
     PartyPartition,
@@ -19,7 +18,6 @@ from .data_model import (
     normalize_minmax,
     partition_evenly,
     save_csv,
-    slice_party,
     split_train_test,
     validate_bounds,
 )
@@ -41,7 +39,6 @@ from .synthetic import gen_dataset, gen_ground_truth
 __all__ = [
     "__version__",
     "AggregateReport",
-    "BoundsReport",
     "DataFormatError",
     "DataMatrix",
     "K_GRID",
@@ -69,7 +66,6 @@ __all__ = [
     "rmgm_train",
     "save_csv",
     "sensitivity_bound",
-    "slice_party",
     "split_train_test",
     "tail_probability",
     "test_mse",

@@ -22,7 +22,7 @@ from .config import (FULL_PRESET, ConfigError, RunConfig, build_config, parse_co
                      parse_value)
 from .data_model import DataFormatError
 from .linalg import SingularSystemError
-from .runner import export_synthetic, run_real, run_synthetic, write_outputs
+from .runner import OUTPUT_FILES, export_synthetic, run_real, run_synthetic, write_outputs
 
 __all__ = ["main", "config_from_argv"]
 
@@ -85,14 +85,18 @@ def _flag_values(flags: dict[str, str]) -> dict[str, object]:
     return values
 
 
-def _check_out_dir(out_dir: str) -> None:
+def _check_out_dir(out_dir: str, command: str) -> None:
     """Fail before any trial runs if ``out_dir`` cannot be made a writable
-    directory: it or its nearest existing ancestor must be one."""
+    directory (it or its nearest existing ancestor must be one) or if a
+    directory takes the name of one of the command's output files."""
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
         raise ConfigError(f"cannot write to --out {out_dir!r}: {path} is not a writable directory")
+    for name in OUTPUT_FILES[command]:
+        if os.path.isdir(os.path.join(out_dir, name)):
+            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a directory")
 
 
 def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
@@ -104,7 +108,7 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     preset = FULL_PRESET if flags.pop("full", False) else {}
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
-    _check_out_dir(cfg.out_dir)
+    _check_out_dir(cfg.out_dir, command)
     rows = cfg.seeds * sum(cfg.n_grid)
     if command == "synthetic" and rows >= _HOURS_OF_ROWS:
         print(f"warning: {cfg.seeds} seeds at n up to {max(cfg.n_grid)} generate {rows:.2g} "
@@ -129,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = write_outputs(output, cfg)
     failed = sum(1 for t in output.trials if t.status != "ok")
-    print(f"{len(output.trials)} trials ({failed} singular) -> {paths['trials']}")
+    print(f"{len(output.trials)} trials ({failed} singular) -> {paths['trials.csv']}")
     return 0
 
 

@@ -68,11 +68,9 @@ class RunConfig:
             raise ConfigError("methods must not be empty")
         if any(n < 5 for n in self.n_grid) or not self.n_grid:
             raise ConfigError("n_grid entries must be >= 5")
-        if any(not 0 < e <= 1 for e in self.eps_grid):
-            raise ConfigError("eps_grid entries must be in (0, 1]")
-        if not 0 < self.delta < 1:
-            raise ConfigError("delta must be in (0, 1)")
-        for eps in self.eps_grid:
+        if not self.eps_grid:
+            raise ConfigError("eps_grid must not be empty")
+        for eps in self.eps_grid:  # calibrate checks the epsilon and delta ranges
             try:
                 calibrate(eps, self.delta)
             except ValueError as exc:

@@ -17,13 +17,10 @@ from .streams import RandomStream
 
 __all__ = [
     "DataMatrix",
-    "BoundsReport",
     "PartyPartition",
     "DataFormatError",
     "validate_bounds",
-    "check_release_input",
     "partition_evenly",
-    "slice_party",
     "normalize_minmax",
     "split_train_test",
     "load_csv",
@@ -37,11 +34,9 @@ class DataFormatError(ValueError):
     def __init__(self, message: str, row: int | None = None, column: int | None = None):
         self.row = row
         self.column = column
-        where = ""
-        if row is not None:
-            where += f" (row {row}"
-            where += f", column {column})" if column is not None else ")"
-        super().__init__(message + where)
+        where = ", ".join(f"{name} {at}" for name, at in (("row", row), ("column", column))
+                          if at is not None)
+        super().__init__(message + (f" ({where})" if where else ""))
 
 
 @dataclass(frozen=True)
@@ -81,33 +76,6 @@ class DataMatrix:
 
     def labels(self) -> np.ndarray:
         return self.values[:, -1]
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Outcome of the |entry| <= 1 check: how many entries offend and the
-    first one in row-major order, as a 0-based (row, col) index."""
-
-    count: int
-    first: tuple[int, int] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.count == 0
-
-
-def validate_bounds(data: DataMatrix) -> BoundsReport:
-    """Check that every |entry| <= 1 (bound inclusive).
-
-    Returns a report rather than raising, so callers can normalize and
-    retry.  Its size does not grow with the number of offenders.
-    """
-    mask = np.abs(data.values) > 1.0
-    count = int(np.count_nonzero(mask))
-    if count == 0:
-        return BoundsReport(count=0, first=None)
-    row, col = np.unravel_index(int(mask.argmax()), mask.shape)
-    return BoundsReport(count=count, first=(int(row), int(col)))
 
 
 @dataclass(frozen=True)
@@ -167,27 +135,24 @@ def partition_evenly(d_plus_1: int, m: int) -> PartyPartition:
     return PartyPartition(blocks=tuple(blocks))
 
 
-def check_release_input(data: DataMatrix, partition: PartyPartition) -> None:
+def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
     """The precondition of every release: the per-party sensitivity bound
-    assumes |entry| <= 1 and a partition that covers every column."""
-    report = validate_bounds(data)
-    if not report.ok:
+    assumes a partition that covers every column and |entry| <= 1 (bound
+    inclusive).
+
+    A violation raises ValueError with the offender count and the first
+    offender in row-major order, as a 0-based (row, col) index.
+    """
+    if partition.total_columns != data.values.shape[1]:
+        raise ValueError("partition does not cover this matrix")
+    mask = np.abs(data.values) > 1.0
+    count = int(np.count_nonzero(mask))
+    if count:
+        row, col = np.unravel_index(int(mask.argmax()), mask.shape)
         raise ValueError(
-            f"data violates the |entry| <= 1 bound at {report.count} "
-            f"position(s), first {report.first}; normalize first"
+            f"data violates the |entry| <= 1 bound at {count} position(s), "
+            f"first ({row}, {col}); normalize first"
         )
-    if partition.total_columns != data.values.shape[1]:
-        raise ValueError("partition does not cover this matrix")
-
-
-def slice_party(data: DataMatrix, partition: PartyPartition, j: int) -> np.ndarray:
-    """The n-by-d_j column block owned by party j (1-based)."""
-    if partition.total_columns != data.values.shape[1]:
-        raise ValueError("partition does not cover this matrix")
-    if not 1 <= j <= partition.m:
-        raise IndexError(f"party index {j} out of range 1..{partition.m}")
-    a, b = partition.blocks[j - 1]
-    return data.values[:, a:b]
 
 
 def normalize_minmax(train: DataMatrix, test: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
@@ -237,10 +202,11 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     """Ingest a UTF-8 (optionally BOM-prefixed), comma-separated file with
     a header row.
 
-    Unreadable files, non-numeric or non-finite cells and ragged rows are
-    fatal, reported with 1-based row/column positions where there is one
-    (the header is row 1).  If ``label_column`` names a column other than
-    the last one, columns are reordered so the label comes last.
+    Unreadable files, non-numeric or non-finite cells, ragged rows and a
+    column whose max - min overflows are fatal, reported with 1-based
+    row/column positions where there is one (the header is row 1).  If
+    ``label_column`` names a column other than the last one, columns are
+    reordered so the label comes last.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -280,6 +246,10 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         raise DataFormatError(
             f"{path}: non-finite cell {float(values[r, c])!r}", row=int(r) + 2, column=int(c) + 1
         )
+    with np.errstate(over="ignore"):
+        spans = np.isfinite(values.max(axis=0) - values.min(axis=0))
+    if not spans.all():  # min-max normalization divides by the span
+        raise DataFormatError(f"{path}: column range overflows", column=int(spans.argmin()) + 1)
     if label_column is not None:
         if label_column not in names:
             raise DataFormatError(f"{path}: no column named {label_column!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, check_release_input
+from .data_model import DataMatrix, PartyPartition, validate_bounds
 from .dp_core import PrivacyParams, add_party_noise
 from .linalg import solve_normal_equations
 from .streams import RandomStream
@@ -30,7 +30,7 @@ def dgm_release(
     operation.  Requires the bounds check to pass (the sensitivity bound
     assumes |entry| <= 1).
     """
-    check_release_input(data, partition)
+    validate_bounds(data, partition)
     public = data.values.copy(order="K")
     add_party_noise(public, partition, priv, stream)
     return public

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,41 +30,13 @@ __all__ = [
     "tail_probability",
     "test_mse",
     "aggregate",
+    "trial_order",
+    "to_csv",
     "trials_to_csv",
     "aggregates_to_csv",
 ]
 
 PATHOLOGY_THRESHOLD = 1e-2
-
-TRIAL_COLUMNS = (
-    "method",
-    "seed",
-    "n",
-    "d",
-    "m",
-    "k",
-    "epsilon",
-    "delta",
-    "distance",
-    "test_mse",
-    "min_abs_eig",
-    "status",
-)
-
-# aggregates.csv columns before the per-beta tail_prob_<beta> columns
-AGGREGATE_COLUMNS = (
-    "method",
-    "n",
-    "epsilon",
-    "k",
-    "kind",
-    "num_trials",
-    "num_failed",
-    "mean_distance",
-    "median_distance",
-    "std_error",
-    "pathology_rate",
-)
 
 
 @dataclass(frozen=True)
@@ -76,9 +48,9 @@ class TrialReport:
     n: int
     d: int
     m: int
+    k: int | None
     epsilon: float | None
     delta: float | None
-    k: int | None = None
     distance: float | None = None
     test_mse: float | None = None
     min_abs_eig: float | None = None
@@ -127,6 +99,12 @@ class AggregateReport:
     tail_probs: tuple[tuple[float, float], ...]
 
 
+# the CSV columns are the record fields; the per-beta tail_prob_<beta>
+# columns follow AGGREGATE_COLUMNS
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialReport) if f.name != "wall_time")
+AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateReport) if f.name != "tail_probs")
+
+
 def weight_distance(w_hat: np.ndarray, w_star: np.ndarray) -> float:
     """Euclidean distance between two weight vectors of equal length."""
     w_hat = np.asarray(w_hat, dtype=np.float64)
@@ -152,12 +130,15 @@ def test_mse(weights: np.ndarray, test: DataMatrix) -> float:
     return float(np.mean(residual**2))
 
 
-def _group_key(t: TrialReport):
+def trial_order(t: TrialReport) -> tuple:
+    """The one order of trials: by (method, n, epsilon, k) group, then by
+    seed.  ``aggregate`` groups by all of it but the seed."""
     return (
         t.method,
         t.n,
         t.epsilon if t.epsilon is not None else -1.0,
         t.k if t.k is not None else -1,
+        t.seed,
     )
 
 
@@ -165,18 +146,17 @@ def aggregate(trials, betas) -> list[AggregateReport]:
     """Group trials by (method, n, epsilon, k) and summarize each group,
     with one tail probability per beta in ``betas``.
 
-    Trials are sorted by seed first, so the output is independent of the
-    execution order that produced them.  Failed trials count toward the
-    pathology rate (their system diagnostics are known) but not toward
+    Trials are put in ``trial_order`` first, so the output is independent
+    of the execution order that produced them.  Failed trials count toward
+    the pathology rate (their system diagnostics are known) but not toward
     the metric statistics.
     """
     betas = tuple(betas)
     groups: dict[tuple, list[TrialReport]] = {}
-    for t in sorted(trials, key=lambda t: (_group_key(t), t.seed)):
-        groups.setdefault(_group_key(t), []).append(t)
+    for t in sorted(trials, key=trial_order):
+        groups.setdefault(trial_order(t)[:-1], []).append(t)
     out = []
-    for key in sorted(groups):
-        members = groups[key]
+    for key, members in groups.items():  # in trial_order
         ok = [t for t in members if t.status == "ok"]
         kinds = {t.kind for t in ok}
         if len(kinds) > 1:
@@ -222,11 +202,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def to_csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row of values."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+
+
 def trials_to_csv(trials) -> str:
     """Render trials as CSV text (stable column set, no wall times)."""
-    lines = [",".join(TRIAL_COLUMNS)]
-    lines += [",".join(_fmt(getattr(t, c)) for c in TRIAL_COLUMNS) for t in trials]
-    return "\n".join(lines) + "\n"
+    return to_csv(TRIAL_COLUMNS, ([getattr(t, c) for c in TRIAL_COLUMNS] for t in trials))
 
 
 def aggregates_to_csv(reports) -> str:
@@ -237,9 +220,8 @@ def aggregates_to_csv(reports) -> str:
     configured beta.
     """
     betas = reports[0].tail_probs if reports else ()
-    header = list(AGGREGATE_COLUMNS) + [f"tail_prob_{format(b, 'g')}" for b, _ in betas]
-    lines = [",".join(header)]
-    for r in reports:
-        row = [getattr(r, c) for c in AGGREGATE_COLUMNS] + [p for _, p in r.tail_probs]
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = [*AGGREGATE_COLUMNS, *(f"tail_prob_{format(b, 'g')}" for b, _ in betas)]
+    return to_csv(header, (
+        [*(getattr(r, c) for c in AGGREGATE_COLUMNS), *(p for _, p in r.tail_probs)]
+        for r in reports
+    ))

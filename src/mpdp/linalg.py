@@ -19,10 +19,9 @@ COND_LIMIT = 1e14
 class SingularSystemError(ArithmeticError):
     """The (regularized) system matrix is numerically singular."""
 
-    def __init__(self, message: str, min_abs_eig: float, cond: float):
+    def __init__(self, message: str, min_abs_eig: float):
         super().__init__(message)
         self.min_abs_eig = min_abs_eig
-        self.cond = cond
 
 
 def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -33,15 +32,13 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     system has a non-finite entry (its eigenvalues are then unknown: nan).
     """
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan, cond=np.inf)
+        raise SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan)
     eigs = np.abs(np.linalg.eigvalsh(matrix))
     lo, hi = float(eigs.min()), float(eigs.max())
     cond = np.inf if lo == 0.0 else hi / lo
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
-            f"system is numerically singular (condition estimate {cond:.3g})",
-            min_abs_eig=lo,
-            cond=cond,
+            f"system is numerically singular (condition estimate {cond:.3g})", min_abs_eig=lo
         )
     x = scipy.linalg.solve(matrix, rhs, assume_a="sym")
     return x, lo

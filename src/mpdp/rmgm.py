@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, check_release_input
+from .data_model import DataMatrix, PartyPartition, validate_bounds
 from .dp_core import PrivacyParams, add_party_noise
 from .kernels import sketch_product
 from .linalg import solve_normal_equations
@@ -101,7 +101,7 @@ def rmgm_mix(
     B is derived from child("mixing") and streamed through the product
     (never materialised).
     """
-    check_release_input(data, partition)
+    validate_bounds(data, partition)
     mixing_seed = stream.child("mixing").seed64()
     return RmgmSketch(
         product=sketch_product(mixing_seed, data.values, k_max),

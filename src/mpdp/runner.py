@@ -38,10 +38,11 @@ from .dp_core import calibrate
 from .evaluation import (
     AggregateReport,
     TrialReport,
-    _fmt,
     aggregate,
     aggregates_to_csv,
     test_mse,
+    to_csv,
+    trial_order,
     trials_to_csv,
     weight_distance,
 )
@@ -51,7 +52,9 @@ from .rmgm import choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
 
-__all__ = ["RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_outputs"]
+__all__ = [
+    "OUTPUT_FILES", "RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_outputs",
+]
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
@@ -62,15 +65,18 @@ NUMERICS_VERSION = 2
 # one and two OpenBLAS threads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# The files each command writes under its output directory, in writing order.
+OUTPUT_FILES = {
+    "synthetic": ("trials.csv", "aggregates.csv", "timings.csv", "run_meta"),
+    "real": ("trials.csv", "aggregates.csv", "timings.csv", "best_k.csv", "run_meta"),
+    "export": ("synthetic.csv", "synthetic_wstar.csv"),
+}
+
 
 @dataclass(frozen=True)
 class RunOutput:
     trials: tuple[TrialReport, ...]
     meta: dict
-
-
-def _sort_key(t: TrialReport):
-    return (t.method, t.n, t.epsilon or 0.0, t.k or 0, t.seed)
 
 
 def _run_tasks(tasks, worker, workers: int):
@@ -80,7 +86,7 @@ def _run_tasks(tasks, worker, workers: int):
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, tasks))
     trials = [t for batch in results for t in batch]
-    trials.sort(key=_sort_key)
+    trials.sort(key=trial_order)
     return tuple(trials)
 
 
@@ -226,8 +232,7 @@ def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
     w_star = gen_ground_truth(cfg.d, root.child("truth"))
     data = gen_dataset(cfg.n_grid[0], w_star, root.child("data"))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    data_path = os.path.join(cfg.out_dir, "synthetic.csv")
-    wstar_path = os.path.join(cfg.out_dir, "synthetic_wstar.csv")
+    data_path, wstar_path = (os.path.join(cfg.out_dir, name) for name in OUTPUT_FILES["export"])
     save_csv(data, data_path)
     with open(wstar_path, "w", encoding="utf-8") as fh:
         fh.write("w_star\n")
@@ -277,36 +282,23 @@ def best_k_rows(reports) -> list[tuple[float, int, float]]:
 
 
 def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
-    """Write trials.csv, aggregates.csv, timings.csv, run_meta (and
-    best_k.csv for real runs) under the configured output directory."""
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    paths["trials"] = os.path.join(out_dir, "trials.csv")
-    with open(paths["trials"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(trials_to_csv(output.trials))
-
-    paths["aggregates"] = os.path.join(out_dir, "aggregates.csv")
+    """Write the run's ``OUTPUT_FILES`` under the configured output
+    directory and return {file name: path}."""
     reports = aggregate(output.trials, betas=cfg.betas)
-    with open(paths["aggregates"], "w", encoding="utf-8", newline="") as fh:
-        fh.write(aggregates_to_csv(reports))
-
-    paths["timings"] = os.path.join(out_dir, "timings.csv")
-    with open(paths["timings"], "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,seed,n,epsilon,k,wall_time\n")
-        for t in output.trials:
-            fh.write(f"{t.method},{t.seed},{t.n},{_fmt(t.epsilon)},{_fmt(t.k)},{t.wall_time:.6f}\n")
-
-    if output.meta.get("protocol") == "real":
-        paths["best_k"] = os.path.join(out_dir, "best_k.csv")
-        with open(paths["best_k"], "w", encoding="utf-8", newline="") as fh:
-            fh.write("epsilon,best_k,mean_test_mse\n")
-            for eps, k, mse in best_k_rows(reports):
-                fh.write(f"{_fmt(eps)},{k},{_fmt(mse)}\n")
-
-    paths["run_meta"] = os.path.join(out_dir, "run_meta")
-    with open(paths["run_meta"], "w", encoding="utf-8", newline="") as fh:
-        for key in sorted(output.meta):
-            fh.write(f"{key} = {output.meta[key]}\n")
+    texts = {
+        "trials.csv": trials_to_csv(output.trials),
+        "aggregates.csv": aggregates_to_csv(reports),
+        "timings.csv": to_csv(
+            ("method", "seed", "n", "epsilon", "k", "wall_time"),
+            ((t.method, t.seed, t.n, t.epsilon, t.k, f"{t.wall_time:.6f}") for t in output.trials),
+        ),
+        "best_k.csv": to_csv(("epsilon", "best_k", "mean_test_mse"), best_k_rows(reports)),
+        "run_meta": "".join(f"{key} = {output.meta[key]}\n" for key in sorted(output.meta)),
+    }
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    paths = {}
+    for name in OUTPUT_FILES[output.meta["protocol"]]:
+        paths[name] = os.path.join(cfg.out_dir, name)
+        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+            fh.write(texts[name])
     return paths

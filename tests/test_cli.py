@@ -70,6 +70,10 @@ class TestConfig:
             build_config({}, {"methods": ("svm",)})
         with pytest.raises(ConfigError):
             build_config({}, {"m": 12, "d": 10})
+        with pytest.raises(ConfigError, match="eps_grid must not be empty"):
+            build_config({}, {"eps_grid": ()})
+        with pytest.raises(ConfigError, match="delta"):
+            build_config({}, {"delta": 1.0})
 
     @pytest.mark.parametrize("eps", ["1e-300", "1e-320", "5e-324"])
     @pytest.mark.parametrize("argv", [
@@ -324,6 +328,8 @@ class TestRealCommand:
             ("", [], None),
             ("\n\n\n", [], "row 1"),
             ("\n1,2\n3,4\n5,6\n7,8\n9,9\n", [], "row 1"),
+            ("a,b\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1e308,5\n-1e308,6\n", ["--parties", "2"],
+             "column 1"),
         ],
         ids=[
             "more-parties-than-csv-columns",
@@ -334,6 +340,7 @@ class TestRealCommand:
             "missing-file",
             "blank-lines-only",
             "blank-header",
+            "range-overflows",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):
@@ -359,15 +366,16 @@ class TestRealCommand:
         assert (tmp_path / "res" / "trials.csv").exists()
 
 
-@pytest.mark.parametrize("command", [
+COMMANDS = [
     ["synthetic", "--n-grid", "20", "--seeds", "1"],
     ["real", "--csv", FIXTURE, "--seeds", "1"],
     ["export", "--n", "20"],
-], ids=lambda argv: argv[0])
-@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")], ids=["at", "under"])
-def test_out_at_or_under_a_file_exits_2_before_any_trial(
-    tmp_path, capsys, monkeypatch, command, out
-):
+]
+
+
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Make running a trial or generating a dataset fail the test."""
     import mpdp.runner as runner_module
 
     def no_trial(*args, **kwargs):
@@ -375,12 +383,32 @@ def test_out_at_or_under_a_file_exits_2_before_any_trial(
 
     for name in ("_synthetic_trial", "_real_trial", "gen_dataset"):
         monkeypatch.setattr(runner_module, name, no_trial)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")], ids=["at", "under"])
+def test_out_at_or_under_a_file_exits_2_before_any_trial(
+    tmp_path, capsys, no_trials, command, out
+):
     (tmp_path / "afile").write_text("keep\n")
     assert main(command + ["--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["afile"]
     assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    (COMMANDS[0], "trials.csv"), (COMMANDS[1], "best_k.csv"), (COMMANDS[2], "synthetic_wstar.csv"),
+], ids=["synthetic", "real", "export"])
+def test_output_name_taken_by_a_directory_exits_2_before_any_trial(
+    tmp_path, capsys, no_trials, command, name
+):
+    (tmp_path / "res" / name).mkdir(parents=True)
+    assert main(command + ["--out", str(tmp_path / "res")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert os.listdir(tmp_path / "res") == [name]
 
 
 class TestExportCommand:
@@ -472,7 +500,7 @@ class TestStrictMode:
         from mpdp.linalg import SingularSystemError
 
         def always_singular(*args, **kwargs):
-            raise SingularSystemError("forced", min_abs_eig=0.0, cond=np.inf)
+            raise SingularSystemError("forced", min_abs_eig=0.0)
 
         monkeypatch.setattr(runner_module, "dgm_train", always_singular)
         args = [
@@ -491,7 +519,7 @@ class TestStrictMode:
         from mpdp.linalg import SingularSystemError
 
         def always_singular(*args, **kwargs):
-            raise SingularSystemError("forced", min_abs_eig=1e-9, cond=np.inf)
+            raise SingularSystemError("forced", min_abs_eig=1e-9)
 
         monkeypatch.setattr(runner_module, "dgm_train", always_singular)
         out = tmp_path / "res"
@@ -531,7 +559,7 @@ class TestStrictMode:
 
         def always_singular(*args, **kwargs):
             time.sleep(0.002)
-            raise SingularSystemError("forced", min_abs_eig=1e-9, cond=np.inf)
+            raise SingularSystemError("forced", min_abs_eig=1e-9)
 
         monkeypatch.setattr(runner_module, "dgm_train", always_singular)
         cfg = build_config(

@@ -1,8 +1,9 @@
 """The exit-code contract under generated input: malformed CSVs (blank or
-BOM-prefixed headers included), config files, flag combinations, budgets
-down to the smallest float and an --out at or under a file must end in 0
-(ok), 2 (config or input error) or 3 (singular under --strict), never in
-an escaped exception."""
+BOM-prefixed headers and columns whose range overflows included), config
+files, flag combinations, budgets down to the smallest float or none at
+all, and an --out at or under a file must end in 0 (ok), 2 (config or
+input error) or 3 (singular under --strict), never in an escaped
+exception."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ GOOD_CONFIG = (
     "methods = ols,", "n_grid = 12 20",
 )
 BAD_CONFIG = (
-    "m = 1", "k_grid = 0", "k_grid =", "delta = 2", "lambda = -1", "lambda = inf",
+    "m = 1", "k_grid = 0", "k_grid =", "eps_grid =", "delta = 2", "lambda = -1", "lambda = inf",
     "n_grid = x", "label_column = zz", "bogus = 1", "no equals sign",
 )
 
@@ -38,23 +39,29 @@ def _flag(flag, good, bad=()):
 
 @st.composite
 def csv_texts(draw):
-    """A numeric table (label last) with up to two cells spoiled, dropped or
-    added, now and then behind a byte-order mark or under a blank header."""
+    """A numeric table (label last), now and then behind a byte-order mark or
+    under a blank header, with either up to two cells spoiled, dropped or
+    added or (one time in three) a first column of alternating +-1e308,
+    whose range overflows."""
     cols = draw(st.integers(1, 5))
     header = draw(_pick(("plain",), ("bom", "blank")))
     table = [[] if header == "blank" else [f"c{j}" for j in range(cols - 1)] + ["y"]]
     table += draw(st.lists(
         st.lists(st.sampled_from(NUMBERS), min_size=cols, max_size=cols), min_size=3, max_size=8
     ))
-    for _ in range(draw(st.integers(0, 2))):
-        row = table[draw(st.integers(0, len(table) - 1))]
-        action = draw(st.sampled_from(("spoil", "drop", "add")))
-        if action == "spoil" and row:
-            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
-        elif action == "drop":
-            del row[-1:]
-        else:
-            row.append(draw(st.sampled_from(NUMBERS)))
+    if draw(st.sampled_from(("cells", "cells", "huge"))) == "huge":
+        for i, row in enumerate(table[1:]):
+            row[0] = ("1e308", "-1e308")[i % 2]
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            row = table[draw(st.integers(0, len(table) - 1))]
+            action = draw(st.sampled_from(("spoil", "drop", "add")))
+            if action == "spoil" and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
+            elif action == "drop":
+                del row[-1:]
+            else:
+                row.append(draw(st.sampled_from(NUMBERS)))
     return ("\ufeff" if header == "bom" else "") + "\n".join(",".join(r) for r in table) + "\n"
 
 
@@ -71,7 +78,8 @@ def invocations(draw):
         args = ["synthetic", "--n-grid", n_grid]
     eps_good = ("1.0", "0.5,1", "0.5 1", "1.0,", "1e-153")  # 1e-153: finite sigma^2, huge Gram
     eps_bad = ("0", "2", "abc", "1,,1", "nan", "1e-300", "1e-320", "5e-324")
-    args += draw(_flag("--eps-grid", eps_good, eps_bad))
+    eps_flag = _flag("--eps-grid", eps_good, eps_bad)
+    args += draw(st.one_of(eps_flag, eps_flag, st.just(["--eps-grid", ","])))  # 1 in 3 empty
     args += draw(_flag("--methods", ("ols", "ols,rmgm", "dgm,bgm", "ols,"), ("svm", "")))
     args += ["--seeds", draw(_pick(("1", "2"), ("0",)))]  # the default 200 would be slow
     args += draw(_flag("--workers", ("1", "2"), ("0",)))
@@ -94,7 +102,7 @@ def _exit_code(argv):
             return exc.code
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
 def test_exit_code_is_0_2_or_3(invocation):
     args, csv_text, config = invocation

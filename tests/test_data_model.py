@@ -10,7 +10,6 @@ from mpdp.data_model import (
     normalize_minmax,
     partition_evenly,
     save_csv,
-    slice_party,
     split_train_test,
     validate_bounds,
 )
@@ -42,22 +41,26 @@ class TestDataMatrix:
 
 class TestValidateBounds:
     def test_zeros_ok(self):
-        assert validate_bounds(matrix(np.zeros((3, 3)))).ok
+        validate_bounds(matrix(np.zeros((3, 3))), partition_evenly(3, 2))
 
     def test_reports_offending_cell(self):
-        # the report holds a count and the first offender in row-major
-        # order, not a list of every offending cell
+        # the error names a count and the first offender in row-major
+        # order, not every offending cell
         values = np.zeros((4, 3))
         values[1, 2] = -1.5
         values[3, 0] = 1.5
         values[2, :] = 7.0
-        report = validate_bounds(matrix(values))
-        assert not report.ok
-        assert (report.count, report.first) == (5, (1, 2))
+        with pytest.raises(ValueError, match=r"at 5 position\(s\), first \(1, 2\)"):
+            validate_bounds(matrix(values), partition_evenly(3, 2))
 
     def test_bound_is_inclusive(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert validate_bounds(matrix(values)).ok
+        validate_bounds(matrix(values), partition_evenly(2, 2))
+
+    def test_partition_must_cover_every_column(self):
+        for width in (3, 5):
+            with pytest.raises(ValueError, match="does not cover"):
+                validate_bounds(matrix(np.zeros((2, 4))), partition_evenly(width, 2))
 
 
 class TestPartitioning:
@@ -90,30 +93,6 @@ class TestPartitioning:
     def test_non_contiguous_blocks_rejected(self):
         with pytest.raises(ValueError):
             PartyPartition(blocks=((0, 2), (3, 4)))
-
-
-class TestSliceParty:
-    def test_first_block(self):
-        m = matrix(np.arange(12.0).reshape(3, 4))
-        part = partition_evenly(4, 2)
-        np.testing.assert_array_equal(slice_party(m, part, 1), m.values[:, :2])
-
-    def test_round_trip_concatenation(self):
-        rng = np.random.default_rng(0)
-        m = matrix(rng.uniform(-1, 1, size=(6, 7)))
-        part = partition_evenly(7, 3)
-        rebuilt = np.concatenate(
-            [slice_party(m, part, j) for j in range(1, part.m + 1)], axis=1
-        )
-        np.testing.assert_array_equal(rebuilt, m.values)
-
-    def test_out_of_range_party(self):
-        m = matrix(np.zeros((2, 4)))
-        part = partition_evenly(4, 2)
-        with pytest.raises(IndexError):
-            slice_party(m, part, 3)
-        with pytest.raises(IndexError):
-            slice_party(m, part, 0)
 
 
 class TestNormalize:
@@ -151,7 +130,7 @@ class TestNormalize:
         train = matrix(rng.normal(0, 100, size=(40, 5)))
         test = matrix(rng.normal(0, 300, size=(10, 5)))
         for part in normalize_minmax(train, test):
-            assert validate_bounds(part).ok
+            validate_bounds(part, partition_evenly(5, 2))
 
 
 class TestSplit:

@@ -25,6 +25,7 @@ def trial(method="rmgm", seed=0, n=100, eps=1.0, distance=0.5, **kw):
         n=n,
         d=3,
         m=2,
+        k=None,
         epsilon=eps,
         delta=1e-5,
         distance=distance,

@@ -45,6 +45,8 @@ class TestRademacherMatrix:
     def test_entries_are_plus_minus_one(self):
         m = kernels.rademacher_matrix(123, 40, 70)
         assert set(np.unique(m)) == {-1.0, 1.0}
+        m = kernels.rademacher_matrix(5, 1, 1)
+        assert m.shape == (1, 1) and m[0, 0] in (-1.0, 1.0)
 
     def test_reproducible_from_seed(self):
         a = kernels.rademacher_matrix(99, 16, 130)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mpdp.data_model import DataMatrix, partition_evenly, slice_party
+from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError
@@ -100,7 +100,7 @@ class TestRelease:
         mixing_seed = root.child("mixing").seed64()
         std = sensitivity_bound(part.d_max) * priv.sigma
         for j, (a, b) in enumerate(part.blocks, start=1):
-            block = np.ascontiguousarray(slice_party(data, part, j))
+            block = np.ascontiguousarray(data.values[:, a:b])
             mixed = sketch_product(mixing_seed, block, k) / math.sqrt(k)
             mixed += gaussian_noise(k, b - a, std, root.child(j))
             np.testing.assert_array_equal(release[:, a:b], mixed)
@@ -158,7 +158,7 @@ class TestSharedSketch:
         for k in (2, 5, 33):
             release = rmgm_release(sketch, priv, k, root.child("r", k))
             for j, (a, b) in enumerate(part.blocks, start=1):
-                block = np.ascontiguousarray(slice_party(data, part, j))
+                block = np.ascontiguousarray(data.values[:, a:b])
                 mixed = sketch_product(sketch.mixing_seed, block, k) / math.sqrt(k)
                 mixed += gaussian_noise(k, b - a, std, root.child("r", k, j))
                 np.testing.assert_array_equal(release[:, a:b], mixed)

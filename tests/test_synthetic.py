@@ -27,7 +27,7 @@ class TestDataset:
     def test_generated_data_is_bounded(self):
         w_star = gen_ground_truth(10, RandomStream(3))
         data = gen_dataset(500, w_star, RandomStream(4))
-        assert validate_bounds(data).ok
+        validate_bounds(data, partition_evenly(11, 6))
         assert data.values.shape == (500, 11)
 
     def test_zero_weights_give_zero_labels(self):

@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+# Passes over a whole n-row matrix (generation, the finiteness and bounds
+# checks, party noise) walk it in row chunks of about this many bytes, so
+# their temporaries stay cache-sized instead of matrix-sized.
+_CHUNK_BYTES = 1 << 20
+
+
+def _row_chunks(n: int, cols: int) -> list[tuple[int, int]]:
+    """The (start, stop) row ranges, in order, that cover n rows of a
+    float64 matrix ``cols`` wide in chunks of about _CHUNK_BYTES."""
+    rows = max(1, _CHUNK_BYTES // (8 * cols))
+    return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
 class DataFormatError(ValueError):
     """A fatal ingestion problem, with 1-based row/column context."""
 
@@ -56,7 +69,7 @@ class DataMatrix:
             )
         if values.shape[1] < 1 or values.shape[0] < 1:
             raise ValueError("matrix must have at least one row and one column")
-        if not np.isfinite(values).all():
+        if not all(np.isfinite(values[r0:r1]).all() for r0, r1 in _row_chunks(*values.shape)):
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "values", values)
@@ -143,15 +156,16 @@ def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
     A violation raises ValueError with the offender count and the first
     offender in row-major order, as a 0-based (row, col) index.
     """
-    if partition.total_columns != data.values.shape[1]:
+    values = data.values
+    if partition.total_columns != values.shape[1]:
         raise ValueError("partition does not cover this matrix")
-    mask = np.abs(data.values) > 1.0
-    count = int(np.count_nonzero(mask))
-    if count:
+    if any((np.abs(values[r0:r1]) > 1.0).any() for r0, r1 in _row_chunks(*values.shape)):
+        # only a failing check pays for a full-size mask
+        mask = np.abs(values) > 1.0
         row, col = np.unravel_index(int(mask.argmax()), mask.shape)
         raise ValueError(
-            f"data violates the |entry| <= 1 bound at {count} position(s), "
-            f"first ({row}, {col}); normalize first"
+            f"data violates the |entry| <= 1 bound at {int(np.count_nonzero(mask))} "
+            f"position(s), first ({row}, {col}); normalize first"
         )
 
 

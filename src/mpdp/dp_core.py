@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import PartyPartition
+from .data_model import PartyPartition, _row_chunks
 from .streams import RandomStream
 
 __all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise", "add_party_noise"]
@@ -64,11 +64,12 @@ def sensitivity_bound(d_max: int) -> float:
     return 2.0 * math.sqrt(d_max)
 
 
-def gaussian_noise(rows: int, cols: int, std: float, stream: RandomStream) -> np.ndarray:
-    """rows-by-cols matrix of independent N(0, std^2) draws.
+def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -> np.ndarray:
+    """rows-by-cols matrix of independent N(0, std^2) draws from ``gen``.
 
-    std = 0 yields the exact zero matrix.  The same stream always yields
-    the same matrix.
+    std = 0 yields the exact zero matrix and draws nothing.  Successive
+    calls continue the generator's stream, so drawing a matrix in row
+    chunks yields exactly the rows of one draw.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
@@ -76,7 +77,7 @@ def gaussian_noise(rows: int, cols: int, std: float, stream: RandomStream) -> np
         raise ValueError(f"std must be non-negative, got {std}")
     if std == 0.0:
         return np.zeros((rows, cols))
-    entries = stream.generator().standard_normal((rows, cols))
+    entries = gen.standard_normal((rows, cols))
     entries *= std
     return entries
 
@@ -87,10 +88,14 @@ def add_party_noise(
     """The Gaussian mechanism of both releases, applied in place.
 
     Party j adds N(0, std^2) noise, std = sensitivity_bound(d_max) * sigma,
-    drawn from ``stream.child(j)`` to its own column block of ``matrix``;
-    whoever holds j's stream can rebuild (and remove) j's noise.
+    to its own column block of ``matrix``: the rows of one (n, d_j) draw
+    from ``stream.child(j)``, so whoever holds j's stream can rebuild (and
+    remove) j's noise.  The noise is drawn and added one row chunk at a
+    time, every party's block of a chunk before the next chunk.
     """
     std = sensitivity_bound(partition.d_max) * priv.sigma
     if std > 0.0:
-        for j, (a, b) in enumerate(partition.blocks, start=1):
-            matrix[:, a:b] += gaussian_noise(matrix.shape[0], b - a, std, stream.child(j))
+        gens = [stream.child(j).generator() for j in range(1, partition.m + 1)]
+        for r0, r1 in _row_chunks(*matrix.shape):
+            for gen, (a, b) in zip(gens, partition.blocks):
+                matrix[r0:r1, a:b] += gaussian_noise(r1 - r0, b - a, std, gen)

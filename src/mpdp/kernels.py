@@ -29,9 +29,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # Fixed tiling: the reduction order (and therefore the exact float result)
 # does not depend on the call site.  A tile is a power-of-two number of
 # rows between _MIN_ROWS and _MAX_ROWS, the most whose tile fits in
-# _TILE_BYTES (per-core L2), by at most _COL_CHUNK columns.  Each tile is
-# reused from cache by every column of D; the largest tile is 8 x 65536
-# float64 (4 MiB), reached once n >= 16 384.
+# _TILE_BYTES, by at most _COL_CHUNK columns, and every column of D takes
+# one matvec with it.  Past n = 16 384 the tile is 8 rows by up to 65 536
+# columns, 1 to 4 MiB: once it outgrows a 2 MiB per-core L2 each matvec
+# streams it from the shared L3 or memory, not from L2.
 #
 # OpenBLAS's gemv reduces rows in groups of _ROW_GROUP, and rounds a
 # trailing group of 2 or 3 rows differently; numpy hands a 1-row product
@@ -123,7 +124,10 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
             tile = rademacher_tile(seed, n, r0, r1 - r0, i0, i1 - i0)
             # one matvec per column: the bits of each output column must
             # not depend on which other columns were sketched alongside
-            # it (party blocks are sliced out and reconstructed bitwise)
+            # it (party blocks are sliced out and reconstructed bitwise).
+            # np.dot, not @: both run the same gemv with the same bits,
+            # but matmul holds the GIL through it, so --workers threads
+            # could not run their matvecs at the same time
             for j in range(cols):
-                out[r0:r1, j] += tile @ chunk[j]
+                out[r0:r1, j] += np.dot(tile, chunk[j])
     return out[:k]

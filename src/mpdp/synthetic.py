@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import DataMatrix
+from .data_model import DataMatrix, _row_chunks
 from .streams import RandomStream
 
 __all__ = ["gen_ground_truth", "gen_dataset"]
@@ -29,7 +29,15 @@ def gen_dataset(n: int, w_star: np.ndarray, stream: RandomStream) -> DataMatrix:
         raise ValueError("w_star must be a non-empty vector")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    features = stream.generator().uniform(-1.0, 1.0, size=(n, w_star.size))
-    labels = features @ w_star
-    names = tuple(f"x{i + 1}" for i in range(w_star.size)) + ("y",)
-    return DataMatrix(np.column_stack([features, labels]), names)
+    d = w_star.size
+    values = np.empty((n, d + 1))
+    gen = stream.generator()
+    # successive draws continue one Philox stream, so the chunks hold
+    # exactly the features of a single (n, d) draw
+    for r0, r1 in _row_chunks(n, d + 1):
+        values[r0:r1, :d] = gen.uniform(-1.0, 1.0, size=(r1 - r0, d))
+    # one product over every row: gemv rounds the last rows of each call
+    # differently, so labels computed chunk by chunk would change bits
+    values[:, d] = values[:, :d] @ w_star
+    names = tuple(f"x{i + 1}" for i in range(d)) + ("y",)
+    return DataMatrix(values, names)

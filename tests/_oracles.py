@@ -5,6 +5,10 @@ sides are accumulated with Python loops and the final system is solved
 with an explicit matrix inverse.  None of the production solve path
 (symmetric factorization, eigenvalue gating) is reused.
 
+``dataset_one_shot`` and ``noise_one_shot`` make a synthetic dataset and
+a party's noise in single whole-matrix draws, as the row-chunked
+``gen_dataset`` and ``add_party_noise`` must reproduce bit for bit.
+
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
 numerics_version 1; the current kernel must match it bit for bit for
 every k whose rows numerics_version 2 kept (k % 4 in {0, 1}, k % 512 != 1).
@@ -81,3 +85,14 @@ def sketch_product_v1(seed, data, k):
             for j in range(cols):
                 out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
     return out
+
+
+def dataset_one_shot(n, w_star, stream):
+    """Features in one (n, d) draw, labels as one product, side by side."""
+    features = stream.generator().uniform(-1.0, 1.0, size=(n, w_star.size))
+    return np.column_stack([features, features @ w_star])
+
+
+def noise_one_shot(rows, cols, std, stream):
+    """One party's noise: a single (rows, cols) N(0, std^2) draw from its stream."""
+    return stream.generator().standard_normal((rows, cols)) * std

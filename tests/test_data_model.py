@@ -6,6 +6,7 @@ from mpdp.data_model import (
     DataFormatError,
     DataMatrix,
     PartyPartition,
+    _row_chunks,
     load_csv,
     normalize_minmax,
     partition_evenly,
@@ -34,6 +35,13 @@ class TestDataMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             matrix([[1.0, np.nan]])
 
+    def test_non_finite_entry_in_last_partial_row_chunk(self):
+        rows = _row_chunks(10**6, 3)[0][1]
+        values = np.zeros((2 * rows + 3, 3))
+        values[2 * rows + 1, 2] = np.inf
+        with pytest.raises(ValueError, match=rf"row {2 * rows + 1}, column 2"):
+            matrix(values)
+
     def test_rejects_name_mismatch(self):
         with pytest.raises(ValueError):
             DataMatrix(np.zeros((2, 2)), ("only_one",))
@@ -51,6 +59,14 @@ class TestValidateBounds:
         values[3, 0] = 1.5
         values[2, :] = 7.0
         with pytest.raises(ValueError, match=r"at 5 position\(s\), first \(1, 2\)"):
+            validate_bounds(matrix(values), partition_evenly(3, 2))
+
+    def test_lone_offender_in_last_partial_row_chunk(self):
+        # the chunked scan finds it; the report matches a whole-matrix scan
+        rows = _row_chunks(10**6, 3)[0][1]
+        values = np.zeros((2 * rows + 3, 3))
+        values[2 * rows + 2, 1] = -1.25
+        with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({2 * rows + 2}, 1\)"):
             validate_bounds(matrix(values), partition_evenly(3, 2))
 
     def test_bound_is_inclusive(self):

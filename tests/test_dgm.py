@@ -3,12 +3,12 @@ import pytest
 
 from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dgm import dgm_release, dgm_train
-from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
+from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
 from mpdp.linalg import SingularSystemError
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
-from _oracles import dgm_oracle
+from _oracles import dgm_oracle, noise_one_shot
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -45,7 +45,7 @@ class TestRelease:
         std = sensitivity_bound(part.d_max) * priv.sigma
         blocks = []
         for j, (a, b) in enumerate(part.blocks, start=1):
-            noise = gaussian_noise(data.n, b - a, std, root.child(j))
+            noise = noise_one_shot(data.n, b - a, std, root.child(j))
             blocks.append(data.values[:, a:b] + noise)
         np.testing.assert_array_equal(release, np.concatenate(blocks, axis=1))
 

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from mpdp.data_model import PartyPartition, _row_chunks
 from mpdp.dp_core import (
     PrivacyParams,
+    add_party_noise,
     calibrate,
     gaussian_noise,
     sensitivity_bound,
 )
 from mpdp.kernels import sketch_product
 from mpdp.streams import RandomStream
+
+from _oracles import noise_one_shot
 
 
 class TestCalibrate:
@@ -84,19 +88,19 @@ class TestSensitivityBound:
 
 class TestGaussianNoise:
     def test_zero_std_is_exact_zero_matrix(self):
-        noise = gaussian_noise(3, 2, 0.0, RandomStream(7))
+        noise = gaussian_noise(3, 2, 0.0, RandomStream(7).generator())
         assert noise.shape == (3, 2)
         assert (noise == 0.0).all()
 
     def test_deterministic_under_fixed_stream(self):
-        a = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x"))
-        b = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x"))
+        a = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x").generator())
+        b = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x").generator())
         np.testing.assert_array_equal(a, b)
 
     def test_sample_variance_at_scale(self):
         # 1e6 draws at std 2: sample variance concentrates within 1% of 4
         # (the band is ~7 standard deviations of the chi-square spread).
-        noise = gaussian_noise(10**6, 1, 2.0, RandomStream(11))
+        noise = gaussian_noise(10**6, 1, 2.0, RandomStream(11).generator())
         var = noise.var(ddof=1)
         assert abs(var - 4.0) < 0.04
 
@@ -107,13 +111,34 @@ class TestGaussianNoise:
         band = 5 * math.sqrt(2 / n)
         hits = 0
         for seed in range(100):
-            noise = gaussian_noise(n, 1, 1.0, RandomStream(500 + seed))
+            noise = gaussian_noise(n, 1, 1.0, RandomStream(500 + seed).generator())
             hits += abs(noise.var(ddof=1) - 1.0) <= band
         assert hits >= 99
 
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
-            gaussian_noise(2, 2, -1.0, RandomStream(0))
+            gaussian_noise(2, 2, -1.0, RandomStream(0).generator())
+
+
+class TestAddPartyNoise:
+    def test_row_chunks_match_one_draw_per_party(self):
+        # uneven blocks (3, 2, 1) over two whole row chunks and a 3-row
+        # remainder: each party's noise is bit for bit one (n, d_j) draw
+        part = PartyPartition(((0, 3), (3, 5), (5, 6)))
+        rows = _row_chunks(10**6, 6)[0][1]
+        n = 2 * rows + 3
+        assert len(_row_chunks(n, 6)) == 3
+        values = RandomStream(30).generator().uniform(-1, 1, size=(n, 6))
+        priv = calibrate(0.5, 1e-5)
+        std = sensitivity_bound(part.d_max) * priv.sigma
+        released = values.copy()
+        add_party_noise(released, part, priv, RandomStream(31))
+        expected = np.concatenate(
+            [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(31).child(j))
+             for j, (a, b) in enumerate(part.blocks, start=1)],
+            axis=1,
+        )
+        assert np.array_equal(released, expected)
 
 
 class TestInnerProductPreservation:

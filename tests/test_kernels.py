@@ -183,6 +183,27 @@ class TestBlasThreads:
         assert runs[0] == runs[1]
 
 
+class TestReleasesTheGil:
+    def test_every_matvec_is_an_np_dot_call(self, monkeypatch):
+        # np.dot releases the GIL inside gemv and matmul (@) does not: with
+        # @ two --workers threads sketched one at a time.  n = 70 000 is
+        # two column chunks and k = 20 three row tiles (8, 8, 4), so 3
+        # columns take 2 * 3 * 3 matvecs.
+        data = np.random.default_rng(5).uniform(-1, 1, size=(70_000, 3))
+        expected = kernels.sketch_product(9, data, 20)
+        calls = 0
+        dot = np.dot
+
+        def counting_dot(*args):
+            nonlocal calls
+            calls += 1
+            return dot(*args)
+
+        monkeypatch.setattr(np, "dot", counting_dot)
+        assert np.array_equal(kernels.sketch_product(9, data, 20), expected)
+        assert calls == 2 * 3 * 3
+
+
 class TestWorkingMemory:
     @pytest.mark.parametrize("n, c, k", [(16_000, 13, 3000), (300_000, 11, 113)])
     def test_peak_under_32_mib(self, n, c, k):

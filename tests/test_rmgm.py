@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from mpdp.data_model import DataMatrix, partition_evenly
-from mpdp.dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
+from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError
 from mpdp.rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
-from _oracles import rmgm_oracle
+from _oracles import noise_one_shot, rmgm_oracle
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -102,7 +102,7 @@ class TestRelease:
         for j, (a, b) in enumerate(part.blocks, start=1):
             block = np.ascontiguousarray(data.values[:, a:b])
             mixed = sketch_product(mixing_seed, block, k) / math.sqrt(k)
-            mixed += gaussian_noise(k, b - a, std, root.child(j))
+            mixed += noise_one_shot(k, b - a, std, root.child(j))
             np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_rejects_out_of_bounds_data(self):
@@ -160,7 +160,7 @@ class TestSharedSketch:
             for j, (a, b) in enumerate(part.blocks, start=1):
                 block = np.ascontiguousarray(data.values[:, a:b])
                 mixed = sketch_product(sketch.mixing_seed, block, k) / math.sqrt(k)
-                mixed += gaussian_noise(k, b - a, std, root.child("r", k, j))
+                mixed += noise_one_shot(k, b - a, std, root.child("r", k, j))
                 np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_k_beyond_sketch_rejected(self):

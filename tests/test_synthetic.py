@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mpdp.baselines import ols_train
-from mpdp.data_model import partition_evenly, validate_bounds
+from mpdp.data_model import _row_chunks, partition_evenly, validate_bounds
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
+
+from _oracles import dataset_one_shot
 
 
 class TestGeneratingWeights:
@@ -44,6 +46,16 @@ class TestDataset:
         w_star = gen_ground_truth(6, RandomStream(7))
         data = gen_dataset(50, w_star, RandomStream(8))
         np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
+
+    def test_row_chunks_match_one_draw_and_one_product(self):
+        # two whole row chunks and a 3-row remainder: the chunked features
+        # and the labels are bit for bit a single draw and a single product
+        w_star = gen_ground_truth(10, RandomStream(11))
+        rows = _row_chunks(10**6, 11)[0][1]  # rows per chunk at 11 columns
+        n = 2 * rows + 3
+        assert len(_row_chunks(n, 11)) == 3
+        data = gen_dataset(n, w_star, RandomStream(12))
+        assert np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(12)))
 
     def test_feature_second_moment(self):
         # E[x^2] = 1/3 for U(-1, 1); at 1e6 rows x 10 columns the sample

@@ -31,7 +31,7 @@ from .evaluation import (
     test_mse,
     weight_distance,
 )
-from .linalg import SingularSystemError
+from .linalg import NormalEquations, SingularSystemError, normal_equations
 from .rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
@@ -42,6 +42,7 @@ __all__ = [
     "DataFormatError",
     "DataMatrix",
     "K_GRID",
+    "NormalEquations",
     "PartyPartition",
     "PrivacyParams",
     "RandomStream",
@@ -58,6 +59,7 @@ __all__ = [
     "gen_dataset",
     "gen_ground_truth",
     "load_csv",
+    "normal_equations",
     "normalize_minmax",
     "ols_train",
     "partition_evenly",

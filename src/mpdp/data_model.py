@@ -9,6 +9,7 @@ ranges; block j of a partition is owned by party j (1-based).
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +30,34 @@ __all__ = [
 
 
 # Passes over a whole n-row matrix (generation, the finiteness and bounds
-# checks, party noise) walk it in row chunks of about this many bytes, so
-# their temporaries stay cache-sized instead of matrix-sized.
+# checks, party noise and the normal equations) walk it in row chunks of
+# at most _CHUNK_ROWS rows and about _CHUNK_BYTES, so their temporaries
+# stay cache-sized instead of matrix-sized.
 _CHUNK_BYTES = 1 << 20
+_CHUNK_ROWS = 8192
 
 
 def _row_chunks(n: int, cols: int) -> list[tuple[int, int]]:
     """The (start, stop) row ranges, in order, that cover n rows of a
-    float64 matrix ``cols`` wide in chunks of about _CHUNK_BYTES."""
-    rows = max(1, _CHUNK_BYTES // (8 * cols))
+    float64 matrix ``cols`` wide in chunks of about _CHUNK_BYTES and at
+    most _CHUNK_ROWS rows.
+
+    The row cap is for the normal equations, which sum one product per
+    chunk: OpenBLAS splits a long enough product across its threads and
+    then rounds it differently.  Under one and two OpenBLAS threads, a
+    2-column product (d = 1) changed bits at 16 384 rows and 11- and
+    14-column ones at 65 536, while products over these chunks kept
+    their bits at every width tried (2 to 82 columns).  Without the cap
+    a 2-column chunk would be 65 536 rows.
+    """
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (8 * cols)))
     return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
+def _row_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of the row chunks of a 2-D ``matrix``, in order."""
+    for r0, r1 in _row_chunks(*matrix.shape):
+        yield matrix[r0:r1]
 
 
 class DataFormatError(ValueError):
@@ -69,7 +88,7 @@ class DataMatrix:
             )
         if values.shape[1] < 1 or values.shape[0] < 1:
             raise ValueError("matrix must have at least one row and one column")
-        if not all(np.isfinite(values[r0:r1]).all() for r0, r1 in _row_chunks(*values.shape)):
+        if not all(np.isfinite(block).all() for block in _row_blocks(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "values", values)
@@ -159,7 +178,7 @@ def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
     values = data.values
     if partition.total_columns != values.shape[1]:
         raise ValueError("partition does not cover this matrix")
-    if any((np.abs(values[r0:r1]) > 1.0).any() for r0, r1 in _row_chunks(*values.shape)):
+    if any((np.abs(block) > 1.0).any() for block in _row_blocks(values)):
         # only a failing check pays for a full-size mask
         mask = np.abs(values) > 1.0
         row, col = np.unravel_index(int(mask.argmax()), mask.shape)

@@ -1,7 +1,9 @@
 """Additive-noise release with de-biased training (DGM-OLS).
 
 Release: each party adds i.i.d. N(0, 4*d_max*sigma^2) noise to its own
-block, labels included, and the published matrix is the release.
+block, labels included, and the published matrix is the release.  The
+trainers need only its X'X and X'y, so the release is streamed into
+them one row block at a time and the n-row public matrix is never held.
 Training: the known noise variance is subtracted from the Gram matrix
 before solving, which restores consistency but can leave the de-biased
 matrix with eigenvalues near zero; the solver surfaces that failure mode
@@ -13,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import DataMatrix, PartyPartition, validate_bounds
-from .dp_core import PrivacyParams, add_party_noise
-from .linalg import solve_normal_equations
+from .dp_core import PrivacyParams, release_blocks
+from .linalg import NormalEquations, solve_normal_equations, sum_normal_equations
 from .streams import RandomStream
 
 __all__ = ["dgm_release", "dgm_train"]
@@ -22,24 +24,24 @@ __all__ = ["dgm_release", "dgm_train"]
 
 def dgm_release(
     data: DataMatrix, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
-) -> np.ndarray:
-    """The published matrix D + R: the data plus per-party Gaussian noise.
+) -> NormalEquations:
+    """The normal equations of the published matrix D + R: the data plus
+    per-party Gaussian noise, party j's from the derived stream child(j).
 
-    Party j's noise comes from the derived stream child(j), so releasing
-    block-by-block and releasing the concatenated matrix are the same
-    operation.  Requires the bounds check to pass (the sensitivity bound
-    assumes |entry| <= 1).
+    The published matrix is ``release_blocks(data.values, partition, priv,
+    stream)`` concatenated; its row blocks are summed into X'X and X'y as
+    they are made, so the working memory is one block, not n rows.
+    Requires the bounds check to pass (the sensitivity bound assumes
+    |entry| <= 1).
     """
     validate_bounds(data, partition)
-    public = data.values.copy(order="K")
-    add_party_noise(public, partition, priv, stream)
-    return public
+    return sum_normal_equations(release_blocks(data.values, partition, priv, stream))
 
 
 def dgm_train(
-    public: np.ndarray, d_max: int, priv: PrivacyParams, lam: float
+    release: NormalEquations, d_max: int, priv: PrivacyParams, lam: float
 ) -> tuple[np.ndarray, float]:
-    """Solve the de-biased normal equations on a released matrix.
+    """Solve the de-biased normal equations of a release.
 
     Computes H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features
     X, then solves (H + lam*I) w = (1/n) X'Y and returns (weights, min
@@ -48,6 +50,4 @@ def dgm_train(
     failure mode).
     """
     bias = 4.0 * d_max * priv.sigma**2
-    return solve_normal_equations(
-        public[:, :-1], public[:, -1], lam, scale=public.shape[0], shift=bias
-    )
+    return solve_normal_equations(release, lam, scale=release.n, shift=bias)

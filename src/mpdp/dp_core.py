@@ -9,14 +9,15 @@ shared Rademacher mixing matrix lives in ``kernels``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import PartyPartition, _row_chunks
+from .data_model import PartyPartition, _row_blocks
 from .streams import RandomStream
 
-__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise", "add_party_noise"]
+__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise", "release_blocks"]
 
 
 @dataclass(frozen=True)
@@ -82,20 +83,23 @@ def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -
     return entries
 
 
-def add_party_noise(
+def release_blocks(
     matrix: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
-) -> None:
-    """The Gaussian mechanism of both releases, applied in place.
+) -> Iterator[np.ndarray]:
+    """The Gaussian mechanism of both releases: the row blocks, in order,
+    of ``matrix`` plus every party's noise.
 
     Party j adds N(0, std^2) noise, std = sensitivity_bound(d_max) * sigma,
-    to its own column block of ``matrix``: the rows of one (n, d_j) draw
-    from ``stream.child(j)``, so whoever holds j's stream can rebuild (and
-    remove) j's noise.  The noise is drawn and added one row chunk at a
-    time, every party's block of a chunk before the next chunk.
+    to its own column block: the rows of one (n, d_j) draw from
+    ``stream.child(j)``, so whoever holds j's stream can rebuild (and
+    remove) j's noise.  Each block is a new array, noised party by party
+    before the next block is drawn; ``matrix`` is left as it is.
+    Concatenated, the blocks are the published matrix.
     """
     std = sensitivity_bound(partition.d_max) * priv.sigma
-    if std > 0.0:
-        gens = [stream.child(j).generator() for j in range(1, partition.m + 1)]
-        for r0, r1 in _row_chunks(*matrix.shape):
-            for gen, (a, b) in zip(gens, partition.blocks):
-                matrix[r0:r1, a:b] += gaussian_noise(r1 - r0, b - a, std, gen)
+    gens = [stream.child(j).generator() for j in range(1, partition.m + 1)] if std > 0.0 else []
+    for block in _row_blocks(matrix):
+        block = block.copy()
+        for gen, (a, b) in zip(gens, partition.blocks):
+            block[:, a:b] += gaussian_noise(block.shape[0], b - a, std, gen)
+        yield block

@@ -30,9 +30,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # does not depend on the call site.  A tile is a power-of-two number of
 # rows between _MIN_ROWS and _MAX_ROWS, the most whose tile fits in
 # _TILE_BYTES, by at most _COL_CHUNK columns, and every column of D takes
-# one matvec with it.  Past n = 16 384 the tile is 8 rows by up to 65 536
-# columns, 1 to 4 MiB: once it outgrows a 2 MiB per-core L2 each matvec
-# streams it from the shared L3 or memory, not from L2.
+# one matvec with it.  _COL_CHUNK is the widest a _MIN_ROWS tile can be
+# within _TILE_BYTES, so every tile is at most 1 MiB and stays in a 2 MiB
+# per-core L2 across the matvecs of all of D's columns; past n = 16 384
+# the tile is 8 rows by 16 384 columns.  Each column chunk adds its
+# matvec into the result, in chunk order.
 #
 # OpenBLAS's gemv reduces rows in groups of _ROW_GROUP, and rounds a
 # trailing group of 2 or 3 rows differently; numpy hands a 1-row product
@@ -45,7 +47,7 @@ _ROW_GROUP = 4
 _MIN_ROWS = 8
 _MAX_ROWS = 512
 _TILE_BYTES = 1 << 20
-_COL_CHUNK = 1 << 16
+_COL_CHUNK = _TILE_BYTES // (8 * _MIN_ROWS)
 
 
 def backend_name() -> str:
@@ -103,8 +105,8 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
     ``data`` must be a C-contiguous float64 array of shape (n, c); the
     result has shape (k, c) and is bit for bit the first k rows of the
     result for any larger k.  B is never materialised: the working memory
-    beyond ``data`` and the result is one tile (at most 4 MiB) plus one
-    transposed column chunk of ``data`` (at most c x 65536 float64).
+    beyond ``data`` and the result is one tile (at most 1 MiB) plus one
+    transposed column chunk of ``data`` (at most c x 16384 float64).
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2:

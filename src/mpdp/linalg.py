@@ -1,17 +1,31 @@
-"""Shared symmetric linear solve with eigenvalue diagnostics.
+"""Normal equations and the shared symmetric solve with eigenvalue diagnostics.
 
-All trainers reduce to solving H w = b for a small symmetric H.  H may
-be indefinite after de-biasing, so the solve uses a symmetric
-factorization (not Cholesky) and refuses numerically singular systems
-instead of silently returning garbage.
+Every trainer needs only X'X and X'y of the matrix [X | y] it trains on
+(``NormalEquations``), summed over fixed row blocks in order
+(``sum_normal_equations``), and reduces to solving H w = b for a small
+symmetric H.  H may be indefinite after de-biasing, so the solve uses a
+symmetric factorization (not Cholesky) and refuses numerically singular
+systems instead of silently returning garbage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SingularSystemError", "solve_symmetric", "solve_normal_equations"]
+from .data_model import _row_blocks
+
+__all__ = [
+    "NormalEquations",
+    "SingularSystemError",
+    "normal_equations",
+    "solve_normal_equations",
+    "solve_symmetric",
+    "sum_normal_equations",
+]
 
 COND_LIMIT = 1e14
 
@@ -44,8 +58,60 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     return x, lo
 
 
+@dataclass(frozen=True)
+class NormalEquations:
+    """X'X (``gram``) and X'y (``xty``) of an n-row matrix [X | y] with
+    its label last: everything a trainer needs of what it trains on."""
+
+    gram: np.ndarray
+    xty: np.ndarray
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.xty.ndim != 1 or self.gram.shape != self.xty.shape * 2 or self.n < 1:
+            raise ValueError(
+                f"need a d-by-d gram, a length-d xty and n >= 1, got shapes "
+                f"{self.gram.shape} and {self.xty.shape}, n = {self.n}"
+            )
+
+
+def sum_normal_equations(blocks: Iterable[np.ndarray]) -> NormalEquations:
+    """The normal equations of the matrix whose row blocks, in order, are
+    ``blocks`` (each 2-D, label last).
+
+    Each block's X'X and X'y are one product each, summed in block order,
+    so the bits depend on the block boundaries and on nothing else: the
+    blocks of ``_row_chunks`` are short enough that OpenBLAS does not
+    split a product across its threads.  The blocks may be produced on
+    the fly; none is kept.
+    """
+    gram = xty = None
+    n = 0
+    for block in blocks:
+        x, y = block[:, :-1], block[:, -1]
+        if gram is None:
+            gram, xty = x.T @ x, x.T @ y
+        else:
+            gram += x.T @ x
+            xty += x.T @ y
+        n += block.shape[0]
+    if gram is None:
+        raise ValueError("no rows to sum")
+    return NormalEquations(gram=gram, xty=xty, n=n)
+
+
+def normal_equations(matrix: np.ndarray) -> NormalEquations:
+    """The normal equations of a held n-by-(d+1) matrix, label last,
+    summed over its row chunks (one chunk: exactly ``x.T @ x`` and
+    ``x.T @ y``)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] < 2:
+        raise ValueError("need an n-by-(d+1) matrix with the label last")
+    return sum_normal_equations(_row_blocks(matrix))
+
+
 def solve_normal_equations(
-    x: np.ndarray, y: np.ndarray, lam: float, scale: float = 1.0, shift: float = 0.0
+    eqs: NormalEquations, lam: float, scale: float = 1.0, shift: float = 0.0
 ) -> tuple[np.ndarray, float]:
     """Solve (H + lam*I) w = X'y / scale with H = X'X / scale - shift*I.
 
@@ -56,10 +122,6 @@ def solve_normal_equations(
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("x must be n-by-d with y of length n")
-    eye = np.eye(x.shape[1])
-    hessian = (x.T @ x) / scale - shift * eye
-    return solve_symmetric(hessian + lam * eye, (x.T @ y) / scale)
+    eye = np.eye(eqs.gram.shape[0])
+    hessian = eqs.gram / scale - shift * eye
+    return solve_symmetric(hessian + lam * eye, eqs.xty / scale)

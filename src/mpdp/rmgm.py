@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DataMatrix, PartyPartition, validate_bounds
-from .dp_core import PrivacyParams, add_party_noise
+from .dp_core import PrivacyParams, release_blocks
 from .kernels import sketch_product
-from .linalg import solve_normal_equations
+from .linalg import NormalEquations, solve_normal_equations
 from .streams import RandomStream
 
 __all__ = [
@@ -127,17 +127,16 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    public = sketch.product[:k] / math.sqrt(k)
-    add_party_noise(public, sketch.partition, priv, stream)
-    return public
+    scaled = sketch.product[:k] / math.sqrt(k)
+    return np.concatenate(list(release_blocks(scaled, sketch.partition, priv, stream)))
 
 
-def rmgm_train(public: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
     """Plain least squares on the compressed release.
 
-    Solves (X'X + lam*I) w = X'Y on the public k-by-d feature block and
-    returns (weights, min |eigenvalue| of the regularized Gram matrix).
+    Solves (X'X + lam*I) w = X'Y on the normal equations of the public
+    k-row matrix and returns (weights, min |eigenvalue| of the regularized Gram matrix).
     The unregularized Gram matrix is PSD by construction; a singular
     system can only arise from rank deficiency (k < d with lam = 0).
     """
-    return solve_normal_equations(public[:, :-1], public[:, -1], lam)
+    return solve_normal_equations(release, lam)

@@ -47,7 +47,7 @@ from .evaluation import (
     weight_distance,
 )
 from .kernels import backend_name
-from .linalg import SingularSystemError
+from .linalg import SingularSystemError, normal_equations
 from .rmgm import choose_k, rmgm_mix, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import gen_dataset, gen_ground_truth
@@ -58,11 +58,11 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
-# setup; tests/test_kernels.py checks that trials.csv is the same under
-# one and two OpenBLAS threads.
+# setup.  trials.csv does not depend on them: tests/test_cli.py and
+# tests/test_kernels.py check it under one and two OpenBLAS threads.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The files each command writes under its output directory, in writing order.
@@ -102,8 +102,9 @@ def _trial_methods(
 
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
-    the same data; dgm and bgm share one release per epsilon, and every
-    rmgm release mixes with the same B, so their comparisons are paired.
+    the same data; dgm and bgm share one release per epsilon (streamed
+    into one set of normal equations), and every rmgm release mixes with
+    the same B, so their comparisons are paired.
     """
     reports: list[TrialReport] = []
 
@@ -133,7 +134,7 @@ def _trial_methods(
         )
 
     if "ols" in cfg.methods:
-        fit("ols", None, None, ols_train, data.features(), data.labels())
+        fit("ols", None, None, ols_train, normal_equations(data.values))
     privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     if "rmgm" in cfg.methods:
         # one shared B per trial: every (eps, k) release is a prefix of
@@ -153,7 +154,7 @@ def _trial_methods(
         if "rmgm" in cfg.methods:
             for k in ks[eps_index]:
                 release = rmgm_release(sketch, priv, k, base.child("rmgm", eps_index, k))
-                fit("rmgm", eps, k, rmgm_train, release)
+                fit("rmgm", eps, k, rmgm_train, normal_equations(release))
     return reports
 
 

@@ -7,15 +7,21 @@ with an explicit matrix inverse.  None of the production solve path
 
 ``dataset_one_shot`` and ``noise_one_shot`` make a synthetic dataset and
 a party's noise in single whole-matrix draws, as the row-chunked
-``gen_dataset`` and ``add_party_noise`` must reproduce bit for bit.
+``gen_dataset`` and ``dp_core.release_blocks`` must reproduce bit for bit.
+
+``dgm_published`` assembles the DGM release's published matrix from the
+very row blocks ``dgm_release`` streams into its normal equations.
 
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
-numerics_version 1; the current kernel must match it bit for bit for
-every k whose rows numerics_version 2 kept (k % 4 in {0, 1}, k % 512 != 1).
+numerics_version 1; the current kernel must match it bit for bit, within
+one 16 384-column chunk, for every k whose rows numerics_version 2 kept
+(k % 4 in {0, 1}, k % 512 != 1).  ``sketch_product_v3`` is the frozen
+reference of numerics_version 3's column chunks, for those k at any n.
 """
 
 import numpy as np
 
+from mpdp.dp_core import release_blocks
 from mpdp.kernels import rademacher_tile
 
 
@@ -85,6 +91,24 @@ def sketch_product_v1(seed, data, k):
             for j in range(cols):
                 out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
     return out
+
+
+def sketch_product_v3(seed, data, k):
+    """B @ data with B materialised per 16 384-column chunk, one np.dot
+    per column of ``data``, the chunks' products summed in chunk order."""
+    n, cols = data.shape
+    out = np.zeros((k, cols))
+    for i0 in range(0, n, 1 << 14):
+        i1 = min(i0 + (1 << 14), n)
+        b = rademacher_tile(seed, n, 0, k, i0, i1 - i0)
+        for j in range(cols):
+            out[:, j] += np.dot(b, np.ascontiguousarray(data[i0:i1, j]))
+    return out
+
+
+def dgm_published(data, partition, priv, stream):
+    """The n-row matrix D + R whose normal equations ``dgm_release`` returns."""
+    return np.concatenate(list(release_blocks(data.values, partition, priv, stream)))
 
 
 def dataset_one_shot(n, w_star, stream):

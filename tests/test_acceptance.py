@@ -24,12 +24,13 @@ from mpdp.dgm import dgm_release, dgm_train
 from mpdp.dp_core import calibrate, sensitivity_bound
 from mpdp.evaluation import aggregate, tail_probability, weight_distance
 from mpdp.kernels import sketch_product
+from mpdp.linalg import normal_equations
 from mpdp.rmgm import rmgm_mix, rmgm_release, rmgm_train
 from mpdp.runner import best_k_rows, run_real
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
-from _oracles import dgm_oracle, ols_oracle, rmgm_oracle
+from _oracles import dgm_oracle, dgm_published, ols_oracle, rmgm_oracle
 from conftest import SWEEP_N_GRID
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
@@ -65,9 +66,9 @@ def test_criterion_1_exact_formula_suite():
     data = gen_dataset(300, w_star, base.child("d"))
     part = partition_evenly(5, 2)
     priv = calibrate(1.0, 0.5)
-    release = dgm_release(data, part, priv, base.child("r"))
-    got, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
-    x, y = release[:, :-1], release[:, -1]
+    got, _ = dgm_train(dgm_release(data, part, priv, base.child("r")), part.d_max, priv, lam=1e-5)
+    public = dgm_published(data, part, priv, base.child("r"))
+    x, y = public[:, :-1], public[:, -1]
     debiased = x.T @ x / 300 - 4 * part.d_max * priv.sigma**2 * np.eye(4)
     want = np.linalg.solve(debiased + 1e-5 * np.eye(4), x.T @ y / 300)
     assert np.abs(got - want).max() < 1e-10
@@ -109,22 +110,23 @@ def test_criterion_2_oracle_equivalence():
         priv = calibrate(eps, delta)
 
         release = dgm_release(data, part, priv, base.child("dgm"))
+        public = dgm_published(data, part, priv, base.child("dgm"))
         got, _ = dgm_train(release, part.d_max, priv, lam=lam)
-        want = dgm_oracle(release, part.d_max, priv.sigma, lam)
+        want = dgm_oracle(public, part.d_max, priv.sigma, lam)
         worst = max(worst, np.abs(got - want).max())
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sketch = rmgm_mix(data, part, k, base.child("rmgm"))
             comp = rmgm_release(sketch, priv, k, base.child("rmgm"))
-        got, _ = rmgm_train(comp, lam=lam)
+        got, _ = rmgm_train(normal_equations(comp), lam=lam)
         worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 
-        got, _ = ols_train(data.features(), data.labels(), lam=lam)
+        got, _ = ols_train(normal_equations(data.values), lam=lam)
         worst = max(worst, np.abs(got - ols_oracle(data.features(), data.labels(), lam)).max())
 
         got, _ = bgm_train(release, lam=lam)
-        want = ols_oracle(release[:, :-1], release[:, -1], lam)
+        want = ols_oracle(public[:, :-1], public[:, -1], lam)
         worst = max(worst, np.abs(got - want).max())
     report(2, worst < 1e-10, f"20 instances, worst trainer-vs-oracle gap {worst:.2e}")
 

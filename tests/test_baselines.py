@@ -5,13 +5,17 @@ from mpdp.baselines import bgm_train, ols_train
 from mpdp.data_model import partition_evenly
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import PrivacyParams, calibrate
-from mpdp.linalg import SingularSystemError
+from mpdp.linalg import SingularSystemError, normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
-from _oracles import ols_oracle
+from _oracles import dgm_published, ols_oracle
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
+
+
+def ols_fit(x, y, lam):
+    return ols_train(normal_equations(np.column_stack([x, y])), lam)
 
 
 class TestOls:
@@ -19,7 +23,7 @@ class TestOls:
         rng = np.random.default_rng(0)
         x = np.eye(4) + 0.01 * rng.standard_normal((4, 4))
         w_star = rng.uniform(-1, 1, 4)
-        weights, _ = ols_train(x, x @ w_star, lam=0.0)
+        weights, _ = ols_fit(x, x @ w_star, lam=0.0)
         assert np.linalg.norm(weights - w_star) < 1e-10
 
     def test_matches_brute_force_oracle(self):
@@ -28,14 +32,14 @@ class TestOls:
         y = rng.uniform(-1, 1, size=200)
         for lam in (0.0, 1e-5, 0.1):
             expected = ols_oracle(x, y, lam)
-            weights, _ = ols_train(x, y, lam)
+            weights, _ = ols_fit(x, y, lam)
             assert np.abs(weights - expected).max() < 1e-10
 
     def test_rank_deficient_without_ridge(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, size=(3, 5))
         with pytest.raises(SingularSystemError):
-            ols_train(x, np.ones(3), lam=0.0)
+            ols_fit(x, np.ones(3), lam=0.0)
 
 
 class TestBgm:
@@ -43,20 +47,19 @@ class TestBgm:
         w_star = gen_ground_truth(4, RandomStream(seed).child("t"))
         data = gen_dataset(n, w_star, RandomStream(seed).child("d"))
         priv = ZERO_NOISE if sigma_zero else calibrate(1.0, 0.5)
-        release = dgm_release(
-            data, partition_evenly(5, 2), priv, RandomStream(seed).child("r")
-        )
-        return data, release
+        part = partition_evenly(5, 2)
+        release = dgm_release(data, part, priv, RandomStream(seed).child("r"))
+        return data, release, dgm_published(data, part, priv, RandomStream(seed).child("r"))
 
     def test_zero_noise_release_equals_plain_least_squares(self):
-        data, release = self._release(sigma_zero=True)
+        data, release, _ = self._release(sigma_zero=True)
         noisy, _ = bgm_train(release, lam=1e-5)
-        clean, _ = ols_train(data.features(), data.labels(), lam=1e-5)
+        clean, _ = ols_train(normal_equations(data.values), lam=1e-5)
         assert np.abs(noisy - clean).max() < 1e-12
 
     def test_matches_brute_force_oracle(self):
-        _, release = self._release(sigma_zero=False)
-        expected = ols_oracle(release[:, :-1], release[:, -1], 1e-5)
+        _, release, public = self._release(sigma_zero=False)
+        expected = ols_oracle(public[:, :-1], public[:, -1], 1e-5)
         weights, _ = bgm_train(release, lam=1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
@@ -103,5 +106,5 @@ class TestOlsConvergence:
             base = RandomStream(41).child(seed)
             w_star = gen_ground_truth(10, base.child("t"))
             data = gen_dataset(10**4, w_star, base.child("d"))
-            weights, _ = ols_train(data.features(), data.labels(), lam=1e-5)
+            weights, _ = ols_train(normal_equations(data.values), lam=1e-5)
             assert np.linalg.norm(weights - w_star) <= 1e-3

@@ -233,23 +233,31 @@ class TestSyntheticCommand:
 @pytest.fixture(scope="module")
 def chunk_crossing_runs(tmp_path_factory):
     """trials.csv bytes of one n = 70 001 synthetic run per (workers, BLAS
-    threads).  That n crosses the sketch's 65 536-column chunk and the row
-    chunks of generation, bounds check and noise; two workers overlap
-    inside BLAS, and two OpenBLAS threads may split its calls."""
-    args = ["synthetic", "--n-grid", "70001", "--eps-grid", "1.0", "--seeds", "2",
-            "--root-seed", "8"]
+    threads).  That n crosses the sketch's 16 384-column chunks and the row
+    chunks of generation, bounds check, noise and the normal equations;
+    two workers overlap inside BLAS, and two OpenBLAS threads may split
+    its calls."""
+    args = ["--n-grid", "70001", "--eps-grid", "1.0", "--seeds", "2", "--root-seed", "8"]
     runs = {}
     for workers, threads in ((1, 1), (2, 1), (1, 2)):
-        env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=str(threads),
-                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
         out = tmp_path_factory.mktemp(f"w{workers}t{threads}")
-        subprocess.run(
-            [sys.executable, "-m", "mpdp", *args, "--workers", str(workers), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600, check=True,
+        runs[workers, threads] = run_in_child(
+            [*args, "--workers", str(workers)], threads, out
         )
-        runs[workers, threads] = read(out / "trials.csv")
     assert runs[1, 1].count(b"\n") == 1 + 2 * 4  # header, 2 seeds x 4 methods
     return runs
+
+
+def run_in_child(args, threads, out):
+    """trials.csv bytes of one ``mpdp synthetic`` run under ``threads``
+    BLAS threads."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+    subprocess.run(
+        [sys.executable, "-m", "mpdp", "synthetic", *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return read(out / "trials.csv")
 
 
 class TestChunkCrossingInvariance:
@@ -264,12 +272,20 @@ class TestChunkCrossingInvariance:
         assert len(rows) == 2
         assert rmgm_rows(chunk_crossing_runs[1, 2]) == rows
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the trainers' n-row Gram products are split across OpenBLAS threads "
-        "from about n = 50 000, so ols, dgm and bgm rows differ in the last digits; "
-        "a thread-independent Gram needs a numerics_version bump"))
     def test_blas_threads_do_not_change_output(self, chunk_crossing_runs):
         assert chunk_crossing_runs[1, 2] == chunk_crossing_runs[1, 1]
+
+    def test_blas_threads_do_not_change_two_column_trainers(self, tmp_path):
+        # d = 1 trains on 2-column matrices, whose per-block products
+        # OpenBLAS splits across two threads at 16 384 rows (and at the
+        # 65 536 rows of a 1 MiB block) but not at 8192
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 1\nm = 2\n")
+        args = ["--config", str(cfg), "--n-grid", "200000", "--seeds", "3",
+                "--methods", "ols,dgm,bgm"]
+        one, two = (run_in_child(args, threads, tmp_path / f"t{threads}") for threads in (1, 2))
+        assert one.count(b"\n") == 1 + 3 * (1 + 2 * 3)  # 3 seeds x (ols + 3 eps x 2)
+        assert two == one
 
 
 class TestRealCommand:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mpdp.data_model import DataMatrix, partition_evenly
+from mpdp.data_model import DataMatrix, _row_chunks, partition_evenly
 from mpdp.dgm import dgm_release, dgm_train
 from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
-from mpdp.linalg import SingularSystemError
+from mpdp.linalg import SingularSystemError, normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
-from _oracles import dgm_oracle, noise_one_shot
+from _oracles import dgm_oracle, dgm_published, noise_one_shot
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -23,16 +23,50 @@ def small_instance(seed, n=60, d=3):
 class TestRelease:
     def test_zero_sigma_release_is_bitwise_identity(self):
         _, data, part = small_instance(1)
+        public = dgm_published(data, part, ZERO_NOISE, RandomStream(2))
+        np.testing.assert_array_equal(public, data.values)
+        assert not np.shares_memory(public, data.values)
         release = dgm_release(data, part, ZERO_NOISE, RandomStream(2))
-        np.testing.assert_array_equal(release, data.values)
-        assert not np.shares_memory(release, data.values)
+        clean = normal_equations(data.values)
+        assert np.array_equal(release.gram, clean.gram)
+        assert np.array_equal(release.xty, clean.xty)
 
     def test_shape_and_metadata(self):
         _, data, part = small_instance(3, n=40, d=5)
         priv = calibrate(0.5, 1e-5)
         release = dgm_release(data, part, priv, RandomStream(4))
-        assert release.shape == (40, 6)
-        assert release.dtype == np.float64
+        assert release.gram.shape == (5, 5) and release.xty.shape == (5,)
+        assert release.n == 40
+        public = dgm_published(data, part, priv, RandomStream(4))
+        assert public.shape == (40, 6)
+        assert public.dtype == np.float64
+
+    def test_streamed_normal_equations_equal_the_published_matrix(self):
+        # two whole row blocks and a 3-row remainder, uneven party blocks
+        # (2, 2, 2, 2, 2, 1): the normal equations streamed block by block
+        # are bit for bit those of the assembled published matrix, and
+        # that matrix is the data plus one whole-matrix draw per party
+        rows = _row_chunks(10**6, 11)[0][1]
+        n = 2 * rows + 3
+        assert len(_row_chunks(n, 11)) == 3
+        w_star = gen_ground_truth(10, RandomStream(16).child("t"))
+        data = gen_dataset(n, w_star, RandomStream(16).child("d"))
+        part = partition_evenly(11, 6)
+        priv = calibrate(1.0, 1e-5)
+        root = RandomStream(17)
+        release = dgm_release(data, part, priv, root)
+        public = dgm_published(data, part, priv, root)
+        held = normal_equations(public)
+        assert np.array_equal(release.gram, held.gram)
+        assert np.array_equal(release.xty, held.xty)
+        assert release.n == n
+        std = sensitivity_bound(part.d_max) * priv.sigma
+        expected = np.concatenate(
+            [data.values[:, a:b] + noise_one_shot(n, b - a, std, root.child(j))
+             for j, (a, b) in enumerate(part.blocks, start=1)],
+            axis=1,
+        )
+        assert np.array_equal(public, expected)
 
     def test_blockwise_equals_concatenated(self):
         # releasing each party block against its derived stream, with std
@@ -41,7 +75,7 @@ class TestRelease:
         _, data, part = small_instance(7, n=30, d=6)  # blocks (4, 3): d_max is not every d_j
         priv = calibrate(1.0, 1e-4)
         root = RandomStream(8)
-        release = dgm_release(data, part, priv, root)
+        release = dgm_published(data, part, priv, root)
         std = sensitivity_bound(part.d_max) * priv.sigma
         blocks = []
         for j, (a, b) in enumerate(part.blocks, start=1):
@@ -62,8 +96,8 @@ class TestRelease:
         data = gen_dataset(10**5, w_star, RandomStream(9).child("d"))
         priv = calibrate(1.0, 1e-5)
         part = partition_evenly(11, 6)
-        release = dgm_release(data, part, priv, RandomStream(9).child("r"))
-        noise = release - data.values
+        public = dgm_published(data, part, priv, RandomStream(9).child("r"))
+        noise = public - data.values
         target = 4 * part.d_max * priv.sigma**2
         assert abs(noise.var() - target) / target < 0.03
 
@@ -80,7 +114,8 @@ class TestTrain:
         priv = calibrate(1.0, 0.9)
         release = dgm_release(data, part, priv, RandomStream(13))
         weights, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
-        expected = dgm_oracle(release, part.d_max, priv.sigma, 1e-5)
+        public = dgm_published(data, part, priv, RandomStream(13))
+        expected = dgm_oracle(public, part.d_max, priv.sigma, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
     def test_singular_system_raises(self):
@@ -94,7 +129,7 @@ class TestTrain:
             dgm_train(release, 2, ZERO_NOISE, lam=0.0)
 
     def test_hessian_estimate_is_unbiased(self):
-        # mean of the de-biased Gram matrix (the raw Gram of the release
+        # mean of the de-biased Gram matrix (the release's raw Gram
         # minus the bias dgm_train removes) over repeated releases of one
         # fixed dataset stays within 3 standard errors of the raw Gram
         w_star = gen_ground_truth(5, RandomStream(14).child("t"))
@@ -107,8 +142,7 @@ class TestTrain:
         samples = []
         for seed in range(200):
             release = dgm_release(data, part, priv, RandomStream(15).child(seed))
-            noisy = release[:, :-1]
-            samples.append(noisy.T @ noisy / data.n - bias)
+            samples.append(release.gram / data.n - bias)
         samples = np.asarray(samples)
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))

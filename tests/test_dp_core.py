@@ -6,9 +6,9 @@ import pytest
 from mpdp.data_model import PartyPartition, _row_chunks
 from mpdp.dp_core import (
     PrivacyParams,
-    add_party_noise,
     calibrate,
     gaussian_noise,
+    release_blocks,
     sensitivity_bound,
 )
 from mpdp.kernels import sketch_product
@@ -131,8 +131,9 @@ class TestAddPartyNoise:
         values = RandomStream(30).generator().uniform(-1, 1, size=(n, 6))
         priv = calibrate(0.5, 1e-5)
         std = sensitivity_bound(part.d_max) * priv.sigma
-        released = values.copy()
-        add_party_noise(released, part, priv, RandomStream(31))
+        original = values.copy()
+        released = np.concatenate(list(release_blocks(values, part, priv, RandomStream(31))))
+        assert np.array_equal(values, original)  # the input is not noised in place
         expected = np.concatenate(
             [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(31).child(j))
              for j, (a, b) in enumerate(part.blocks, start=1)],

@@ -18,27 +18,41 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 # for gemv or dot to be split across threads (e.g. k = 10, n = 70 000).
 # numerics_version 2 kept the rows of every k with k % 4 in {0, 1} and
 # k % 512 != 1; the others now end in a whole gemv group of 4 rows.
+# numerics_version 3 kept them only within one 16 384-column chunk; past
+# it, the chunks' products are summed in order (the v3 reference).
 _FROZEN_CHECK = """
 import json
+import sys
 import numpy as np
-from _oracles import sketch_product_v1
+import _oracles
 from mpdp.kernels import sketch_product
 
+reference = getattr(_oracles, sys.argv[1])
 rng = np.random.default_rng(11)
 cases = 0
 bad = []
-for n in (50, 700, 2000, 70_000):  # tiles of 512, 128, 64 and 8 rows
+for n in json.loads(sys.argv[2]):
     data = rng.uniform(-1, 1, size=(n, 7))
-    for k in (4, 5, 8, 9, 12, 13, 16, 17, 65, 113, 129, 257, 512, 1024):
-        if k * n > 8e7:
-            continue
+    for k in json.loads(sys.argv[3]):
         for c in (1, 3, 7):
             block = np.ascontiguousarray(data[:, 7 - c:])
             cases += 1
-            if not np.array_equal(sketch_product(3, block, k), sketch_product_v1(3, block, k)):
+            if not np.array_equal(sketch_product(3, block, k), reference(3, block, k)):
                 bad.append([n, k, c])
 print(json.dumps({"cases": cases, "mismatched": bad}))
 """
+
+_KEPT_KS = [4, 5, 8, 9, 12, 13, 16, 17, 65, 113, 129, 257, 512, 1024]
+
+
+def frozen_check(reference, ns, ks):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROZEN_CHECK, reference, json.dumps(ns), json.dumps(ks)],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 class TestRademacherMatrix:
@@ -114,14 +128,16 @@ class TestSketchProduct:
 
 class TestMatchesFrozenKernel:
     def test_bit_identical_to_numerics_v1_kernel(self):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]))
-        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", _FROZEN_CHECK],
-            env=env, capture_output=True, text=True, timeout=600, check=True,
-        )
-        result = json.loads(proc.stdout)
+        # tiles of 512, 128, 64 and 8 rows, all within one column chunk
+        result = frozen_check("sketch_product_v1", [50, 700, 2000, 16_000], _KEPT_KS)
         assert result["cases"] == 4 * 14 * 3  # n x k x c
+        assert result["mismatched"] == []
+
+    def test_bit_identical_to_numerics_v3_reference(self):
+        # five column chunks (four whole, one of 4464 columns) of 8-row
+        # tiles; the reference holds a k x 16 384 B, so k stops at 129
+        result = frozen_check("sketch_product_v3", [70_000], _KEPT_KS[:11])
+        assert result["cases"] == 11 * 3  # k x c
         assert result["mismatched"] == []
 
     def test_row_tiles(self):
@@ -187,8 +203,8 @@ class TestReleasesTheGil:
     def test_every_matvec_is_an_np_dot_call(self, monkeypatch):
         # np.dot releases the GIL inside gemv and matmul (@) does not: with
         # @ two --workers threads sketched one at a time.  n = 70 000 is
-        # two column chunks and k = 20 three row tiles (8, 8, 4), so 3
-        # columns take 2 * 3 * 3 matvecs.
+        # five column chunks and k = 20 three row tiles (8, 8, 4), so 3
+        # columns take 5 * 3 * 3 matvecs.
         data = np.random.default_rng(5).uniform(-1, 1, size=(70_000, 3))
         expected = kernels.sketch_product(9, data, 20)
         calls = 0
@@ -201,12 +217,14 @@ class TestReleasesTheGil:
 
         monkeypatch.setattr(np, "dot", counting_dot)
         assert np.array_equal(kernels.sketch_product(9, data, 20), expected)
-        assert calls == 2 * 3 * 3
+        assert calls == 5 * 3 * 3
 
 
 class TestWorkingMemory:
     @pytest.mark.parametrize("n, c, k", [(16_000, 13, 3000), (300_000, 11, 113)])
-    def test_peak_under_32_mib(self, n, c, k):
+    def test_peak_under_6_mib(self, n, c, k):
+        # one tile of at most 1 MiB, one transposed column chunk (at most
+        # 13 x 16 384 float64 here) and the output
         data = np.random.default_rng(4).uniform(-1, 1, size=(n, c))
         tracemalloc.start()
         try:
@@ -214,4 +232,4 @@ class TestWorkingMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 6 * 2**20

@@ -1,7 +1,65 @@
 import numpy as np
 import pytest
 
-from mpdp.linalg import SingularSystemError, solve_normal_equations, solve_symmetric
+from mpdp.data_model import _row_chunks
+from mpdp.linalg import (
+    NormalEquations,
+    SingularSystemError,
+    normal_equations,
+    solve_normal_equations,
+    solve_symmetric,
+    sum_normal_equations,
+)
+
+from _oracles import gram_loops, xty_loops
+
+
+def eqs_of(x, y):
+    return normal_equations(np.column_stack([x, y]))
+
+
+class TestNormalEquations:
+    def test_one_block_is_one_product(self):
+        # up to one row chunk the sums are exactly the whole-matrix
+        # products the trainers computed before they were chunked
+        for n, cols in ((1, 2), (700, 2), (_row_chunks(10**6, 11)[0][1], 11), (2000, 6)):
+            assert len(_row_chunks(n, cols)) == 1
+            matrix = np.random.default_rng(n).uniform(-1, 1, size=(n, cols))
+            x, y = matrix[:, :-1], matrix[:, -1]
+            eqs = normal_equations(matrix)
+            assert np.array_equal(eqs.gram, x.T @ x) and np.array_equal(eqs.xty, x.T @ y)
+            assert eqs.n == n
+
+    def test_row_blocks_are_summed_in_order(self):
+        # two whole chunks and a 3-row remainder
+        rows = _row_chunks(10**6, 4)[0][1]
+        n = 2 * rows + 3
+        matrix = np.random.default_rng(1).uniform(-1, 1, size=(n, 4))
+        eqs = normal_equations(matrix)
+        gram, xty = 0.0, 0.0
+        for r0, r1 in _row_chunks(n, 4):
+            x, y = matrix[r0:r1, :-1], matrix[r0:r1, -1]
+            gram, xty = gram + x.T @ x, xty + x.T @ y
+        assert np.array_equal(eqs.gram, gram) and np.array_equal(eqs.xty, xty)
+        assert eqs.n == n
+        np.testing.assert_allclose(eqs.gram, gram_loops(matrix[:, :-1]), rtol=1e-12)
+        np.testing.assert_allclose(eqs.xty, xty_loops(matrix[:, :-1], matrix[:, -1]),
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_streamed_blocks_equal_the_held_matrix(self):
+        matrix = np.random.default_rng(2).uniform(-1, 1, size=(20_011, 11))
+        blocks = (matrix[r0:r1].copy() for r0, r1 in _row_chunks(*matrix.shape))
+        streamed, held = sum_normal_equations(blocks), normal_equations(matrix)
+        assert np.array_equal(streamed.gram, held.gram)
+        assert np.array_equal(streamed.xty, held.xty)
+
+    def test_rejects_empty_and_malformed_input(self):
+        with pytest.raises(ValueError):
+            sum_normal_equations(iter(()))
+        with pytest.raises(ValueError):
+            normal_equations(np.ones(5))
+        with pytest.raises(ValueError):
+            normal_equations(np.ones((5, 1)))
 
 
 class TestSolveNormalEquations:
@@ -10,27 +68,29 @@ class TestSolveNormalEquations:
         x = rng.uniform(-1, 1, size=(200, 4))
         y = rng.uniform(-1, 1, size=200)
         scale, shift, lam = 200, 0.05, 1e-3
-        weights, min_eig = solve_normal_equations(x, y, lam, scale=scale, shift=shift)
+        weights, min_eig = solve_normal_equations(eqs_of(x, y), lam, scale=scale, shift=shift)
         system = x.T @ x / scale + (lam - shift) * np.eye(4)
         np.testing.assert_allclose(system @ weights, x.T @ y / scale, rtol=1e-10, atol=1e-13)
         assert min_eig == pytest.approx(np.abs(np.linalg.eigvalsh(system)).min(), rel=1e-12)
 
     def test_defaults_use_the_raw_gram_matrix(self):
         x = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        weights, min_eig = solve_normal_equations(x, np.ones(3), 0.0)
+        weights, min_eig = solve_normal_equations(eqs_of(x, np.ones(3)), 0.0)
         np.testing.assert_allclose(x.T @ x @ weights, x.T @ np.ones(3), rtol=1e-12)
         assert min_eig == pytest.approx(np.linalg.eigvalsh(x.T @ x).min(), rel=1e-12)
 
     def test_rejects_negative_lambda_and_mismatched_shapes(self):
         with pytest.raises(ValueError, match="lam"):
-            solve_normal_equations(np.eye(3), np.ones(3), -1.0)
+            solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), -1.0)
         with pytest.raises(ValueError):
-            solve_normal_equations(np.eye(3), np.ones(2), 0.0)
+            NormalEquations(gram=np.eye(3), xty=np.ones(2), n=3)
+        with pytest.raises(ValueError):
+            NormalEquations(gram=np.eye(3), xty=np.ones(3), n=0)
 
     def test_shift_to_singular_raises(self):
         # shifting the identity Gram matrix by exactly 1 leaves the zero matrix
         with pytest.raises(SingularSystemError):
-            solve_normal_equations(np.eye(3), np.ones(3), 0.0, shift=1.0)
+            solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), 0.0, shift=1.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_system_is_singular(self, bad):

@@ -7,7 +7,7 @@ import pytest
 from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
 from mpdp.kernels import rademacher_matrix, sketch_product
-from mpdp.linalg import SingularSystemError
+from mpdp.linalg import SingularSystemError, normal_equations
 from mpdp.rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
@@ -222,14 +222,14 @@ class TestTrain:
         forced[:, :k] = np.sqrt(k) * np.eye(k)
         force_mixing(monkeypatch, forced)
         release = release_at(data, part, ZERO_NOISE, k, RandomStream(15))
-        weights, _ = rmgm_train(release, lam=0.0)
+        weights, _ = rmgm_train(normal_equations(release), lam=0.0)
         assert np.linalg.norm(weights - w_star) < 1e-6
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(16, n=100, d=3)
         priv = calibrate(1.0, 0.5)
         release = release_at(data, part, priv, 20, RandomStream(17))
-        weights, _ = rmgm_train(release, lam=1e-5)
+        weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
         expected = rmgm_oracle(release, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
@@ -237,7 +237,7 @@ class TestTrain:
         _, data, part = small_instance(18, n=50, d=3)
         release = release_at(data, part, calibrate(1.0, 1e-5), 2, RandomStream(19))
         with pytest.raises(SingularSystemError):
-            rmgm_train(release, lam=0.0)
+            rmgm_train(normal_equations(release), lam=0.0)
 
     def test_gram_matrix_is_psd(self):
         for seed in range(10):
@@ -271,7 +271,7 @@ class TestConvergenceTendency:
                 priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r"))
-                weights, _ = rmgm_train(release, lam=1e-5)
+                weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[1] < medians[0]
@@ -289,7 +289,7 @@ class TestConvergenceTendency:
                 part = partition_evenly(11, 6)
                 (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))
-                weights, _ = rmgm_train(release, lam=1e-5)
+                weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[0] <= medians[1] <= medians[2]

@@ -3,6 +3,7 @@ import pytest
 
 from mpdp.baselines import ols_train
 from mpdp.data_model import _row_chunks, partition_evenly, validate_bounds
+from mpdp.linalg import normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -70,7 +71,7 @@ class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
         w_star = gen_ground_truth(10, RandomStream(13))
         data = gen_dataset(5000, w_star, RandomStream(14))
-        weights, _ = ols_train(data.features(), data.labels(), lam=0.0)
+        weights, _ = ols_train(normal_equations(data.values), lam=0.0)
         assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):

@@ -9,7 +9,7 @@ ranges; block j of a partition is owned by party j (1-based).
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +17,15 @@ import numpy as np
 from .streams import RandomStream
 
 __all__ = [
-    "DataMatrix",
-    "PartyPartition",
-    "DataFormatError",
-    "validate_bounds",
-    "partition_evenly",
-    "normalize_minmax",
-    "split_train_test",
-    "load_csv",
-    "save_csv",
+    "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed", "validate_bounds",
+    "partition_evenly", "normalize_minmax", "split_train_test", "load_csv", "save_csv",
+    "write_csv",
 ]
 
 
-# Passes over a whole n-row matrix (generation, the finiteness and bounds
-# checks, party noise and the normal equations) walk it in row chunks of
-# at most _CHUNK_ROWS rows and about _CHUNK_BYTES, so their temporaries
-# stay cache-sized instead of matrix-sized.
+# The normal equations sum one product per row chunk of at most
+# _CHUNK_ROWS rows and about _CHUNK_BYTES, and the checks of a held
+# matrix walk the same chunks, so temporaries stay cache-sized.
 _CHUNK_BYTES = 1 << 20
 _CHUNK_ROWS = 8192
 
@@ -50,8 +43,20 @@ def _row_chunks(n: int, cols: int) -> list[tuple[int, int]]:
     their bits at every width tried (2 to 82 columns).  Without the cap
     a 2-column chunk would be 65 536 rows.
     """
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (8 * cols)))
+    rows = _block_rows(cols)
     return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
+def _block_rows(cols: int) -> int:
+    """The row count of every ``_row_chunks`` chunk but the last."""
+    return max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (8 * cols)))
+
+
+def feed(chunks: Iterable[np.ndarray], *consumers) -> None:
+    """Push each row chunk, in order, to every consumer in turn."""
+    for chunk in chunks:
+        for consumer in consumers:
+            consumer.push(chunk)
 
 
 def _row_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
@@ -167,25 +172,34 @@ def partition_evenly(d_plus_1: int, m: int) -> PartyPartition:
     return PartyPartition(blocks=tuple(blocks))
 
 
-def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
-    """The precondition of every release: the per-party sensitivity bound
-    assumes a partition that covers every column and |entry| <= 1 (bound
-    inclusive).
+class BoundsCheck:
+    """The precondition of every release, on row chunks pushed in order:
+    the sensitivity bound assumes a partition that covers every column and
+    finite entries with |entry| <= 1.  A violation raises ValueError with
+    the failing chunk's offender count and the first offender in row-major
+    order, as a 0-based (row, col) index into the whole matrix."""
 
-    A violation raises ValueError with the offender count and the first
-    offender in row-major order, as a 0-based (row, col) index.
-    """
-    values = data.values
-    if partition.total_columns != values.shape[1]:
-        raise ValueError("partition does not cover this matrix")
-    if any((np.abs(block) > 1.0).any() for block in _row_blocks(values)):
-        # only a failing check pays for a full-size mask
-        mask = np.abs(values) > 1.0
-        row, col = np.unravel_index(int(mask.argmax()), mask.shape)
-        raise ValueError(
-            f"data violates the |entry| <= 1 bound at {int(np.count_nonzero(mask))} "
-            f"position(s), first ({row}, {col}); normalize first"
-        )
+    def __init__(self, partition: PartyPartition, cols: int):
+        if partition.total_columns != cols:
+            raise ValueError("partition does not cover this matrix")
+        self.rows = 0
+
+    def push(self, chunk: np.ndarray) -> None:
+        mask = ~(np.abs(chunk) <= 1.0)  # NaN fails the comparison too
+        if mask.any():
+            row, col = np.unravel_index(int(mask.argmax()), mask.shape)
+            raise ValueError(f"data violates the |entry| <= 1 bound at {np.count_nonzero(mask)} "
+                             f"position(s), first ({self.rows + row}, {col}); normalize first")
+        self.rows += chunk.shape[0]
+
+
+def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
+    """``BoundsCheck`` on a held matrix; a violation's count covers every row."""
+    try:
+        feed(_row_blocks(data.values), BoundsCheck(partition, data.values.shape[1]))
+    except ValueError:
+        # only a failing check pays for a full-size mask, to count them all
+        BoundsCheck(partition, data.values.shape[1]).push(data.values)
 
 
 def normalize_minmax(train: DataMatrix, test: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
@@ -295,8 +309,14 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
 
 def save_csv(data: DataMatrix, path: str) -> None:
     """Write a DataMatrix in the same format ``load_csv`` ingests."""
+    write_csv(path, data.column_names, [data.values])
+
+
+def write_csv(path: str, column_names, chunks: Iterable[np.ndarray]) -> None:
+    """``save_csv`` for a matrix given as its row chunks, in order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(data.column_names)
-        for row in data.values:
-            writer.writerow([format(v, ".17g") for v in row])
+        writer.writerow(column_names)
+        for chunk in chunks:
+            for row in chunk:
+                writer.writerow([format(v, ".17g") for v in row])

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, validate_bounds
-from .dp_core import PrivacyParams, release_blocks
-from .linalg import NormalEquations, solve_normal_equations, sum_normal_equations
+from .data_model import BoundsCheck, DataMatrix, PartyPartition, feed
+from .dp_core import PartyNoise, PrivacyParams
+from .kernels import chunk_views
+from .linalg import NormalEquationSum, NormalEquations, solve_normal_equations
 from .streams import RandomStream
 
 __all__ = ["dgm_release", "dgm_train"]
@@ -28,14 +29,14 @@ def dgm_release(
     """The normal equations of the published matrix D + R: the data plus
     per-party Gaussian noise, party j's from the derived stream child(j).
 
-    The published matrix is ``release_blocks(data.values, partition, priv,
-    stream)`` concatenated; its row blocks are summed into X'X and X'y as
-    they are made, so the working memory is one block, not n rows.
-    Requires the bounds check to pass (the sensitivity bound assumes
-    |entry| <= 1).
+    One pass over the data's row chunks, as in a trial, checks each
+    (``BoundsCheck``), adds the noise (``PartyNoise``) and sums the normal
+    equations: the working memory is one chunk.  The published matrix is
+    ``release_blocks(data.values, partition, priv, stream)`` concatenated.
     """
-    validate_bounds(data, partition)
-    return sum_normal_equations(release_blocks(data.values, partition, priv, stream))
+    release = NormalEquationSum(data.d + 1, data.n, PartyNoise(partition, priv, stream))
+    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), release)
+    return release.result()
 
 
 def dgm_train(

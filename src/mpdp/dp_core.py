@@ -17,7 +17,8 @@ import numpy as np
 from .data_model import PartyPartition, _row_blocks
 from .streams import RandomStream
 
-__all__ = ["PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise", "release_blocks"]
+__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise",
+           "release_blocks"]
 
 
 @dataclass(frozen=True)
@@ -83,23 +84,31 @@ def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -
     return entries
 
 
+class PartyNoise:
+    """The Gaussian mechanism of both releases, as a step over a matrix's
+    row blocks in order: each call returns the block plus every party's
+    noise, as a new array.  Party j adds N(0, std^2) noise to its own
+    column block, std = sensitivity_bound(d_max) * sigma: the rows of one
+    (n, d_j) draw from ``stream.child(j)``, whose generator lives across
+    calls, so whoever holds j's stream can rebuild (and remove) j's noise.
+    """
+
+    def __init__(self, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream):
+        self.partition = partition
+        self.std = sensitivity_bound(partition.d_max) * priv.sigma
+        n_gens = partition.m if self.std > 0.0 else 0
+        self._gens = [stream.child(j).generator() for j in range(1, n_gens + 1)]
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        block = block.copy()
+        for gen, (a, b) in zip(self._gens, self.partition.blocks):
+            block[:, a:b] += gaussian_noise(block.shape[0], b - a, self.std, gen)
+        return block
+
+
 def release_blocks(
     matrix: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
 ) -> Iterator[np.ndarray]:
-    """The Gaussian mechanism of both releases: the row blocks, in order,
-    of ``matrix`` plus every party's noise.
-
-    Party j adds N(0, std^2) noise, std = sensitivity_bound(d_max) * sigma,
-    to its own column block: the rows of one (n, d_j) draw from
-    ``stream.child(j)``, so whoever holds j's stream can rebuild (and
-    remove) j's noise.  Each block is a new array, noised party by party
-    before the next block is drawn; ``matrix`` is left as it is.
-    Concatenated, the blocks are the published matrix.
-    """
-    std = sensitivity_bound(partition.d_max) * priv.sigma
-    gens = [stream.child(j).generator() for j in range(1, partition.m + 1)] if std > 0.0 else []
-    for block in _row_blocks(matrix):
-        block = block.copy()
-        for gen, (a, b) in zip(gens, partition.blocks):
-            block[:, a:b] += gaussian_noise(block.shape[0], b - a, std, gen)
-        yield block
+    """The row blocks of ``matrix`` through ``PartyNoise``, in order;
+    concatenated, they are the published matrix."""
+    return map(PartyNoise(partition, priv, stream), _row_blocks(matrix))

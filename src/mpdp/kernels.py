@@ -12,13 +12,12 @@ through D without ever materialising B (k*n can reach 3e10 entries).
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
 __all__ = [
-    "backend_name",
-    "rademacher_matrix",
-    "rademacher_tile",
+    "SketchSum", "backend_name", "chunk_views", "rademacher_matrix", "rademacher_tile",
     "sketch_product",
 ]
 
@@ -99,37 +98,56 @@ def _row_tiles(k: int, width: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + rows, padded)) for r0 in range(0, padded, rows)]
 
 
-def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
-    """Compute ``B @ data`` for the seed-defined k-by-n mixing matrix B.
+def chunk_views(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """Row views of D = ``matrix`` in its column chunks: the chunks a trial streams."""
+    return (matrix[r0 : r0 + _COL_CHUNK] for r0 in range(0, matrix.shape[0], _COL_CHUNK))
 
-    ``data`` must be a C-contiguous float64 array of shape (n, c); the
-    result has shape (k, c) and is bit for bit the first k rows of the
-    result for any larger k.  B is never materialised: the working memory
-    beyond ``data`` and the result is one tile (at most 1 MiB) plus one
-    transposed column chunk of ``data`` (at most c x 16384 float64).
-    """
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError("data must be 2-dimensional")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    seed = int(seed)
-    n, cols = data.shape
-    tiles = _row_tiles(k, min(n, _COL_CHUNK))
-    out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
-    for i0 in range(0, n, _COL_CHUNK):
-        i1 = min(i0 + _COL_CHUNK, n)
-        # one contiguous (c, chunk) copy per column chunk; every matvec
-        # operand is one of its rows
-        chunk = np.ascontiguousarray(data[i0:i1].T)
-        for r0, r1 in tiles:
-            tile = rademacher_tile(seed, n, r0, r1 - r0, i0, i1 - i0)
+
+class SketchSum:
+    """``B @ D`` for the seed-defined k-by-n mixing matrix B, with D's
+    column chunks (``chunk_views``) pushed in order, none of them kept.
+    The k-by-c result is bit for bit the first k rows of that for any
+    larger k.  B is never materialised: the working memory is the result,
+    one tile (at most 1 MiB) and one (c, chunk) transpose buffer."""
+
+    def __init__(self, seed: int, n: int, cols: int, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.seed, self.n, self.k, self._i0 = int(seed), n, k, 0
+        self._tiles = _row_tiles(k, min(n, _COL_CHUNK))
+        self._out = np.zeros((self._tiles[-1][1], cols), dtype=np.float64)
+        # reused: a fresh 1.4 MiB copy per chunk made glibc re-fault its heap
+        self._transposed = np.empty((cols, min(n, _COL_CHUNK)))
+
+    def push(self, chunk: np.ndarray) -> None:
+        i0, i1 = self._i0, self._i0 + chunk.shape[0]
+        if i1 - i0 != min(_COL_CHUNK, self.n - i0):
+            raise ValueError(f"rows {i0}:{i1} are not a column chunk of {self.n} columns")
+        transposed = self._transposed[:, : i1 - i0]
+        transposed[...] = chunk.T  # each row, a matvec operand, is contiguous
+        for r0, r1 in self._tiles:
+            tile = rademacher_tile(self.seed, self.n, r0, r1 - r0, i0, i1 - i0)
             # one matvec per column: the bits of each output column must
             # not depend on which other columns were sketched alongside
             # it (party blocks are sliced out and reconstructed bitwise).
             # np.dot, not @: both run the same gemv with the same bits,
             # but matmul holds the GIL through it, so --workers threads
             # could not run their matvecs at the same time
-            for j in range(cols):
-                out[r0:r1, j] += np.dot(tile, chunk[j])
-    return out[:k]
+            for j, column in enumerate(transposed):
+                self._out[r0:r1, j] += np.dot(tile, column)
+        self._i0 = i1
+
+    def result(self) -> np.ndarray:
+        return self._out[: self.k]
+
+
+def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
+    """``B @ data`` for an (n, c) float64 ``data``: its column chunks
+    pushed through ``SketchSum``."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError("data must be 2-dimensional")
+    sketch = SketchSum(seed, *data.shape, k)
+    for chunk in chunk_views(data):
+        sketch.push(chunk)
+    return sketch.result()

@@ -2,7 +2,7 @@
 
 Every trainer needs only X'X and X'y of the matrix [X | y] it trains on
 (``NormalEquations``), summed over fixed row blocks in order
-(``sum_normal_equations``), and reduces to solving H w = b for a small
+(``NormalEquationSum``), and reduces to solving H w = b for a small
 symmetric H.  H may be indefinite after de-biasing, so the solve uses a
 symmetric factorization (not Cholesky) and refuses numerically singular
 systems instead of silently returning garbage.
@@ -10,21 +10,16 @@ systems instead of silently returning garbage.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .data_model import _row_blocks
+from .data_model import _block_rows
 
 __all__ = [
-    "NormalEquations",
-    "SingularSystemError",
-    "normal_equations",
-    "solve_normal_equations",
-    "solve_symmetric",
-    "sum_normal_equations",
+    "NormalEquationSum", "NormalEquations", "SingularSystemError", "normal_equations",
+    "solve_normal_equations", "solve_symmetric",
 ]
 
 COND_LIMIT = 1e14
@@ -75,39 +70,60 @@ class NormalEquations:
             )
 
 
-def sum_normal_equations(blocks: Iterable[np.ndarray]) -> NormalEquations:
-    """The normal equations of the matrix whose row blocks, in order, are
-    ``blocks`` (each 2-D, label last).
+class NormalEquationSum:
+    """The normal equations of an n-row matrix [X | y], label last, pushed
+    in order in chunks of any length, each through ``step`` first if one
+    is given.  X'X and X'y are one product per ``_row_chunks`` block, cut
+    at absolute row offsets and summed in order, so the bits depend on the
+    matrix alone (OpenBLAS does not split such short products across its
+    threads).  No chunk is kept: a block that straddles two is carried."""
 
-    Each block's X'X and X'y are one product each, summed in block order,
-    so the bits depend on the block boundaries and on nothing else: the
-    blocks of ``_row_chunks`` are short enough that OpenBLAS does not
-    split a product across its threads.  The blocks may be produced on
-    the fly; none is kept.
-    """
-    gram = xty = None
-    n = 0
-    for block in blocks:
-        x, y = block[:, :-1], block[:, -1]
-        if gram is None:
-            gram, xty = x.T @ x, x.T @ y
-        else:
-            gram += x.T @ x
-            xty += x.T @ y
-        n += block.shape[0]
-    if gram is None:
-        raise ValueError("no rows to sum")
-    return NormalEquations(gram=gram, xty=xty, n=n)
+    def __init__(self, cols: int, n: int, step=None):
+        if cols < 2:
+            raise ValueError("need an n-by-(d+1) matrix with the label last")
+        self.n, self._step, self._block = n, step, _block_rows(cols)
+        self._carry = self._gram = self._xty = None
+        self._fill = self._pushed = 0
+
+    def push(self, chunk: np.ndarray) -> None:
+        if self._step is not None:
+            chunk = self._step(chunk)
+        pos = 0
+        while pos < chunk.shape[0]:
+            piece = chunk[pos : pos + self._block - self._fill]
+            pos += piece.shape[0]
+            done = self._fill + piece.shape[0] == self._block or self._pushed + pos == self.n
+            if self._fill or not done:
+                if self._carry is None:
+                    self._carry = np.empty((self._block, chunk.shape[1]))
+                self._carry[self._fill : self._fill + piece.shape[0]] = piece
+                self._fill += piece.shape[0]
+                piece = self._carry[: self._fill]
+            if done:
+                x, y = piece[:, :-1], piece[:, -1]
+                if self._gram is None:
+                    self._gram, self._xty = x.T @ x, x.T @ y
+                else:
+                    self._gram += x.T @ x
+                    self._xty += x.T @ y
+                self._fill = 0
+        self._pushed += chunk.shape[0]
+
+    def result(self) -> NormalEquations:
+        if self._gram is None or self._pushed != self.n:
+            raise ValueError(f"{self._pushed} of {self.n} rows pushed")
+        return NormalEquations(gram=self._gram, xty=self._xty, n=self.n)
 
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:
-    """The normal equations of a held n-by-(d+1) matrix, label last,
-    summed over its row chunks (one chunk: exactly ``x.T @ x`` and
-    ``x.T @ y``)."""
+    """The normal equations of a held n-by-(d+1) matrix, label last (up
+    to one ``_row_chunks`` block: exactly ``x.T @ x`` and ``x.T @ y``)."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
+    if matrix.ndim != 2:
         raise ValueError("need an n-by-(d+1) matrix with the label last")
-    return sum_normal_equations(_row_blocks(matrix))
+    acc = NormalEquationSum(matrix.shape[1], matrix.shape[0])
+    acc.push(matrix)
+    return acc.result()
 
 
 def solve_normal_equations(

@@ -9,9 +9,9 @@ release cannot occur.
 
 B is public and drawn independently of the data, and its row r depends
 only on (mixing seed, r, n).  So a trial mixes once, at the largest k it
-needs (``rmgm_mix``), and every release takes the first k rows of that
-sketch, scales them by 1/sqrt(k) and adds its own noise
-(``rmgm_release``).  Each release is still the Gaussian mechanism on
+needs (``rmgm_mix``; its pass feeds the same ``SketchSum``), and every
+release takes the first k rows of that sketch, scales them by 1/sqrt(k)
+and adds its own noise (``rmgm_release``).  Each release is still the Gaussian mechanism on
 B_k D^j / sqrt(k): every column of B_k has norm sqrt(k), so a changed
 row moves party j's block by exactly the row's change in that block.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DataMatrix, PartyPartition, validate_bounds
-from .dp_core import PrivacyParams, release_blocks
+from .dp_core import PartyNoise, PrivacyParams
 from .kernels import sketch_product
 from .linalg import NormalEquations, solve_normal_equations
 from .streams import RandomStream
@@ -127,8 +127,7 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    scaled = sketch.product[:k] / math.sqrt(k)
-    return np.concatenate(list(release_blocks(scaled, sketch.partition, priv, stream)))
+    return PartyNoise(sketch.partition, priv, stream)(sketch.product[:k] / math.sqrt(k))
 
 
 def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:

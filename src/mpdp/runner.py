@@ -24,17 +24,19 @@ from . import __version__
 from .baselines import bgm_train, ols_train
 from .config import ConfigError, RunConfig
 from .data_model import (
+    BoundsCheck,
     DataFormatError,
     DataMatrix,
     PartyPartition,
+    feed,
     load_csv,
     normalize_minmax,
     partition_evenly,
-    save_csv,
     split_train_test,
+    write_csv,
 )
-from .dgm import dgm_release, dgm_train
-from .dp_core import calibrate
+from .dgm import dgm_train
+from .dp_core import PartyNoise, calibrate
 from .evaluation import (
     AggregateReport,
     TrialReport,
@@ -46,11 +48,11 @@ from .evaluation import (
     trials_to_csv,
     weight_distance,
 )
-from .kernels import backend_name
-from .linalg import SingularSystemError, normal_equations
-from .rmgm import choose_k, rmgm_mix, rmgm_release, rmgm_train
+from .kernels import SketchSum, backend_name, chunk_views
+from .linalg import NormalEquationSum, SingularSystemError, normal_equations
+from .rmgm import RmgmSketch, choose_k, rmgm_release, rmgm_train
 from .streams import RandomStream
-from .synthetic import gen_dataset, gen_ground_truth
+from .synthetic import column_names, gen_chunks, gen_ground_truth
 
 __all__ = [
     "OUTPUT_FILES", "RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_outputs",
@@ -90,23 +92,19 @@ def _run_tasks(tasks, worker, workers: int):
     return tuple(trials)
 
 
-def _trial_methods(
-    cfg: RunConfig,
-    base: RandomStream,
-    data: DataMatrix,
-    partition: PartyPartition,
-    seed: int,
-    measure,
-) -> list[TrialReport]:
-    """Run every configured method once against ``data``.
-
+def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition: PartyPartition,
+                   seed: int, measure) -> list[TrialReport]:
+    """Run every configured method once against the n rows that
+    ``chunks`` yields in ``chunk_views`` chunks, in one pass: each chunk
+    goes to the bounds check, the OLS normal equations, one DGM release
+    per epsilon and the RMGM sketch; only the solves run after it.
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
-    the same data; dgm and bgm share one release per epsilon (streamed
-    into one set of normal equations), and every rmgm release mixes with
-    the same B, so their comparisons are paired.
+    the same data; dgm and bgm share one release per epsilon, and every
+    rmgm release mixes with the same B, so their comparisons are paired.
     """
     reports: list[TrialReport] = []
+    d = partition.total_columns - 1
 
     def fit(method, eps, k, train, *args):
         """Time ``train(*args, lam=cfg.lam)`` and record its outcome."""
@@ -118,40 +116,32 @@ def _trial_methods(
             if cfg.strict:
                 raise
             outcome = dict(status="singular", min_abs_eig=exc.min_abs_eig)
-        reports.append(
-            TrialReport(
-                method=method,
-                seed=seed,
-                n=data.n,
-                d=data.d,
-                m=cfg.m,
-                epsilon=eps,
-                delta=None if eps is None else cfg.delta,
-                k=k,
-                wall_time=time.perf_counter() - start,
-                **outcome,
-            )
-        )
+        reports.append(TrialReport(method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
+                                   delta=None if eps is None else cfg.delta, k=k,
+                                   wall_time=time.perf_counter() - start, **outcome))
 
-    if "ols" in cfg.methods:
-        fit("ols", None, None, ols_train, normal_equations(data.values))
     privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
-    if "rmgm" in cfg.methods:
-        # one shared B per trial: every (eps, k) release is a prefix of
-        # the sketch at the largest k
-        ks = [
-            choose_k(data.n, priv.sigma, data.d, partition.d_max, cfg.k_mode, cfg.k_grid)
-            for priv in privs
-        ]
-        sketch = rmgm_mix(data, partition, max(map(max, ks)), base)
+    ols = NormalEquationSum(d + 1, n) if "ols" in cfg.methods else None
+    dgms = [NormalEquationSum(d + 1, n, PartyNoise(partition, priv, base.child("dgm", i)))
+            for i, priv in enumerate(privs) if "dgm" in cfg.methods or "bgm" in cfg.methods]
+    ks = [choose_k(n, priv.sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for priv in privs]
+    # one shared B per trial: every (eps, k) release is a prefix of its sketch
+    mixer = (SketchSum(base.child("mixing").seed64(), n, d + 1, max(map(max, ks)))
+             if "rmgm" in cfg.methods else None)
+    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), ols, *dgms, mixer)))
+
+    if ols is not None:
+        fit("ols", None, None, ols_train, ols.result())
+    if mixer is not None:
+        sketch = RmgmSketch(mixer.result(), mixer.seed, n, partition)
     for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
-        if "dgm" in cfg.methods or "bgm" in cfg.methods:
-            release = dgm_release(data, partition, priv, base.child("dgm", eps_index))
+        if dgms:
+            release = dgms[eps_index].result()
             if "dgm" in cfg.methods:
                 fit("dgm", eps, None, dgm_train, release, partition.d_max, priv)
             if "bgm" in cfg.methods:
                 fit("bgm", eps, None, bgm_train, release)
-        if "rmgm" in cfg.methods:
+        if mixer is not None:
             for k in ks[eps_index]:
                 release = rmgm_release(sketch, priv, k, base.child("rmgm", eps_index, k))
                 fit("rmgm", eps, k, rmgm_train, normal_equations(release))
@@ -161,16 +151,9 @@ def _trial_methods(
 def _synthetic_trial(cfg: RunConfig, root: RandomStream, n: int, seed: int):
     base = root.child("synthetic", seed)
     w_star = gen_ground_truth(cfg.d, base.child("truth"))
-    data = gen_dataset(n, w_star, base.child("data"))
-    partition = partition_evenly(cfg.d + 1, cfg.m)
-    return _trial_methods(
-        cfg,
-        base,
-        data,
-        partition,
-        seed,
-        measure=lambda weights: {"distance": weight_distance(weights, w_star)},
-    )
+    chunks = gen_chunks(n, w_star, base.child("data"))
+    return _trial_methods(cfg, base, chunks, n, partition_evenly(cfg.d + 1, cfg.m), seed,
+                          measure=lambda weights: {"distance": weight_distance(weights, w_star)})
 
 
 def run_synthetic(cfg: RunConfig) -> RunOutput:
@@ -191,15 +174,9 @@ def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int)
     held-out rows."""
     base = root.child("real", seed)
     train, test = normalize_minmax(*split_train_test(data, base.child("split")))
-    partition = partition_evenly(data.d + 1, cfg.m)
-    return _trial_methods(
-        cfg,
-        base,
-        train,
-        partition,
-        seed,
-        measure=lambda weights: {"test_mse": test_mse(weights, test)},
-    )
+    return _trial_methods(cfg, base, chunk_views(train.values), train.n,
+                          partition_evenly(data.d + 1, cfg.m), seed,
+                          measure=lambda weights: {"test_mse": test_mse(weights, test)})
 
 
 def run_real(cfg: RunConfig) -> RunOutput:
@@ -231,10 +208,10 @@ def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
     its ground truth under the configured output directory."""
     root = RandomStream(cfg.root_seed).child("export")
     w_star = gen_ground_truth(cfg.d, root.child("truth"))
-    data = gen_dataset(cfg.n_grid[0], w_star, root.child("data"))
+    chunks = gen_chunks(cfg.n_grid[0], w_star, root.child("data"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     data_path, wstar_path = (os.path.join(cfg.out_dir, name) for name in OUTPUT_FILES["export"])
-    save_csv(data, data_path)
+    write_csv(data_path, column_names(cfg.d), chunks)
     with open(wstar_path, "w", encoding="utf-8") as fh:
         fh.write("w_star\n")
         for v in w_star:

@@ -7,12 +7,21 @@ bounded-entries requirement holds by construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
-from .data_model import DataMatrix, _row_chunks
+from .data_model import DataMatrix
+from .kernels import _COL_CHUNK
 from .streams import RandomStream
 
-__all__ = ["gen_ground_truth", "gen_dataset"]
+__all__ = ["column_names", "gen_chunks", "gen_ground_truth", "gen_dataset"]
+
+# Labels are one product per block of this many rows at fixed offsets (a
+# multiple of 4: gemv rounds a trailing 1-3 rows differently).  Under any
+# BLAS thread count they are the bits of one product over all rows on one.
+_LABEL_ROWS = 8192
+assert _COL_CHUNK % _LABEL_ROWS == 0
 
 
 def gen_ground_truth(d: int, stream: RandomStream) -> np.ndarray:
@@ -22,22 +31,33 @@ def gen_ground_truth(d: int, stream: RandomStream) -> np.ndarray:
     return stream.generator().uniform(-1.0 / d, 1.0 / d, size=d)
 
 
-def gen_dataset(n: int, w_star: np.ndarray, stream: RandomStream) -> DataMatrix:
-    """n rows of U(-1, 1) features with noiseless labels y = w*.x."""
+def column_names(d: int) -> tuple[str, ...]:
+    return tuple(f"x{i + 1}" for i in range(d)) + ("y",)
+
+
+def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.ndarray]:
+    """n rows of U(-1, 1) features with noiseless labels y = w*.x, in
+    ``chunk_views`` chunks that share one buffer (copy what you keep).
+    The draws continue one Philox stream: the features of one (n, d) draw."""
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_star.ndim != 1 or w_star.size < 1:
         raise ValueError("w_star must be a non-empty vector")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    d = w_star.size
-    values = np.empty((n, d + 1))
-    gen = stream.generator()
-    # successive draws continue one Philox stream, so the chunks hold
-    # exactly the features of a single (n, d) draw
-    for r0, r1 in _row_chunks(n, d + 1):
-        values[r0:r1, :d] = gen.uniform(-1.0, 1.0, size=(r1 - r0, d))
-    # one product over every row: gemv rounds the last rows of each call
-    # differently, so labels computed chunk by chunk would change bits
-    values[:, d] = values[:, :d] @ w_star
-    names = tuple(f"x{i + 1}" for i in range(d)) + ("y",)
-    return DataMatrix(values, names)
+    gen, d = stream.generator(), w_star.size
+    buffer = np.empty((min(n, _COL_CHUNK), d + 1))
+    for r0 in range(0, n, _COL_CHUNK):
+        chunk = buffer[: min(_COL_CHUNK, n - r0)]
+        chunk[:, :d] = gen.uniform(-1.0, 1.0, size=(chunk.shape[0], d))
+        for b0 in range(0, chunk.shape[0], _LABEL_ROWS):
+            block = chunk[b0 : b0 + _LABEL_ROWS]
+            block[:, d] = block[:, :d] @ w_star
+        yield chunk
+
+
+def gen_dataset(n: int, w_star: np.ndarray, stream: RandomStream) -> DataMatrix:
+    """The rows of ``gen_chunks`` held as one DataMatrix."""
+    values = np.empty((max(n, 0), np.size(w_star) + 1))
+    for i, chunk in enumerate(gen_chunks(n, w_star, stream)):
+        values[i * _COL_CHUNK :][: chunk.shape[0]] = chunk
+    return DataMatrix(values, column_names(values.shape[1] - 1))

@@ -9,8 +9,9 @@ with an explicit matrix inverse.  None of the production solve path
 a party's noise in single whole-matrix draws, as the row-chunked
 ``gen_dataset`` and ``dp_core.release_blocks`` must reproduce bit for bit.
 
-``dgm_published`` assembles the DGM release's published matrix from the
-very row blocks ``dgm_release`` streams into its normal equations.
+``dgm_published`` assembles the DGM release's published matrix from
+``release_blocks``, the noise step ``dgm_release`` streams into its
+normal equations.
 
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
 numerics_version 1; the current kernel must match it bit for bit, within

@@ -11,7 +11,8 @@ SWEEP_N_GRID = (10_000, 30_000, 100_000, 300_000)
 def sweep():
     """All four methods on the desk-scale synthetic grid, eps = 1.0,
     200 seeds.  Shared by the acceptance criteria and the statistical
-    property tests; takes about a minute."""
+    property tests.  It runs on two workers: trials.csv is the same for
+    any worker count (tests/test_cli.py::TestChunkCrossingInvariance)."""
     cfg = build_config(
         {},
         dict(
@@ -23,6 +24,7 @@ def sweep():
             m=6,
             seeds=200,
             root_seed=SWEEP_ROOT_SEED,
+            workers=2,
         ),
     )
     return run_synthetic(cfg)

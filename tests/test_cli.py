@@ -248,16 +248,16 @@ def chunk_crossing_runs(tmp_path_factory):
     return runs
 
 
-def run_in_child(args, threads, out):
-    """trials.csv bytes of one ``mpdp synthetic`` run under ``threads``
+def run_in_child(args, threads, out, command="synthetic", output="trials.csv"):
+    """``output``'s bytes after one ``mpdp command`` run under ``threads``
     BLAS threads."""
     env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
     subprocess.run(
-        [sys.executable, "-m", "mpdp", "synthetic", *args, "--out", str(out)],
+        [sys.executable, "-m", "mpdp", command, *args, "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=600, check=True,
     )
-    return read(out / "trials.csv")
+    return read(out / output)
 
 
 class TestChunkCrossingInvariance:
@@ -285,6 +285,16 @@ class TestChunkCrossingInvariance:
                 "--methods", "ols,dgm,bgm"]
         one, two = (run_in_child(args, threads, tmp_path / f"t{threads}") for threads in (1, 2))
         assert one.count(b"\n") == 1 + 3 * (1 + 2 * 3)  # 3 seeds x (ols + 3 eps x 2)
+        assert two == one
+
+    def test_blas_threads_do_not_change_wide_labels(self, tmp_path):
+        # d = 40: one label product over all 16 387 rows rounded 2 of them
+        # differently under two OpenBLAS threads; per 8192-row block they
+        # keep their bits
+        args = ["--d", "40", "--n", "16387", "--root-seed", "8"]
+        one, two = (run_in_child(args, threads, tmp_path / f"t{threads}", "export", "synthetic.csv")
+                    for threads in (1, 2))
+        assert one.count(b"\n") == 1 + 16_387
         assert two == one
 
 
@@ -443,7 +453,7 @@ def no_trials(monkeypatch):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    for name in ("_synthetic_trial", "_real_trial", "gen_dataset"):
+    for name in ("_synthetic_trial", "_real_trial", "gen_chunks"):
         monkeypatch.setattr(runner_module, name, no_trial)
 
 

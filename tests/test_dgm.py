@@ -3,7 +3,7 @@ import pytest
 
 from mpdp.data_model import DataMatrix, _row_chunks, partition_evenly
 from mpdp.dgm import dgm_release, dgm_train
-from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
+from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
 from mpdp.linalg import SingularSystemError, normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
@@ -147,3 +147,53 @@ class TestTrain:
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
         assert (np.abs(mean - raw_gram) <= 3 * stderr).all()
+
+
+class TestSensitivity:
+    """The Gaussian mechanism of the DGM release, on its noise step: a
+    neighbouring dataset moves each party's block by at most the
+    sensitivity bound of the widest block, and the noise is exactly that
+    bound times sigma times the party stream's standard normal draws."""
+
+    @pytest.mark.parametrize("flip", [True, False], ids=["sign_flip", "other_corner"])
+    def test_block_moves_by_at_most_the_bound(self, flip):
+        # row i replaced by a corner of [-1, 1]^(d+1) in one dataset and by
+        # its sign flip (or another corner) in the other, released with
+        # sigma = 0 in two pushes: party j's block moves by exactly the
+        # row's change in that block, 2 sqrt(d_j) for a flip, and never by
+        # more than sensitivity_bound(d_max)
+        rng = np.random.default_rng(41)
+        _, data, _ = small_instance(42, n=64, d=6)
+        part = partition_evenly(7, 3)  # blocks (3, 2, 2)
+        bound = sensitivity_bound(part.d_max)
+        for i in (0, 17, 63):
+            corner = rng.choice([-1.0, 1.0], size=7)
+            other = -corner if flip else rng.choice([-1.0, 1.0], size=7)
+            values, neighbour = data.values.copy(), data.values.copy()
+            values[i], neighbour[i] = corner, other
+            released = []
+            for v in (values, neighbour):
+                noise = PartyNoise(part, ZERO_NOISE, RandomStream(43))
+                released.append(np.concatenate([noise(v[:40]), noise(v[40:])]))
+            for a, b in part.blocks:
+                moved = np.linalg.norm(released[1][:, a:b] - released[0][:, a:b])
+                assert moved == np.linalg.norm(corner[a:b] - other[a:b])
+                assert moved <= bound
+                if flip:
+                    assert moved == 2.0 * np.sqrt(b - a)
+
+    def test_noise_is_bound_times_sigma_times_the_party_stream(self):
+        # uneven blocks (3, 2, 2), so d_max is not every d_j; the rows are
+        # pushed in three calls, and each party's noise is still one
+        # (n, d_j) standard normal draw from its stream, scaled by
+        # sensitivity_bound(d_max) * sigma, bit for bit
+        part = partition_evenly(7, 3)
+        priv = calibrate(0.5, 1e-5)
+        std = sensitivity_bound(part.d_max) * priv.sigma
+        values = RandomStream(44).generator().uniform(-1, 1, size=(1000, 7))
+        noise = PartyNoise(part, priv, RandomStream(45))
+        assert noise.std == std
+        released = np.concatenate([noise(values[:1]), noise(values[1:600]), noise(values[600:])])
+        for j, (a, b) in enumerate(part.blocks, start=1):
+            draws = RandomStream(45).child(j).generator().standard_normal((1000, b - a))
+            assert np.array_equal(released[:, a:b], values[:, a:b] + draws * std)

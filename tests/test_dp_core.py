@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mpdp.data_model import PartyPartition, _row_chunks
+from mpdp.data_model import PartyPartition, _row_chunks, partition_evenly
 from mpdp.dp_core import (
+    PartyNoise,
     PrivacyParams,
     calibrate,
     gaussian_noise,
     release_blocks,
     sensitivity_bound,
 )
-from mpdp.kernels import sketch_product
+from mpdp.kernels import _COL_CHUNK, chunk_views, sketch_product
 from mpdp.streams import RandomStream
 
 from _oracles import noise_one_shot
@@ -136,6 +137,35 @@ class TestAddPartyNoise:
         assert np.array_equal(values, original)  # the input is not noised in place
         expected = np.concatenate(
             [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(31).child(j))
+             for j, (a, b) in enumerate(part.blocks, start=1)],
+            axis=1,
+        )
+        assert np.array_equal(released, expected)
+
+
+class _OneParty:
+    """A one-party stand-in: PartyPartition needs m >= 2, and PartyNoise
+    reads only ``blocks``, ``m`` and ``d_max``."""
+
+    blocks = ((0, 11),)
+    m = 1
+    d_max = 11
+
+
+class TestPartyNoiseColumns:
+    # 11 columns over two chunk_views chunks (16 384 rows and a 5-row
+    # remainder): the noise is added one column at a time, so cover the
+    # widest party block (m = 1) and one column per party (m = d + 1)
+    @pytest.mark.parametrize("part", [_OneParty(), partition_evenly(11, 11)], ids=["m1", "m11"])
+    def test_chunks_match_one_draw_per_party(self, part):
+        n = _COL_CHUNK + 5
+        values = RandomStream(40).generator().uniform(-1, 1, size=(n, 11))
+        priv = calibrate(0.5, 1e-5)
+        std = sensitivity_bound(part.d_max) * priv.sigma
+        noise = PartyNoise(part, priv, RandomStream(41))
+        released = np.concatenate([noise(chunk) for chunk in chunk_views(values)])
+        expected = np.concatenate(
+            [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(41).child(j))
              for j, (a, b) in enumerate(part.blocks, start=1)],
             axis=1,
         )

@@ -83,6 +83,11 @@ class TestRademacherMatrix:
             tile = kernels.rademacher_tile(55, 130, 0, 4, col0, cols)
             np.testing.assert_array_equal(tile, full[:, col0 : col0 + cols])
 
+    def test_tile_off_a_word_boundary_is_contiguous_float_signs(self):
+        tile = kernels.rademacher_tile(55, 300, 3, 8, 70, 150)
+        assert tile.dtype == np.float64 and tile.flags.c_contiguous
+        assert set(np.unique(tile)) == {-1.0, 1.0}
+
     def test_entry_mean_near_zero(self):
         m = kernels.rademacher_matrix(2024, 1000, 1000)
         assert abs(m.mean()) < 3 / np.sqrt(m.size)

@@ -60,7 +60,7 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
 # setup.  trials.csv does not depend on them: tests/test_cli.py and
@@ -235,6 +235,7 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         artifact_version=__version__,
         numerics_version=NUMERICS_VERSION,
         kernel_backend=backend_name(),
+        bit_generator=type(RandomStream(0).generator().bit_generator).__name__,
         python_version=platform.python_version(),
         numpy_version=np.__version__,
         scipy_version=scipy.__version__,

@@ -38,7 +38,8 @@ def column_names(d: int) -> tuple[str, ...]:
 def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.ndarray]:
     """n rows of U(-1, 1) features with noiseless labels y = w*.x, in
     ``chunk_views`` chunks that share one buffer (copy what you keep).
-    The draws continue one Philox stream: the features of one (n, d) draw."""
+    The draws continue one generator across chunks, so the features are
+    those of one (n, d) draw from ``stream``."""
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_star.ndim != 1 or w_star.size < 1:
         raise ValueError("w_star must be a non-empty vector")

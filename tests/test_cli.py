@@ -224,6 +224,7 @@ class TestSyntheticCommand:
         assert float(meta["wall_s"]) >= 0
         assert float(meta["peak_rss_mb"]) > 0
         assert meta["numpy_version"] == np.__version__
+        assert meta["bit_generator"] == "SFC64"
         for key in ("python_version", "scipy_version"):
             assert meta[key]
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -22,7 +22,8 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # sketch column chunks of 16 384.  The synthetic and real configs fit one
 # block and one chunk, so their digests are those of version 2; the
 # chunked one pins what version 3 changed.
-NUMERICS_VERSION = 3
+# 4: every stream draws from SFC64 in place of Philox.
+NUMERICS_VERSION = 4
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -31,8 +32,8 @@ SYNTHETIC_CFG = (
     "seeds = 5\n"
     "root_seed = 7\n"
 )
-SYNTHETIC_DIGEST = "2732eb2c8ad84c1bce5faa9d52b9cce4b77f4af9b4b33aefec1e3cab0bc3054f"
-SYNTHETIC_AGGREGATES_DIGEST = "347e3d270aad020a0bb4d882cdb512e8593827b1fa6ace817112042fae784f47"
+SYNTHETIC_DIGEST = "a1ffb0fcb4ab4bedc61287a764c35e5c4fd5e01280e51d33a0e2780cc5949a13"
+SYNTHETIC_AGGREGATES_DIGEST = "bb4c2e1431048e8395e222cd8035de7399febfbe19ea17f38de81fad096eb936"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -42,9 +43,9 @@ REAL_CFG = (
     "seeds = 3\n"
     "m = 3\n"
 )
-REAL_DIGEST = "777872450f81c30be84da00fd2a86565420755a6d606c93bc97c2575aa68578a"
-REAL_AGGREGATES_DIGEST = "a80240318939ea014677ee76486f9be096bba0b2626216a0862dd797f5698c09"
-REAL_BEST_K_DIGEST = "3c667d9cf2bae2bdc344e32705186f76917c25e63f0d27daa86bf36e0deae5b0"
+REAL_DIGEST = "7ee412902c0827975067fcb3aa030390c119322206ab637f517adeaece581879"
+REAL_AGGREGATES_DIGEST = "ff8682cf5f56769bcb47007a04086bf7dace4c733a138136d366093af43619b8"
+REAL_BEST_K_DIGEST = "dd92a1f1be4c1addb34b07bb84e7ceb363a1a96f03d22698bf3a38e28d1462bb"
 
 # n = 20 011 rows of 11 columns: three row blocks (8192, 8192, 3627) for
 # the normal equations and two sketch column chunks (16 384, 3627)
@@ -54,8 +55,8 @@ CHUNKED_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-CHUNKED_DIGEST = "bbc2360a81498b77124d9829bcacc2e0a592a2ea8bab217f816e44d805c25c40"
-CHUNKED_AGGREGATES_DIGEST = "95426833548d124fc2b530ba954228198c47158ebbe018f0a449c2fea22fd8d6"
+CHUNKED_DIGEST = "6ac90df27bbb69396d13e1cb30e30d71aa834750e9d2a653e7de4d51a40d7714"
+CHUNKED_AGGREGATES_DIGEST = "6d57473321ee41e83685aaf5118466b0f71eab65553dc1cd6004097c1e285024"
 
 # name -> (command, config)
 CONFIGS = {

@@ -34,6 +34,17 @@ def test_seed64_stable_value():
     assert RandomStream(12345).child("mixing").seed64() == 16625284544937917324
 
 
+def test_generator_stable_values():
+    # Frozen first draws of one stream: flags any change of bit generator
+    # (numerics v4: SFC64), or of how its state is seeded.
+    data = RandomStream(12345).child("data")
+    assert data.generator().standard_normal(3).tolist() == [
+        -0.2928700222738288, 1.1376185857297139, 0.9681522304033261,
+    ]
+    assert data.generator().uniform(-1, 1, 3).tolist() == [
+        0.6132178610157419, 0.6684618927193786, -0.648338482775096,
+    ]
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         RandomStream(-1)

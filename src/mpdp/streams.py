@@ -8,7 +8,7 @@ generator.
 
 SFC64 is the fastest of numpy's bit generators for the normal and uniform
 draws a trial spends its randomness on (about 0.7x Philox's time for
-normals, 0.5x for uniforms).  Nothing here uses Philox's counter
+normals, 0.5-0.6x for uniforms).  Nothing here uses Philox's counter
 features (``advance``, ``jumped``): streams are told apart by the
 SeedSequence that seeds each one's state, and SFC64's built-in counter
 gives every stream a period of at least 2**64 draws.

@@ -22,7 +22,8 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # sketch column chunks of 16 384.  The synthetic and real configs fit one
 # block and one chunk, so their digests are those of version 2; the
 # chunked one pins what version 3 changed.
-# 4: every stream draws from SFC64 in place of Philox.
+# 4: every stream draws from SFC64 in place of Philox, so every digest
+# changed.
 NUMERICS_VERSION = 4
 
 SYNTHETIC_CFG = (

@@ -91,6 +91,10 @@ class RunConfig:
             raise ConfigError("k_grid entries must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for key in ("methods", "n_grid", "eps_grid", "betas", "k_grid"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):  # each entry would run, or pool, twice
+                raise ConfigError(f"{key} repeats an entry: {', '.join(map(str, values))}")
         if self.root_seed < 0:
             raise ConfigError("root seed must be non-negative")
         if protocol == "export" and len(self.n_grid) != 1:

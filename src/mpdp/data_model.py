@@ -9,11 +9,12 @@ ranges; block j of a partition is owned by party j (1-based).
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import chunk_views
 from .streams import RandomStream
 
 __all__ = [
@@ -23,46 +24,11 @@ __all__ = [
 ]
 
 
-# The normal equations sum one product per row chunk of at most
-# _CHUNK_ROWS rows and about _CHUNK_BYTES, and the checks of a held
-# matrix walk the same chunks, so temporaries stay cache-sized.
-_CHUNK_BYTES = 1 << 20
-_CHUNK_ROWS = 8192
-
-
-def _row_chunks(n: int, cols: int) -> list[tuple[int, int]]:
-    """The (start, stop) row ranges, in order, that cover n rows of a
-    float64 matrix ``cols`` wide in chunks of about _CHUNK_BYTES and at
-    most _CHUNK_ROWS rows.
-
-    The row cap is for the normal equations, which sum one product per
-    chunk: OpenBLAS splits a long enough product across its threads and
-    then rounds it differently.  Under one and two OpenBLAS threads, a
-    2-column product (d = 1) changed bits at 16 384 rows and 11- and
-    14-column ones at 65 536, while products over these chunks kept
-    their bits at every width tried (2 to 82 columns).  Without the cap
-    a 2-column chunk would be 65 536 rows.
-    """
-    rows = _block_rows(cols)
-    return [(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
-
-
-def _block_rows(cols: int) -> int:
-    """The row count of every ``_row_chunks`` chunk but the last."""
-    return max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // (8 * cols)))
-
-
 def feed(chunks: Iterable[np.ndarray], *consumers) -> None:
     """Push each row chunk, in order, to every consumer in turn."""
     for chunk in chunks:
         for consumer in consumers:
             consumer.push(chunk)
-
-
-def _row_blocks(matrix: np.ndarray) -> Iterator[np.ndarray]:
-    """Views of the row chunks of a 2-D ``matrix``, in order."""
-    for r0, r1 in _row_chunks(*matrix.shape):
-        yield matrix[r0:r1]
 
 
 class DataFormatError(ValueError):
@@ -93,7 +59,7 @@ class DataMatrix:
             )
         if values.shape[1] < 1 or values.shape[0] < 1:
             raise ValueError("matrix must have at least one row and one column")
-        if not all(np.isfinite(block).all() for block in _row_blocks(values)):
+        if not all(np.isfinite(block).all() for block in chunk_views(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
             raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "values", values)
@@ -196,7 +162,7 @@ class BoundsCheck:
 def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
     """``BoundsCheck`` on a held matrix; a violation's count covers every row."""
     try:
-        feed(_row_blocks(data.values), BoundsCheck(partition, data.values.shape[1]))
+        feed(chunk_views(data.values), BoundsCheck(partition, data.values.shape[1]))
     except ValueError:
         # only a failing check pays for a full-size mask, to count them all
         BoundsCheck(partition, data.values.shape[1]).push(data.values)

@@ -32,7 +32,8 @@ def dgm_release(
     One pass over the data's row chunks, as in a trial, checks each
     (``BoundsCheck``), adds the noise (``PartyNoise``) and sums the normal
     equations: the working memory is one chunk.  The published matrix is
-    ``release_blocks(data.values, partition, priv, stream)`` concatenated.
+    those chunks through ``PartyNoise(partition, priv, stream)``,
+    concatenated.
     """
     release = NormalEquationSum(data.d + 1, data.n, PartyNoise(partition, priv, stream))
     feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), release)

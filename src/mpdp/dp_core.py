@@ -9,16 +9,14 @@ shared Rademacher mixing matrix lives in ``kernels``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import PartyPartition, _row_blocks
+from .data_model import PartyPartition
 from .streams import RandomStream
 
-__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise",
-           "release_blocks"]
+__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise"]
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,3 @@ class PartyNoise:
                 block[:, c] += noise[:, c - a]
         return block
 
-
-def release_blocks(
-    matrix: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
-) -> Iterator[np.ndarray]:
-    """The row blocks of ``matrix`` through ``PartyNoise``, in order;
-    concatenated, they are the published matrix."""
-    return map(PartyNoise(partition, priv, stream), _row_blocks(matrix))

@@ -15,14 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data_model import _block_rows
-
 __all__ = [
     "NormalEquationSum", "NormalEquations", "SingularSystemError", "normal_equations",
     "solve_normal_equations", "solve_symmetric",
 ]
 
 COND_LIMIT = 1e14
+
+# The most rows of one normal-equation or label block, and its byte cap.
+_BLOCK_ROWS = 8192
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(cols: int) -> int:
+    """The row count of every block of a ``cols``-wide float64 matrix but
+    its last: the largest power of two <= _BLOCK_ROWS whose block fits in
+    _BLOCK_BYTES.  A power of two divides a trial's 16 384-row chunk, so
+    no block straddles two chunks.
+
+    The cap is for OpenBLAS, which splits a long enough product across
+    its threads and then rounds it differently.  Under one and two
+    threads, a 2-column product (d = 1) changed bits at 16 384 rows and
+    11- and 14-column ones at 65 536, while the sums over these blocks
+    kept their bits up to 97 columns.
+    """
+    rows = _BLOCK_ROWS
+    while rows > 1 and rows * cols * 8 > _BLOCK_BYTES:
+        rows //= 2
+    return rows
 
 
 class SingularSystemError(ArithmeticError):
@@ -72,41 +92,32 @@ class NormalEquations:
 
 class NormalEquationSum:
     """The normal equations of an n-row matrix [X | y], label last, pushed
-    in order in chunks of any length, each through ``step`` first if one
-    is given.  X'X and X'y are one product per ``_row_chunks`` block, cut
-    at absolute row offsets and summed in order, so the bits depend on the
-    matrix alone (OpenBLAS does not split such short products across its
-    threads).  No chunk is kept: a block that straddles two is carried."""
+    in order, each chunk through ``step`` first if one is given.  X'X and
+    X'y are one product per ``_block_rows`` block, cut at absolute row
+    offsets and summed in order, so the bits depend on the matrix alone.
+    No chunk is kept, so every push but the last must be whole blocks
+    (``chunk_views`` chunks are)."""
 
     def __init__(self, cols: int, n: int, step=None):
         if cols < 2:
             raise ValueError("need an n-by-(d+1) matrix with the label last")
         self.n, self._step, self._block = n, step, _block_rows(cols)
-        self._carry = self._gram = self._xty = None
-        self._fill = self._pushed = 0
+        self._gram = self._xty = None
+        self._pushed = 0
 
     def push(self, chunk: np.ndarray) -> None:
+        if self._pushed % self._block:
+            raise ValueError(f"a push at row {self._pushed} does not start a "
+                             f"{self._block}-row block")
         if self._step is not None:
             chunk = self._step(chunk)
-        pos = 0
-        while pos < chunk.shape[0]:
-            piece = chunk[pos : pos + self._block - self._fill]
-            pos += piece.shape[0]
-            done = self._fill + piece.shape[0] == self._block or self._pushed + pos == self.n
-            if self._fill or not done:
-                if self._carry is None:
-                    self._carry = np.empty((self._block, chunk.shape[1]))
-                self._carry[self._fill : self._fill + piece.shape[0]] = piece
-                self._fill += piece.shape[0]
-                piece = self._carry[: self._fill]
-            if done:
-                x, y = piece[:, :-1], piece[:, -1]
-                if self._gram is None:
-                    self._gram, self._xty = x.T @ x, x.T @ y
-                else:
-                    self._gram += x.T @ x
-                    self._xty += x.T @ y
-                self._fill = 0
+        for b0 in range(0, chunk.shape[0], self._block):
+            x, y = chunk[b0 : b0 + self._block, :-1], chunk[b0 : b0 + self._block, -1]
+            if self._gram is None:
+                self._gram, self._xty = x.T @ x, x.T @ y
+            else:
+                self._gram += x.T @ x
+                self._xty += x.T @ y
         self._pushed += chunk.shape[0]
 
     def result(self) -> NormalEquations:
@@ -117,7 +128,7 @@ class NormalEquationSum:
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:
     """The normal equations of a held n-by-(d+1) matrix, label last (up
-    to one ``_row_chunks`` block: exactly ``x.T @ x`` and ``x.T @ y``)."""
+    to one ``_block_rows`` block: exactly ``x.T @ x`` and ``x.T @ y``)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("need an n-by-(d+1) matrix with the label last")

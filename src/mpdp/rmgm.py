@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DataMatrix, PartyPartition, validate_bounds
+from .data_model import BoundsCheck, DataMatrix, PartyPartition, feed
 from .dp_core import PartyNoise, PrivacyParams
-from .kernels import sketch_product
+from .kernels import SketchSum, chunk_views
 from .linalg import NormalEquations, solve_normal_equations
 from .streams import RandomStream
 
@@ -98,17 +98,13 @@ def rmgm_mix(
 ) -> RmgmSketch:
     """Check the data and sketch it once with the shared B, at k_max rows.
 
-    B is derived from child("mixing") and streamed through the product
-    (never materialised).
+    One pass over the data's row chunks, as in a trial, checks each
+    (``BoundsCheck``) and adds it to the sketch (``SketchSum``).  B is
+    derived from child("mixing") and never materialised.
     """
-    validate_bounds(data, partition)
-    mixing_seed = stream.child("mixing").seed64()
-    return RmgmSketch(
-        product=sketch_product(mixing_seed, data.values, k_max),
-        mixing_seed=mixing_seed,
-        n=data.n,
-        partition=partition,
-    )
+    sketch = SketchSum(stream.child("mixing").seed64(), data.n, data.d + 1, k_max)
+    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), sketch)
+    return RmgmSketch(sketch.result(), sketch.seed, data.n, partition)
 
 
 def rmgm_release(

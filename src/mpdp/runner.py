@@ -60,11 +60,13 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 4
+NUMERICS_VERSION = 5
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
-# setup.  trials.csv does not depend on them: tests/test_cli.py and
-# tests/test_kernels.py check it under one and two OpenBLAS threads.
+# setup.  Up to d + 1 = 97 columns trials.csv does not depend on them:
+# tests/test_cli.py and tests/test_kernels.py check it under one and two
+# OpenBLAS threads.  From 98 columns on, OpenBLAS threads the Gram
+# products themselves and rounds them differently.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The files each command writes under its output directory, in writing order.

@@ -13,15 +13,10 @@ import numpy as np
 
 from .data_model import DataMatrix
 from .kernels import _COL_CHUNK
+from .linalg import _block_rows
 from .streams import RandomStream
 
 __all__ = ["column_names", "gen_chunks", "gen_ground_truth", "gen_dataset"]
-
-# Labels are one product per block of this many rows at fixed offsets (a
-# multiple of 4: gemv rounds a trailing 1-3 rows differently).  Under any
-# BLAS thread count they are the bits of one product over all rows on one.
-_LABEL_ROWS = 8192
-assert _COL_CHUNK % _LABEL_ROWS == 0
 
 
 def gen_ground_truth(d: int, stream: RandomStream) -> np.ndarray:
@@ -39,19 +34,24 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
     """n rows of U(-1, 1) features with noiseless labels y = w*.x, in
     ``chunk_views`` chunks that share one buffer (copy what you keep).
     The draws continue one generator across chunks, so the features are
-    those of one (n, d) draw from ``stream``."""
+    those of one (n, d) draw from ``stream``.  The labels are one product
+    per ``linalg._block_rows`` block (a power of two, so whole groups of 4
+    rows: gemv rounds a trailing 1-3 rows differently); under any BLAS
+    thread count they are the bits of one product over all rows on one
+    thread."""
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_star.ndim != 1 or w_star.size < 1:
         raise ValueError("w_star must be a non-empty vector")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen, d = stream.generator(), w_star.size
+    block_rows = _block_rows(d + 1)
     buffer = np.empty((min(n, _COL_CHUNK), d + 1))
     for r0 in range(0, n, _COL_CHUNK):
         chunk = buffer[: min(_COL_CHUNK, n - r0)]
         chunk[:, :d] = gen.uniform(-1.0, 1.0, size=(chunk.shape[0], d))
-        for b0 in range(0, chunk.shape[0], _LABEL_ROWS):
-            block = chunk[b0 : b0 + _LABEL_ROWS]
+        for b0 in range(0, chunk.shape[0], block_rows):
+            block = chunk[b0 : b0 + block_rows]
             block[:, d] = block[:, :d] @ w_star
         yield chunk
 

@@ -7,11 +7,11 @@ with an explicit matrix inverse.  None of the production solve path
 
 ``dataset_one_shot`` and ``noise_one_shot`` make a synthetic dataset and
 a party's noise in single whole-matrix draws, as the row-chunked
-``gen_dataset`` and ``dp_core.release_blocks`` must reproduce bit for bit.
+``gen_dataset`` and ``dp_core.PartyNoise`` must reproduce bit for bit.
 
 ``dgm_published`` assembles the DGM release's published matrix from
-``release_blocks``, the noise step ``dgm_release`` streams into its
-normal equations.
+``PartyNoise`` mapped over ``chunk_views`` chunks, the noise step
+``dgm_release`` streams into its normal equations.
 
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
 numerics_version 1; the current kernel must match it bit for bit, within
@@ -22,8 +22,8 @@ reference of numerics_version 3's column chunks, for those k at any n.
 
 import numpy as np
 
-from mpdp.dp_core import release_blocks
-from mpdp.kernels import rademacher_tile
+from mpdp.dp_core import PartyNoise
+from mpdp.kernels import chunk_views, rademacher_tile
 
 
 def gram_loops(x):
@@ -109,7 +109,7 @@ def sketch_product_v3(seed, data, k):
 
 def dgm_published(data, partition, priv, stream):
     """The n-row matrix D + R whose normal equations ``dgm_release`` returns."""
-    return np.concatenate(list(release_blocks(data.values, partition, priv, stream)))
+    return np.concatenate(list(map(PartyNoise(partition, priv, stream), chunk_views(data.values))))
 
 
 def dataset_one_shot(n, w_star, stream):

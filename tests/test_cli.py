@@ -11,6 +11,8 @@ from mpdp.cli import config_from_argv, main
 from mpdp.config import ConfigError, build_config, parse_config_file
 from mpdp.runner import run_real, run_synthetic, write_outputs
 
+from test_golden import WIDE_CFG
+
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
 
@@ -78,6 +80,13 @@ class TestConfig:
             build_config({}, {"eps_grid": ()})
         with pytest.raises(ConfigError, match="delta"):
             build_config({}, {"delta": 1.0})
+        # a repeated entry would run its trials twice, or pool two releases
+        # of the same data under one epsilon
+        for key, values in (("methods", ("ols", "dgm", "ols")), ("n_grid", (20, 20)),
+                            ("eps_grid", (1.0, 1.0)), ("betas", (0.1, 0.1)),
+                            ("k_grid", (10, 30, 10))):
+            with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
+                build_config({}, {key: values})
 
     @pytest.mark.parametrize("eps", ["1e-300", "1e-320", "5e-324"])
     @pytest.mark.parametrize("argv", [
@@ -296,6 +305,16 @@ class TestChunkCrossingInvariance:
         one, two = (run_in_child(args, threads, tmp_path / f"t{threads}", "export", "synthetic.csv")
                     for threads in (1, 2))
         assert one.count(b"\n") == 1 + 16_387
+        assert two == one
+
+    def test_blas_threads_do_not_change_wide_trainers(self, tmp_path):
+        # the wide golden config: 41 columns, whose normal equations are
+        # summed over 2048-row blocks of two 16 384-row chunks
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(WIDE_CFG)
+        one, two = (run_in_child(["--config", str(cfg)], threads, tmp_path / f"t{threads}")
+                    for threads in (1, 2))
+        assert one.count(b"\n") == 1 + 2 * (1 + 3 * 2)  # 2 seeds x (ols + 2 eps x 3)
         assert two == one
 
 

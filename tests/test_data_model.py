@@ -6,7 +6,6 @@ from mpdp.data_model import (
     DataFormatError,
     DataMatrix,
     PartyPartition,
-    _row_chunks,
     load_csv,
     normalize_minmax,
     partition_evenly,
@@ -14,6 +13,7 @@ from mpdp.data_model import (
     split_train_test,
     validate_bounds,
 )
+from mpdp.kernels import _COL_CHUNK
 from mpdp.streams import RandomStream
 
 
@@ -36,7 +36,7 @@ class TestDataMatrix:
             matrix([[1.0, np.nan]])
 
     def test_non_finite_entry_in_last_partial_row_chunk(self):
-        rows = _row_chunks(10**6, 3)[0][1]
+        rows = _COL_CHUNK
         values = np.zeros((2 * rows + 3, 3))
         values[2 * rows + 1, 2] = np.inf
         with pytest.raises(ValueError, match=rf"row {2 * rows + 1}, column 2"):
@@ -63,7 +63,7 @@ class TestValidateBounds:
 
     def test_lone_offender_in_last_partial_row_chunk(self):
         # the chunked scan finds it; the report matches a whole-matrix scan
-        rows = _row_chunks(10**6, 3)[0][1]
+        rows = _COL_CHUNK
         values = np.zeros((2 * rows + 3, 3))
         values[2 * rows + 2, 1] = -1.25
         with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({2 * rows + 2}, 1\)"):

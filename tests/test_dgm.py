@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mpdp.data_model import DataMatrix, _row_chunks, partition_evenly
+from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dgm import dgm_release, dgm_train
 from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
-from mpdp.linalg import SingularSystemError, normal_equations
+from mpdp.linalg import SingularSystemError, _block_rows, normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -46,9 +46,7 @@ class TestRelease:
         # (2, 2, 2, 2, 2, 1): the normal equations streamed block by block
         # are bit for bit those of the assembled published matrix, and
         # that matrix is the data plus one whole-matrix draw per party
-        rows = _row_chunks(10**6, 11)[0][1]
-        n = 2 * rows + 3
-        assert len(_row_chunks(n, 11)) == 3
+        n = 2 * _block_rows(11) + 3
         w_star = gen_ground_truth(10, RandomStream(16).child("t"))
         data = gen_dataset(n, w_star, RandomStream(16).child("d"))
         part = partition_evenly(11, 6)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mpdp.data_model import PartyPartition, _row_chunks, partition_evenly
+from mpdp.data_model import partition_evenly
 from mpdp.dp_core import (
     PartyNoise,
     PrivacyParams,
     calibrate,
     gaussian_noise,
-    release_blocks,
     sensitivity_bound,
 )
 from mpdp.kernels import _COL_CHUNK, chunk_views, sketch_product
@@ -121,28 +120,6 @@ class TestGaussianNoise:
             gaussian_noise(2, 2, -1.0, RandomStream(0).generator())
 
 
-class TestAddPartyNoise:
-    def test_row_chunks_match_one_draw_per_party(self):
-        # uneven blocks (3, 2, 1) over two whole row chunks and a 3-row
-        # remainder: each party's noise is bit for bit one (n, d_j) draw
-        part = PartyPartition(((0, 3), (3, 5), (5, 6)))
-        rows = _row_chunks(10**6, 6)[0][1]
-        n = 2 * rows + 3
-        assert len(_row_chunks(n, 6)) == 3
-        values = RandomStream(30).generator().uniform(-1, 1, size=(n, 6))
-        priv = calibrate(0.5, 1e-5)
-        std = sensitivity_bound(part.d_max) * priv.sigma
-        original = values.copy()
-        released = np.concatenate(list(release_blocks(values, part, priv, RandomStream(31))))
-        assert np.array_equal(values, original)  # the input is not noised in place
-        expected = np.concatenate(
-            [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(31).child(j))
-             for j, (a, b) in enumerate(part.blocks, start=1)],
-            axis=1,
-        )
-        assert np.array_equal(released, expected)
-
-
 class _OneParty:
     """A one-party stand-in: PartyPartition needs m >= 2, and PartyNoise
     reads only ``blocks``, ``m`` and ``d_max``."""
@@ -163,7 +140,9 @@ class TestPartyNoiseColumns:
         priv = calibrate(0.5, 1e-5)
         std = sensitivity_bound(part.d_max) * priv.sigma
         noise = PartyNoise(part, priv, RandomStream(41))
+        original = values.copy()
         released = np.concatenate([noise(chunk) for chunk in chunk_views(values)])
+        assert np.array_equal(values, original)  # the input is not noised in place
         expected = np.concatenate(
             [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(41).child(j))
              for j, (a, b) in enumerate(part.blocks, start=1)],

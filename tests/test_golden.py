@@ -1,4 +1,4 @@
-"""Golden digests: ``trials.csv`` and ``aggregates.csv`` bytes for three
+"""Golden digests: ``trials.csv`` and ``aggregates.csv`` bytes for four
 small pinned configs, and ``best_k.csv`` for the real one.
 
 The rerun tests only compare a run with another run of the same code;
@@ -24,7 +24,11 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # chunked one pins what version 3 changed.
 # 4: every stream draws from SFC64 in place of Philox, so every digest
 # changed.
-NUMERICS_VERSION = 4
+# 5: normal-equation blocks are a power of two of rows, so they divide
+# the 16 384-row chunk.  Up to 16 columns (and at 32 and 64) the blocks,
+# and so the digests, are those of version 4; the wide config pins what
+# version 5 changed.
+NUMERICS_VERSION = 5
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -59,11 +63,25 @@ CHUNKED_CFG = (
 CHUNKED_DIGEST = "6ac90df27bbb69396d13e1cb30e30d71aa834750e9d2a653e7de4d51a40d7714"
 CHUNKED_AGGREGATES_DIGEST = "6d57473321ee41e83685aaf5118466b0f71eab65553dc1cd6004097c1e285024"
 
+# d + 1 = 41 columns: normal-equation blocks of 2048 rows (3196 in
+# version 4, when a block straddled two chunks)
+WIDE_CFG = (
+    "d = 40\n"
+    "m = 3\n"
+    "n_grid = 20011\n"
+    "eps_grid = 1.0, 0.1\n"
+    "seeds = 2\n"
+    "root_seed = 7\n"
+)
+WIDE_DIGEST = "8ddd4d24df662e69743abb94699a28fbf079b3c8c9ce2e73358d89b2105ca3ed"
+WIDE_AGGREGATES_DIGEST = "bdc07a4446bff801d6228146ba62ab29d3298b638b45764a19b1dbd11fe731ba"
+
 # name -> (command, config)
 CONFIGS = {
     "synthetic": ("synthetic", SYNTHETIC_CFG),
     "real": ("real", REAL_CFG),
     "chunked": ("synthetic", CHUNKED_CFG),
+    "wide": ("synthetic", WIDE_CFG),
 }
 
 
@@ -92,8 +110,13 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize(
     "name, digest",
-    [("synthetic", SYNTHETIC_DIGEST), ("real", REAL_DIGEST), ("chunked", CHUNKED_DIGEST)],
-    ids=["synthetic", "real", "chunked"],
+    [
+        ("synthetic", SYNTHETIC_DIGEST),
+        ("real", REAL_DIGEST),
+        ("chunked", CHUNKED_DIGEST),
+        ("wide", WIDE_DIGEST),
+    ],
+    ids=["synthetic", "real", "chunked", "wide"],
 )
 def test_trials_csv_digest(run_outputs, name, digest):
     out = run_outputs(name)
@@ -108,8 +131,9 @@ def test_trials_csv_digest(run_outputs, name, digest):
         ("synthetic", SYNTHETIC_AGGREGATES_DIGEST),
         ("real", REAL_AGGREGATES_DIGEST),
         ("chunked", CHUNKED_AGGREGATES_DIGEST),
+        ("wide", WIDE_AGGREGATES_DIGEST),
     ],
-    ids=["synthetic", "real", "chunked"],
+    ids=["synthetic", "real", "chunked", "wide"],
 )
 def test_aggregates_csv_digest(run_outputs, name, digest):
     assert _sha256(run_outputs(name) / "aggregates.csv") == digest

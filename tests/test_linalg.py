@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mpdp.data_model import _row_chunks
+from mpdp.kernels import _COL_CHUNK, chunk_views
 from mpdp.linalg import (
     NormalEquationSum,
     NormalEquations,
     SingularSystemError,
+    _block_rows,
     normal_equations,
     solve_normal_equations,
     solve_symmetric,
@@ -20,25 +21,25 @@ def eqs_of(x, y):
 
 class TestNormalEquations:
     def test_one_block_is_one_product(self):
-        # up to one row chunk the sums are exactly the whole-matrix
+        # up to one row block the sums are exactly the whole-matrix
         # products the trainers computed before they were chunked
-        for n, cols in ((1, 2), (700, 2), (_row_chunks(10**6, 11)[0][1], 11), (2000, 6)):
-            assert len(_row_chunks(n, cols)) == 1
+        for n, cols in ((1, 2), (700, 2), (_block_rows(11), 11), (2000, 6)):
+            assert n <= _block_rows(cols)
             matrix = np.random.default_rng(n).uniform(-1, 1, size=(n, cols))
             x, y = matrix[:, :-1], matrix[:, -1]
             eqs = normal_equations(matrix)
             assert np.array_equal(eqs.gram, x.T @ x) and np.array_equal(eqs.xty, x.T @ y)
             assert eqs.n == n
 
-    def test_row_blocks_are_summed_in_order(self):
-        # two whole chunks and a 3-row remainder
-        rows = _row_chunks(10**6, 4)[0][1]
+    def test_blocks_are_summed_in_order(self):
+        # two whole blocks and a 3-row remainder
+        rows = _block_rows(4)
         n = 2 * rows + 3
         matrix = np.random.default_rng(1).uniform(-1, 1, size=(n, 4))
         eqs = normal_equations(matrix)
         gram, xty = 0.0, 0.0
-        for r0, r1 in _row_chunks(n, 4):
-            x, y = matrix[r0:r1, :-1], matrix[r0:r1, -1]
+        for r0 in range(0, n, rows):
+            x, y = matrix[r0 : r0 + rows, :-1], matrix[r0 : r0 + rows, -1]
             gram, xty = gram + x.T @ x, xty + x.T @ y
         assert np.array_equal(eqs.gram, gram) and np.array_equal(eqs.xty, xty)
         assert eqs.n == n
@@ -47,25 +48,33 @@ class TestNormalEquations:
                                    rtol=1e-10, atol=1e-10)
 
     def test_streamed_blocks_equal_the_held_matrix(self):
-        # pieces of every kind (one row, a whole trial chunk, pieces that
-        # end inside a block or straddle two) pushed through one buffer
-        # that is overwritten after each push, at 11 columns (8192-row
-        # blocks) and 41 (3196-row blocks): the sums are those of the
-        # held matrix bit for bit, so no pushed piece is kept
+        # a trial's chunks pushed through one buffer that is overwritten
+        # after each push, at 11 columns (8192-row blocks) and 41
+        # (2048-row blocks): the sums are those of the held matrix bit
+        # for bit, so no pushed chunk is kept
         n = 20_011
-        cuts = [0, 1, 3000, 8192, 8193, 16_384 + 1000, n]
         for cols in (11, 41):
             matrix = np.random.default_rng(cols).uniform(-1, 1, size=(n, cols))
             eqs = NormalEquationSum(cols, n)
-            buffer = np.empty((16_384, cols))
-            for a, b in zip(cuts, cuts[1:]):
-                buffer[: b - a] = matrix[a:b]
-                eqs.push(buffer[: b - a])
+            buffer = np.empty((_COL_CHUNK, cols))
+            for chunk in chunk_views(matrix):
+                buffer[: len(chunk)] = chunk
+                eqs.push(buffer[: len(chunk)])
                 buffer.fill(np.nan)
             streamed, held = eqs.result(), normal_equations(matrix)
             assert np.array_equal(streamed.gram, held.gram)
             assert np.array_equal(streamed.xty, held.xty)
             assert streamed.n == n
+
+    def test_push_off_a_block_boundary_raises(self):
+        eqs = NormalEquationSum(41, 20_011)
+        eqs.push(np.zeros((1000, 41)))
+        with pytest.raises(ValueError, match="push at row 1000 does not start a 2048-row block"):
+            eqs.push(np.zeros((1000, 41)))
+
+    def test_every_block_divides_a_trial_chunk(self):
+        for cols in range(2, 401):
+            assert _COL_CHUNK % _block_rows(cols) == 0, cols
 
     def test_rejects_empty_and_malformed_input(self):
         with pytest.raises(ValueError, match="0 of 10 rows"):

@@ -32,11 +32,18 @@ def release_at(data, part, priv, k, stream):
 def force_mixing(monkeypatch, matrix):
     """Make rmgm_mix mix with the fixed matrix B = ``matrix``."""
 
-    def product(seed, values, k):
-        assert matrix.shape == (k, values.shape[0])
-        return matrix @ values
+    class FixedSketch:
+        def __init__(self, seed, n, cols, k):
+            assert matrix.shape == (k, n)
+            self.seed, self.chunks = seed, []
 
-    monkeypatch.setattr("mpdp.rmgm.sketch_product", product)
+        def push(self, chunk):
+            self.chunks.append(chunk.copy())
+
+        def result(self):
+            return matrix @ np.concatenate(self.chunks)
+
+    monkeypatch.setattr("mpdp.rmgm.SketchSum", FixedSketch)
 
 
 class TestChooseK:

@@ -8,8 +8,8 @@ import pytest
 import mpdp
 
 from mpdp.baselines import ols_train
-from mpdp.data_model import _row_chunks, partition_evenly, validate_bounds
-from mpdp.linalg import normal_equations
+from mpdp.data_model import partition_evenly, validate_bounds
+from mpdp.linalg import _block_rows, normal_equations
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -72,14 +72,12 @@ class TestDataset:
         data = gen_dataset(50, w_star, RandomStream(8))
         np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
 
-    def test_row_chunks_match_one_draw_and_one_product(self):
+    def test_chunks_match_one_draw_and_one_product(self):
         # two whole 8192-row label blocks and a 3-row remainder, in a
         # 16 384-row chunk and a short one: the chunked features and the
         # labels are bit for bit a single draw and a single product
         w_star = gen_ground_truth(10, RandomStream(11))
-        rows = _row_chunks(10**6, 11)[0][1]  # rows per chunk at 11 columns
-        n = 2 * rows + 3
-        assert len(_row_chunks(n, 11)) == 3
+        n = 2 * _block_rows(11) + 3
         data = gen_dataset(n, w_star, RandomStream(12))
         assert np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(12)))
 

@@ -250,6 +250,8 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: file is not valid UTF-8") from None
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DataFormatError(f"{path}: {exc}", row=reader.line_num) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

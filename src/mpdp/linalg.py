@@ -3,9 +3,9 @@
 Every trainer needs only X'X and X'y of the matrix [X | y] it trains on
 (``NormalEquations``), summed over fixed row blocks in order
 (``NormalEquationSum``), and reduces to solving H w = b for a small
-symmetric H.  H may be indefinite after de-biasing, so the solve uses a
-symmetric factorization (not Cholesky) and refuses numerically singular
-systems instead of silently returning garbage.
+symmetric H.  H may be indefinite after de-biasing, so the solve is one
+eigendecomposition (not Cholesky), whose eigenvalues also give the diagnostic,
+and it refuses numerically singular systems instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NormalEquationSum", "NormalEquations", "SingularSystemError", "normal_equations",
@@ -54,23 +53,22 @@ class SingularSystemError(ArithmeticError):
 
 
 def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``matrix @ x = rhs`` for symmetric ``matrix``.
+    """Solve ``matrix @ x = rhs`` for symmetric ``matrix`` = V diag(e) V'.
 
-    Returns (x, min |eigenvalue|).  Raises SingularSystemError when the
+    Returns (x = V ((V' rhs) / e), min |e|).  Raises SingularSystemError when the
     eigenvalue-based condition estimate exceeds COND_LIMIT, or when the
     system has a non-finite entry (its eigenvalues are then unknown: nan).
     """
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
         raise SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan)
-    eigs = np.abs(np.linalg.eigvalsh(matrix))
-    lo, hi = float(eigs.min()), float(eigs.max())
+    eigs, vecs = np.linalg.eigh(matrix)
+    lo, hi = float(np.abs(eigs).min()), float(np.abs(eigs).max())
     cond = np.inf if lo == 0.0 else hi / lo
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularSystemError(
             f"system is numerically singular (condition estimate {cond:.3g})", min_abs_eig=lo
         )
-    x = scipy.linalg.solve(matrix, rhs, assume_a="sym")
-    return x, lo
+    return vecs @ ((vecs.T @ rhs) / eigs), lo
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baselines import bgm_train, ols_train
@@ -60,7 +59,7 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 5
+NUMERICS_VERSION = 6
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
 # setup.  Up to d + 1 = 97 columns trials.csv does not depend on them:
@@ -240,7 +239,6 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         bit_generator=type(RandomStream(0).generator().bit_generator).__name__,
         python_version=platform.python_version(),
         numpy_version=np.__version__,
-        scipy_version=scipy.__version__,
         wall_s=round(time.perf_counter() - started, 3),
         peak_rss_mb=round(_peak_rss_mb(), 1),
     )

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +63,16 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_bytes(b"\xef\xbb\xbfseeds = 3\n")
         assert parse_config_file(str(path)) == {"seeds": 3}
+
+    def test_non_utf8_file_exits_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seeds = 2\n\xff\xfe bad\n")
+        args = ["synthetic", "--config", str(path), "--n-grid", "100", "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err and "decode" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -234,10 +245,21 @@ class TestSyntheticCommand:
         assert float(meta["peak_rss_mb"]) > 0
         assert meta["numpy_version"] == np.__version__
         assert meta["bit_generator"] == "SFC64"
-        for key in ("python_version", "scipy_version"):
-            assert meta[key]
+        assert meta["python_version"]
+        assert "scipy_version" not in meta
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert meta[var] == os.environ.get(var, "unset")
+
+
+def test_package_does_not_import_scipy():
+    # in a fresh interpreter: pytest's own process has scipy loaded
+    code = ("import json, sys, mpdp, mpdp.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +444,7 @@ class TestRealCommand:
             ("\n1,2\n3,4\n5,6\n7,8\n9,9\n", [], "row 1"),
             ("a,b\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1e308,5\n-1e308,6\n", ["--parties", "2"],
              "column 1"),
+            ("a,b\n" + "1" * 131_073 + ",2\n3,4\n", [], "row 2"),
         ],
         ids=[
             "more-parties-than-csv-columns",
@@ -433,6 +456,7 @@ class TestRealCommand:
             "blank-lines-only",
             "blank-header",
             "range-overflows",
+            "cell-over-field-limit",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):

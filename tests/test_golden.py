@@ -28,7 +28,9 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # the 16 384-row chunk.  Up to 16 columns (and at 32 and 64) the blocks,
 # and so the digests, are those of version 4; the wide config pins what
 # version 5 changed.
-NUMERICS_VERSION = 5
+# 6: every solve is one eigendecomposition, x = V ((V' b) / e), in place
+# of eigvalsh and a symmetric LDL' solve, so every digest changed.
+NUMERICS_VERSION = 6
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -37,8 +39,8 @@ SYNTHETIC_CFG = (
     "seeds = 5\n"
     "root_seed = 7\n"
 )
-SYNTHETIC_DIGEST = "a1ffb0fcb4ab4bedc61287a764c35e5c4fd5e01280e51d33a0e2780cc5949a13"
-SYNTHETIC_AGGREGATES_DIGEST = "bb4c2e1431048e8395e222cd8035de7399febfbe19ea17f38de81fad096eb936"
+SYNTHETIC_DIGEST = "37c733cf477c912e53a5a12c5b08c3991d189852ff0e2714ecbcdf992c71d850"
+SYNTHETIC_AGGREGATES_DIGEST = "c69efac7eb3bcbc83991b88852ef9d51443dfcd83bc6a47891de2dadbcdd8ef1"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -48,9 +50,9 @@ REAL_CFG = (
     "seeds = 3\n"
     "m = 3\n"
 )
-REAL_DIGEST = "7ee412902c0827975067fcb3aa030390c119322206ab637f517adeaece581879"
-REAL_AGGREGATES_DIGEST = "ff8682cf5f56769bcb47007a04086bf7dace4c733a138136d366093af43619b8"
-REAL_BEST_K_DIGEST = "dd92a1f1be4c1addb34b07bb84e7ceb363a1a96f03d22698bf3a38e28d1462bb"
+REAL_DIGEST = "a89ec53141980bbf59155618700a7dd612d21a4e4f42b611106dc583bcfc2711"
+REAL_AGGREGATES_DIGEST = "964b9f43aeacbb42ce8c4304fc312a090a6ff6ae8777d32d1198e76d57c92237"
+REAL_BEST_K_DIGEST = "d6c33b9b63619cab58b274bf15e75db87037c11f4941ecaec3977061ef075fe8"
 
 # n = 20 011 rows of 11 columns: three row blocks (8192, 8192, 3627) for
 # the normal equations and two sketch column chunks (16 384, 3627)
@@ -60,8 +62,8 @@ CHUNKED_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-CHUNKED_DIGEST = "6ac90df27bbb69396d13e1cb30e30d71aa834750e9d2a653e7de4d51a40d7714"
-CHUNKED_AGGREGATES_DIGEST = "6d57473321ee41e83685aaf5118466b0f71eab65553dc1cd6004097c1e285024"
+CHUNKED_DIGEST = "87a4331a69419facb648ecf2b0277700e0ede30078e65d0b223131ea9d3fb99b"
+CHUNKED_AGGREGATES_DIGEST = "932a315710b74ac40132b1bdfccf7600f73752ae02f5ab7f870aec63b8ed335f"
 
 # d + 1 = 41 columns: normal-equation blocks of 2048 rows (3196 in
 # version 4, when a block straddled two chunks)
@@ -73,8 +75,8 @@ WIDE_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-WIDE_DIGEST = "8ddd4d24df662e69743abb94699a28fbf079b3c8c9ce2e73358d89b2105ca3ed"
-WIDE_AGGREGATES_DIGEST = "bdc07a4446bff801d6228146ba62ab29d3298b638b45764a19b1dbd11fe731ba"
+WIDE_DIGEST = "69a1d9dee299ca3b4c1857269b0c4d7b082d9d386a4ef443f6f8cf931a157174"
+WIDE_AGGREGATES_DIGEST = "ff868211525118a6ff1de28c2d0ce07123338a07845f6807bf4ccae51c5a8cc5"
 
 # name -> (command, config)
 CONFIGS = {

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mpdp
 from mpdp.kernels import _COL_CHUNK, chunk_views
 from mpdp.linalg import (
     NormalEquationSum,
@@ -13,6 +19,28 @@ from mpdp.linalg import (
 )
 
 from _oracles import gram_loops, xty_loops
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
+
+# 20 seeded indefinite systems per size, hashed with their min |eigenvalue|
+_SOLVE_HASHES = """
+import hashlib
+import json
+import numpy as np
+from mpdp.linalg import solve_symmetric
+
+out = {}
+for d in (10, 40, 96, 200):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        rng = np.random.default_rng([d, seed])
+        a = rng.uniform(-1, 1, size=(d, d))
+        x, lo = solve_symmetric(a + a.T, rng.uniform(-1, 1, size=d))
+        digest.update(x.tobytes() + np.float64(lo).tobytes())
+    out[d] = digest.hexdigest()
+print(json.dumps(out))
+"""
 
 
 def eqs_of(x, y):
@@ -119,11 +147,25 @@ class TestSolveNormalEquations:
         with pytest.raises(SingularSystemError):
             solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), 0.0, shift=1.0)
 
+    def test_solution_and_eigenvalue_do_not_depend_on_blas_threads(self):
+        # an LU solve (np.linalg.solve) of these systems changes bits
+        # between one and two OpenBLAS threads at d = 120 and 200
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", _SOLVE_HASHES],
+                env=env, capture_output=True, text=True, timeout=600, check=True,
+            )
+            hashes.append(json.loads(proc.stdout))
+        assert hashes[0] == hashes[1]
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_system_is_singular(self, bad):
-        # eigvalsh cannot take such a matrix, and scipy's solve refuses such
-        # a right-hand side: both are reported as singular, with unknown
-        # eigenvalues
+        # eigh returns all-nan eigenvalues for such a matrix, and such a
+        # right-hand side gives a non-finite solution: both are reported as
+        # singular, with unknown eigenvalues
         matrix = np.eye(2)
         matrix[0, 1] = matrix[1, 0] = bad
         for system in ((matrix, np.ones(2)), (np.eye(2), np.array([1.0, bad]))):

@@ -221,6 +221,7 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     ``label_column`` names a column other than the last one, columns are
     reordered so the label comes last.
     """
+    row = 0  # records read so far; a csv.Error is in the next one
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -228,30 +229,33 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
                 header = next(reader)
             except StopIteration:
                 raise DataFormatError(f"{path}: file is empty") from None
+            row = 1
             names = [h.strip() for h in header]
             if not any(names):
                 raise DataFormatError(f"{path}: the header row names no column", row=1)
             rows: list[list[float]] = []
-            for lineno, raw in enumerate(reader, start=2):
+            # rows are records, not lines: a quoted cell may hold a newline
+            for row, raw in enumerate(reader, start=2):
                 if len(raw) != len(names):
                     raise DataFormatError(
-                        f"{path}: expected {len(names)} cells, found {len(raw)}", row=lineno
+                        f"{path}: expected {len(names)} cells, found {len(raw)}", row=row
                     )
-                parsed = []
-                for col, cell in enumerate(raw, start=1):
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: non-numeric cell {cell!r}", row=lineno, column=col
-                        ) from None
-                rows.append(parsed)
+                try:
+                    rows.append(list(map(float, raw)))
+                except ValueError:  # name the first cell float() rejects
+                    for col, cell in enumerate(raw, start=1):
+                        try:
+                            float(cell)
+                        except ValueError:
+                            raise DataFormatError(
+                                f"{path}: non-numeric cell {cell!r}", row=row, column=col
+                            ) from None
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: file is not valid UTF-8") from None
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise DataFormatError(f"{path}: {exc}", row=reader.line_num) from None
+        raise DataFormatError(f"{path}: {exc}", row=row + 1) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)

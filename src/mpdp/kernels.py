@@ -48,21 +48,27 @@ _MAX_ROWS = 512
 _TILE_BYTES = 1 << 20
 _COL_CHUNK = _TILE_BYTES // (8 * _MIN_ROWS)
 
+# A sketch makes its signs a band of whole tiles at a time: one splitmix
+# pass over the band's words (about _BAND_WORDS words, 128 KiB, and at
+# least one tile), so numpy's per-call cost of that arithmetic is shared
+# by the band's tiles.  Each tile's bytes are then unpacked flat, formed
+# into int8 signs and copied into one float64 tile buffer per push: a
+# fresh 1 MiB tile per tile is re-faulted by the allocator, and a buffer
+# kept for the sketch's life is resident while the trial's other
+# consumers run (1.3 MiB more peak RSS on the desk grid with two workers).
+# The tiles and their matvecs do not depend on the band, so neither do
+# the bits.
+_BAND_WORDS = 1 << 14
+
 
 def backend_name() -> str:
     """The sketch kernel in use, as recorded in run_meta (numpy is the only one)."""
     return "numpy"
 
 
-def rademacher_tile(seed: int, n: int, row0: int, rows: int, col0: int, cols: int) -> np.ndarray:
-    """One tile of the k-by-n mixing matrix, as float64 entries in {-1, +1}.
-
-    ``n`` is the full column count of the conceptual matrix; tiles taken
-    at any offset agree entry-wise with the full matrix.
-    """
-    nblk = (n + 63) // 64
-    b0 = col0 // 64
-    b1 = (col0 + cols - 1) // 64 + 1
+def _splitmix_words(seed: int, nblk: int, row0: int, rows: int, b0: int, b1: int) -> np.ndarray:
+    """The (rows, b1 - b0) mixed words ``b0:b1`` of rows ``row0:row0 + rows``
+    of a matrix with ``nblk`` words per row, in little-endian byte order."""
     r = np.arange(row0, row0 + rows, dtype=np.uint64)[:, None]
     b = np.arange(b0, b1, dtype=np.uint64)[None, :]
     z = np.uint64(seed) + (r * np.uint64(nblk) + b + np.uint64(1)) * _GOLDEN
@@ -73,14 +79,29 @@ def rademacher_tile(seed: int, n: int, row0: int, rows: int, col0: int, cols: in
     z ^= z >> np.uint64(31)
     if sys.byteorder == "big":  # pragma: no cover - little-endian everywhere we run
         z = z.byteswap()
-    bits = np.unpackbits(z[:, :, None].view(np.uint8), axis=2, bitorder="little")
-    bits = bits.reshape(rows, (b1 - b0) * 64)
-    off = col0 - b0 * 64
-    # 2 * bit - 1 in uint8 (0 wraps to 255, read back as int8 -1), then
-    # one conversion to float64: exact, and cheaper than doing it in floats
-    signs = bits[:, off : off + cols] * np.uint8(2)
-    signs -= 1
-    return signs.view(np.int8).astype(np.float64)
+    return z
+
+
+def _signs(words: np.ndarray, off: int, cols: int) -> np.ndarray:
+    """Entries ``off:off + cols`` of each row of ``words`` as int8 signs."""
+    # bit i of byte j is entry 8j + i of the row's 64 * words entries
+    bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+    # 2 * bit - 1 in uint8 (0 wraps to 255, read back as int8 -1): exact,
+    # and one int8 -> float64 conversion is cheaper than doing it in floats
+    bits *= np.uint8(2)
+    bits -= 1
+    return bits[:, off : off + cols].view(np.int8)
+
+
+def rademacher_tile(seed: int, n: int, row0: int, rows: int, col0: int, cols: int) -> np.ndarray:
+    """One tile of the k-by-n mixing matrix, as float64 entries in {-1, +1}.
+
+    ``n`` is the full column count of the conceptual matrix; tiles taken
+    at any offset agree entry-wise with the full matrix.
+    """
+    b0 = col0 // 64
+    words = _splitmix_words(seed, (n + 63) // 64, row0, rows, b0, (col0 + cols - 1) // 64 + 1)
+    return _signs(words, col0 - b0 * 64, cols).astype(np.float64)
 
 
 def rademacher_matrix(seed: int, k: int, n: int) -> np.ndarray:
@@ -109,33 +130,46 @@ class SketchSum:
     column chunks (``chunk_views``) pushed in order, none of them kept.
     The k-by-c result is bit for bit the first k rows of that for any
     larger k.  B is never materialised: the working memory is the result,
-    one tile (at most 1 MiB) and one (c, chunk) transpose buffer."""
+    one band of sign words (about 128 KiB), one float64 tile (at most
+    1 MiB) and one (c, chunk) transpose buffer."""
 
     def __init__(self, seed: int, n: int, cols: int, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.seed, self.n, self.k, self._i0 = int(seed), n, k, 0
-        self._tiles = _row_tiles(k, min(n, _COL_CHUNK))
-        self._out = np.zeros((self._tiles[-1][1], cols), dtype=np.float64)
+        width = min(n, _COL_CHUNK)
+        tiles = _row_tiles(k, width)
+        per_band = max(1, _BAND_WORDS // (tiles[0][1] * -(-width // 64)))
+        self._bands = [tiles[t : t + per_band] for t in range(0, len(tiles), per_band)]
+        self._out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
         # reused: a fresh 1.4 MiB copy per chunk made glibc re-fault its heap
-        self._transposed = np.empty((cols, min(n, _COL_CHUNK)))
+        self._transposed = np.empty((cols, width))
 
     def push(self, chunk: np.ndarray) -> None:
         i0, i1 = self._i0, self._i0 + chunk.shape[0]
-        if i1 - i0 != min(_COL_CHUNK, self.n - i0):
+        width = i1 - i0
+        if width != min(_COL_CHUNK, self.n - i0):
             raise ValueError(f"rows {i0}:{i1} are not a column chunk of {self.n} columns")
-        transposed = self._transposed[:, : i1 - i0]
+        transposed = self._transposed[:, :width]
         transposed[...] = chunk.T  # each row, a matvec operand, is contiguous
-        for r0, r1 in self._tiles:
-            tile = rademacher_tile(self.seed, self.n, r0, r1 - r0, i0, i1 - i0)
-            # one matvec per column: the bits of each output column must
-            # not depend on which other columns were sketched alongside
-            # it (party blocks are sliced out and reconstructed bitwise).
-            # np.dot, not @: both run the same gemv with the same bits,
-            # but matmul holds the GIL through it, so --workers threads
-            # could not run their matvecs at the same time
-            for j, column in enumerate(transposed):
-                self._out[r0:r1, j] += np.dot(tile, column)
+        # i0 is a multiple of _COL_CHUNK, so the chunk starts on a word
+        b0, b1, nblk = i0 // 64, (i1 + 63) // 64, (self.n + 63) // 64
+        buffer = np.empty(self._bands[0][0][1] * width)  # the tallest tile, the first
+        for band in self._bands:
+            r0 = band[0][0]
+            words = _splitmix_words(self.seed, nblk, r0, band[-1][1] - r0, b0, b1)
+            for t0, t1 in band:
+                # a prefix of the flat buffer, so C-contiguous whatever its shape
+                tile = buffer[: (t1 - t0) * width].reshape(t1 - t0, width)
+                np.copyto(tile, _signs(words[t0 - r0 : t1 - r0], 0, width))
+                # one matvec per column: the bits of each output column must
+                # not depend on which other columns were sketched alongside
+                # it (party blocks are sliced out and reconstructed bitwise).
+                # np.dot, not @: both run the same gemv with the same bits,
+                # but matmul holds the GIL through it, so --workers threads
+                # could not run their matvecs at the same time
+                for j, column in enumerate(transposed):
+                    self._out[t0:t1, j] += np.dot(tile, column)
         self._i0 = i1
 
     def result(self) -> np.ndarray:

@@ -445,6 +445,9 @@ class TestRealCommand:
             ("a,b\n1e308,1\n-1e308,2\n1e308,3\n-1e308,4\n1e308,5\n-1e308,6\n", ["--parties", "2"],
              "column 1"),
             ("a,b\n" + "1" * 131_073 + ",2\n3,4\n", [], "row 2"),
+            # the quoted newline makes record 3 the file's fourth line
+            ('a,b\n"1\n",3\n4,' + "1" * 131_073 + "\n", [], "row 3"),
+            ('a,b\n"1\n",3\n4,x\n', [], "row 3, column 2"),
         ],
         ids=[
             "more-parties-than-csv-columns",
@@ -457,6 +460,8 @@ class TestRealCommand:
             "blank-header",
             "range-overflows",
             "cell-over-field-limit",
+            "cell-over-field-limit-after-quoted-newline",
+            "non-numeric-after-quoted-newline",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):

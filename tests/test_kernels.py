@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,14 @@ class TestRademacherMatrix:
         tile = kernels.rademacher_tile(55, 300, 3, 8, 70, 150)
         assert tile.dtype == np.float64 and tile.flags.c_contiguous
         assert set(np.unique(tile)) == {-1.0, 1.0}
+
+    def test_signs_are_pinned(self):
+        # the frozen sketch oracles build B with rademacher_tile, so they
+        # cannot see a fault in the splitmix words; this digest can
+        signs = kernels.rademacher_matrix(2024, 13, 200).astype(np.int8)
+        assert hashlib.sha256(signs.tobytes()).hexdigest() == (
+            "fa97f8ec5d2dbf8e8dc30ab7ed79b9cb42d93f8e4164ae26adf2ca084488dc40"
+        )
 
     def test_entry_mean_near_zero(self):
         m = kernels.rademacher_matrix(2024, 1000, 1000)
@@ -228,8 +237,9 @@ class TestReleasesTheGil:
 class TestWorkingMemory:
     @pytest.mark.parametrize("n, c, k", [(16_000, 13, 3000), (300_000, 11, 113)])
     def test_peak_under_6_mib(self, n, c, k):
-        # one tile of at most 1 MiB, one transposed column chunk (at most
-        # 13 x 16 384 float64 here) and the output
+        # one tile of at most 1 MiB, one band of sign words (about
+        # 128 KiB), one transposed column chunk (at most 13 x 16 384
+        # float64 here) and the output
         data = np.random.default_rng(4).uniform(-1, 1, size=(n, c))
         tracemalloc.start()
         try:

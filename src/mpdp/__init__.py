@@ -21,7 +21,7 @@ from .data_model import (
     split_train_test,
     validate_bounds,
 )
-from .dgm import dgm_release, dgm_train
+from .dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
 from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from .evaluation import (
     AggregateReport,
@@ -53,6 +53,7 @@ __all__ = [
     "bgm_train",
     "calibrate",
     "choose_k",
+    "data_root",
     "dgm_release",
     "dgm_train",
     "gaussian_noise",
@@ -66,6 +67,7 @@ __all__ = [
     "rmgm_mix",
     "rmgm_release",
     "rmgm_train",
+    "sample_dgm_gram",
     "save_csv",
     "sensitivity_bound",
     "split_train_test",

@@ -1,8 +1,8 @@
 """Normal equations and the shared symmetric solve with eigenvalue diagnostics.
 
 Every trainer needs only X'X and X'y of the matrix [X | y] it trains on
-(``NormalEquations``), summed over fixed row blocks in order
-(``NormalEquationSum``), and reduces to solving H w = b for a small
+(``NormalEquations``, which also keep y'y), summed over fixed row blocks
+in order (``NormalEquationSum``), and reduces to solving H w = b for a small
 symmetric H.  H may be indefinite after de-biasing, so the solve is one
 eigendecomposition (not Cholesky), whose eigenvalues also give the diagnostic,
 and it refuses numerically singular systems instead of returning garbage.
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NormalEquationSum", "NormalEquations", "SingularSystemError", "normal_equations",
-    "solve_normal_equations", "solve_symmetric",
+    "NormalEquationSum", "NormalEquations", "SingularSystemError", "gram_product", "gram_root",
+    "normal_equations", "solve_normal_equations", "solve_symmetric",
 ]
 
 COND_LIMIT = 1e14
@@ -24,6 +24,10 @@ COND_LIMIT = 1e14
 # The most rows of one normal-equation or label block, and its byte cap.
 _BLOCK_ROWS = 8192
 _BLOCK_BYTES = 1 << 20
+
+# The most columns, and rows, of one Gram panel product (see ``gram_product``).
+_PANEL = 64
+_PANEL_ROWS = 256
 
 
 def _block_rows(cols: int) -> int:
@@ -36,7 +40,8 @@ def _block_rows(cols: int) -> int:
     its threads and then rounds it differently.  Under one and two
     threads, a 2-column product (d = 1) changed bits at 16 384 rows and
     11- and 14-column ones at 65 536, while the sums over these blocks
-    kept their bits up to 97 columns.
+    kept their bits at every width, once X'X is formed in panels
+    (``gram_product``).
     """
     rows = _BLOCK_ROWS
     while rows > 1 and rows * cols * 8 > _BLOCK_BYTES:
@@ -71,14 +76,71 @@ def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, fl
     return vecs @ ((vecs.T @ rhs) / eigs), lo
 
 
+def gram_product(x: np.ndarray) -> np.ndarray:
+    """x'x.  Up to _PANEL columns that is the one product ``x.T @ x``.
+    Wider, it is a sum over row slices of at most _PANEL_ROWS rows, in
+    order, of one product per pair of column panels of at most _PANEL
+    columns, ``x[:, a:a+w].T @ x[:, b:b+w]`` for a <= b, mirrored below
+    the diagonal.
+
+    OpenBLAS threads a product with a 97-column or wider output whatever
+    its row count, and a 64-column panel product of another panel from
+    about 385 rows on, and then rounds them differently.  These pieces
+    kept their bits under one and two threads at every width tried from
+    65 to 400 and every row count up to 1100.
+    """
+    cols = x.shape[1]
+    if cols <= _PANEL:
+        return x.T @ x
+    out = np.zeros((cols, cols))
+    for r0 in range(0, x.shape[0], _PANEL_ROWS):
+        rows = x[r0 : r0 + _PANEL_ROWS]
+        for a in range(0, cols, _PANEL):
+            for b in range(a, cols, _PANEL):
+                panel = rows[:, a : a + _PANEL].T @ rows[:, b : b + _PANEL]
+                out[a : a + _PANEL, b : b + _PANEL] += panel
+    lower = np.tril_indices(cols, -1)
+    out[lower] = out.T[lower]
+    return out
+
+
+def gram_root(gram: np.ndarray, max_rows: int) -> np.ndarray:
+    """An r-by-p T with T'T = ``gram`` (p-by-p, positive semidefinite) and
+    r <= max_rows: a Cholesky factor with diagonal pivoting, one row per
+    step, each taken at the largest remaining diagonal entry.  The steps
+    stop after max_rows rows, or once that entry is at most p * eps times
+    the largest diagonal entry of ``gram`` (what remains is rounding, the
+    tolerance of LAPACK's pivoted Cholesky, dpstrf), so r is the numerical
+    rank when max_rows is at least that.
+
+    It is elementwise numpy only, so its bits do not depend on the BLAS
+    thread count, where ``np.linalg.eigh`` of a p-by-p data Gram changed
+    bits under two OpenBLAS threads at most p tried from 145 on.
+    """
+    rest = np.array(gram, dtype=np.float64)
+    tol = rest.shape[0] * np.finfo(np.float64).eps * rest.diagonal().max(initial=0.0)
+    rows = []
+    while len(rows) < max_rows:
+        k = int(rest.diagonal().argmax())
+        if not rest[k, k] > tol:
+            break
+        row = rest[k] / np.sqrt(rest[k, k])
+        rest -= np.multiply.outer(row, row)
+        rest[k, :] = rest[:, k] = 0.0
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), rest.shape[0])
+
+
 @dataclass(frozen=True)
 class NormalEquations:
-    """X'X (``gram``) and X'y (``xty``) of an n-row matrix [X | y] with
-    its label last: everything a trainer needs of what it trains on."""
+    """X'X (``gram``), X'y (``xty``) and y'y (``yty``, None when unknown)
+    of an n-row matrix [X | y] with its label last: everything a trainer
+    needs of what it trains on, and with y'y the whole Gram of [X | y]."""
 
     gram: np.ndarray
     xty: np.ndarray
     n: int
+    yty: float | None = None
 
     def __post_init__(self) -> None:
         if self.xty.ndim != 1 or self.gram.shape != self.xty.shape * 2 or self.n < 1:
@@ -90,9 +152,10 @@ class NormalEquations:
 
 class NormalEquationSum:
     """The normal equations of an n-row matrix [X | y], label last, pushed
-    in order, each chunk through ``step`` first if one is given.  X'X and
-    X'y are one product per ``_block_rows`` block, cut at absolute row
-    offsets and summed in order, so the bits depend on the matrix alone.
+    in order, each chunk through ``step`` first if one is given.  X'X
+    (``gram_product``), X'y and y'y are one product each per
+    ``_block_rows`` block, cut at absolute row offsets and summed in
+    order, so the bits depend on the matrix alone.
     No chunk is kept, so every push but the last must be whole blocks
     (``chunk_views`` chunks are)."""
 
@@ -100,7 +163,7 @@ class NormalEquationSum:
         if cols < 2:
             raise ValueError("need an n-by-(d+1) matrix with the label last")
         self.n, self._step, self._block = n, step, _block_rows(cols)
-        self._gram = self._xty = None
+        self._gram = self._xty = self._yty = None
         self._pushed = 0
 
     def push(self, chunk: np.ndarray) -> None:
@@ -112,21 +175,23 @@ class NormalEquationSum:
         for b0 in range(0, chunk.shape[0], self._block):
             x, y = chunk[b0 : b0 + self._block, :-1], chunk[b0 : b0 + self._block, -1]
             if self._gram is None:
-                self._gram, self._xty = x.T @ x, x.T @ y
+                self._gram, self._xty, self._yty = gram_product(x), x.T @ y, y @ y
             else:
-                self._gram += x.T @ x
+                self._gram += gram_product(x)
                 self._xty += x.T @ y
+                self._yty += y @ y
         self._pushed += chunk.shape[0]
 
     def result(self) -> NormalEquations:
         if self._gram is None or self._pushed != self.n:
             raise ValueError(f"{self._pushed} of {self.n} rows pushed")
-        return NormalEquations(gram=self._gram, xty=self._xty, n=self.n)
+        return NormalEquations(gram=self._gram, xty=self._xty, n=self.n, yty=float(self._yty))
 
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:
     """The normal equations of a held n-by-(d+1) matrix, label last (up
-    to one ``_block_rows`` block: exactly ``x.T @ x`` and ``x.T @ y``)."""
+    to one ``_block_rows`` block and 64 feature columns: exactly
+    ``x.T @ x``, ``x.T @ y`` and ``y @ y``)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("need an n-by-(d+1) matrix with the label last")

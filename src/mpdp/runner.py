@@ -34,8 +34,8 @@ from .data_model import (
     split_train_test,
     write_csv,
 )
-from .dgm import dgm_train
-from .dp_core import PartyNoise, calibrate
+from .dgm import data_root, dgm_train, sample_dgm_gram
+from .dp_core import calibrate
 from .evaluation import (
     AggregateReport,
     TrialReport,
@@ -59,13 +59,13 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 6
+NUMERICS_VERSION = 7
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
-# setup.  Up to d + 1 = 97 columns trials.csv does not depend on them:
+# setup.  Up to d = 144 trials.csv does not depend on them:
 # tests/test_cli.py and tests/test_kernels.py check it under one and two
-# OpenBLAS threads.  From 98 columns on, OpenBLAS threads the Gram
-# products themselves and rounds them differently.
+# OpenBLAS threads, the trainers at d = 120 and 200.  From d = 145 on,
+# the solve's eigendecomposition (LAPACK) may round differently.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The files each command writes under its output directory, in writing order.
@@ -97,8 +97,10 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
                    seed: int, measure) -> list[TrialReport]:
     """Run every configured method once against the n rows that
     ``chunks`` yields in ``chunk_views`` chunks, in one pass: each chunk
-    goes to the bounds check, the OLS normal equations, one DGM release
-    per epsilon and the RMGM sketch; only the solves run after it.
+    goes to the bounds check, the data's normal equations and the RMGM
+    sketch; only the releases and solves run after it.  OLS trains on the
+    data's normal equations, and each epsilon's DGM release Gram is
+    sampled from them (``sample_dgm_gram``), never materialised.
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
     the same data; dgm and bgm share one release per epsilon, and every
@@ -122,22 +124,23 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
                                    wall_time=time.perf_counter() - start, **outcome))
 
     privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
-    ols = NormalEquationSum(d + 1, n) if "ols" in cfg.methods else None
-    dgms = [NormalEquationSum(d + 1, n, PartyNoise(partition, priv, base.child("dgm", i)))
-            for i, priv in enumerate(privs) if "dgm" in cfg.methods or "bgm" in cfg.methods]
+    dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
+    sums = NormalEquationSum(d + 1, n) if dgm or "ols" in cfg.methods else None
     ks = [choose_k(n, priv.sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for priv in privs]
     # one shared B per trial: every (eps, k) release is a prefix of its sketch
     mixer = (SketchSum(base.child("mixing").seed64(), n, d + 1, max(map(max, ks)))
              if "rmgm" in cfg.methods else None)
-    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), ols, *dgms, mixer)))
+    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), sums, mixer)))
 
-    if ols is not None:
-        fit("ols", None, None, ols_train, ols.result())
+    stats = sums.result() if sums is not None else None
+    root = data_root(stats) if dgm else None
+    if "ols" in cfg.methods:
+        fit("ols", None, None, ols_train, stats)
     if mixer is not None:
         sketch = RmgmSketch(mixer.result(), mixer.seed, n, partition)
     for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
-        if dgms:
-            release = dgms[eps_index].result()
+        if dgm:
+            release = sample_dgm_gram(stats, root, partition, priv, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
                 fit("dgm", eps, None, dgm_train, release, partition.d_max, priv)
             if "bgm" in cfg.methods:
@@ -235,6 +238,7 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         root_seed=cfg.root_seed,
         artifact_version=__version__,
         numerics_version=NUMERICS_VERSION,
+        dgm_gram="sampled from the data's Gram, exact in distribution; D + R not materialised",
         kernel_backend=backend_name(),
         bit_generator=type(RandomStream(0).generator().bit_generator).__name__,
         python_version=platform.python_version(),

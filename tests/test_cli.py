@@ -339,6 +339,19 @@ class TestChunkCrossingInvariance:
         assert one.count(b"\n") == 1 + 2 * (1 + 3 * 2)  # 2 seeds x (ols + 2 eps x 3)
         assert two == one
 
+    @pytest.mark.parametrize("d", [120, 200])
+    def test_blas_threads_do_not_change_trainers_wider_than_a_panel(self, tmp_path, d):
+        # X'X of more than 64 feature columns, and the DGM Gram sampled
+        # at d + 1 columns, are sums of 64-column panel products: one
+        # product over 97 or more columns is threaded whatever its rows
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"d = {d}\nm = 3\nmethods = ols, dgm, bgm\nn_grid = 1500, 9001\n"
+                       "eps_grid = 1.0, 0.1\nseeds = 2\nroot_seed = 7\n")
+        one, two = (run_in_child(["--config", str(cfg)], threads, tmp_path / f"t{threads}")
+                    for threads in (1, 2))
+        assert one.count(b"\n") == 1 + 2 * 2 * (1 + 2 * 2)  # 2 n x 2 seeds x (ols + 2 eps x 2)
+        assert two == one
+
 
 class TestRealCommand:
     def test_fixture_smoke_run(self, tmp_path):
@@ -409,6 +422,30 @@ class TestRealCommand:
             rows.append([line for line in lines if line.split(",")[k_col] == "30"])
         assert len(rows[0]) == 3 * 2
         assert rows[0] == rows[1]
+
+    def test_fewer_training_rows_than_columns(self, tmp_path):
+        # 5 rows of 13 features: the 4:1 split trains on 4 rows of 14
+        # columns, so the data's Gram has rank 4 and the DGM Gram is
+        # sampled from 4 rows of its root, with no Wishart part
+        path = tmp_path / "tiny.csv"
+        values = np.random.default_rng(1).uniform(0, 10, size=(5, 14))
+        lines = [",".join(f"c{j}" for j in range(14))]
+        lines += [",".join(format(v, ".6f") for v in row) for row in values]
+        path.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"csv_path = {path}\nk_grid = 2, 3\neps_grid = 1.0, 0.1\nseeds = 3\n")
+        out = tmp_path / "res"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpdp", "real", "--config", str(cfg), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=SRC_DIR), capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        header, *rows = (out / "trials.csv").read_text().splitlines()
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        dgm = [c for c in cells if c["method"] in ("dgm", "bgm")]
+        assert len(dgm) == 3 * 2 * 2 and {c["n"] for c in dgm} == {"4"}
+        for c in dgm:
+            assert c["status"] == "singular" or np.isfinite(float(c["test_mse"]))
 
     def test_parties_checked_against_csv_columns_not_synthetic_d(self, tmp_path):
         # 20 columns: more than the synthetic default d + 1 = 11

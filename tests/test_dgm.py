@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-
+from scipy.stats import ks_2samp
+from mpdp.config import build_config
 from mpdp.data_model import DataMatrix, partition_evenly
-from mpdp.dgm import dgm_release, dgm_train
+from mpdp.dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
 from mpdp.linalg import SingularSystemError, _block_rows, normal_equations
+from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
 
@@ -195,3 +197,106 @@ class TestSensitivity:
         for j, (a, b) in enumerate(part.blocks, start=1):
             draws = RandomStream(45).child(j).generator().standard_normal((1000, b - a))
             assert np.array_equal(released[:, a:b], values[:, a:b] + draws * std)
+
+
+def whole_gram(eqs):
+    """The Gram of [X | y] from normal equations that keep y'y."""
+    p = eqs.xty.size + 1
+    gram = np.empty((p, p))
+    gram[:-1, :-1], gram[-1, -1] = eqs.gram, eqs.yty
+    gram[:-1, -1] = gram[-1, :-1] = eqs.xty
+    return gram
+
+
+def noise_of_std(std, part):
+    """Privacy parameters whose release noise has standard deviation std."""
+    return PrivacyParams(epsilon=1.0, delta=1e-5, sigma=std / sensitivity_bound(part.d_max))
+
+
+class TestSampler:
+    """``sample_dgm_gram`` against the literal mechanism ``dgm_release``,
+    on one fixed 4-column D per branch: n = 10 (W by Bartlett), n = 6 (W
+    from its 2-by-4 factor), n = 3 < p (no W), and n = 10 with labels
+    that are a combination of the features, as in a synthetic trial (T
+    has 3 rows, W 7 degrees of freedom).  The noise std is 1.3, so a
+    variance used as a std shows."""
+
+    DRAWS = 3000
+    STD = 1.3
+
+    @pytest.mark.parametrize("n, exact_labels", [(10, False), (6, False), (3, False), (10, True)],
+                             ids=["bartlett", "direct_factor", "n_below_p", "exact_labels"])
+    def test_matches_the_literal_release_in_distribution(self, n, exact_labels):
+        values = np.random.default_rng(n).uniform(-1, 1, size=(n, 4))
+        if exact_labels:
+            values[:, -1] = values[:, :-1] @ np.array([0.3, -0.2, 0.4])
+        data = DataMatrix(values, ("a", "b", "c", "y"))
+        part = partition_evenly(4, 2)
+        priv = noise_of_std(self.STD, part)
+        stats = normal_equations(values)
+        root = data_root(stats)
+        upper = np.triu_indices(4)
+        literal = np.array([whole_gram(dgm_release(data, part, priv, RandomStream(5).child(i)))
+                            for i in range(self.DRAWS)])
+        sampled = np.array([whole_gram(sample_dgm_gram(stats, root, part, priv,
+                                                       RandomStream(6).child(i)))
+                            for i in range(self.DRAWS)])
+        # the 10 upper-triangle entries: means within 4.5 standard errors
+        # of their difference, variances within 20%
+        a, b = literal[:, *upper], sampled[:, *upper]
+        var_a, var_b = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
+        z = (b.mean(axis=0) - a.mean(axis=0)) / np.sqrt((var_a + var_b) / self.DRAWS)
+        assert np.abs(z).max() < 4.5
+        assert (np.abs(var_b / var_a - 1.0) < 0.2).all()
+
+        def min_abs_eig(grams):  # of the de-biased matrix dgm_train solves
+            debiased = grams[:, :-1, :-1] / n - self.STD**2 * np.eye(3)
+            return np.abs(np.linalg.eigvalsh(debiased)).min(axis=1)
+
+        assert ks_2samp(min_abs_eig(literal), min_abs_eig(sampled)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n, normals, chisquares", [
+        (10, [4 * 4, 4 * 3 // 2], [4]),  # Z, then L's lower triangle
+        (6, [4 * 4, 2 * 4], []),         # Z, then W's 2-by-4 factor
+        (3, [3 * 4], []),                # 3 rows of T and of Z, no W
+    ], ids=["bartlett", "direct_factor", "n_below_p"])
+    def test_draws_of_each_branch(self, draws, n, normals, chisquares):
+        stats = normal_equations(np.random.default_rng(n).uniform(-1, 1, size=(n, 4)))
+        part = partition_evenly(4, 2)
+        release = sample_dgm_gram(stats, data_root(stats), part, noise_of_std(self.STD, part),
+                                  RandomStream(7))
+        assert release.n == n and np.isfinite(whole_gram(release)).all()
+        assert [e for _, method, e in draws if method == "standard_normal"] == normals
+        assert [e for _, method, e in draws if method == "chisquare"] == chisquares
+
+    def test_zero_noise_returns_the_data_equations(self, draws):
+        # bit for bit: no Gram rebuilt from T
+        stats = normal_equations(np.random.default_rng(8).uniform(-1, 1, size=(30, 5)))
+        release = sample_dgm_gram(stats, data_root(stats), partition_evenly(5, 2), ZERO_NOISE,
+                                  RandomStream(9))
+        assert release is stats and draws == []
+
+    def test_needs_y_transpose_y(self):
+        stats = normal_equations(np.ones((5, 3)) / 2)
+        stats = type(stats)(gram=stats.gram, xty=stats.xty, n=stats.n)
+        with pytest.raises(ValueError, match="y'y"):
+            data_root(stats)
+
+
+class TestTrialDraws:
+    def test_dgm_stream_draws_do_not_grow_with_n(self, draws):
+        # one n = 70 001 trial with three epsilon: each epsilon's DGM
+        # stream draws Z (10 x 11: the labels are X w*, so [X | y] has
+        # rank 10), 11 chi-squares and L's 55 normals, where adding the
+        # noise to the rows drew 70 001 x 11
+        cfg = build_config({}, dict(eps_grid=(1.0, 0.3, 0.1), seeds=1))
+        root = RandomStream(10)
+        reports = _synthetic_trial(cfg, root, 70_001, 0)
+        assert sum(r.method in ("dgm", "bgm") for r in reports) == 6
+        base = root.child("synthetic", 0)
+        for i in range(3):
+            prefix = base.child("dgm", i).path
+            drawn = sum(e for path, _, e in draws if path[: len(prefix)] == prefix)
+            assert drawn == 10 * 11 + 11 + 55
+        dgm = base.child("dgm").path
+        assert sum(e for path, _, e in draws if path[: len(dgm)] == dgm) == 3 * 176

@@ -30,7 +30,13 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # version 5 changed.
 # 6: every solve is one eigendecomposition, x = V ((V' b) / e), in place
 # of eigvalsh and a symmetric LDL' solve, so every digest changed.
-NUMERICS_VERSION = 6
+# 7: a trial samples each DGM release's Gram from the data's own in place
+# of adding n rows of noise, so the dgm and bgm rows changed; the other
+# rows, and best_k.csv, are those of version 6
+# (``test_only_dgm_and_bgm_rows_left_version_6``).  X'X of more than 64
+# feature columns became a sum of panel products; no config here is that
+# wide.
+NUMERICS_VERSION = 7
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -39,8 +45,8 @@ SYNTHETIC_CFG = (
     "seeds = 5\n"
     "root_seed = 7\n"
 )
-SYNTHETIC_DIGEST = "37c733cf477c912e53a5a12c5b08c3991d189852ff0e2714ecbcdf992c71d850"
-SYNTHETIC_AGGREGATES_DIGEST = "c69efac7eb3bcbc83991b88852ef9d51443dfcd83bc6a47891de2dadbcdd8ef1"
+SYNTHETIC_DIGEST = "85ca793b06638f1e779e48f4b40bf02ba50f5d72e11570d2920aeebb47cf19de"
+SYNTHETIC_AGGREGATES_DIGEST = "1d53d953d8c77d5b86cace63ac24387f8dccf4a8966a391c4e5bac5ddf0016eb"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -50,8 +56,8 @@ REAL_CFG = (
     "seeds = 3\n"
     "m = 3\n"
 )
-REAL_DIGEST = "a89ec53141980bbf59155618700a7dd612d21a4e4f42b611106dc583bcfc2711"
-REAL_AGGREGATES_DIGEST = "964b9f43aeacbb42ce8c4304fc312a090a6ff6ae8777d32d1198e76d57c92237"
+REAL_DIGEST = "d370d44d0b23ebd162e7ac161206cde64f98d1aa420b98da4b0955aa77d89969"
+REAL_AGGREGATES_DIGEST = "dd6f2fbf495374f8a54180848254af7d32d69ad6f286424baedeed9ddd551ff9"
 REAL_BEST_K_DIGEST = "d6c33b9b63619cab58b274bf15e75db87037c11f4941ecaec3977061ef075fe8"
 
 # n = 20 011 rows of 11 columns: three row blocks (8192, 8192, 3627) for
@@ -62,8 +68,8 @@ CHUNKED_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-CHUNKED_DIGEST = "87a4331a69419facb648ecf2b0277700e0ede30078e65d0b223131ea9d3fb99b"
-CHUNKED_AGGREGATES_DIGEST = "932a315710b74ac40132b1bdfccf7600f73752ae02f5ab7f870aec63b8ed335f"
+CHUNKED_DIGEST = "d6815d32b1e6f5f598a48623ef40307a9c759ed1cad9d59840b15db745fe5b2b"
+CHUNKED_AGGREGATES_DIGEST = "33c037873baec4d4991a32695ad6ddb555ac8914f51ba0bb6599feec6af2f245"
 
 # d + 1 = 41 columns: normal-equation blocks of 2048 rows (3196 in
 # version 4, when a block straddled two chunks)
@@ -75,8 +81,16 @@ WIDE_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-WIDE_DIGEST = "69a1d9dee299ca3b4c1857269b0c4d7b082d9d386a4ef443f6f8cf931a157174"
-WIDE_AGGREGATES_DIGEST = "ff868211525118a6ff1de28c2d0ce07123338a07845f6807bf4ccae51c5a8cc5"
+WIDE_DIGEST = "64e6bdf1227ec918749e081291d0c05e7fbd5f70f24ecb31f50d7c2a766e0f5b"
+WIDE_AGGREGATES_DIGEST = "2b302df4924861f4a057835090fdec0f2ce1161be0caf84c222da8da1e82c165"
+
+# sha256 of each config's trials.csv at version 6 without its dgm and
+# bgm rows, header included, lines joined by newlines
+VERSION_6_OTHER_ROWS = {
+    "synthetic": "b808e3bc5197c907408605b56c5d93890a03e209714461c8103ee46701d992f7",
+    "chunked": "3882d10d17c78df1f946a33e7dc2bd8c579f91138f3f26ec62c1a959c4481385",
+    "wide": "c42fdcc2111dcce79eb0547802dca29338be88288d1bc0dfeb75738209573904",
+}
 
 # name -> (command, config)
 CONFIGS = {
@@ -143,3 +157,11 @@ def test_aggregates_csv_digest(run_outputs, name, digest):
 
 def test_best_k_csv_digest(run_outputs):
     assert _sha256(run_outputs("real") / "best_k.csv") == REAL_BEST_K_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(VERSION_6_OTHER_ROWS))
+def test_only_dgm_and_bgm_rows_left_version_6(run_outputs, name):
+    # the ols and rmgm rows come from the same data sums and sketches
+    lines = (run_outputs(name) / "trials.csv").read_bytes().split(b"\n")
+    other = b"\n".join(line for line in lines if not line.startswith((b"dgm,", b"bgm,")))
+    assert hashlib.sha256(other).hexdigest() == VERSION_6_OTHER_ROWS[name]

@@ -212,6 +212,32 @@ class TestBlasThreads:
         assert runs[0].count("\nrmgm,") == 4  # 2 seeds x 2 k
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("d", [120, 200])
+    def test_wide_trainers_same_under_one_and_two_blas_threads(self, tmp_path, d):
+        # a real CSV wider than one 64-column Gram panel: 1875 rows, so
+        # 1500 training rows, in 1024- or 512-row blocks and a last one of
+        # 476 (a 64-column product of two panels over 476 rows was threaded),
+        # and the DGM Gram sampled at d + 1 columns
+        values = np.random.default_rng(d).uniform(0, 1, size=(1875, d + 1))
+        csv = tmp_path / "data.csv"
+        np.savetxt(csv, values, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"c{j}" for j in range(d + 1)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"csv_path = {csv}\nmethods = ols, dgm, bgm\nm = 3\n"
+                       "eps_grid = 1.0, 0.1\nseeds = 2\n")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "mpdp", "real", "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600, check=True,
+            )
+            runs.append((out / "trials.csv").read_text())
+        assert runs[0].count("\n") == 1 + 2 * (1 + 2 * 2)  # 2 seeds x (ols + 2 eps x 2)
+        assert runs[0] == runs[1]
+
 
 class TestReleasesTheGil:
     def test_every_matvec_is_an_np_dot_call(self, monkeypatch):

@@ -13,6 +13,8 @@ from mpdp.linalg import (
     NormalEquations,
     SingularSystemError,
     _block_rows,
+    gram_product,
+    gram_root,
     normal_equations,
     solve_normal_equations,
     solve_symmetric,
@@ -57,7 +59,7 @@ class TestNormalEquations:
             x, y = matrix[:, :-1], matrix[:, -1]
             eqs = normal_equations(matrix)
             assert np.array_equal(eqs.gram, x.T @ x) and np.array_equal(eqs.xty, x.T @ y)
-            assert eqs.n == n
+            assert eqs.yty == y @ y and eqs.n == n
 
     def test_blocks_are_summed_in_order(self):
         # two whole blocks and a 3-row remainder
@@ -65,12 +67,12 @@ class TestNormalEquations:
         n = 2 * rows + 3
         matrix = np.random.default_rng(1).uniform(-1, 1, size=(n, 4))
         eqs = normal_equations(matrix)
-        gram, xty = 0.0, 0.0
+        gram, xty, yty = 0.0, 0.0, 0.0
         for r0 in range(0, n, rows):
             x, y = matrix[r0 : r0 + rows, :-1], matrix[r0 : r0 + rows, -1]
-            gram, xty = gram + x.T @ x, xty + x.T @ y
+            gram, xty, yty = gram + x.T @ x, xty + x.T @ y, yty + y @ y
         assert np.array_equal(eqs.gram, gram) and np.array_equal(eqs.xty, xty)
-        assert eqs.n == n
+        assert eqs.yty == yty and eqs.n == n
         np.testing.assert_allclose(eqs.gram, gram_loops(matrix[:, :-1]), rtol=1e-12)
         np.testing.assert_allclose(eqs.xty, xty_loops(matrix[:, :-1], matrix[:, -1]),
                                    rtol=1e-10, atol=1e-10)
@@ -115,6 +117,47 @@ class TestNormalEquations:
             normal_equations(np.ones(5))
         with pytest.raises(ValueError):
             normal_equations(np.ones((5, 1)))
+
+
+class TestGramProduct:
+    def test_up_to_64_columns_it_is_one_product(self):
+        for cols in (1, 11, 40, 64):
+            x = np.random.default_rng(cols).uniform(-1, 1, size=(700, cols + 1))[:, :-1]
+            assert np.array_equal(gram_product(x), x.T @ x)
+
+    @pytest.mark.parametrize("rows, cols", [(700, 65), (300, 120), (1024, 200)])
+    def test_wider_is_a_sum_of_panel_products(self, rows, cols):
+        # 256-row slices in order, each one product per pair of 64-column
+        # panels on or above the diagonal, mirrored below it
+        x = np.random.default_rng(rows).uniform(-1, 1, size=(rows, cols))
+        gram = gram_product(x)
+        expected = np.zeros((cols, cols))
+        for r0 in range(0, rows, 256):
+            for a in range(0, cols, 64):
+                for b in range(a, cols, 64):
+                    part = x[r0 : r0 + 256, a : a + 64].T @ x[r0 : r0 + 256, b : b + 64]
+                    expected[a : a + 64, b : b + 64] += part
+        upper = np.triu_indices(cols)
+        assert np.array_equal(gram[upper], expected[upper])
+        assert np.array_equal(gram, gram.T)
+        np.testing.assert_allclose(gram, x.T @ x, rtol=1e-12, atol=1e-11)
+
+
+class TestGramRoot:
+    @pytest.mark.parametrize("n, p, rank", [(50, 6, 6), (50, 6, 4), (3, 6, 3), (4, 14, 4)])
+    def test_root_of_a_data_gram(self, n, p, rank):
+        # rank < min(n, p): two columns repeat others, so the steps stop
+        # once the rest is rounding
+        rng = np.random.default_rng([n, p, rank])
+        data = rng.uniform(-1, 1, size=(n, p))
+        data[:, rank:] = data[:, : p - rank] if rank < min(n, p) else data[:, rank:]
+        gram = data.T @ data
+        root = gram_root(gram, n)
+        assert root.shape == (rank, p)
+        np.testing.assert_allclose(root.T @ root, gram, rtol=0, atol=1e-12 * n)
+
+    def test_zero_gram_has_an_empty_root(self):
+        assert gram_root(np.zeros((3, 3)), 10).shape == (0, 3)
 
 
 class TestSolveNormalEquations:

@@ -2,11 +2,11 @@
 (an 11-column, 84 MiB matrix).
 
 A synthetic trial streams its generated data through its consumers (the
-bounds check, the normal equations, the DGM releases and the sketch) one
-chunk at a time, so it holds no n-row array at all, and it checks each
-entry once.  The library passes over a held matrix (generation, the
-bounds check, the DGM release) walk it in row chunks, so none holds a
-second matrix-sized temporary."""
+bounds check, the normal equations and the sketch) one chunk at a time,
+so it holds no n-row array at all, and it checks each entry once.  The
+library passes over a held matrix (generation, the bounds check, the DGM
+release) walk it in row chunks, so none holds a second matrix-sized
+temporary."""
 
 import os
 import tracemalloc

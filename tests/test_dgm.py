@@ -5,7 +5,7 @@ from mpdp.config import build_config
 from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
-from mpdp.linalg import SingularSystemError, _block_rows, normal_equations
+from mpdp.linalg import NormalEquations, SingularSystemError, _block_rows, normal_equations
 from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
@@ -243,7 +243,7 @@ class TestSampler:
                             for i in range(self.DRAWS)])
         # the 10 upper-triangle entries: means within 4.5 standard errors
         # of their difference, variances within 20%
-        a, b = literal[:, *upper], sampled[:, *upper]
+        a, b = literal[:, upper[0], upper[1]], sampled[:, upper[0], upper[1]]
         var_a, var_b = a.var(axis=0, ddof=1), b.var(axis=0, ddof=1)
         z = (b.mean(axis=0) - a.mean(axis=0)) / np.sqrt((var_a + var_b) / self.DRAWS)
         assert np.abs(z).max() < 4.5
@@ -277,8 +277,8 @@ class TestSampler:
         assert release is stats and draws == []
 
     def test_needs_y_transpose_y(self):
-        stats = normal_equations(np.ones((5, 3)) / 2)
-        stats = type(stats)(gram=stats.gram, xty=stats.xty, n=stats.n)
+        held = normal_equations(np.ones((5, 3)) / 2)
+        stats = NormalEquations(gram=held.gram, xty=held.xty, n=held.n)
         with pytest.raises(ValueError, match="y'y"):
             data_root(stats)
 

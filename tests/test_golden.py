@@ -90,6 +90,7 @@ VERSION_6_OTHER_ROWS = {
     "synthetic": "b808e3bc5197c907408605b56c5d93890a03e209714461c8103ee46701d992f7",
     "chunked": "3882d10d17c78df1f946a33e7dc2bd8c579f91138f3f26ec62c1a959c4481385",
     "wide": "c42fdcc2111dcce79eb0547802dca29338be88288d1bc0dfeb75738209573904",
+    "real": "fe986d1783b4181130e8a3077578f4bfcda53afa6cd61aedb254b42bccab79cb",
 }
 
 # name -> (command, config)

@@ -245,6 +245,7 @@ class TestSyntheticCommand:
         assert float(meta["peak_rss_mb"]) > 0
         assert meta["numpy_version"] == np.__version__
         assert meta["bit_generator"] == "SFC64"
+        assert meta["dgm_gram"].startswith("sampled from the data's Gram")
         assert meta["python_version"]
         assert "scipy_version" not in meta
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -217,11 +217,20 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
 
     Unreadable files, non-numeric or non-finite cells, ragged rows and a
     column whose max - min overflows are fatal, reported with 1-based
-    row/column positions where there is one (the header is row 1).  If
-    ``label_column`` names a column other than the last one, columns are
-    reordered so the label comes last.
+    row/column positions where there is one (the header is row 1, and a
+    row is a record, so a quoted cell may span lines); columns are the
+    file's.  If ``label_column`` names a column other than the last one,
+    it is moved last in place, after every cell has been checked.
+
+    The cells are parsed straight into one float64 buffer, which becomes
+    the returned matrix: the ingest holds no Python object per cell and
+    no copy of the matrix, and peaks at about 1.2x its size (the buffer's
+    growth slack and a finiteness mask).
     """
+    from array import array  # here, not at import: synthetic runs would map its 70 KiB too
+
     row = 0  # records read so far; a csv.Error is in the next one
+    cells = array("d")
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -233,7 +242,6 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
             names = [h.strip() for h in header]
             if not any(names):
                 raise DataFormatError(f"{path}: the header row names no column", row=1)
-            rows: list[list[float]] = []
             # rows are records, not lines: a quoted cell may hold a newline
             for row, raw in enumerate(reader, start=2):
                 if len(raw) != len(names):
@@ -241,7 +249,7 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
                         f"{path}: expected {len(names)} cells, found {len(raw)}", row=row
                     )
                 try:
-                    rows.append(list(map(float, raw)))
+                    cells.extend(map(float, raw))
                 except ValueError:  # name the first cell float() rejects
                     for col, cell in enumerate(raw, start=1):
                         try:
@@ -256,15 +264,16 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         raise DataFormatError(f"{path}: file is not valid UTF-8") from None
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise DataFormatError(f"{path}: {exc}", row=row + 1) from None
-    if not rows:
+    if not cells:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
+    values = np.frombuffer(cells).reshape(-1, len(names))
     finite = np.isfinite(values)
     if not finite.all():  # float() accepts "nan" and "inf"
         r, c = np.unravel_index(int(finite.argmin()), finite.shape)
         raise DataFormatError(
             f"{path}: non-finite cell {float(values[r, c])!r}", row=int(r) + 2, column=int(c) + 1
         )
+    del finite
     with np.errstate(over="ignore"):
         spans = np.isfinite(values.max(axis=0) - values.min(axis=0))
     if not spans.all():  # min-max normalization divides by the span
@@ -273,9 +282,13 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         if label_column not in names:
             raise DataFormatError(f"{path}: no column named {label_column!r}")
         idx = names.index(label_column)
-        order = [i for i in range(len(names)) if i != idx] + [idx]
-        values = values[:, order]
-        names = [names[i] for i in order]
+        # shift the later columns left one at a time: the one temporary
+        # is the label column, not a reordered copy of the matrix
+        label = values[:, idx].copy()
+        for c in range(idx, len(names) - 1):
+            values[:, c] = values[:, c + 1]
+        values[:, -1] = label
+        names.append(names.pop(idx))
     return DataMatrix(values, tuple(names))
 
 

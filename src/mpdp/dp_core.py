@@ -84,11 +84,13 @@ def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -
 
 class PartyNoise:
     """The Gaussian mechanism of both releases, as a step over a matrix's
-    row blocks in order: each call returns the block plus every party's
-    noise, as a new array.  Party j adds N(0, std^2) noise to its own
+    row blocks in order.  Party j adds N(0, std^2) noise to its own
     column block, std = sensitivity_bound(d_max) * sigma: the rows of one
     (n, d_j) draw from ``stream.child(j)``, whose generator lives across
     calls, so whoever holds j's stream can rebuild (and remove) j's noise.
+
+    ``add_to`` adds the noise to a block in place; calling the step adds
+    it to a copy, for blocks that are views of the data.
     """
 
     def __init__(self, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream):
@@ -97,13 +99,16 @@ class PartyNoise:
         n_gens = partition.m if self.std > 0.0 else 0
         self._gens = [stream.child(j).generator() for j in range(1, n_gens + 1)]
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        block = block.copy()
+    def add_to(self, block: np.ndarray) -> np.ndarray:
+        """Add every party's noise to ``block`` in place; returns ``block``."""
         for gen, (a, b) in zip(self._gens, self.partition.blocks):
             noise = gaussian_noise(block.shape[0], b - a, self.std, gen)
             # one column at a time: a strided block[:, a:b] += noise runs
             # one inner loop of b - a entries per row, 3x slower
             for c in range(a, b):
                 block[:, c] += noise[:, c - a]
+            del noise  # before the next party's draw: one draw is held at a time
         return block
 
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        return self.add_to(block.copy())

@@ -113,7 +113,8 @@ def rmgm_release(
     """The published k-row matrix B_k D^j / sqrt(k) + R^j of every party.
 
     B_k D is the first k rows of ``sketch``; party j's noise comes from
-    child(j).
+    child(j).  The noise is added in place to the scaled rows, so a
+    release allocates its k-row result and one party's noise draw.
     """
     if not 1 <= k <= sketch.k_max:
         raise ValueError(f"k must be in [1, {sketch.k_max}], got {k}")
@@ -123,7 +124,7 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    return PartyNoise(sketch.partition, priv, stream)(sketch.product[:k] / math.sqrt(k))
+    return PartyNoise(sketch.partition, priv, stream).add_to(sketch.product[:k] / math.sqrt(k))
 
 
 def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:

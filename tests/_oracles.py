@@ -18,7 +18,13 @@ numerics_version 1; the current kernel must match it bit for bit, within
 one 16 384-column chunk, for every k whose rows numerics_version 2 kept
 (k % 4 in {0, 1}, k % 512 != 1).  ``sketch_product_v3`` is the frozen
 reference of numerics_version 3's column chunks, for those k at any n.
+
+``csv_values`` reads a CSV into lists of Python floats, one list per
+record, and moves the label last by rebuilding each row: the values
+``load_csv`` must return from its float64 buffer and in-place move.
 """
+
+import csv
 
 import numpy as np
 
@@ -121,3 +127,15 @@ def dataset_one_shot(n, w_star, stream):
 def noise_one_shot(rows, cols, std, stream):
     """One party's noise: a single (rows, cols) N(0, std^2) draw from its stream."""
     return stream.generator().standard_normal((rows, cols)) * std
+
+
+def csv_values(path, label_column=None):
+    """A valid CSV's cells as float(cell), label column moved last."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        names = [name.strip() for name in next(reader)]
+        rows = [[float(cell) for cell in raw] for raw in reader]
+    if label_column is not None:
+        at = names.index(label_column)
+        rows = [row[:at] + row[at + 1:] + [row[at]] for row in rows]
+    return np.array(rows)

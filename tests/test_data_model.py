@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,8 @@ from mpdp.data_model import (
 )
 from mpdp.kernels import _COL_CHUNK
 from mpdp.streams import RandomStream
+
+from _oracles import csv_values
 
 
 def matrix(values, names=None):
@@ -214,3 +218,64 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError):
             load_csv(str(path), label_column="missing")
+
+
+# the label is the file's column 2 of 4, and record 2 spans lines 2-3:
+# errors must name the file's column and count rows by record
+LABEL_MID = 'a,y,b,c\n1,"\n2",3,4\n'
+BAD_CELLS = {
+    "non-numeric": ("oops", "non-numeric cell 'oops'"),
+    "non-finite": ("-inf", "non-finite cell -inf"),
+}
+
+
+class TestCsvLabelNotLast:
+    @pytest.mark.parametrize("kind", sorted(BAD_CELLS))
+    @pytest.mark.parametrize("column", [1, 2, 4])
+    def test_bad_cell_reports_the_files_row_and_column(self, tmp_path, kind, column):
+        cell, message = BAD_CELLS[kind]
+        cells = ["5", "6", "7", "8"]
+        cells[column - 1] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text(LABEL_MID + "0,0,0,0\n" + ",".join(cells) + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_csv(str(path), label_column="y")
+        assert (err.value.row, err.value.column) == (4, column)
+
+    def test_overflowing_column_reports_the_files_column(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(LABEL_MID + "5,6,7,1e308\n5,6,7,-1e308\n")
+        with pytest.raises(DataFormatError, match="column range overflows") as err:
+            load_csv(str(path), label_column="y")
+        assert (err.value.row, err.value.column) == (None, 4)
+
+    @pytest.mark.parametrize("last", ["5,6,oops,8", "5,6,nan,8", "5,6,-1e308,8"])
+    def test_a_bad_cell_is_reported_before_a_missing_label(self, tmp_path, last):
+        path = tmp_path / "bad.csv"
+        path.write_text(LABEL_MID + "5,6,1e308,8\n" + last + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(str(path), label_column="missing")
+        assert "no column named" not in str(err.value)
+        assert err.value.column == 3
+
+    def test_values_match_a_list_of_floats(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = rng.uniform(-1e3, 1e3, size=(40, 5))
+        table[0, :3] = [5e-324, 1e300, -0.0]
+        lines = [",".join(format(v, ".17g") for v in row) for row in table]
+        lines[1] = " 0.5 ,\t-2 ,1_000.25,  7,1_0"  # padded and underscored cells
+        lines[2] = '"3\n",1,"\n2.5",4,5'  # quoted cells holding a newline
+        path = tmp_path / "cells.csv"
+        path.write_text("a, b ,y,c,d\n" + "\n".join(lines) + "\n")
+        for label in (None, "a", "y", "d"):
+            loaded = load_csv(str(path), label_column=label)
+            expected = csv_values(str(path), label)
+            assert loaded.values.dtype == np.float64
+            np.testing.assert_array_equal(loaded.values, expected)
+            np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(expected))
+        assert loaded.column_names == ("a", "b", "y", "c", "d")
+
+    @pytest.mark.parametrize("label", [None, "bmi", "expenses"])
+    def test_fixture_values_match_a_list_of_floats(self, label):
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
+        np.testing.assert_array_equal(load_csv(path, label).values, csv_values(path, label))

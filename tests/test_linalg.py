@@ -29,11 +29,12 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 _SOLVE_HASHES = """
 import hashlib
 import json
+import sys
 import numpy as np
 from mpdp.linalg import solve_symmetric
 
 out = {}
-for d in (10, 40, 96, 200):
+for d in map(int, sys.argv[1:]):
     digest = hashlib.sha256()
     for seed in range(20):
         rng = np.random.default_rng([d, seed])
@@ -190,19 +191,31 @@ class TestSolveNormalEquations:
         with pytest.raises(SingularSystemError):
             solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), 0.0, shift=1.0)
 
-    def test_solution_and_eigenvalue_do_not_depend_on_blas_threads(self):
-        # an LU solve (np.linalg.solve) of these systems changes bits
-        # between one and two OpenBLAS threads at d = 120 and 200
+    @staticmethod
+    def solve_hashes_per_thread_count(*sizes):
+        """``_SOLVE_HASHES`` of ``sizes`` under one, then two OpenBLAS threads."""
         hashes = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=SRC_DIR, OPENBLAS_NUM_THREADS=threads,
                        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             proc = subprocess.run(
-                [sys.executable, "-c", _SOLVE_HASHES],
+                [sys.executable, "-c", _SOLVE_HASHES, *map(str, sizes)],
                 env=env, capture_output=True, text=True, timeout=600, check=True,
             )
             hashes.append(json.loads(proc.stdout))
-        assert hashes[0] == hashes[1]
+        return hashes
+
+    def test_solution_and_eigenvalue_do_not_depend_on_blas_threads(self):
+        # an LU solve (np.linalg.solve) of these systems changes bits
+        # between one and two OpenBLAS threads at d = 120 and 200
+        one, two = self.solve_hashes_per_thread_count(10, 40, 96, 200)
+        assert one == two
+
+    @pytest.mark.xfail(reason="eigh (LAPACK dsyevd) changes bits under two OpenBLAS threads "
+                              "at most d >= 145; ROADMAP item 10")
+    def test_solution_at_d_150_does_not_depend_on_blas_threads(self):
+        one, two = self.solve_hashes_per_thread_count(150)
+        assert one == two
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_system_is_singular(self, bad):

@@ -6,18 +6,21 @@ bounds check, the normal equations and the sketch) one chunk at a time,
 so it holds no n-row array at all, and it checks each entry once.  The
 library passes over a held matrix (generation, the bounds check, the DGM
 release) walk it in row chunks, so none holds a second matrix-sized
-temporary."""
+temporary.  A real CSV is parsed into the one buffer that becomes its
+matrix, and an RMGM release adds its noise to its own k-row result."""
 
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import mpdp.data_model
 from mpdp.config import build_config
-from mpdp.data_model import partition_evenly, validate_bounds
+from mpdp.data_model import load_csv, partition_evenly, validate_bounds
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import calibrate
+from mpdp.rmgm import RmgmSketch, rmgm_release
 from mpdp.runner import _synthetic_trial, run_real, run_synthetic
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_dataset, gen_ground_truth
@@ -71,6 +74,28 @@ class TestTrialMemory:
         )
         assert release.n == N
         assert peak < 4 * 2**20
+
+    def test_load_csv_peak_within_one_and_a_half_matrices(self, tmp_path):
+        # 17-digit cells, label in the middle: 5 MiB of text for a 2 MiB
+        # matrix; per-cell floats and a reordering copy would peak near 7x
+        table = np.random.default_rng(44).uniform(-1e3, 1e3, size=(20_000, 13))
+        path = str(tmp_path / "wide.csv")
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"c{i}" for i in range(13)))
+        assert os.path.getsize(path) >= 2 * 2**20
+        data, peak = traced_peak(load_csv, path, "c6")
+        np.testing.assert_array_equal(data.values, table[:, [*range(6), *range(7, 13), 6]])
+        assert peak <= 1.5 * data.values.nbytes
+
+    def test_rmgm_release_allocates_the_release_and_one_party_noise(self):
+        # a copy of the scaled rows before the noise is added would hold a
+        # second 880 KB release
+        k = 10_000
+        product = np.random.default_rng(45).uniform(-1.0, 1.0, size=(k, 11))
+        sketch = RmgmSketch(product, 0, N, PARTITION)
+        release, peak = traced_peak(rmgm_release, sketch, calibrate(1.0, 1e-5), k, RandomStream(46))
+        assert release.shape == (k, 11)
+        assert peak <= release.nbytes + k * PARTITION.d_max * 8 + 2**16
 
 
 class TestSingleScan:

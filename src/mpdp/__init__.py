@@ -17,9 +17,7 @@ from .data_model import (
     load_csv,
     normalize_minmax,
     partition_evenly,
-    save_csv,
     split_train_test,
-    validate_bounds,
 )
 from .dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
 from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
@@ -32,9 +30,9 @@ from .evaluation import (
     weight_distance,
 )
 from .linalg import NormalEquations, SingularSystemError, normal_equations
-from .rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
+from .rmgm import K_GRID, choose_k, rmgm_release, rmgm_train
 from .streams import RandomStream
-from .synthetic import gen_dataset, gen_ground_truth
+from .synthetic import gen_ground_truth
 
 __all__ = [
     "__version__",
@@ -46,7 +44,6 @@ __all__ = [
     "PartyPartition",
     "PrivacyParams",
     "RandomStream",
-    "RmgmSketch",
     "SingularSystemError",
     "TrialReport",
     "aggregate",
@@ -57,22 +54,18 @@ __all__ = [
     "dgm_release",
     "dgm_train",
     "gaussian_noise",
-    "gen_dataset",
     "gen_ground_truth",
     "load_csv",
     "normal_equations",
     "normalize_minmax",
     "ols_train",
     "partition_evenly",
-    "rmgm_mix",
     "rmgm_release",
     "rmgm_train",
     "sample_dgm_gram",
-    "save_csv",
     "sensitivity_bound",
     "split_train_test",
     "tail_probability",
     "test_mse",
-    "validate_bounds",
     "weight_distance",
 ]

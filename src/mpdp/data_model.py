@@ -18,9 +18,8 @@ from .kernels import chunk_views
 from .streams import RandomStream
 
 __all__ = [
-    "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed", "validate_bounds",
-    "partition_evenly", "normalize_minmax", "split_train_test", "load_csv", "save_csv",
-    "write_csv",
+    "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed",
+    "partition_evenly", "normalize_minmax", "split_train_test", "load_csv", "write_csv",
 ]
 
 
@@ -159,15 +158,6 @@ class BoundsCheck:
         self.rows += chunk.shape[0]
 
 
-def validate_bounds(data: DataMatrix, partition: PartyPartition) -> None:
-    """``BoundsCheck`` on a held matrix; a violation's count covers every row."""
-    try:
-        feed(chunk_views(data.values), BoundsCheck(partition, data.values.shape[1]))
-    except ValueError:
-        # only a failing check pays for a full-size mask, to count them all
-        BoundsCheck(partition, data.values.shape[1]).push(data.values)
-
-
 def normalize_minmax(train: DataMatrix, test: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
     """The (train, test) pair with each column affine-mapped to [0, 1]
     using train-only min/max.
@@ -220,7 +210,8 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     row/column positions where there is one (the header is row 1, and a
     row is a record, so a quoted cell may span lines); columns are the
     file's.  If ``label_column`` names a column other than the last one,
-    it is moved last in place, after every cell has been checked.
+    it is moved last in place, after every cell has been checked; it must
+    name exactly one column.
 
     The cells are parsed straight into one float64 buffer, which becomes
     the returned matrix: the ingest holds no Python object per cell and
@@ -282,6 +273,9 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         if label_column not in names:
             raise DataFormatError(f"{path}: no column named {label_column!r}")
         idx = names.index(label_column)
+        if label_column in names[idx + 1 :]:
+            raise DataFormatError(f"{path}: more than one column is named {label_column!r}",
+                                  column=names.index(label_column, idx + 1) + 1)
         # shift the later columns left one at a time: the one temporary
         # is the label column, not a reordered copy of the matrix
         label = values[:, idx].copy()
@@ -292,13 +286,9 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
     return DataMatrix(values, tuple(names))
 
 
-def save_csv(data: DataMatrix, path: str) -> None:
-    """Write a DataMatrix in the same format ``load_csv`` ingests."""
-    write_csv(path, data.column_names, [data.values])
-
-
 def write_csv(path: str, column_names, chunks: Iterable[np.ndarray]) -> None:
-    """``save_csv`` for a matrix given as its row chunks, in order."""
+    """Write a matrix, given as its row chunks in order, in the format
+    ``load_csv`` ingests."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(column_names)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import BoundsCheck, DataMatrix, PartyPartition, feed
+from .data_model import BoundsCheck, DataMatrix, PartyPartition
 from .dp_core import PartyNoise, PrivacyParams, sensitivity_bound
 from .kernels import chunk_views
 from .linalg import (
@@ -51,12 +51,15 @@ def dgm_release(
     per-party Gaussian noise, party j's from the derived stream child(j).
 
     One pass over the data's row chunks checks each (``BoundsCheck``),
-    adds the noise (``PartyNoise``) and sums the normal equations: the
-    working memory is one chunk.  The published matrix is those chunks
-    through ``PartyNoise(partition, priv, stream)``, concatenated.
+    adds the noise to a copy of it (``PartyNoise.add_to``) and sums the
+    normal equations: the working memory is one chunk.  The published
+    matrix is those noised copies, concatenated.
     """
-    release = NormalEquationSum(data.d + 1, data.n, PartyNoise(partition, priv, stream))
-    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), release)
+    check, noise = BoundsCheck(partition, data.d + 1), PartyNoise(partition, priv, stream)
+    release = NormalEquationSum(data.d + 1, data.n)
+    for chunk in chunk_views(data.values):
+        check.push(chunk)
+        release.push(noise.add_to(chunk.copy()))
     return release.result()
 
 

@@ -83,14 +83,12 @@ def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -
 
 
 class PartyNoise:
-    """The Gaussian mechanism of both releases, as a step over a matrix's
-    row blocks in order.  Party j adds N(0, std^2) noise to its own
-    column block, std = sensitivity_bound(d_max) * sigma: the rows of one
-    (n, d_j) draw from ``stream.child(j)``, whose generator lives across
-    calls, so whoever holds j's stream can rebuild (and remove) j's noise.
-
-    ``add_to`` adds the noise to a block in place; calling the step adds
-    it to a copy, for blocks that are views of the data.
+    """The Gaussian mechanism of both releases, added in place to a
+    matrix's row blocks in order (``add_to``).  Party j adds N(0, std^2)
+    noise to its own column block, std = sensitivity_bound(d_max) * sigma:
+    the rows of one (n, d_j) draw from ``stream.child(j)``, whose generator
+    lives across calls, so whoever holds j's stream can rebuild (and
+    remove) j's noise.
     """
 
     def __init__(self, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream):
@@ -109,6 +107,3 @@ class PartyNoise:
                 block[:, c] += noise[:, c - a]
             del noise  # before the next party's draw: one draw is held at a time
         return block
-
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        return self.add_to(block.copy())

@@ -152,17 +152,16 @@ class NormalEquations:
 
 class NormalEquationSum:
     """The normal equations of an n-row matrix [X | y], label last, pushed
-    in order, each chunk through ``step`` first if one is given.  X'X
-    (``gram_product``), X'y and y'y are one product each per
-    ``_block_rows`` block, cut at absolute row offsets and summed in
+    in order.  X'X (``gram_product``), X'y and y'y are one product each
+    per ``_block_rows`` block, cut at absolute row offsets and summed in
     order, so the bits depend on the matrix alone.
     No chunk is kept, so every push but the last must be whole blocks
     (``chunk_views`` chunks are)."""
 
-    def __init__(self, cols: int, n: int, step=None):
+    def __init__(self, cols: int, n: int):
         if cols < 2:
             raise ValueError("need an n-by-(d+1) matrix with the label last")
-        self.n, self._step, self._block = n, step, _block_rows(cols)
+        self.n, self._block = n, _block_rows(cols)
         self._gram = self._xty = self._yty = None
         self._pushed = 0
 
@@ -170,8 +169,6 @@ class NormalEquationSum:
         if self._pushed % self._block:
             raise ValueError(f"a push at row {self._pushed} does not start a "
                              f"{self._block}-row block")
-        if self._step is not None:
-            chunk = self._step(chunk)
         for b0 in range(0, chunk.shape[0], self._block):
             x, y = chunk[b0 : b0 + self._block, :-1], chunk[b0 : b0 + self._block, -1]
             if self._gram is None:

@@ -9,53 +9,29 @@ release cannot occur.
 
 B is public and drawn independently of the data, and its row r depends
 only on (mixing seed, r, n).  So a trial mixes once, at the largest k it
-needs (``rmgm_mix``; its pass feeds the same ``SketchSum``), and every
+needs (a ``kernels.SketchSum`` in its one pass over the data), and every
 release takes the first k rows of that sketch, scales them by 1/sqrt(k)
-and adds its own noise (``rmgm_release``).  Each release is still the Gaussian mechanism on
-B_k D^j / sqrt(k): every column of B_k has norm sqrt(k), so a changed
-row moves party j's block by exactly the row's change in that block.
+and adds its own noise (``rmgm_release``).  Each release is still the
+Gaussian mechanism on B_k D^j / sqrt(k): every column of B_k has norm
+sqrt(k), so a changed row moves party j's block by exactly the row's
+change in that block.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import BoundsCheck, DataMatrix, PartyPartition, feed
+from .data_model import PartyPartition
 from .dp_core import PartyNoise, PrivacyParams
-from .kernels import SketchSum, chunk_views
 from .linalg import NormalEquations, solve_normal_equations
 from .streams import RandomStream
 
-__all__ = [
-    "RmgmSketch", "K_GRID", "choose_k", "rmgm_mix", "rmgm_release", "rmgm_train",
-]
+__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_train"]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
-
-
-@dataclass(frozen=True)
-class RmgmSketch:
-    """B D for one trial's shared mixing matrix B at k_max rows, unscaled.
-
-    The first k rows are B_k D for every k <= k_max.  ``partition`` is the
-    one the data was checked against; it gives every release its party
-    blocks.  Exactly one mixing seed is stored: the shared B is what makes
-    the per-party blocks combinable, so per-party mixing matrices are
-    unrepresentable.
-    """
-
-    product: np.ndarray
-    mixing_seed: int
-    n: int
-    partition: PartyPartition
-
-    @property
-    def k_max(self) -> int:
-        return self.product.shape[0]
 
 
 def choose_k(
@@ -90,41 +66,27 @@ def choose_k(
     raise ValueError(f"unknown k mode {mode!r}")
 
 
-def rmgm_mix(
-    data: DataMatrix,
-    partition: PartyPartition,
-    k_max: int,
-    stream: RandomStream,
-) -> RmgmSketch:
-    """Check the data and sketch it once with the shared B, at k_max rows.
-
-    One pass over the data's row chunks, as in a trial, checks each
-    (``BoundsCheck``) and adds it to the sketch (``SketchSum``).  B is
-    derived from child("mixing") and never materialised.
-    """
-    sketch = SketchSum(stream.child("mixing").seed64(), data.n, data.d + 1, k_max)
-    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), sketch)
-    return RmgmSketch(sketch.result(), sketch.seed, data.n, partition)
-
-
 def rmgm_release(
-    sketch: RmgmSketch, priv: PrivacyParams, k: int, stream: RandomStream
+    product: np.ndarray, n: int, partition: PartyPartition, priv: PrivacyParams, k: int,
+    stream: RandomStream,
 ) -> np.ndarray:
     """The published k-row matrix B_k D^j / sqrt(k) + R^j of every party.
 
-    B_k D is the first k rows of ``sketch``; party j's noise comes from
-    child(j).  The noise is added in place to the scaled rows, so a
-    release allocates its k-row result and one party's noise draw.
+    ``product`` is the unscaled sketch B D of the n data rows at k_max
+    rows (``SketchSum.result()``); B_k D is its first k rows.  Party j's
+    noise on its ``partition`` block comes from child(j).  The noise is
+    added in place to the scaled rows, so a release allocates its k-row
+    result and one party's noise draw.
     """
-    if not 1 <= k <= sketch.k_max:
-        raise ValueError(f"k must be in [1, {sketch.k_max}], got {k}")
-    if k >= sketch.n:
+    if not 1 <= k <= product.shape[0]:
+        raise ValueError(f"k must be in [1, {product.shape[0]}], got {k}")
+    if k >= n:
         warnings.warn(
-            f"k={k} is not small relative to n={sketch.n}; the released noise "
+            f"k={k} is not small relative to n={n}; the released noise "
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    return PartyNoise(sketch.partition, priv, stream).add_to(sketch.product[:k] / math.sqrt(k))
+    return PartyNoise(partition, priv, stream).add_to(product[:k] / math.sqrt(k))
 
 
 def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:

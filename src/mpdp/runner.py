@@ -47,9 +47,9 @@ from .evaluation import (
     trials_to_csv,
     weight_distance,
 )
-from .kernels import SketchSum, backend_name, chunk_views
+from .kernels import SketchSum, chunk_views
 from .linalg import NormalEquationSum, SingularSystemError, normal_equations
-from .rmgm import RmgmSketch, choose_k, rmgm_release, rmgm_train
+from .rmgm import choose_k, rmgm_release, rmgm_train
 from .streams import RandomStream
 from .synthetic import column_names, gen_chunks, gen_ground_truth
 
@@ -136,8 +136,6 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     root = data_root(stats) if dgm else None
     if "ols" in cfg.methods:
         fit("ols", None, None, ols_train, stats)
-    if mixer is not None:
-        sketch = RmgmSketch(mixer.result(), mixer.seed, n, partition)
     for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
         if dgm:
             release = sample_dgm_gram(stats, root, partition, priv, base.child("dgm", eps_index))
@@ -147,7 +145,8 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
                 fit("bgm", eps, None, bgm_train, release)
         if mixer is not None:
             for k in ks[eps_index]:
-                release = rmgm_release(sketch, priv, k, base.child("rmgm", eps_index, k))
+                release = rmgm_release(mixer.result(), n, partition, priv, k,
+                                       base.child("rmgm", eps_index, k))
                 fit("rmgm", eps, k, rmgm_train, normal_equations(release))
     return reports
 
@@ -201,7 +200,7 @@ def run_real(cfg: RunConfig) -> RunOutput:
     )
     meta = _base_meta(cfg, "real", started)
     meta["dataset_rows_total"] = data.n
-    meta["dataset_rows_train"] = round(0.8 * data.n)
+    meta["dataset_rows_train"] = trials[0].n  # split_train_test's training rows
     meta["dataset_features"] = data.d
     meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
     return RunOutput(trials=trials, meta=meta)
@@ -239,7 +238,6 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         artifact_version=__version__,
         numerics_version=NUMERICS_VERSION,
         dgm_gram="sampled from the data's Gram, exact in distribution; D + R not materialised",
-        kernel_backend=backend_name(),
         bit_generator=type(RandomStream(0).generator().bit_generator).__name__,
         python_version=platform.python_version(),
         numpy_version=np.__version__,

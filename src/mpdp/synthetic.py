@@ -11,12 +11,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .data_model import DataMatrix
 from .kernels import _COL_CHUNK
 from .linalg import _block_rows
 from .streams import RandomStream
 
-__all__ = ["column_names", "gen_chunks", "gen_ground_truth", "gen_dataset"]
+__all__ = ["column_names", "gen_chunks", "gen_ground_truth"]
 
 
 def gen_ground_truth(d: int, stream: RandomStream) -> np.ndarray:
@@ -54,11 +53,3 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
             block = chunk[b0 : b0 + block_rows]
             block[:, d] = block[:, :d] @ w_star
         yield chunk
-
-
-def gen_dataset(n: int, w_star: np.ndarray, stream: RandomStream) -> DataMatrix:
-    """The rows of ``gen_chunks`` held as one DataMatrix."""
-    values = np.empty((max(n, 0), np.size(w_star) + 1))
-    for i, chunk in enumerate(gen_chunks(n, w_star, stream)):
-        values[i * _COL_CHUNK :][: chunk.shape[0]] = chunk
-    return DataMatrix(values, column_names(values.shape[1] - 1))

@@ -7,11 +7,15 @@ with an explicit matrix inverse.  None of the production solve path
 
 ``dataset_one_shot`` and ``noise_one_shot`` make a synthetic dataset and
 a party's noise in single whole-matrix draws, as the row-chunked
-``gen_dataset`` and ``dp_core.PartyNoise`` must reproduce bit for bit.
+``gen_chunks`` and ``dp_core.PartyNoise`` must reproduce bit for bit.
+``gen_matrix`` holds ``gen_chunks``' rows as one DataMatrix, for the
+tests that need the data a trial only streams.
 
 ``dgm_published`` assembles the DGM release's published matrix from
-``PartyNoise`` mapped over ``chunk_views`` chunks, the noise step
-``dgm_release`` streams into its normal equations.
+``PartyNoise.add_to`` on copies of the ``chunk_views`` chunks, the noised
+rows ``dgm_release`` streams into its normal equations.
+``trial_sketch`` is the unscaled k-row sketch B D that a trial's pass
+makes of a held matrix, bounds check included, for ``rmgm_release``.
 
 ``sketch_product_v1`` is a frozen copy of the sketch kernel that defined
 numerics_version 1; the current kernel must match it bit for bit, within
@@ -28,8 +32,10 @@ import csv
 
 import numpy as np
 
+from mpdp.data_model import BoundsCheck, DataMatrix, feed
 from mpdp.dp_core import PartyNoise
-from mpdp.kernels import chunk_views, rademacher_tile
+from mpdp.kernels import SketchSum, chunk_views, rademacher_tile
+from mpdp.synthetic import column_names, gen_chunks
 
 
 def gram_loops(x):
@@ -115,7 +121,27 @@ def sketch_product_v3(seed, data, k):
 
 def dgm_published(data, partition, priv, stream):
     """The n-row matrix D + R whose normal equations ``dgm_release`` returns."""
-    return np.concatenate(list(map(PartyNoise(partition, priv, stream), chunk_views(data.values))))
+    noise = PartyNoise(partition, priv, stream)
+    return np.concatenate([noise.add_to(chunk.copy()) for chunk in chunk_views(data.values)])
+
+
+def trial_sketch(data, partition, k, stream):
+    """B D at k rows, B from ``stream.child("mixing")``, as a trial's pass
+    checks and sketches its data."""
+    mixer = SketchSum(stream.child("mixing").seed64(), data.n, data.d + 1, k)
+    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), mixer)
+    return mixer.result()
+
+
+def gen_matrix(n, w_star, stream):
+    """The rows of ``gen_chunks`` as one DataMatrix: its chunks share one
+    buffer, so each is copied into the matrix as it comes."""
+    values = np.empty((n, np.size(w_star) + 1))
+    row = 0
+    for chunk in gen_chunks(n, w_star, stream):
+        values[row : row + chunk.shape[0]] = chunk
+        row += chunk.shape[0]
+    return DataMatrix(values, column_names(values.shape[1] - 1))
 
 
 def dataset_one_shot(n, w_star, stream):

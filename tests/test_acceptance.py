@@ -25,12 +25,14 @@ from mpdp.dp_core import calibrate, sensitivity_bound
 from mpdp.evaluation import aggregate, tail_probability, weight_distance
 from mpdp.kernels import sketch_product
 from mpdp.linalg import normal_equations
-from mpdp.rmgm import rmgm_mix, rmgm_release, rmgm_train
+from mpdp.rmgm import rmgm_release, rmgm_train
 from mpdp.runner import best_k_rows, run_real
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
-from _oracles import dgm_oracle, dgm_published, ols_oracle, rmgm_oracle
+from _oracles import (
+    dgm_oracle, dgm_published, gen_matrix, ols_oracle, rmgm_oracle, trial_sketch,
+)
 from conftest import SWEEP_N_GRID
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
@@ -63,7 +65,7 @@ def test_criterion_1_exact_formula_suite():
     # de-bias identity on a real release
     base = RandomStream(1)
     w_star = gen_ground_truth(4, base.child("t"))
-    data = gen_dataset(300, w_star, base.child("d"))
+    data = gen_matrix(300, w_star, base.child("d"))
     part = partition_evenly(5, 2)
     priv = calibrate(1.0, 0.5)
     got, _ = dgm_train(dgm_release(data, part, priv, base.child("r")), part.d_max, priv, lam=1e-5)
@@ -74,7 +76,8 @@ def test_criterion_1_exact_formula_suite():
     assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
-    comp = rmgm_release(rmgm_mix(data, part, 16, base.child("r2")), priv, 16, base.child("r2"))
+    comp = rmgm_release(trial_sketch(data, part, 16, base.child("r2")), data.n, part, priv, 16,
+                        base.child("r2"))
     xc = comp[:, :-1]
     assert np.linalg.eigvalsh(xc.T @ xc).min() >= -1e-10
 
@@ -105,7 +108,7 @@ def test_criterion_2_oracle_equivalence():
 
         base = RandomStream(1000 + i)
         w_star = gen_ground_truth(d, base.child("t"))
-        data = gen_dataset(n, w_star, base.child("d"))
+        data = gen_matrix(n, w_star, base.child("d"))
         part = partition_evenly(d + 1, m)
         priv = calibrate(eps, delta)
 
@@ -117,8 +120,8 @@ def test_criterion_2_oracle_equivalence():
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sketch = rmgm_mix(data, part, k, base.child("rmgm"))
-            comp = rmgm_release(sketch, priv, k, base.child("rmgm"))
+            sketch = trial_sketch(data, part, k, base.child("rmgm"))
+            comp = rmgm_release(sketch, n, part, priv, k, base.child("rmgm"))
         got, _ = rmgm_train(normal_equations(comp), lam=lam)
         worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 

@@ -7,9 +7,9 @@ from mpdp.dgm import dgm_release
 from mpdp.dp_core import PrivacyParams, calibrate
 from mpdp.linalg import SingularSystemError, normal_equations
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
-from _oracles import dgm_published, ols_oracle
+from _oracles import dgm_published, gen_matrix, ols_oracle
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -45,7 +45,7 @@ class TestOls:
 class TestBgm:
     def _release(self, sigma_zero, seed=5, n=200):
         w_star = gen_ground_truth(4, RandomStream(seed).child("t"))
-        data = gen_dataset(n, w_star, RandomStream(seed).child("d"))
+        data = gen_matrix(n, w_star, RandomStream(seed).child("d"))
         priv = ZERO_NOISE if sigma_zero else calibrate(1.0, 0.5)
         part = partition_evenly(5, 2)
         release = dgm_release(data, part, priv, RandomStream(seed).child("r"))
@@ -68,7 +68,7 @@ class TestBgm:
         # fitted weights are much smaller than the generating ones, and
         # the distance to them stays macroscopic.
         w_star = gen_ground_truth(10, RandomStream(77).child("t"))
-        data = gen_dataset(20000, w_star, RandomStream(77).child("d"))
+        data = gen_matrix(20000, w_star, RandomStream(77).child("d"))
         priv = calibrate(1.0, 1e-5)
         release = dgm_release(
             data, partition_evenly(11, 6), priv, RandomStream(77).child("r")
@@ -91,7 +91,7 @@ class TestBgmNonConvergence:
             for seed in range(20):
                 base = RandomStream(31337).child(n, seed)
                 w_star = gen_ground_truth(10, base.child("t"))
-                data = gen_dataset(n, w_star, base.child("d"))
+                data = gen_matrix(n, w_star, base.child("d"))
                 release = dgm_release(data, part, priv, base.child("r"))
                 weights, _ = bgm_train(release, lam=1e-5)
                 distances.append(np.linalg.norm(weights - w_star))
@@ -105,6 +105,6 @@ class TestOlsConvergence:
         for seed in range(3):
             base = RandomStream(41).child(seed)
             w_star = gen_ground_truth(10, base.child("t"))
-            data = gen_dataset(10**4, w_star, base.child("d"))
+            data = gen_matrix(10**4, w_star, base.child("d"))
             weights, _ = ols_train(normal_equations(data.values), lam=1e-5)
             assert np.linalg.norm(weights - w_star) <= 1e-3

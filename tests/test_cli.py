@@ -231,7 +231,7 @@ class TestSyntheticCommand:
         meta = (out / "run_meta").read_text()
         assert "root_seed = 3" in meta
         assert "artifact_version" in meta
-        assert "kernel_backend" in meta
+        assert "numerics_version" in meta
 
     def test_run_meta_records_cost_and_software(self, tmp_path):
         out = tmp_path / "res"
@@ -486,6 +486,7 @@ class TestRealCommand:
             # the quoted newline makes record 3 the file's fourth line
             ('a,b\n"1\n",3\n4,' + "1" * 131_073 + "\n", [], "row 3"),
             ('a,b\n"1\n",3\n4,x\n', [], "row 3, column 2"),
+            ("a,a,c\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n2,2,2\n", ["--label-column", "a"], "column 2"),
         ],
         ids=[
             "more-parties-than-csv-columns",
@@ -500,6 +501,7 @@ class TestRealCommand:
             "cell-over-field-limit",
             "cell-over-field-limit-after-quoted-newline",
             "non-numeric-after-quoted-newline",
+            "label-column-named-twice",
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, tmp_path, capsys, csv_text, extra, where):

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpdp.data_model import (
+    BoundsCheck,
     DataFormatError,
     DataMatrix,
     PartyPartition,
+    feed,
     load_csv,
     normalize_minmax,
     partition_evenly,
-    save_csv,
     split_train_test,
-    validate_bounds,
+    write_csv,
 )
-from mpdp.kernels import _COL_CHUNK
+from mpdp.kernels import _COL_CHUNK, chunk_views
 from mpdp.streams import RandomStream
 
 from _oracles import csv_values
@@ -26,6 +27,11 @@ def matrix(values, names=None):
     if names is None:
         names = tuple(f"c{i}" for i in range(values.shape[1]))
     return DataMatrix(values, names)
+
+
+def check_bounds(data, partition):
+    """A trial's bounds check, over a held matrix's row chunks."""
+    feed(chunk_views(data.values), BoundsCheck(partition, data.values.shape[1]))
 
 
 class TestDataMatrix:
@@ -53,7 +59,7 @@ class TestDataMatrix:
 
 class TestValidateBounds:
     def test_zeros_ok(self):
-        validate_bounds(matrix(np.zeros((3, 3))), partition_evenly(3, 2))
+        check_bounds(matrix(np.zeros((3, 3))), partition_evenly(3, 2))
 
     def test_reports_offending_cell(self):
         # the error names a count and the first offender in row-major
@@ -63,7 +69,7 @@ class TestValidateBounds:
         values[3, 0] = 1.5
         values[2, :] = 7.0
         with pytest.raises(ValueError, match=r"at 5 position\(s\), first \(1, 2\)"):
-            validate_bounds(matrix(values), partition_evenly(3, 2))
+            check_bounds(matrix(values), partition_evenly(3, 2))
 
     def test_lone_offender_in_last_partial_row_chunk(self):
         # the chunked scan finds it; the report matches a whole-matrix scan
@@ -71,16 +77,16 @@ class TestValidateBounds:
         values = np.zeros((2 * rows + 3, 3))
         values[2 * rows + 2, 1] = -1.25
         with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({2 * rows + 2}, 1\)"):
-            validate_bounds(matrix(values), partition_evenly(3, 2))
+            check_bounds(matrix(values), partition_evenly(3, 2))
 
     def test_bound_is_inclusive(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        validate_bounds(matrix(values), partition_evenly(2, 2))
+        check_bounds(matrix(values), partition_evenly(2, 2))
 
     def test_partition_must_cover_every_column(self):
         for width in (3, 5):
             with pytest.raises(ValueError, match="does not cover"):
-                validate_bounds(matrix(np.zeros((2, 4))), partition_evenly(width, 2))
+                check_bounds(matrix(np.zeros((2, 4))), partition_evenly(width, 2))
 
 
 class TestPartitioning:
@@ -150,7 +156,7 @@ class TestNormalize:
         train = matrix(rng.normal(0, 100, size=(40, 5)))
         test = matrix(rng.normal(0, 300, size=(10, 5)))
         for part in normalize_minmax(train, test):
-            validate_bounds(part, partition_evenly(5, 2))
+            check_bounds(part, partition_evenly(5, 2))
 
 
 class TestSplit:
@@ -186,7 +192,7 @@ class TestCsv:
         rng = np.random.default_rng(4)
         m = matrix(rng.uniform(-1, 1, size=(5, 3)), ("a", "b", "y"))
         path = tmp_path / "data.csv"
-        save_csv(m, str(path))
+        write_csv(str(path), m.column_names, [m.values])
         loaded = load_csv(str(path))
         assert loaded.column_names == ("a", "b", "y")
         np.testing.assert_array_equal(loaded.values, m.values)
@@ -218,6 +224,20 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError):
             load_csv(str(path), label_column="missing")
+
+    def test_label_column_named_twice(self, tmp_path):
+        # the error names the second occurrence's file column, and a bad
+        # cell is still reported first
+        path = tmp_path / "twice.csv"
+        path.write_text("b,a,c,a\n1,2,3,4\n")
+        with pytest.raises(DataFormatError, match="more than one") as err:
+            load_csv(str(path), label_column="a")
+        assert err.value.column == 4
+        assert load_csv(str(path), label_column="b").column_names == ("a", "c", "a", "b")
+        path.write_text("b,a,c,a\n1,2,x,4\n")
+        with pytest.raises(DataFormatError, match="non-numeric") as err:
+            load_csv(str(path), label_column="a")
+        assert err.value.column == 3
 
 
 # the label is the file's column 2 of 4, and record 2 spans lines 2-3:

@@ -8,9 +8,9 @@ from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
 from mpdp.linalg import NormalEquations, SingularSystemError, _block_rows, normal_equations
 from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
-from _oracles import dgm_oracle, dgm_published, noise_one_shot
+from _oracles import dgm_oracle, dgm_published, gen_matrix, noise_one_shot
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -18,7 +18,7 @@ ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 def small_instance(seed, n=60, d=3):
     base = RandomStream(seed)
     w_star = gen_ground_truth(d, base.child("t"))
-    data = gen_dataset(n, w_star, base.child("d"))
+    data = gen_matrix(n, w_star, base.child("d"))
     return w_star, data, partition_evenly(d + 1, 2)
 
 
@@ -50,7 +50,7 @@ class TestRelease:
         # that matrix is the data plus one whole-matrix draw per party
         n = 2 * _block_rows(11) + 3
         w_star = gen_ground_truth(10, RandomStream(16).child("t"))
-        data = gen_dataset(n, w_star, RandomStream(16).child("d"))
+        data = gen_matrix(n, w_star, RandomStream(16).child("d"))
         part = partition_evenly(11, 6)
         priv = calibrate(1.0, 1e-5)
         root = RandomStream(17)
@@ -93,7 +93,7 @@ class TestRelease:
         # delta=1e-5, d_max=2; 1.1e6 entries put the sample variance
         # within 3%.
         w_star = gen_ground_truth(10, RandomStream(9).child("t"))
-        data = gen_dataset(10**5, w_star, RandomStream(9).child("d"))
+        data = gen_matrix(10**5, w_star, RandomStream(9).child("d"))
         priv = calibrate(1.0, 1e-5)
         part = partition_evenly(11, 6)
         public = dgm_published(data, part, priv, RandomStream(9).child("r"))
@@ -133,7 +133,7 @@ class TestTrain:
         # minus the bias dgm_train removes) over repeated releases of one
         # fixed dataset stays within 3 standard errors of the raw Gram
         w_star = gen_ground_truth(5, RandomStream(14).child("t"))
-        data = gen_dataset(10**4, w_star, RandomStream(14).child("d"))
+        data = gen_matrix(10**4, w_star, RandomStream(14).child("d"))
         part = partition_evenly(6, 3)
         priv = calibrate(1.0, 1e-2)
         x = data.features()
@@ -174,7 +174,7 @@ class TestSensitivity:
             released = []
             for v in (values, neighbour):
                 noise = PartyNoise(part, ZERO_NOISE, RandomStream(43))
-                released.append(np.concatenate([noise(v[:40]), noise(v[40:])]))
+                released.append(np.concatenate([noise.add_to(v[:40].copy()), noise.add_to(v[40:].copy())]))
             for a, b in part.blocks:
                 moved = np.linalg.norm(released[1][:, a:b] - released[0][:, a:b])
                 assert moved == np.linalg.norm(corner[a:b] - other[a:b])
@@ -193,7 +193,8 @@ class TestSensitivity:
         values = RandomStream(44).generator().uniform(-1, 1, size=(1000, 7))
         noise = PartyNoise(part, priv, RandomStream(45))
         assert noise.std == std
-        released = np.concatenate([noise(values[:1]), noise(values[1:600]), noise(values[600:])])
+        released = np.concatenate([noise.add_to(values[r0:r1].copy())
+                                   for r0, r1 in ((0, 1), (1, 600), (600, 1000))])
         for j, (a, b) in enumerate(part.blocks, start=1):
             draws = RandomStream(45).child(j).generator().standard_normal((1000, b - a))
             assert np.array_equal(released[:, a:b], values[:, a:b] + draws * std)

@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
+from mpdp.config import build_config
 from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
+from mpdp.evaluation import weight_distance
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError, normal_equations
-from mpdp.rmgm import K_GRID, RmgmSketch, choose_k, rmgm_mix, rmgm_release, rmgm_train
+from mpdp.rmgm import K_GRID, choose_k, rmgm_release, rmgm_train
+from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
-from _oracles import noise_one_shot, rmgm_oracle
+from _oracles import gen_matrix, noise_one_shot, rmgm_oracle, trial_sketch
 
 ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
@@ -20,30 +23,13 @@ ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 def small_instance(seed, n=100, d=3, m=2):
     base = RandomStream(seed)
     w_star = gen_ground_truth(d, base.child("t"))
-    data = gen_dataset(n, w_star, base.child("d"))
+    data = gen_matrix(n, w_star, base.child("d"))
     return w_star, data, partition_evenly(d + 1, m)
 
 
 def release_at(data, part, priv, k, stream):
     """One release at k rows from a sketch of exactly k rows."""
-    return rmgm_release(rmgm_mix(data, part, k, stream), priv, k, stream)
-
-
-def force_mixing(monkeypatch, matrix):
-    """Make rmgm_mix mix with the fixed matrix B = ``matrix``."""
-
-    class FixedSketch:
-        def __init__(self, seed, n, cols, k):
-            assert matrix.shape == (k, n)
-            self.seed, self.chunks = seed, []
-
-        def push(self, chunk):
-            self.chunks.append(chunk.copy())
-
-        def result(self):
-            return matrix @ np.concatenate(self.chunks)
-
-    monkeypatch.setattr("mpdp.rmgm.SketchSum", FixedSketch)
+    return rmgm_release(trial_sketch(data, part, k, stream), data.n, part, priv, k, stream)
 
 
 class TestChooseK:
@@ -80,17 +66,28 @@ class TestRelease:
         assert release.shape == (7, 6)
 
     def test_single_mixing_seed_shared(self):
-        _, data, part = small_instance(3)
-        sketch = rmgm_mix(data, part, 5, RandomStream(4))
-        assert isinstance(sketch.mixing_seed, int)
-        assert sketch.mixing_seed == RandomStream(4).child("mixing").seed64()
+        # a trial's rmgm rows train on releases of B D, B from the one
+        # seed child("mixing").seed64() of the trial's stream
+        cfg = build_config({}, dict(d=3, m=2, methods=("rmgm",), eps_grid=(1.0, 0.5), seeds=1))
+        base = RandomStream(4).child("synthetic", 0)
+        w_star = gen_ground_truth(3, base.child("truth"))
+        data = gen_matrix(100, w_star, base.child("data"))
+        part = partition_evenly(4, 2)
+        reports = _synthetic_trial(cfg, RandomStream(4), 100, 0)
+        seed = base.child("mixing").seed64()
+        for i, report in enumerate(reports):  # one k per epsilon, in eps_grid order
+            product = sketch_product(seed, data.values, report.k)
+            release = rmgm_release(product, data.n, part, calibrate(report.epsilon, cfg.delta),
+                                   report.k, base.child("rmgm", i, report.k))
+            weights, _ = rmgm_train(normal_equations(release), lam=cfg.lam)
+            assert report.distance == weight_distance(weights, w_star)
 
-    def test_forced_all_ones_mixing_row(self, monkeypatch):
+    def test_forced_all_ones_mixing_row(self):
         # with B = [1 1 ... 1] and no noise the single release row is the
         # column-sum vector of the data (sqrt(1) = 1)
         _, data, part = small_instance(5, n=40)
-        force_mixing(monkeypatch, np.ones((1, 40)))
-        release = release_at(data, part, ZERO_NOISE, 1, RandomStream(6))
+        product = np.ones((1, 40)) @ data.values
+        release = rmgm_release(product, data.n, part, ZERO_NOISE, 1, RandomStream(6))
         np.testing.assert_allclose(
             release[0], data.values.sum(axis=0), rtol=1e-12
         )
@@ -130,7 +127,7 @@ class TestRelease:
         for seed in range(50):
             base = RandomStream(13000 + seed)
             w_star = gen_ground_truth(10, base.child("t"))
-            data = gen_dataset(10**4, w_star, base.child("d"))
+            data = gen_matrix(10**4, w_star, base.child("d"))
             part = partition_evenly(11, 6)
             release = release_at(data, part, ZERO_NOISE, 4000, base.child("r"))
             x = data.features()
@@ -147,11 +144,12 @@ class TestSharedSketch:
         _, data, part = small_instance(21, n=300, d=5, m=3)
         priv = calibrate(0.5, 1e-4)
         root = RandomStream(22)
-        sketch = rmgm_mix(data, part, 41, root)
-        assert sketch.k_max == 41
+        sketch = trial_sketch(data, part, 41, root)
+        assert sketch.shape == (41, 6)
         for k in (1, 2, 3, 6, 7, 13, 40, 41):
-            shared = rmgm_release(sketch, priv, k, root.child("r", k))
-            alone = rmgm_release(rmgm_mix(data, part, k, root), priv, k, root.child("r", k))
+            shared = rmgm_release(sketch, data.n, part, priv, k, root.child("r", k))
+            alone = rmgm_release(trial_sketch(data, part, k, root), data.n, part, priv, k,
+                                 root.child("r", k))
             np.testing.assert_array_equal(shared, alone)
 
     def test_party_rebuilds_its_block_from_a_shared_sketch(self):
@@ -160,31 +158,31 @@ class TestSharedSketch:
         _, data, part = small_instance(23, n=70, d=6, m=3)  # blocks (3, 2, 2)
         priv = calibrate(0.5, 1e-4)
         root = RandomStream(24)
-        sketch = rmgm_mix(data, part, 33, root)
+        sketch = trial_sketch(data, part, 33, root)
         std = sensitivity_bound(part.d_max) * priv.sigma
         for k in (2, 5, 33):
-            release = rmgm_release(sketch, priv, k, root.child("r", k))
+            release = rmgm_release(sketch, data.n, part, priv, k, root.child("r", k))
             for j, (a, b) in enumerate(part.blocks, start=1):
                 block = np.ascontiguousarray(data.values[:, a:b])
-                mixed = sketch_product(sketch.mixing_seed, block, k) / math.sqrt(k)
+                mixed = sketch_product(root.child("mixing").seed64(), block, k) / math.sqrt(k)
                 mixed += noise_one_shot(k, b - a, std, root.child("r", k, j))
                 np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_k_beyond_sketch_rejected(self):
         _, data, part = small_instance(25)
-        sketch = rmgm_mix(data, part, 8, RandomStream(26))
+        sketch = trial_sketch(data, part, 8, RandomStream(26))
         for k in (0, 9):
             with pytest.raises(ValueError, match="k must be"):
-                rmgm_release(sketch, ZERO_NOISE, k, RandomStream(27))
+                rmgm_release(sketch, data.n, part, ZERO_NOISE, k, RandomStream(27))
 
     def test_warns_for_each_release_k_not_small(self):
         _, data, part = small_instance(28, n=20)
-        sketch = rmgm_mix(data, part, 30, RandomStream(29))
+        sketch = trial_sketch(data, part, 30, RandomStream(29))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rmgm_release(sketch, ZERO_NOISE, 19, RandomStream(30))
+            rmgm_release(sketch, data.n, part, ZERO_NOISE, 19, RandomStream(30))
         with pytest.warns(UserWarning, match="k=20 "):
-            rmgm_release(sketch, ZERO_NOISE, 20, RandomStream(30))
+            rmgm_release(sketch, data.n, part, ZERO_NOISE, 20, RandomStream(30))
 
 
 class TestSensitivity:
@@ -205,11 +203,12 @@ class TestSensitivity:
             values[i], neighbour[i] = corner, other
             root = RandomStream(33 + i)
             sketches = [
-                rmgm_mix(DataMatrix(v, data.column_names), part, k_max, root)
+                trial_sketch(DataMatrix(v, data.column_names), part, k_max, root)
                 for v in (values, neighbour)
             ]
             for k in (1, 2, 5, 12, k_max):
-                a_rel, b_rel = (rmgm_release(s, ZERO_NOISE, k, root) for s in sketches)
+                a_rel, b_rel = (rmgm_release(s, data.n, part, ZERO_NOISE, k, root)
+                                for s in sketches)
                 for a, b in part.blocks:
                     change = np.linalg.norm(corner[a:b] - other[a:b])
                     moved = np.linalg.norm(
@@ -220,15 +219,15 @@ class TestSensitivity:
 
 
 class TestTrain:
-    def test_identity_padding_recovers_weights(self, monkeypatch):
+    def test_identity_padding_recovers_weights(self):
         # B = sqrt(k) * [I_k | 0] selects the first k rows exactly, so
         # training on the release is least squares on noise-free rows
         w_star, data, part = small_instance(14, n=50, d=3)
         k = 10
         forced = np.zeros((k, 50))
         forced[:, :k] = np.sqrt(k) * np.eye(k)
-        force_mixing(monkeypatch, forced)
-        release = release_at(data, part, ZERO_NOISE, k, RandomStream(15))
+        release = rmgm_release(forced @ data.values, data.n, part, ZERO_NOISE, k,
+                               RandomStream(15))
         weights, _ = rmgm_train(normal_equations(release), lam=0.0)
         assert np.linalg.norm(weights - w_star) < 1e-6
 
@@ -255,11 +254,6 @@ class TestTrain:
             x = release[:, :-1]
             assert np.linalg.eigvalsh(x.T @ x).min() >= -1e-10
 
-    def test_release_stores_exactly_one_mixing_seed(self):
-        fields = {f.name for f in RmgmSketch.__dataclass_fields__.values()}
-        assert "mixing_seed" in fields
-        assert not any(f.startswith("mixing") and f != "mixing_seed" for f in fields)
-
 
 class TestConvergenceTendency:
     def test_median_distance_shrinks_with_n(self):
@@ -273,7 +267,7 @@ class TestConvergenceTendency:
             for seed in range(30):
                 base = RandomStream(60000 + seed)
                 w_star = gen_ground_truth(10, base.child("t"))
-                data = gen_dataset(n, w_star, base.child("d"))
+                data = gen_matrix(n, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
                 priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
@@ -292,7 +286,7 @@ class TestConvergenceTendency:
             for seed in range(100):
                 base = RandomStream(70000 + seed)
                 w_star = gen_ground_truth(10, base.child("t"))
-                data = gen_dataset(10**5, w_star, base.child("d"))
+                data = gen_matrix(10**5, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
                 (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))

@@ -8,28 +8,29 @@ import pytest
 import mpdp
 
 from mpdp.baselines import ols_train
-from mpdp.data_model import partition_evenly, validate_bounds
+from mpdp.data_model import BoundsCheck, feed, partition_evenly
+from mpdp.kernels import chunk_views
 from mpdp.linalg import _block_rows, normal_equations
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
-from _oracles import dataset_one_shot
+from _oracles import dataset_one_shot, gen_matrix
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
-# gen_dataset against one (n, d) draw and one label product, run where
+# gen_chunks against one (n, d) draw and one label product, run where
 # OpenBLAS has one thread (two may split the one product differently)
 _ONE_THREAD_CHECK = """
 import sys
 import numpy as np
-from _oracles import dataset_one_shot
+from _oracles import dataset_one_shot, gen_matrix
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_ground_truth
 
 d, n = int(sys.argv[1]), int(sys.argv[2])
 w_star = gen_ground_truth(d, RandomStream(13))
-data = gen_dataset(n, w_star, RandomStream(14))
+data = gen_matrix(n, w_star, RandomStream(14))
 print(np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(14))))
 """
 
@@ -53,23 +54,23 @@ class TestGeneratingWeights:
 class TestDataset:
     def test_generated_data_is_bounded(self):
         w_star = gen_ground_truth(10, RandomStream(3))
-        data = gen_dataset(500, w_star, RandomStream(4))
-        validate_bounds(data, partition_evenly(11, 6))
+        data = gen_matrix(500, w_star, RandomStream(4))
+        feed(chunk_views(data.values), BoundsCheck(partition_evenly(11, 6), 11))
         assert data.values.shape == (500, 11)
 
     def test_zero_weights_give_zero_labels(self):
-        data = gen_dataset(20, np.zeros(4), RandomStream(6))
+        data = gen_matrix(20, np.zeros(4), RandomStream(6))
         assert (data.labels() == 0.0).all()
 
     @pytest.mark.parametrize("w_star", [np.zeros((2, 3)), np.zeros(0), np.float64(0.5)],
                              ids=["2d", "empty", "scalar"])
     def test_rejects_a_w_star_that_is_not_a_non_empty_vector(self, w_star):
         with pytest.raises(ValueError, match="non-empty vector"):
-            gen_dataset(20, w_star, RandomStream(6))
+            gen_matrix(20, w_star, RandomStream(6))
 
     def test_labels_are_exact_inner_products(self):
         w_star = gen_ground_truth(6, RandomStream(7))
-        data = gen_dataset(50, w_star, RandomStream(8))
+        data = gen_matrix(50, w_star, RandomStream(8))
         np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
 
     def test_chunks_match_one_draw_and_one_product(self):
@@ -78,7 +79,7 @@ class TestDataset:
         # labels are bit for bit a single draw and a single product
         w_star = gen_ground_truth(10, RandomStream(11))
         n = 2 * _block_rows(11) + 3
-        data = gen_dataset(n, w_star, RandomStream(12))
+        data = gen_matrix(n, w_star, RandomStream(12))
         assert np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(12)))
 
     @pytest.mark.parametrize("d", [10, 40])
@@ -97,7 +98,7 @@ class TestDataset:
         # E[x^2] = 1/3 for U(-1, 1); at 1e6 rows x 10 columns the sample
         # mean of x^2 is far inside a 1% band.
         w_star = gen_ground_truth(10, RandomStream(9))
-        data = gen_dataset(10**6, w_star, RandomStream(10))
+        data = gen_matrix(10**6, w_star, RandomStream(10))
         moment = (data.features() ** 2).mean()
         assert abs(moment - 1 / 3) < 1 / 300
 
@@ -105,13 +106,13 @@ class TestDataset:
 class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
         w_star = gen_ground_truth(10, RandomStream(13))
-        data = gen_dataset(5000, w_star, RandomStream(14))
+        data = gen_matrix(5000, w_star, RandomStream(14))
         weights, _ = ols_train(normal_equations(data.values), lam=0.0)
         assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):
         w_star = gen_ground_truth(10, RandomStream(15))
-        data = gen_dataset(10**5, w_star, RandomStream(16))
+        data = gen_matrix(10**5, w_star, RandomStream(16))
         x = data.features()
         gram = x.T @ x / data.n
         assert np.linalg.eigvalsh(gram).min() > 0.25

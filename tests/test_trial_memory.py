@@ -4,10 +4,11 @@
 A synthetic trial streams its generated data through its consumers (the
 bounds check, the normal equations and the sketch) one chunk at a time,
 so it holds no n-row array at all, and it checks each entry once.  The
-library passes over a held matrix (generation, the bounds check, the DGM
-release) walk it in row chunks, so none holds a second matrix-sized
-temporary.  A real CSV is parsed into the one buffer that becomes its
-matrix, and an RMGM release adds its noise to its own k-row result."""
+generator yields its rows one chunk at a time into one buffer, and the
+library passes over a held matrix (the bounds check, the DGM release)
+walk it in row chunks, so none holds a second matrix-sized temporary.
+A real CSV is parsed into the one buffer that becomes its matrix, and
+an RMGM release adds its noise to its own k-row result."""
 
 import os
 import tracemalloc
@@ -17,13 +18,16 @@ import pytest
 
 import mpdp.data_model
 from mpdp.config import build_config
-from mpdp.data_model import load_csv, partition_evenly, validate_bounds
+from mpdp.data_model import BoundsCheck, feed, load_csv, partition_evenly
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import calibrate
-from mpdp.rmgm import RmgmSketch, rmgm_release
+from mpdp.kernels import chunk_views
+from mpdp.rmgm import rmgm_release
 from mpdp.runner import _synthetic_trial, run_real, run_synthetic
 from mpdp.streams import RandomStream
-from mpdp.synthetic import gen_dataset, gen_ground_truth
+from mpdp.synthetic import gen_chunks, gen_ground_truth
+
+from _oracles import gen_matrix
 
 N = 10**6
 W_STAR = gen_ground_truth(10, RandomStream(40))
@@ -45,7 +49,7 @@ def traced_peak(fn, *args):
 
 @pytest.fixture(scope="module")
 def data():
-    return gen_dataset(N, W_STAR, RandomStream(41))
+    return gen_matrix(N, W_STAR, RandomStream(41))
 
 
 class TestTrialMemory:
@@ -58,13 +62,17 @@ class TestTrialMemory:
         assert all(r.n == N and r.status == "ok" for r in reports)
         assert peak < 8 * 2**20
 
-    def test_gen_dataset_peak_within_one_fifth_of_the_matrix(self):
-        # the matrix plus one chunk and its feature draw
-        data, peak = traced_peak(gen_dataset, N, W_STAR, RandomStream(41))
-        assert peak <= 1.2 * data.values.nbytes
+    def test_gen_chunks_peak_under_4_mib(self):
+        # one chunk buffer and its feature draw, whatever n
+        check = BoundsCheck(PARTITION, 11)
+        _, peak = traced_peak(feed, gen_chunks(N, W_STAR, RandomStream(41)), check)
+        assert check.rows == N
+        assert peak < 4 * 2**20
 
-    def test_validate_bounds_peak_under_4_mib(self, data):
-        _, peak = traced_peak(validate_bounds, data, PARTITION)
+    def test_bounds_check_peak_under_4_mib(self, data):
+        check = BoundsCheck(PARTITION, 11)
+        _, peak = traced_peak(feed, chunk_views(data.values), check)
+        assert check.rows == N
         assert peak < 4 * 2**20
 
     def test_dgm_release_peak_under_4_mib(self, data):
@@ -92,8 +100,8 @@ class TestTrialMemory:
         # second 880 KB release
         k = 10_000
         product = np.random.default_rng(45).uniform(-1.0, 1.0, size=(k, 11))
-        sketch = RmgmSketch(product, 0, N, PARTITION)
-        release, peak = traced_peak(rmgm_release, sketch, calibrate(1.0, 1e-5), k, RandomStream(46))
+        release, peak = traced_peak(rmgm_release, product, N, PARTITION, calibrate(1.0, 1e-5), k,
+                                    RandomStream(46))
         assert release.shape == (k, 11)
         assert peak <= release.nbytes + k * PARTITION.d_max * 8 + 2**16
 

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import NormalEquations, solve_normal_equations
+from .linalg import NormalEquations, normal_system, solve_system
 
-__all__ = ["ols_train", "bgm_train"]
+__all__ = ["ols_system", "ols_train", "bgm_train"]
+
+
+def ols_system(eqs: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The system ((1/n) X'X + lam*I, (1/n) X'Y) that OLS, and BGM on a
+    release, solve."""
+    return normal_system(eqs, lam, scale=eqs.n)
 
 
 def ols_train(eqs: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
@@ -16,7 +22,7 @@ def ols_train(eqs: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
     With lam = 0 and full-rank X this is the exact least-squares solution;
     rank-deficient systems with lam = 0 raise SingularSystemError.
     """
-    return solve_normal_equations(eqs, lam, scale=eqs.n)
+    return solve_system(ols_system(eqs, lam))
 
 
 def bgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:

@@ -8,8 +8,9 @@ Subcommands:
 Every flag except --config and --full sets one config-file key and takes
 the same text as that key does in a config file.
 
-Exit codes: 0 success, 2 configuration or input-format errors,
-3 a singular trained system under --strict.
+Exit codes: 0 success, 2 configuration or input-format errors, or an
+output file that cannot be written, 3 a singular trained system under
+--strict.
 """
 
 from __future__ import annotations
@@ -88,15 +89,20 @@ def _flag_values(flags: dict[str, str]) -> dict[str, object]:
 def _check_out_dir(out_dir: str, command: str) -> None:
     """Fail before any trial runs if ``out_dir`` cannot be made a writable
     directory (it or its nearest existing ancestor must be one) or if a
-    directory takes the name of one of the command's output files."""
+    directory, or a symlink that leads nowhere (dangling or a loop),
+    takes the name of one of the command's output files."""
     path = os.path.abspath(out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
         raise ConfigError(f"cannot write to --out {out_dir!r}: {path} is not a writable directory")
     for name in OUTPUT_FILES[command]:
-        if os.path.isdir(os.path.join(out_dir, name)):
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
             raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a directory")
+        if os.path.islink(path) and not os.path.exists(path):
+            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a symlink "
+                              "to nothing (dangling or a loop)")
 
 
 def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
@@ -116,14 +122,24 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     return command, cfg
 
 
+def _writing(write, *args):
+    """``write(*args)``, with an OSError turned into a ConfigError (its
+    text names the file when the OSError does)."""
+    try:
+        return write(*args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         command, cfg = config_from_argv(argv)
         if command == "export":
-            data_path, wstar_path = export_synthetic(cfg)
+            data_path, wstar_path = _writing(export_synthetic, cfg)
             print(f"wrote {data_path} and {wstar_path}")
             return 0
         output = run_synthetic(cfg) if command == "synthetic" else run_real(cfg)
+        paths = _writing(write_outputs, output, cfg)
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: singular system under --strict: {exc}", file=sys.stderr)
         return 3
 
-    paths = write_outputs(output, cfg)
     failed = sum(1 for t in output.trials if t.status != "ok")
     print(f"{len(output.trials)} trials ({failed} singular) -> {paths['trials.csv']}")
     return 0

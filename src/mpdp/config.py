@@ -95,8 +95,8 @@ class RunConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):  # each entry would run, or pool, twice
                 raise ConfigError(f"{key} repeats an entry: {', '.join(map(str, values))}")
-        if self.root_seed < 0:
-            raise ConfigError("root seed must be non-negative")
+        if not 0 <= self.root_seed < 2**64:
+            raise ConfigError(f"root seed must be in [0, 2**64), got {self.root_seed}")
         if protocol == "export" and len(self.n_grid) != 1:
             raise ConfigError("export writes one dataset: give one row count")
         if protocol == "real" and not self.csv_path:

@@ -37,11 +37,12 @@ from .linalg import (
     NormalEquations,
     gram_product,
     gram_root,
-    solve_normal_equations,
+    normal_system,
+    solve_system,
 )
 from .streams import RandomStream
 
-__all__ = ["data_root", "dgm_release", "dgm_train", "sample_dgm_gram"]
+__all__ = ["data_root", "dgm_release", "dgm_system", "dgm_train", "sample_dgm_gram"]
 
 
 def dgm_release(
@@ -106,16 +107,22 @@ def sample_dgm_gram(
     return NormalEquations(gram=gram[:-1, :-1], xty=gram[-1, :-1], n=stats.n, yty=gram[-1, -1])
 
 
+def dgm_system(
+    release: NormalEquations, d_max: int, priv: PrivacyParams, lam: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The de-biased system (H + lam*I, (1/n) X'Y) of a release, with
+    H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features X."""
+    bias = 4.0 * d_max * priv.sigma**2
+    return normal_system(release, lam, scale=release.n, shift=bias)
+
+
 def dgm_train(
     release: NormalEquations, d_max: int, priv: PrivacyParams, lam: float
 ) -> tuple[np.ndarray, float]:
-    """Solve the de-biased normal equations of a release.
+    """Solve the de-biased normal equations of a release (``dgm_system``).
 
-    Computes H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features
-    X, then solves (H + lam*I) w = (1/n) X'Y and returns (weights, min
-    |eigenvalue| of H + lam*I).  Raises SingularSystemError when the
-    regularized matrix is numerically singular (the small-eigenvalue
-    failure mode).
+    Returns (weights, min |eigenvalue| of H + lam*I).  Raises
+    SingularSystemError when the regularized matrix is numerically
+    singular (the small-eigenvalue failure mode).
     """
-    bias = 4.0 * d_max * priv.sigma**2
-    return solve_normal_equations(release, lam, scale=release.n, shift=bias)
+    return solve_system(dgm_system(release, d_max, priv, lam))

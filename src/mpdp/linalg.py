@@ -6,6 +6,7 @@ in order (``NormalEquationSum``), and reduces to solving H w = b for a small
 symmetric H.  H may be indefinite after de-biasing, so the solve is one
 eigendecomposition (not Cholesky), whose eigenvalues also give the diagnostic,
 and it refuses numerically singular systems instead of returning garbage.
+A trial builds every method's system first and solves them as one stack.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "NormalEquationSum", "NormalEquations", "SingularSystemError", "gram_product", "gram_root",
-    "normal_equations", "solve_normal_equations", "solve_symmetric",
+    "normal_equations", "normal_system", "solve_symmetric", "solve_system",
 ]
 
 COND_LIMIT = 1e14
@@ -57,23 +58,47 @@ class SingularSystemError(ArithmeticError):
         self.min_abs_eig = min_abs_eig
 
 
-def solve_symmetric(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve ``matrix @ x = rhs`` for symmetric ``matrix`` = V diag(e) V'.
+def solve_symmetric(systems) -> list[tuple[np.ndarray, float] | SingularSystemError]:
+    """Solve each ``matrix @ x = rhs`` of a stack of symmetric systems,
+    given as (matrix, rhs) pairs of one size, with one ``np.linalg.eigh``
+    of the stack: matrix = V diag(e) V'.
 
-    Returns (x = V ((V' rhs) / e), min |e|).  Raises SingularSystemError when the
-    eigenvalue-based condition estimate exceeds COND_LIMIT, or when the
-    system has a non-finite entry (its eigenvalues are then unknown: nan).
+    Returns one outcome per system, in order: (x = V ((V' rhs) / e),
+    min |e|), or the SingularSystemError of a system whose
+    eigenvalue-based condition estimate exceeds COND_LIMIT or that has a
+    non-finite entry (its eigenvalues are then unknown: nan).  Each
+    system's outcome has the bits it has when solved alone, a stack of one.
     """
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan)
-    eigs, vecs = np.linalg.eigh(matrix)
-    lo, hi = float(np.abs(eigs).min()), float(np.abs(eigs).max())
-    cond = np.inf if lo == 0.0 else hi / lo
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystemError(
-            f"system is numerically singular (condition estimate {cond:.3g})", min_abs_eig=lo
-        )
-    return vecs @ ((vecs.T @ rhs) / eigs), lo
+    matrices = np.array([matrix for matrix, _ in systems], dtype=np.float64)
+    rhs = np.array([b for _, b in systems], dtype=np.float64)
+    finite = np.isfinite(matrices).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    # a non-finite matrix would fail the whole stack's eigh; it gets the identity
+    eigs, vecs = np.linalg.eigh(np.where(finite[:, None, None], matrices, np.eye(rhs.shape[1])))
+    abs_eigs = np.abs(eigs)
+    outcomes = []
+    for ok, e, v, b, lo, hi in zip(finite, eigs, vecs, rhs, abs_eigs.min(axis=1),
+                                   abs_eigs.max(axis=1)):
+        if not ok:
+            outcomes.append(SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan))
+            continue
+        lo, hi = float(lo), float(hi)
+        cond = np.inf if lo == 0.0 else hi / lo
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            outcomes.append(SingularSystemError(
+                f"system is numerically singular (condition estimate {cond:.3g})", min_abs_eig=lo
+            ))
+        else:
+            outcomes.append((v @ ((v.T @ b) / e), lo))
+    return outcomes
+
+
+def solve_system(system: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, float]:
+    """Solve one (matrix, rhs) system, a stack of one (``solve_symmetric``):
+    (x, min |eigenvalue|), or raise its SingularSystemError."""
+    (outcome,) = solve_symmetric([system])
+    if isinstance(outcome, SingularSystemError):
+        raise outcome
+    return outcome
 
 
 def gram_product(x: np.ndarray) -> np.ndarray:
@@ -197,18 +222,18 @@ def normal_equations(matrix: np.ndarray) -> NormalEquations:
     return acc.result()
 
 
-def solve_normal_equations(
+def normal_system(
     eqs: NormalEquations, lam: float, scale: float = 1.0, shift: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """Solve (H + lam*I) w = X'y / scale with H = X'X / scale - shift*I.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The system (H + lam*I, X'y / scale) with H = X'X / scale - shift*I.
 
-    The one core of every trainer: OLS and BGM use scale = n, DGM also
-    subtracts its known noise variance as ``shift``, RMGM uses the raw
-    Gram matrix (scale = 1).  Returns (w, min |eigenvalue| of H + lam*I),
-    the return value of every trainer.
+    The one core of every trainer's system: OLS and BGM use scale = n,
+    DGM also subtracts its known noise variance as ``shift``, RMGM uses
+    the raw Gram matrix (scale = 1).  ``solve_system`` of it returns (w,
+    min |eigenvalue| of H + lam*I), the return value of every trainer.
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     eye = np.eye(eqs.gram.shape[0])
     hessian = eqs.gram / scale - shift * eye
-    return solve_symmetric(hessian + lam * eye, eqs.xty / scale)
+    return hessian + lam * eye, eqs.xty / scale

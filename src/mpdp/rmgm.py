@@ -26,10 +26,10 @@ import numpy as np
 
 from .data_model import PartyPartition
 from .dp_core import PartyNoise, PrivacyParams
-from .linalg import NormalEquations, solve_normal_equations
+from .linalg import NormalEquations, normal_system, solve_system
 from .streams import RandomStream
 
-__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_train"]
+__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_system", "rmgm_train"]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
 
@@ -89,12 +89,17 @@ def rmgm_release(
     return PartyNoise(partition, priv, stream).add_to(product[:k] / math.sqrt(k))
 
 
-def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
-    """Plain least squares on the compressed release.
+def rmgm_system(release: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The system (X'X + lam*I, X'Y) of the public k-row matrix's normal
+    equations: plain least squares, no scaling or de-biasing."""
+    return normal_system(release, lam)
 
-    Solves (X'X + lam*I) w = X'Y on the normal equations of the public
-    k-row matrix and returns (weights, min |eigenvalue| of the regularized Gram matrix).
+
+def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
+    """Plain least squares on the compressed release (``rmgm_system``).
+
+    Returns (weights, min |eigenvalue| of the regularized Gram matrix).
     The unregularized Gram matrix is PSD by construction; a singular
     system can only arise from rank deficiency (k < d with lam = 0).
     """
-    return solve_normal_equations(release, lam)
+    return solve_system(rmgm_system(release, lam))

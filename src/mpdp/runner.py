@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .baselines import bgm_train, ols_train
+from .baselines import ols_system
 from .config import ConfigError, RunConfig
 from .data_model import (
     BoundsCheck,
@@ -34,7 +34,7 @@ from .data_model import (
     split_train_test,
     write_csv,
 )
-from .dgm import data_root, dgm_train, sample_dgm_gram
+from .dgm import data_root, dgm_system, sample_dgm_gram
 from .dp_core import calibrate
 from .evaluation import (
     AggregateReport,
@@ -48,8 +48,8 @@ from .evaluation import (
     weight_distance,
 )
 from .kernels import SketchSum, chunk_views
-from .linalg import NormalEquationSum, SingularSystemError, normal_equations
-from .rmgm import choose_k, rmgm_release, rmgm_train
+from .linalg import NormalEquationSum, SingularSystemError, normal_equations, solve_symmetric
+from .rmgm import choose_k, rmgm_release, rmgm_system
 from .streams import RandomStream
 from .synthetic import column_names, gen_chunks, gen_ground_truth
 
@@ -101,27 +101,24 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     sketch; only the releases and solves run after it.  OLS trains on the
     data's normal equations, and each epsilon's DGM release Gram is
     sampled from them (``sample_dgm_gram``), never materialised.
+    Every method's system is built by its trainer's builder, and all of
+    them are solved as one stack (``solve_symmetric``); under
+    ``cfg.strict`` the first singular one in row order raises.
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
     the same data; dgm and bgm share one release per epsilon, and every
     rmgm release mixes with the same B, so their comparisons are paired.
+    A row's wall time is its system's build, an equal share of the
+    stacked solve and its metric.
     """
-    reports: list[TrialReport] = []
+    rows = []  # (method, epsilon, k, system, seconds to build it)
     d = partition.total_columns - 1
 
-    def fit(method, eps, k, train, *args):
-        """Time ``train(*args, lam=cfg.lam)`` and record its outcome."""
+    def build(method, eps, k, make, *args):
+        """Time ``make(*args, lam=cfg.lam)``, the row's system, and keep it."""
         start = time.perf_counter()
-        try:
-            weights, min_eig = train(*args, lam=cfg.lam)
-            outcome = dict(measure(weights), min_abs_eig=min_eig)
-        except SingularSystemError as exc:
-            if cfg.strict:
-                raise
-            outcome = dict(status="singular", min_abs_eig=exc.min_abs_eig)
-        reports.append(TrialReport(method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
-                                   delta=None if eps is None else cfg.delta, k=k,
-                                   wall_time=time.perf_counter() - start, **outcome))
+        system = make(*args, lam=cfg.lam)
+        rows.append((method, eps, k, system, time.perf_counter() - start))
 
     privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
@@ -135,19 +132,38 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     stats = sums.result() if sums is not None else None
     root = data_root(stats) if dgm else None
     if "ols" in cfg.methods:
-        fit("ols", None, None, ols_train, stats)
+        build("ols", None, None, ols_system, stats)
     for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
         if dgm:
             release = sample_dgm_gram(stats, root, partition, priv, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
-                fit("dgm", eps, None, dgm_train, release, partition.d_max, priv)
+                build("dgm", eps, None, dgm_system, release, partition.d_max, priv)
             if "bgm" in cfg.methods:
-                fit("bgm", eps, None, bgm_train, release)
+                build("bgm", eps, None, ols_system, release)
         if mixer is not None:
             for k in ks[eps_index]:
                 release = rmgm_release(mixer.result(), n, partition, priv, k,
                                        base.child("rmgm", eps_index, k))
-                fit("rmgm", eps, k, rmgm_train, normal_equations(release))
+                build("rmgm", eps, k, rmgm_system, normal_equations(release))
+
+    start = time.perf_counter()
+    outcomes = solve_symmetric([system for _, _, _, system, _ in rows])
+    solve_share = (time.perf_counter() - start) / len(rows)
+    reports = []
+    for (method, eps, k, _, built), outcome in zip(rows, outcomes):
+        start = time.perf_counter()
+        if isinstance(outcome, SingularSystemError):
+            if cfg.strict:
+                raise outcome
+            fields = dict(status="singular", min_abs_eig=outcome.min_abs_eig)
+        else:
+            weights, min_eig = outcome
+            fields = dict(measure(weights), min_abs_eig=min_eig)
+        reports.append(TrialReport(
+            method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
+            delta=None if eps is None else cfg.delta, k=k,
+            wall_time=built + solve_share + time.perf_counter() - start, **fields,
+        ))
     return reports
 
 

@@ -16,6 +16,14 @@ gives every stream a period of at least 2**64 draws.
 A path element may be an integer (e.g. a party index or trial index) or a
 short string tag; string tags are mapped to integers with CRC-32 so that
 ``child("mixing")`` is stable across processes and platforms.
+
+A stream's SeedSequence is built from the uint32 words numpy assembles
+from ``SeedSequence(entropy, spawn_key=path)``: the root seed's 32-bit
+words, little-endian, zero-padded to the 4-word pool when the path is
+non-empty, then each path tag's words.  The pool, and so every draw and
+``seed64()``, is the same as from (entropy, spawn_key); what is skipped is
+numpy's per-element coercion of the key, about half of a generator's
+construction time.
 """
 
 from __future__ import annotations
@@ -27,6 +35,10 @@ import numpy as np
 
 __all__ = ["RandomStream"]
 
+# SeedSequence's pool size in 32-bit words: a root seed shorter than this
+# is zero-padded to it before the spawn key's words
+_POOL_WORDS = 4
+
 
 def _tag_to_int(tag: int | str) -> int:
     if isinstance(tag, str):
@@ -35,6 +47,14 @@ def _tag_to_int(tag: int | str) -> int:
     if tag < 0:
         raise ValueError(f"stream tags must be non-negative, got {tag}")
     return tag
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative integer ([0] for 0)."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 @dataclass(frozen=True)
@@ -58,7 +78,14 @@ class RandomStream:
         return RandomStream(self.entropy, self.path + tuple(_tag_to_int(t) for t in tags))
 
     def _seed_sequence(self) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.entropy, spawn_key=self.path)
+        """``SeedSequence(entropy, spawn_key=path)``'s pool, from its
+        assembled entropy words (see the module docstring)."""
+        words = _words(self.entropy)
+        if self.path:
+            words += [0] * (_POOL_WORDS - len(words))
+            for tag in self.path:
+                words += _words(tag)
+        return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
     def generator(self) -> np.random.Generator:
         """A fresh SFC64 generator positioned at the stream start (see the

@@ -572,6 +572,57 @@ def test_output_name_taken_by_a_directory_exits_2_before_any_trial(
     assert os.listdir(tmp_path / "res") == [name]
 
 
+def make_unopenable(path, kind):
+    """A symlink at ``path`` that no open can follow: dangling (into a
+    missing directory, so it fails as root too) or a loop."""
+    os.symlink(path.parent / "missing" / "target" if kind == "dangling" else path, path)
+
+
+@pytest.mark.parametrize("kind", ["dangling", "loop"])
+@pytest.mark.parametrize("command, name", [
+    (COMMANDS[0], "trials.csv"), (COMMANDS[0], "run_meta"), (COMMANDS[1], "run_meta"),
+    (COMMANDS[2], "synthetic.csv"),
+], ids=["synthetic-trials", "synthetic-meta", "real", "export"])
+def test_output_name_taken_by_an_unopenable_symlink_exits_2_before_any_trial(
+    tmp_path, capsys, no_trials, command, name, kind
+):
+    make_unopenable(tmp_path / name, kind)
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("command, name", [
+    (COMMANDS[0], "aggregates.csv"), (COMMANDS[1], "best_k.csv"),
+    (COMMANDS[2], "synthetic_wstar.csv"),
+], ids=["synthetic", "real", "export"])
+def test_output_that_cannot_be_written_exits_2_naming_it(
+    tmp_path, capsys, monkeypatch, command, name
+):
+    # past the up-front check (switched off here), the OSError of the
+    # write itself is an exit 2 that names the file, not a traceback
+    import mpdp.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_check_out_dir", lambda out_dir, command: None)
+    make_unopenable(tmp_path / name, "loop")
+    assert main(command + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(tmp_path / name) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_root_seed_beyond_u64_exits_2_before_any_trial(tmp_path, capsys, no_trials, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"root_seed = {2**64}\n")
+    args = ["--root-seed", str(2**64)] if source == "flag" else ["--config", str(cfg)]
+    assert main(COMMANDS[0] + args + ["--out", str(tmp_path / "res")]) == 2
+    assert "root seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+    assert build_config({}, {"root_seed": 2**64 - 1}).root_seed == 2**64 - 1
+
+
 class TestExportCommand:
     def test_export_files_and_sidecar(self, tmp_path):
         out = tmp_path / "exp"
@@ -655,15 +706,23 @@ class TestRunnerSweep:
         assert t.k == max(1, round((5000 * 10) ** 0.5 / (2**0.5 * sigma)))
 
 
+def force_singular_dgm(monkeypatch, build_seconds=0.0):
+    """Make every dgm row's system singular (the zero matrix); building
+    it takes at least ``build_seconds``."""
+    import time
+
+    import mpdp.runner as runner_module
+
+    def singular_system(release, *args, **kwargs):
+        time.sleep(build_seconds)
+        return np.zeros_like(release.gram), np.ones_like(release.xty)
+
+    monkeypatch.setattr(runner_module, "dgm_system", singular_system)
+
+
 class TestStrictMode:
     def test_singular_system_aborts_with_exit_3(self, tmp_path, monkeypatch):
-        import mpdp.runner as runner_module
-        from mpdp.linalg import SingularSystemError
-
-        def always_singular(*args, **kwargs):
-            raise SingularSystemError("forced", min_abs_eig=0.0)
-
-        monkeypatch.setattr(runner_module, "dgm_train", always_singular)
+        force_singular_dgm(monkeypatch)
         args = [
             "synthetic",
             "--n-grid", "500",
@@ -676,13 +735,7 @@ class TestStrictMode:
         assert main(args + ["--strict"]) == 3
 
     def test_non_strict_records_failure(self, tmp_path, monkeypatch):
-        import mpdp.runner as runner_module
-        from mpdp.linalg import SingularSystemError
-
-        def always_singular(*args, **kwargs):
-            raise SingularSystemError("forced", min_abs_eig=1e-9)
-
-        monkeypatch.setattr(runner_module, "dgm_train", always_singular)
+        force_singular_dgm(monkeypatch)
         out = tmp_path / "res"
         args = [
             "synthetic",
@@ -713,16 +766,8 @@ class TestStrictMode:
             assert sorted(r.rsplit(",", 1)[1] for r in rows) == ["ok"] + ["singular"] * 3
 
     def test_singular_trials_are_timed(self, monkeypatch):
-        import time
-
-        import mpdp.runner as runner_module
-        from mpdp.linalg import SingularSystemError
-
-        def always_singular(*args, **kwargs):
-            time.sleep(0.002)
-            raise SingularSystemError("forced", min_abs_eig=1e-9)
-
-        monkeypatch.setattr(runner_module, "dgm_train", always_singular)
+        # a row's wall time includes building its system
+        force_singular_dgm(monkeypatch, build_seconds=0.002)
         cfg = build_config(
             {}, {"methods": ("dgm",), "n_grid": (500,), "eps_grid": (1.0,), "seeds": 2}
         )

@@ -16,8 +16,9 @@ from mpdp.linalg import (
     gram_product,
     gram_root,
     normal_equations,
-    solve_normal_equations,
+    normal_system,
     solve_symmetric,
+    solve_system,
 )
 
 from _oracles import gram_loops, xty_loops
@@ -25,7 +26,8 @@ from _oracles import gram_loops, xty_loops
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
 
-# 20 seeded indefinite systems per size, hashed with their min |eigenvalue|
+# 20 seeded indefinite systems per size, solved as one stack and hashed
+# with their min |eigenvalue|
 _SOLVE_HASHES = """
 import hashlib
 import json
@@ -35,11 +37,13 @@ from mpdp.linalg import solve_symmetric
 
 out = {}
 for d in map(int, sys.argv[1:]):
-    digest = hashlib.sha256()
+    systems = []
     for seed in range(20):
         rng = np.random.default_rng([d, seed])
         a = rng.uniform(-1, 1, size=(d, d))
-        x, lo = solve_symmetric(a + a.T, rng.uniform(-1, 1, size=d))
+        systems.append((a + a.T, rng.uniform(-1, 1, size=d)))
+    digest = hashlib.sha256()
+    for x, lo in solve_symmetric(systems):
         digest.update(x.tobytes() + np.float64(lo).tobytes())
     out[d] = digest.hexdigest()
 print(json.dumps(out))
@@ -161,6 +165,10 @@ class TestGramRoot:
         assert gram_root(np.zeros((3, 3)), 10).shape == (0, 3)
 
 
+def solve_normal_equations(eqs, lam, **rules):
+    return solve_system(normal_system(eqs, lam, **rules))
+
+
 class TestSolveNormalEquations:
     def test_matches_explicit_system(self):
         rng = np.random.default_rng(0)
@@ -226,5 +234,56 @@ class TestSolveNormalEquations:
         matrix[0, 1] = matrix[1, 0] = bad
         for system in ((matrix, np.ones(2)), (np.eye(2), np.array([1.0, bad]))):
             with pytest.raises(SingularSystemError) as caught:
-                solve_symmetric(*system)
+                solve_system(system)
             assert np.isnan(caught.value.min_abs_eig)
+
+
+class TestStackedSolve:
+    """``solve_symmetric`` solves a stack with one eigh; each outcome must
+    have the bits of that system solved alone, whatever shares its stack."""
+
+    @staticmethod
+    def alone(matrix, rhs):
+        """The per-system solve: numpy's own eigh of one matrix and the
+        back-substitution, with the finiteness and condition gates."""
+        if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+            return "non-finite", np.nan
+        eigs, vecs = np.linalg.eigh(matrix)
+        lo, hi = float(np.abs(eigs).min()), float(np.abs(eigs).max())
+        if lo == 0.0 or hi / lo > 1e14:
+            return "singular", lo
+        return vecs @ ((vecs.T @ rhs) / eigs), lo
+
+    @pytest.mark.parametrize("p", [2, 11, 41, 96])
+    def test_stack_equals_per_system_solves(self, p):
+        rng = np.random.default_rng(p)
+        systems = []
+        for i in range(9):
+            a = rng.uniform(-1, 1, size=(p, p))
+            matrix, rhs = a + a.T, rng.uniform(-1, 1, size=p)
+            if i % 3 == 1:  # condition far above 1e14: one eigenvalue about 1e-17
+                vecs = np.linalg.qr(a)[0]
+                matrix = (vecs * np.r_[1e-17, np.ones(p - 1)]) @ vecs.T
+            elif i % 3 == 2:  # one non-finite entry, in the matrix or the rhs
+                (matrix if i == 2 else rhs)[0] = (np.nan, np.inf, -np.inf)[i // 3 % 3]
+            systems.append((matrix, rhs))
+        outcomes = solve_symmetric(systems)
+        assert len(outcomes) == len(systems)
+        for (matrix, rhs), outcome in zip(systems, outcomes):
+            x, lo = self.alone(matrix, rhs)
+            if isinstance(x, str):
+                assert isinstance(outcome, SingularSystemError)
+                assert ("non-finite" in str(outcome)) == (x == "non-finite")
+                assert np.array_equal(outcome.min_abs_eig, lo, equal_nan=True)
+            else:
+                assert np.array_equal(outcome[0], x) and outcome[1] == lo
+            # a stack of one: the same bits, or the same error
+            if isinstance(outcome, SingularSystemError):
+                with pytest.raises(SingularSystemError) as caught:
+                    solve_system((matrix, rhs))
+                assert str(caught.value) == str(outcome)
+                assert np.array_equal(caught.value.min_abs_eig, outcome.min_abs_eig,
+                                      equal_nan=True)
+            else:
+                alone = solve_system((matrix, rhs))
+                assert np.array_equal(alone[0], outcome[0]) and alone[1] == outcome[1]

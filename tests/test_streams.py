@@ -50,3 +50,34 @@ def test_negative_inputs_rejected():
         RandomStream(-1)
     with pytest.raises(ValueError):
         RandomStream(3).child(-2)
+
+
+def _reference(stream):
+    """numpy's own derivation of a stream, from (entropy, spawn_key)."""
+    return np.random.SeedSequence(stream.entropy, spawn_key=stream.path)
+
+
+@pytest.mark.parametrize("root_words", [1, 2])
+def test_streams_equal_seed_sequence_spawn_keys(root_words):
+    # the stream is seeded from the assembled entropy words; its draws and
+    # seed64 must be those of SeedSequence(entropy, spawn_key=path)
+    rng = np.random.default_rng(root_words)
+    for _ in range(20):
+        root = int(rng.integers(2**31, 2**32)) if root_words == 1 else int(
+            rng.integers(2**32, 2**63)) * 2 + 1
+        paths = [(), (0,), (int(rng.integers(2**32)),), ("synthetic", 7, "rmgm", 2, 21, 5),
+                 (2**32, 3), (2**64 + 5,), (int(rng.integers(2**32, 2**63)), "dgm", 0)]
+        for path in paths:
+            stream = RandomStream(root).child(*path)
+            reference = _reference(stream)
+            draws = np.random.Generator(np.random.SFC64(reference)).standard_normal(4)
+            np.testing.assert_array_equal(stream.generator().standard_normal(4), draws)
+            assert stream.seed64() == int(reference.generate_state(1, np.uint64)[0])
+
+
+def test_zero_and_wide_roots_equal_seed_sequence_spawn_keys():
+    # root 0 is one zero word; a 5-word root fills the pool without padding
+    for root in (0, 2**128 + 3):
+        for path in ((), (0,), (2**40,)):
+            stream = RandomStream(root).child(*path)
+            assert stream.seed64() == int(_reference(stream).generate_state(1, np.uint64)[0])

@@ -58,7 +58,9 @@ class SingularSystemError(ArithmeticError):
         self.min_abs_eig = min_abs_eig
 
 
-def solve_symmetric(systems) -> list[tuple[np.ndarray, float] | SingularSystemError]:
+def solve_symmetric(
+    systems: list[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[np.ndarray, float] | SingularSystemError]:
     """Solve each ``matrix @ x = rhs`` of a stack of symmetric systems,
     given as (matrix, rhs) pairs of one size, with one ``np.linalg.eigh``
     of the stack: matrix = V diag(e) V'.

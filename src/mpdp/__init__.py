@@ -9,17 +9,15 @@ diagnostic metrics that compare them.
 
 __version__ = "0.1.0"
 
-from .baselines import bgm_train, ols_train
 from .data_model import (
     DataFormatError,
     DataMatrix,
     PartyPartition,
     load_csv,
-    normalize_minmax,
     partition_evenly,
-    split_train_test,
+    split_normalized,
 )
-from .dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
+from .dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
 from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
 from .evaluation import (
     AggregateReport,
@@ -29,8 +27,8 @@ from .evaluation import (
     test_mse,
     weight_distance,
 )
-from .linalg import NormalEquations, SingularSystemError, normal_equations
-from .rmgm import K_GRID, choose_k, rmgm_release, rmgm_train
+from .linalg import NormalEquations, SingularSystemError, normal_equations, ols_system, solve_system
+from .rmgm import K_GRID, choose_k, rmgm_release, rmgm_system
 from .streams import RandomStream
 from .synthetic import gen_ground_truth
 
@@ -47,24 +45,23 @@ __all__ = [
     "SingularSystemError",
     "TrialReport",
     "aggregate",
-    "bgm_train",
     "calibrate",
     "choose_k",
     "data_root",
     "dgm_release",
-    "dgm_train",
+    "dgm_system",
     "gaussian_noise",
     "gen_ground_truth",
     "load_csv",
     "normal_equations",
-    "normalize_minmax",
-    "ols_train",
+    "ols_system",
     "partition_evenly",
     "rmgm_release",
-    "rmgm_train",
+    "rmgm_system",
     "sample_dgm_gram",
     "sensitivity_bound",
-    "split_train_test",
+    "solve_system",
+    "split_normalized",
     "tail_probability",
     "test_mse",
     "weight_distance",

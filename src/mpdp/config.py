@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .dp_core import calibrate
+from .evaluation import tail_prob_column
 from .rmgm import K_GRID
 
 __all__ = [
@@ -91,10 +92,19 @@ class RunConfig:
             raise ConfigError("k_grid entries must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        for key in ("methods", "n_grid", "eps_grid", "betas", "k_grid"):
+        for key in ("methods", "n_grid", "eps_grid", "k_grid"):
             values = getattr(self, key)
             if len(set(values)) != len(values):  # each entry would run, or pool, twice
                 raise ConfigError(f"{key} repeats an entry: {', '.join(map(str, values))}")
+        if not all(map(math.isfinite, self.betas)):
+            raise ConfigError(f"betas must be finite, got {', '.join(map(str, self.betas))}")
+        columns: dict[str, float] = {}
+        for beta in self.betas:  # equal columns would make aggregates.csv ambiguous
+            column = tail_prob_column(beta)
+            if column in columns:
+                raise ConfigError(f"betas repeats an entry: {columns[column]} and {beta} "
+                                  f"both write the column {column}")
+            columns[column] = beta
         if not 0 <= self.root_seed < 2**64:
             raise ConfigError(f"root seed must be in [0, 2**64), got {self.root_seed}")
         if protocol == "export" and len(self.n_grid) != 1:

@@ -19,7 +19,7 @@ from .streams import RandomStream
 
 __all__ = [
     "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed",
-    "partition_evenly", "normalize_minmax", "split_train_test", "load_csv", "write_csv",
+    "partition_evenly", "split_normalized", "load_csv", "write_csv",
 ]
 
 
@@ -158,47 +158,32 @@ class BoundsCheck:
         self.rows += chunk.shape[0]
 
 
-def normalize_minmax(train: DataMatrix, test: DataMatrix) -> tuple[DataMatrix, DataMatrix]:
-    """The (train, test) pair with each column affine-mapped to [0, 1]
-    using train-only min/max.
+def split_normalized(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix, DataMatrix]:
+    """A uniformly random 4:1 row split (train, test), |train| =
+    round(0.8 * n), with each column affine-mapped to [0, 1] using
+    train-only min/max.
 
     Constant training columns map to 0.5 everywhere.  Test values are
-    clamped into [0, 1] since they may exceed the training range.
+    clamped into [0, 1] since they may exceed the training range.  The
+    split's fresh copies are normalised in place, so the pair holds one
+    matrix of rows.
     """
-    if train.column_names != test.column_names:
-        raise ValueError("train and test must share column names")
-    lo = train.values.min(axis=0)
-    hi = train.values.max(axis=0)
-    span = hi - lo
-    constant = span == 0.0
-
-    def apply(values: np.ndarray, clamp: bool) -> np.ndarray:
-        out = np.empty_like(values)
-        np.subtract(values, lo, out=out)
-        np.divide(out, np.where(constant, 1.0, span), out=out)
-        out[:, constant] = 0.5
-        if clamp:
-            np.clip(out, 0.0, 1.0, out=out)
-        return out
-
-    return (
-        DataMatrix(apply(train.values, clamp=False), train.column_names),
-        DataMatrix(apply(test.values, clamp=True), test.column_names),
-    )
-
-
-def split_train_test(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix, DataMatrix]:
-    """Uniformly random 4:1 row split with |train| = round(0.8 * n)."""
     if data.n < 5:
         raise ValueError(f"need at least 5 rows to split 4:1, got {data.n}")
     n_train = round(0.8 * data.n)
     perm = stream.generator().permutation(data.n)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    return (
-        DataMatrix(data.values[train_idx], data.column_names),
-        DataMatrix(data.values[test_idx], data.column_names),
-    )
+    train = data.values[np.sort(perm[:n_train])]
+    test = data.values[np.sort(perm[n_train:])]
+    lo = train.min(axis=0)
+    span = train.max(axis=0) - lo
+    constant = span == 0.0
+    divisor = np.where(constant, 1.0, span)
+    for values in (train, test):
+        np.subtract(values, lo, out=values)
+        np.divide(values, divisor, out=values)
+        values[:, constant] = 0.5
+    np.clip(test, 0.0, 1.0, out=test)
+    return DataMatrix(train, data.column_names), DataMatrix(test, data.column_names)
 
 
 def load_csv(path: str, label_column: str | None = None) -> DataMatrix:

@@ -5,7 +5,7 @@ to its own block, labels included, and the published matrix D + R is
 the release.  ``dgm_release`` is that mechanism, literally: it streams
 the noised rows into their normal equations one row block at a time.
 
-The trainers read only the Gram G = (D + R)'(D + R) of the release, and
+DGM and BGM read only the Gram G = (D + R)'(D + R) of the release, and
 a trial samples G from the data's own Gram D'D instead (``sample_dgm_gram``):
 with D = Q T, Q an n-by-r matrix of orthonormal columns, T'T = D'D and
 p = d + 1 columns,
@@ -32,17 +32,10 @@ import numpy as np
 from .data_model import BoundsCheck, DataMatrix, PartyPartition
 from .dp_core import PartyNoise, PrivacyParams, sensitivity_bound
 from .kernels import chunk_views
-from .linalg import (
-    NormalEquationSum,
-    NormalEquations,
-    gram_product,
-    gram_root,
-    normal_system,
-    solve_system,
-)
+from .linalg import NormalEquationSum, NormalEquations, gram_product, gram_root, normal_system
 from .streams import RandomStream
 
-__all__ = ["data_root", "dgm_release", "dgm_system", "dgm_train", "sample_dgm_gram"]
+__all__ = ["data_root", "dgm_release", "dgm_system", "sample_dgm_gram"]
 
 
 def dgm_release(
@@ -67,8 +60,6 @@ def dgm_release(
 def data_root(stats: NormalEquations) -> np.ndarray:
     """T, with at most n rows and T'T the Gram of the data [X | y]
     (``linalg.gram_root`` of the normal equations, with y'y)."""
-    if stats.yty is None:
-        raise ValueError("sampling a DGM Gram needs the data's y'y")
     p = stats.xty.size + 1
     gram = np.empty((p, p))
     gram[:-1, :-1], gram[-1, -1] = stats.gram, stats.yty
@@ -114,15 +105,3 @@ def dgm_system(
     H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features X."""
     bias = 4.0 * d_max * priv.sigma**2
     return normal_system(release, lam, scale=release.n, shift=bias)
-
-
-def dgm_train(
-    release: NormalEquations, d_max: int, priv: PrivacyParams, lam: float
-) -> tuple[np.ndarray, float]:
-    """Solve the de-biased normal equations of a release (``dgm_system``).
-
-    Returns (weights, min |eigenvalue| of H + lam*I).  Raises
-    SingularSystemError when the regularized matrix is numerically
-    singular (the small-eigenvalue failure mode).
-    """
-    return solve_system(dgm_system(release, d_max, priv, lam))

@@ -28,6 +28,7 @@ __all__ = [
     "AggregateReport",
     "weight_distance",
     "tail_probability",
+    "tail_prob_column",
     "test_mse",
     "aggregate",
     "trial_order",
@@ -212,6 +213,11 @@ def trials_to_csv(trials) -> str:
     return to_csv(TRIAL_COLUMNS, ([getattr(t, c) for c in TRIAL_COLUMNS] for t in trials))
 
 
+def tail_prob_column(beta: float) -> str:
+    """The aggregates.csv column of beta's tail probability."""
+    return f"tail_prob_{format(beta, 'g')}"
+
+
 def aggregates_to_csv(reports) -> str:
     """Render aggregate reports as CSV text.
 
@@ -220,7 +226,7 @@ def aggregates_to_csv(reports) -> str:
     configured beta.
     """
     betas = reports[0].tail_probs if reports else ()
-    header = [*AGGREGATE_COLUMNS, *(f"tail_prob_{format(b, 'g')}" for b, _ in betas)]
+    header = [*AGGREGATE_COLUMNS, *(tail_prob_column(b) for b, _ in betas)]
     return to_csv(header, (
         [*(getattr(r, c) for c in AGGREGATE_COLUMNS), *(p for _, p in r.tail_probs)]
         for r in reports

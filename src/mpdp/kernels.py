@@ -60,6 +60,22 @@ _COL_CHUNK = _TILE_BYTES // (8 * _MIN_ROWS)
 # the bits.
 _BAND_WORDS = 1 << 14
 
+# The tile buffer and the transposed chunk start on a cache line.  From
+# malloc they start wherever the allocator's history puts them, 16 bytes
+# past a page when freshly mapped, and a gemv over an (8, 16 000) tile
+# whose rows start 16 or 48 bytes past a 64-byte line took about 1.25x
+# as long as over one whose rows start on it (OpenBLAS, one thread).
+# The gemv bits did not depend on either operand's offset.
+_ALIGN = 64
+
+
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised float64 vector of ``size`` entries starting on an
+    _ALIGN-byte boundary."""
+    raw = np.empty(size + _ALIGN // 8)
+    start = (-raw.ctypes.data % _ALIGN) // 8
+    return raw[start : start + size]
+
 
 # backend_name, rademacher_matrix and sketch_product: the package itself
 # does not call them, but perfbench/child.py's probe and kernel check
@@ -146,7 +162,7 @@ class SketchSum:
         self._bands = [tiles[t : t + per_band] for t in range(0, len(tiles), per_band)]
         self._out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
         # reused: a fresh 1.4 MiB copy per chunk made glibc re-fault its heap
-        self._transposed = np.empty((cols, width))
+        self._transposed = _aligned_empty(cols * width).reshape(cols, width)
 
     def push(self, chunk: np.ndarray) -> None:
         i0, i1 = self._i0, self._i0 + chunk.shape[0]
@@ -157,7 +173,7 @@ class SketchSum:
         transposed[...] = chunk.T  # each row, a matvec operand, is contiguous
         # i0 is a multiple of _COL_CHUNK, so the chunk starts on a word
         b0, b1, nblk = i0 // 64, (i1 + 63) // 64, (self.n + 63) // 64
-        buffer = np.empty(self._bands[0][0][1] * width)  # the tallest tile, the first
+        buffer = _aligned_empty(self._bands[0][0][1] * width)  # the tallest tile, the first
         for band in self._bands:
             r0 = band[0][0]
             words = _splitmix_words(self.seed, nblk, r0, band[-1][1] - r0, b0, b1)

@@ -1,12 +1,15 @@
-"""Normal equations and the shared symmetric solve with eigenvalue diagnostics.
+"""Normal equations, each method's system, and the one symmetric solve.
 
-Every trainer needs only X'X and X'y of the matrix [X | y] it trains on
+Every method needs only X'X and X'y of the matrix [X | y] it trains on
 (``NormalEquations``, which also keep y'y), summed over fixed row blocks
 in order (``NormalEquationSum``), and reduces to solving H w = b for a small
-symmetric H.  H may be indefinite after de-biasing, so the solve is one
+symmetric H, built by one function per rule: ``ols_system`` (OLS, and BGM
+on a DGM release), ``dgm.dgm_system`` and ``rmgm.rmgm_system``, each a
+``normal_system``.  H may be indefinite after de-biasing, so the solve is one
 eigendecomposition (not Cholesky), whose eigenvalues also give the diagnostic,
 and it refuses numerically singular systems instead of returning garbage.
-A trial builds every method's system first and solves them as one stack.
+``solve_symmetric`` solves a stack of systems (a trial's every method) and
+``solve_system`` one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 __all__ = [
     "NormalEquationSum", "NormalEquations", "SingularSystemError", "gram_product", "gram_root",
-    "normal_equations", "normal_system", "solve_symmetric", "solve_system",
+    "normal_equations", "normal_system", "ols_system", "solve_symmetric", "solve_system",
 ]
 
 COND_LIMIT = 1e14
@@ -160,14 +163,14 @@ def gram_root(gram: np.ndarray, max_rows: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """X'X (``gram``), X'y (``xty``) and y'y (``yty``, None when unknown)
-    of an n-row matrix [X | y] with its label last: everything a trainer
-    needs of what it trains on, and with y'y the whole Gram of [X | y]."""
+    """X'X (``gram``), X'y (``xty``) and y'y (``yty``) of an n-row matrix
+    [X | y] with its label last: everything a method needs of what it
+    trains on, and the whole Gram of [X | y]."""
 
     gram: np.ndarray
     xty: np.ndarray
     n: int
-    yty: float | None = None
+    yty: float
 
     def __post_init__(self) -> None:
         if self.xty.ndim != 1 or self.gram.shape != self.xty.shape * 2 or self.n < 1:
@@ -229,13 +232,25 @@ def normal_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The system (H + lam*I, X'y / scale) with H = X'X / scale - shift*I.
 
-    The one core of every trainer's system: OLS and BGM use scale = n,
+    The one core of every method's system: OLS and BGM use scale = n,
     DGM also subtracts its known noise variance as ``shift``, RMGM uses
     the raw Gram matrix (scale = 1).  ``solve_system`` of it returns (w,
-    min |eigenvalue| of H + lam*I), the return value of every trainer.
+    min |eigenvalue| of H + lam*I).
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     eye = np.eye(eqs.gram.shape[0])
     hessian = eqs.gram / scale - shift * eye
     return hessian + lam * eye, eqs.xty / scale
+
+
+def ols_system(eqs: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The system ((1/n) X'X + lam*I, (1/n) X'y) of plain least squares,
+    exact at lam = 0 with full-rank X.
+
+    OLS solves it on the data's normal equations, and BGM on a DGM
+    release's, without de-biasing: the retained noise variance keeps the
+    matrix well conditioned but biases the weights toward zero, the
+    ablation BGM exists to show.
+    """
+    return normal_system(eqs, lam, scale=eqs.n)

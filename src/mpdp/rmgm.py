@@ -26,10 +26,10 @@ import numpy as np
 
 from .data_model import PartyPartition
 from .dp_core import PartyNoise, PrivacyParams
-from .linalg import NormalEquations, normal_system, solve_system
+from .linalg import NormalEquations, normal_system
 from .streams import RandomStream
 
-__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_system", "rmgm_train"]
+__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_system"]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
 
@@ -91,15 +91,6 @@ def rmgm_release(
 
 def rmgm_system(release: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The system (X'X + lam*I, X'Y) of the public k-row matrix's normal
-    equations: plain least squares, no scaling or de-biasing."""
+    equations: plain least squares, no scaling or de-biasing.  X'X is PSD,
+    so the system can be singular only when k < d and lam = 0."""
     return normal_system(release, lam)
-
-
-def rmgm_train(release: NormalEquations, lam: float) -> tuple[np.ndarray, float]:
-    """Plain least squares on the compressed release (``rmgm_system``).
-
-    Returns (weights, min |eigenvalue| of the regularized Gram matrix).
-    The unregularized Gram matrix is PSD by construction; a singular
-    system can only arise from rank deficiency (k < d with lam = 0).
-    """
-    return solve_system(rmgm_system(release, lam))

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .baselines import ols_system
 from .config import ConfigError, RunConfig
 from .data_model import (
     BoundsCheck,
@@ -29,9 +28,8 @@ from .data_model import (
     PartyPartition,
     feed,
     load_csv,
-    normalize_minmax,
     partition_evenly,
-    split_train_test,
+    split_normalized,
     write_csv,
 )
 from .dgm import data_root, dgm_system, sample_dgm_gram
@@ -48,7 +46,13 @@ from .evaluation import (
     weight_distance,
 )
 from .kernels import SketchSum, chunk_views
-from .linalg import NormalEquationSum, SingularSystemError, normal_equations, solve_symmetric
+from .linalg import (
+    NormalEquationSum,
+    SingularSystemError,
+    normal_equations,
+    ols_system,
+    solve_symmetric,
+)
 from .rmgm import choose_k, rmgm_release, rmgm_system
 from .streams import RandomStream
 from .synthetic import column_names, gen_chunks, gen_ground_truth
@@ -64,7 +68,7 @@ NUMERICS_VERSION = 7
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
 # setup.  Up to d = 144 trials.csv does not depend on them:
 # tests/test_cli.py and tests/test_kernels.py check it under one and two
-# OpenBLAS threads, the trainers at d = 120 and 200.  From d = 145 on,
+# OpenBLAS threads, the solves at d = 120 and 200.  From d = 145 on,
 # the solve's eigendecomposition (LAPACK) may round differently.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -101,8 +105,9 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     sketch; only the releases and solves run after it.  OLS trains on the
     data's normal equations, and each epsilon's DGM release Gram is
     sampled from them (``sample_dgm_gram``), never materialised.
-    Every method's system is built by its trainer's builder, and all of
-    them are solved as one stack (``solve_symmetric``); under
+    Every method's system is built by the one function of its rule
+    (``ols_system`` for ols and bgm, ``dgm_system``, ``rmgm_system``), and
+    all of them are solved as one stack (``solve_symmetric``); under
     ``cfg.strict`` the first singular one in row order raises.
     ``measure(weights)`` maps a weight vector to the trial's metric field
     (a dict with either ``distance`` or ``test_mse``).  All methods see
@@ -192,7 +197,7 @@ def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int)
     with train statistics, release the training matrix, score on the
     held-out rows."""
     base = root.child("real", seed)
-    train, test = normalize_minmax(*split_train_test(data, base.child("split")))
+    train, test = split_normalized(data, base.child("split"))
     return _trial_methods(cfg, base, chunk_views(train.values), train.n,
                           partition_evenly(data.d + 1, cfg.m), seed,
                           measure=lambda weights: {"test_mse": test_mse(weights, test)})
@@ -216,7 +221,7 @@ def run_real(cfg: RunConfig) -> RunOutput:
     )
     meta = _base_meta(cfg, "real", started)
     meta["dataset_rows_total"] = data.n
-    meta["dataset_rows_train"] = trials[0].n  # split_train_test's training rows
+    meta["dataset_rows_train"] = trials[0].n  # split_normalized's training rows
     meta["dataset_features"] = data.d
     meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
     return RunOutput(trials=trials, meta=meta)

@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from mpdp.baselines import bgm_train, ols_train
 from mpdp.config import build_config
 from mpdp.data_model import load_csv, partition_evenly
-from mpdp.dgm import dgm_release, dgm_train
+from mpdp.dgm import dgm_release, dgm_system
 from mpdp.dp_core import calibrate, sensitivity_bound
 from mpdp.evaluation import aggregate, tail_probability, weight_distance
 from mpdp.kernels import sketch_product
-from mpdp.linalg import normal_equations
-from mpdp.rmgm import rmgm_release, rmgm_train
+from mpdp.linalg import normal_equations, ols_system, solve_system
+from mpdp.rmgm import rmgm_release, rmgm_system
 from mpdp.runner import best_k_rows, run_real
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
@@ -68,7 +67,8 @@ def test_criterion_1_exact_formula_suite():
     data = gen_matrix(300, w_star, base.child("d"))
     part = partition_evenly(5, 2)
     priv = calibrate(1.0, 0.5)
-    got, _ = dgm_train(dgm_release(data, part, priv, base.child("r")), part.d_max, priv, lam=1e-5)
+    release = dgm_release(data, part, priv, base.child("r"))
+    got, _ = solve_system(dgm_system(release, part.d_max, priv, lam=1e-5))
     public = dgm_published(data, part, priv, base.child("r"))
     x, y = public[:, :-1], public[:, -1]
     debiased = x.T @ x / 300 - 4 * part.d_max * priv.sigma**2 * np.eye(4)
@@ -114,7 +114,7 @@ def test_criterion_2_oracle_equivalence():
 
         release = dgm_release(data, part, priv, base.child("dgm"))
         public = dgm_published(data, part, priv, base.child("dgm"))
-        got, _ = dgm_train(release, part.d_max, priv, lam=lam)
+        got, _ = solve_system(dgm_system(release, part.d_max, priv, lam=lam))
         want = dgm_oracle(public, part.d_max, priv.sigma, lam)
         worst = max(worst, np.abs(got - want).max())
 
@@ -122,13 +122,13 @@ def test_criterion_2_oracle_equivalence():
             warnings.simplefilter("ignore")
             sketch = trial_sketch(data, part, k, base.child("rmgm"))
             comp = rmgm_release(sketch, n, part, priv, k, base.child("rmgm"))
-        got, _ = rmgm_train(normal_equations(comp), lam=lam)
+        got, _ = solve_system(rmgm_system(normal_equations(comp), lam=lam))
         worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 
-        got, _ = ols_train(normal_equations(data.values), lam=lam)
+        got, _ = solve_system(ols_system(normal_equations(data.values), lam=lam))
         worst = max(worst, np.abs(got - ols_oracle(data.features(), data.labels(), lam)).max())
 
-        got, _ = bgm_train(release, lam=lam)
+        got, _ = solve_system(ols_system(release, lam=lam))
         want = ols_oracle(public[:, :-1], public[:, -1], lam)
         worst = max(worst, np.abs(got - want).max())
     report(2, worst < 1e-10, f"20 instances, worst trainer-vs-oracle gap {worst:.2e}")

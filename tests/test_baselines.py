@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from mpdp.baselines import bgm_train, ols_train
 from mpdp.data_model import partition_evenly
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import PrivacyParams, calibrate
-from mpdp.linalg import SingularSystemError, normal_equations
+from mpdp.linalg import SingularSystemError, normal_equations, ols_system, solve_system
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
 
@@ -15,7 +14,7 @@ ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
 
 
 def ols_fit(x, y, lam):
-    return ols_train(normal_equations(np.column_stack([x, y])), lam)
+    return solve_system(ols_system(normal_equations(np.column_stack([x, y])), lam))
 
 
 class TestOls:
@@ -53,14 +52,14 @@ class TestBgm:
 
     def test_zero_noise_release_equals_plain_least_squares(self):
         data, release, _ = self._release(sigma_zero=True)
-        noisy, _ = bgm_train(release, lam=1e-5)
-        clean, _ = ols_train(normal_equations(data.values), lam=1e-5)
+        noisy, _ = solve_system(ols_system(release, lam=1e-5))
+        clean, _ = solve_system(ols_system(normal_equations(data.values), lam=1e-5))
         assert np.abs(noisy - clean).max() < 1e-12
 
     def test_matches_brute_force_oracle(self):
         _, release, public = self._release(sigma_zero=False)
         expected = ols_oracle(public[:, :-1], public[:, -1], 1e-5)
-        weights, _ = bgm_train(release, lam=1e-5)
+        weights, _ = solve_system(ols_system(release, lam=1e-5))
         assert np.abs(weights - expected).max() < 1e-10
 
     def test_biased_toward_zero_under_real_noise(self):
@@ -73,7 +72,7 @@ class TestBgm:
         release = dgm_release(
             data, partition_evenly(11, 6), priv, RandomStream(77).child("r")
         )
-        weights, _ = bgm_train(release, lam=1e-5)
+        weights, _ = solve_system(ols_system(release, lam=1e-5))
         assert np.linalg.norm(weights) < 0.5 * np.linalg.norm(w_star)
         assert np.linalg.norm(weights - w_star) > 0.1
 
@@ -93,7 +92,7 @@ class TestBgmNonConvergence:
                 w_star = gen_ground_truth(10, base.child("t"))
                 data = gen_matrix(n, w_star, base.child("d"))
                 release = dgm_release(data, part, priv, base.child("r"))
-                weights, _ = bgm_train(release, lam=1e-5)
+                weights, _ = solve_system(ols_system(release, lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         spread = max(medians) - min(medians)
@@ -106,5 +105,5 @@ class TestOlsConvergence:
             base = RandomStream(41).child(seed)
             w_star = gen_ground_truth(10, base.child("t"))
             data = gen_matrix(10**4, w_star, base.child("d"))
-            weights, _ = ols_train(normal_equations(data.values), lam=1e-5)
+            weights, _ = solve_system(ols_system(normal_equations(data.values), lam=1e-5))
             assert np.linalg.norm(weights - w_star) <= 1e-3

@@ -92,11 +92,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="delta"):
             build_config({}, {"delta": 1.0})
         # a repeated entry would run its trials twice, or pool two releases
-        # of the same data under one epsilon
-        for key, values in (("methods", ("ols", "dgm", "ols")), ("n_grid", (20, 20)),
-                            ("eps_grid", (1.0, 1.0)), ("betas", (0.1, 0.1)),
-                            ("k_grid", (10, 30, 10))):
-            with pytest.raises(ConfigError, match=f"{key} repeats an entry"):
+        # of the same data under one epsilon; two betas whose tail_prob_
+        # columns print alike, or a NaN beta, would write duplicate columns
+        nan = float("nan")
+        for key, values, message in (
+            ("methods", ("ols", "dgm", "ols"), "methods repeats an entry"),
+            ("n_grid", (20, 20), "n_grid repeats an entry"),
+            ("eps_grid", (1.0, 1.0), "eps_grid repeats an entry"),
+            ("betas", (0.1, 0.1), "betas repeats an entry"),
+            ("betas", (0.1000001, 0.1000002), "betas repeats .* column tail_prob_0.1$"),
+            ("betas", (0.1, nan, nan), "betas must be finite"),
+            ("betas", (float("inf"),), "betas must be finite"),
+            ("k_grid", (10, 30, 10), "k_grid repeats an entry"),
+        ):
+            with pytest.raises(ConfigError, match=message):
                 build_config({}, {key: values})
 
     @pytest.mark.parametrize("eps", ["1e-300", "1e-320", "5e-324"])

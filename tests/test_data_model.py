@@ -11,9 +11,8 @@ from mpdp.data_model import (
     PartyPartition,
     feed,
     load_csv,
-    normalize_minmax,
     partition_evenly,
-    split_train_test,
+    split_normalized,
     write_csv,
 )
 from mpdp.kernels import _COL_CHUNK, chunk_views
@@ -121,70 +120,74 @@ class TestPartitioning:
             PartyPartition(blocks=((0, 2), (3, 4)))
 
 
+def split_rows(n, stream):
+    """The rows ``split_normalized`` puts in (train, test): the first
+    round(0.8 * n) of a permutation drawn from ``stream``, then the rest,
+    each in row order."""
+    perm = stream.generator().permutation(n)
+    return np.sort(perm[: round(0.8 * n)]), np.sort(perm[round(0.8 * n) :])
+
+
+def placed(train_values, test_values, stream):
+    """A one-column matrix whose ``split_normalized`` split by ``stream``
+    puts ``train_values`` in train and ``test_values`` in test, in order."""
+    train_rows, test_rows = split_rows(len(train_values) + len(test_values), stream)
+    values = np.empty((len(train_rows) + len(test_rows), 1))
+    values[train_rows, 0], values[test_rows, 0] = train_values, test_values
+    return matrix(values)
+
+
 class TestNormalize:
     def test_affine_map_to_unit_interval(self):
-        train = matrix([[0.0], [5.0], [10.0]])
-        test = matrix([[2.5]])
-        train_n, test_n = normalize_minmax(train, test)
-        np.testing.assert_allclose(train_n.values[:, 0], [0.0, 0.5, 1.0])
+        data = placed([0.0, 5.0, 10.0, 2.0], [2.5], RandomStream(1))
+        train_n, test_n = split_normalized(data, RandomStream(1))
+        np.testing.assert_allclose(train_n.values[:, 0], [0.0, 0.5, 1.0, 0.2])
         np.testing.assert_allclose(test_n.values[:, 0], [0.25])
 
     def test_test_values_clamped(self):
-        train = matrix([[0.0], [10.0]])
-        test = matrix([[12.0], [-3.0]])
-        _, test_n = normalize_minmax(train, test)
+        data = placed(np.linspace(0.0, 10.0, 8), [12.0, -3.0], RandomStream(2))
+        _, test_n = split_normalized(data, RandomStream(2))
         np.testing.assert_array_equal(test_n.values[:, 0], [1.0, 0.0])
 
     def test_constant_column_maps_to_half(self):
-        train = matrix([[7.0], [7.0], [7.0]])
-        train_n, test_n = normalize_minmax(train, matrix([[7.0]]))
+        train_n, test_n = split_normalized(matrix(np.full((6, 1), 7.0)), RandomStream(3))
         assert (train_n.values == 0.5).all()
         assert (test_n.values == 0.5).all()
 
-    def test_idempotent_on_normalized_data(self):
-        rng = np.random.default_rng(1)
-        values = rng.uniform(size=(50, 4))
-        values[0] = 0.0
-        values[1] = 1.0
-        train = matrix(values)
-        once, _ = normalize_minmax(train, train)
-        twice, _ = normalize_minmax(once, once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
-
     def test_output_always_passes_bounds_check(self):
         rng = np.random.default_rng(2)
-        train = matrix(rng.normal(0, 100, size=(40, 5)))
-        test = matrix(rng.normal(0, 300, size=(10, 5)))
-        for part in normalize_minmax(train, test):
+        data = matrix(rng.standard_cauchy(size=(50, 5)) * 100)  # test rows beyond train's range
+        for part in split_normalized(data, RandomStream(4)):
             check_bounds(part, partition_evenly(5, 2))
 
 
 class TestSplit:
     def test_four_to_one_counts(self):
         m = matrix(np.zeros((10, 2)))
-        train, test = split_train_test(m, RandomStream(1))
+        train, test = split_normalized(m, RandomStream(1))
         assert (train.n, test.n) == (8, 2)
 
     def test_large_count_convention(self):
         m = matrix(np.zeros((1070, 2)))
-        train, test = split_train_test(m, RandomStream(1))
+        train, test = split_normalized(m, RandomStream(1))
         assert (train.n, test.n) == (856, 214)
 
     @pytest.mark.parametrize("seed", [0, 1, 9, 123456])
     def test_deterministic_and_disjoint(self, seed):
+        # 8 rows each of 0 and 1 (more than the 7 test rows) keep train's
+        # range at [0, 1] for any split, so normalising leaves every value
         rng = np.random.default_rng(3)
-        m = matrix(rng.uniform(size=(37, 2)))
-        a_train, a_test = split_train_test(m, RandomStream(seed).child("split"))
-        b_train, b_test = split_train_test(m, RandomStream(seed).child("split"))
+        m = matrix(np.concatenate([np.zeros((8, 2)), np.ones((8, 2)), rng.uniform(size=(21, 2))]))
+        a_train, a_test = split_normalized(m, RandomStream(seed).child("split"))
+        b_train, b_test = split_normalized(m, RandomStream(seed).child("split"))
         np.testing.assert_array_equal(a_train.values, b_train.values)
         np.testing.assert_array_equal(a_test.values, b_test.values)
         stacked = np.concatenate([a_train.values, a_test.values])
-        assert stacked.shape == m.values.shape
-        assert {tuple(r) for r in stacked} == {tuple(r) for r in m.values}
+        assert sorted(map(tuple, stacked)) == sorted(map(tuple, m.values))
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            split_train_test(matrix(np.zeros((4, 2))), RandomStream(0))
+            split_normalized(matrix(np.zeros((4, 2))), RandomStream(0))
 
 
 class TestCsv:

@@ -3,9 +3,11 @@ import pytest
 from scipy.stats import ks_2samp
 from mpdp.config import build_config
 from mpdp.data_model import DataMatrix, partition_evenly
-from mpdp.dgm import data_root, dgm_release, dgm_train, sample_dgm_gram
+from mpdp.dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
-from mpdp.linalg import NormalEquations, SingularSystemError, _block_rows, normal_equations
+from mpdp.linalg import (
+    NormalEquations, SingularSystemError, _block_rows, normal_equations, solve_system,
+)
 from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
@@ -106,14 +108,14 @@ class TestTrain:
     def test_zero_noise_zero_ridge_reduces_to_exact_ols(self):
         w_star, data, part = small_instance(10, n=500, d=4)
         release = dgm_release(data, part, ZERO_NOISE, RandomStream(11))
-        weights, _ = dgm_train(release, part.d_max, ZERO_NOISE, lam=0.0)
+        weights, _ = solve_system(dgm_system(release, part.d_max, ZERO_NOISE, lam=0.0))
         assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(12, n=50, d=3)
         priv = calibrate(1.0, 0.9)
         release = dgm_release(data, part, priv, RandomStream(13))
-        weights, _ = dgm_train(release, part.d_max, priv, lam=1e-5)
+        weights, _ = solve_system(dgm_system(release, part.d_max, priv, lam=1e-5))
         public = dgm_published(data, part, priv, RandomStream(13))
         expected = dgm_oracle(public, part.d_max, priv.sigma, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
@@ -126,11 +128,11 @@ class TestTrain:
         data = DataMatrix(values, ("a", "b", "y"))
         release = dgm_release(data, partition_evenly(3, 2), ZERO_NOISE, RandomStream(0))
         with pytest.raises(SingularSystemError):
-            dgm_train(release, 2, ZERO_NOISE, lam=0.0)
+            solve_system(dgm_system(release, 2, ZERO_NOISE, lam=0.0))
 
     def test_hessian_estimate_is_unbiased(self):
         # mean of the de-biased Gram matrix (the release's raw Gram
-        # minus the bias dgm_train removes) over repeated releases of one
+        # minus the bias dgm_system removes) over repeated releases of one
         # fixed dataset stays within 3 standard errors of the raw Gram
         w_star = gen_ground_truth(5, RandomStream(14).child("t"))
         data = gen_matrix(10**4, w_star, RandomStream(14).child("d"))
@@ -250,7 +252,7 @@ class TestSampler:
         assert np.abs(z).max() < 4.5
         assert (np.abs(var_b / var_a - 1.0) < 0.2).all()
 
-        def min_abs_eig(grams):  # of the de-biased matrix dgm_train solves
+        def min_abs_eig(grams):  # of the de-biased matrix dgm_system builds
             debiased = grams[:, :-1, :-1] / n - self.STD**2 * np.eye(3)
             return np.abs(np.linalg.eigvalsh(debiased)).min(axis=1)
 
@@ -278,10 +280,11 @@ class TestSampler:
         assert release is stats and draws == []
 
     def test_needs_y_transpose_y(self):
+        # data_root factors the whole Gram of [X | y], so no normal
+        # equations come without y'y
         held = normal_equations(np.ones((5, 3)) / 2)
-        stats = NormalEquations(gram=held.gram, xty=held.xty, n=held.n)
-        with pytest.raises(ValueError, match="y'y"):
-            data_root(stats)
+        with pytest.raises(TypeError, match="yty"):
+            NormalEquations(gram=held.gram, xty=held.xty, n=held.n)
 
 
 class TestTrialDraws:

@@ -190,9 +190,9 @@ class TestSolveNormalEquations:
         with pytest.raises(ValueError, match="lam"):
             solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), -1.0)
         with pytest.raises(ValueError):
-            NormalEquations(gram=np.eye(3), xty=np.ones(2), n=3)
+            NormalEquations(gram=np.eye(3), xty=np.ones(2), n=3, yty=1.0)
         with pytest.raises(ValueError):
-            NormalEquations(gram=np.eye(3), xty=np.ones(3), n=0)
+            NormalEquations(gram=np.eye(3), xty=np.ones(3), n=0, yty=1.0)
 
     def test_shift_to_singular_raises(self):
         # shifting the identity Gram matrix by exactly 1 leaves the zero matrix

@@ -9,8 +9,8 @@ from mpdp.data_model import DataMatrix, partition_evenly
 from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
 from mpdp.evaluation import weight_distance
 from mpdp.kernels import rademacher_matrix, sketch_product
-from mpdp.linalg import SingularSystemError, normal_equations
-from mpdp.rmgm import K_GRID, choose_k, rmgm_release, rmgm_train
+from mpdp.linalg import SingularSystemError, normal_equations, solve_system
+from mpdp.rmgm import K_GRID, choose_k, rmgm_release, rmgm_system
 from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
@@ -79,7 +79,7 @@ class TestRelease:
             product = sketch_product(seed, data.values, report.k)
             release = rmgm_release(product, data.n, part, calibrate(report.epsilon, cfg.delta),
                                    report.k, base.child("rmgm", i, report.k))
-            weights, _ = rmgm_train(normal_equations(release), lam=cfg.lam)
+            weights, _ = solve_system(rmgm_system(normal_equations(release), lam=cfg.lam))
             assert report.distance == weight_distance(weights, w_star)
 
     def test_forced_all_ones_mixing_row(self):
@@ -228,14 +228,14 @@ class TestTrain:
         forced[:, :k] = np.sqrt(k) * np.eye(k)
         release = rmgm_release(forced @ data.values, data.n, part, ZERO_NOISE, k,
                                RandomStream(15))
-        weights, _ = rmgm_train(normal_equations(release), lam=0.0)
+        weights, _ = solve_system(rmgm_system(normal_equations(release), lam=0.0))
         assert np.linalg.norm(weights - w_star) < 1e-6
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(16, n=100, d=3)
         priv = calibrate(1.0, 0.5)
         release = release_at(data, part, priv, 20, RandomStream(17))
-        weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
+        weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
         expected = rmgm_oracle(release, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
@@ -243,7 +243,7 @@ class TestTrain:
         _, data, part = small_instance(18, n=50, d=3)
         release = release_at(data, part, calibrate(1.0, 1e-5), 2, RandomStream(19))
         with pytest.raises(SingularSystemError):
-            rmgm_train(normal_equations(release), lam=0.0)
+            solve_system(rmgm_system(normal_equations(release), lam=0.0))
 
     def test_gram_matrix_is_psd(self):
         for seed in range(10):
@@ -272,7 +272,7 @@ class TestConvergenceTendency:
                 priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r"))
-                weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
+                weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[1] < medians[0]
@@ -290,7 +290,7 @@ class TestConvergenceTendency:
                 part = partition_evenly(11, 6)
                 (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
                 release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))
-                weights, _ = rmgm_train(normal_equations(release), lam=1e-5)
+                weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
         assert medians[0] <= medians[1] <= medians[2]

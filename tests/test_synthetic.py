@@ -7,10 +7,9 @@ import pytest
 
 import mpdp
 
-from mpdp.baselines import ols_train
 from mpdp.data_model import BoundsCheck, feed, partition_evenly
 from mpdp.kernels import chunk_views
-from mpdp.linalg import _block_rows, normal_equations
+from mpdp.linalg import _block_rows, normal_equations, ols_system, solve_system
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
 
@@ -107,7 +106,7 @@ class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
         w_star = gen_ground_truth(10, RandomStream(13))
         data = gen_matrix(5000, w_star, RandomStream(14))
-        weights, _ = ols_train(normal_equations(data.values), lam=0.0)
+        weights, _ = solve_system(ols_system(normal_equations(data.values), lam=0.0))
         assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):

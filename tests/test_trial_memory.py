@@ -7,8 +7,9 @@ so it holds no n-row array at all, and it checks each entry once.  The
 generator yields its rows one chunk at a time into one buffer, and the
 library passes over a held matrix (the bounds check, the DGM release)
 walk it in row chunks, so none holds a second matrix-sized temporary.
-A real CSV is parsed into the one buffer that becomes its matrix, and
-an RMGM release adds its noise to its own k-row result."""
+A real CSV is parsed into the one buffer that becomes its matrix, its
+split is normalised in place, and an RMGM release adds its noise to its
+own k-row result."""
 
 import os
 import tracemalloc
@@ -18,7 +19,9 @@ import pytest
 
 import mpdp.data_model
 from mpdp.config import build_config
-from mpdp.data_model import BoundsCheck, feed, load_csv, partition_evenly
+from mpdp.data_model import (
+    BoundsCheck, DataMatrix, feed, load_csv, partition_evenly, split_normalized,
+)
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import calibrate
 from mpdp.kernels import chunk_views
@@ -94,6 +97,15 @@ class TestTrialMemory:
         data, peak = traced_peak(load_csv, path, "c6")
         np.testing.assert_array_equal(data.values, table[:, [*range(6), *range(7, 13), 6]])
         assert peak <= 1.5 * data.values.nbytes
+
+    def test_split_normalized_peak_within_one_and_a_half_matrices(self):
+        # normalising the split into fresh arrays, while the split's copies
+        # are alive, would peak near 2x
+        values = np.random.default_rng(47).uniform(-1e3, 1e3, size=(20_000, 13))
+        data = DataMatrix(values, tuple(f"c{i}" for i in range(13)))
+        (train, test), peak = traced_peak(split_normalized, data, RandomStream(48))
+        assert (train.n, test.n) == (16_000, 4_000)
+        assert peak <= 1.5 * values.nbytes
 
     def test_rmgm_release_allocates_the_release_and_one_party_noise(self):
         # a copy of the scaled rows before the noise is added would hold a

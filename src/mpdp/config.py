@@ -2,8 +2,8 @@
 
 Each settings flag sets one config-file key, and its text goes through
 that key's parser (``parse_value``).  Flags win over file values, which
-win over the ``--full`` preset.  Unknown keys are fatal so silent typos
-cannot change an experiment.
+win over the ``--full`` preset.  Unknown keys, and a key set twice in
+one file, are fatal so silent typos cannot change an experiment.
 """
 
 from __future__ import annotations
@@ -162,16 +162,19 @@ def parse_value(key: str, text: str) -> tuple[str, object]:
 
 
 def parse_config_file(path: str) -> dict[str, object]:
-    """Parse a key = value file into RunConfig field values."""
+    """Parse a key = value file into RunConfig field values.  A line whose
+    first non-blank character is ``#`` is a comment; a ``#`` anywhere else
+    is part of the value.  A key set twice is an error."""
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}  # key -> the line that set it
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -179,6 +182,9 @@ def parse_config_file(path: str) -> dict[str, object]:
         key = key.strip().lower()
         if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             field_name, value = parse_value(key, text)
         except ValueError as exc:

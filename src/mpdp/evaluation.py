@@ -7,9 +7,7 @@ Synthetic trials carry a weight-space distance, real-data trials a test
 MSE; the two kinds never mix within a group.
 
 CSV output serializes floats with 17 significant digits so downstream
-analysis can reproduce values bit-faithfully.  Trial wall times are
-deliberately not part of trials.csv (its bytes must be a pure function
-of config and root seed); the runner writes them to timings.csv.
+analysis can reproduce values bit-faithfully.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class TrialReport:
     test_mse: float | None = None
     min_abs_eig: float | None = None
     status: str = "ok"
-    wall_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.method not in ("ols", "dgm", "rmgm", "bgm"):
@@ -102,7 +99,7 @@ class AggregateReport:
 
 # the CSV columns are the record fields; the per-beta tail_prob_<beta>
 # columns follow AGGREGATE_COLUMNS
-TRIAL_COLUMNS = tuple(f.name for f in fields(TrialReport) if f.name != "wall_time")
+TRIAL_COLUMNS = tuple(f.name for f in fields(TrialReport))
 AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateReport) if f.name != "tail_probs")
 
 
@@ -209,7 +206,7 @@ def to_csv(header, rows) -> str:
 
 
 def trials_to_csv(trials) -> str:
-    """Render trials as CSV text (stable column set, no wall times)."""
+    """Render trials as CSV text, one column per ``TrialReport`` field."""
     return to_csv(TRIAL_COLUMNS, ([getattr(t, c) for c in TRIAL_COLUMNS] for t in trials))
 
 

@@ -83,18 +83,26 @@ OUTPUT_FILES = {
 @dataclass(frozen=True)
 class RunOutput:
     trials: tuple[TrialReport, ...]
+    timings: tuple[tuple[int, int, float], ...]  # (n, seed, seconds) per task, in task order
     meta: dict
 
 
 def _run_tasks(tasks, worker, workers: int):
+    """Run ``worker`` on every task, on ``workers`` threads; return the
+    trials in ``trial_order`` and each task's (n, seed, wall seconds)."""
+    def timed(task):
+        start = time.perf_counter()
+        reports = worker(task)
+        return reports, time.perf_counter() - start
+
     if workers <= 1:
-        results = [worker(task) for task in tasks]
+        results = list(map(timed, tasks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, tasks))
-    trials = [t for batch in results for t in batch]
-    trials.sort(key=trial_order)
-    return tuple(trials)
+            results = list(pool.map(timed, tasks))
+    trials = sorted((t for reports, _ in results for t in reports), key=trial_order)
+    timings = tuple((reports[0].n, reports[0].seed, seconds) for reports, seconds in results)
+    return tuple(trials), timings
 
 
 def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition: PartyPartition,
@@ -113,17 +121,9 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     (a dict with either ``distance`` or ``test_mse``).  All methods see
     the same data; dgm and bgm share one release per epsilon, and every
     rmgm release mixes with the same B, so their comparisons are paired.
-    A row's wall time is its system's build, an equal share of the
-    stacked solve and its metric.
     """
-    rows = []  # (method, epsilon, k, system, seconds to build it)
+    rows = []  # (method, epsilon, k, system)
     d = partition.total_columns - 1
-
-    def build(method, eps, k, make, *args):
-        """Time ``make(*args, lam=cfg.lam)``, the row's system, and keep it."""
-        start = time.perf_counter()
-        system = make(*args, lam=cfg.lam)
-        rows.append((method, eps, k, system, time.perf_counter() - start))
 
     privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
@@ -137,26 +137,24 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     stats = sums.result() if sums is not None else None
     root = data_root(stats) if dgm else None
     if "ols" in cfg.methods:
-        build("ols", None, None, ols_system, stats)
+        rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))
     for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
         if dgm:
             release = sample_dgm_gram(stats, root, partition, priv, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
-                build("dgm", eps, None, dgm_system, release, partition.d_max, priv)
+                rows.append(("dgm", eps, None,
+                             dgm_system(release, partition.d_max, priv, lam=cfg.lam)))
             if "bgm" in cfg.methods:
-                build("bgm", eps, None, ols_system, release)
+                rows.append(("bgm", eps, None, ols_system(release, lam=cfg.lam)))
         if mixer is not None:
             for k in ks[eps_index]:
                 release = rmgm_release(mixer.result(), n, partition, priv, k,
                                        base.child("rmgm", eps_index, k))
-                build("rmgm", eps, k, rmgm_system, normal_equations(release))
+                rows.append(("rmgm", eps, k, rmgm_system(normal_equations(release), lam=cfg.lam)))
 
-    start = time.perf_counter()
-    outcomes = solve_symmetric([system for _, _, _, system, _ in rows])
-    solve_share = (time.perf_counter() - start) / len(rows)
+    outcomes = solve_symmetric([system for _, _, _, system in rows])
     reports = []
-    for (method, eps, k, _, built), outcome in zip(rows, outcomes):
-        start = time.perf_counter()
+    for (method, eps, k, _), outcome in zip(rows, outcomes):
         if isinstance(outcome, SingularSystemError):
             if cfg.strict:
                 raise outcome
@@ -166,8 +164,7 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
             fields = dict(measure(weights), min_abs_eig=min_eig)
         reports.append(TrialReport(
             method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
-            delta=None if eps is None else cfg.delta, k=k,
-            wall_time=built + solve_share + time.perf_counter() - start, **fields,
+            delta=None if eps is None else cfg.delta, k=k, **fields,
         ))
     return reports
 
@@ -186,10 +183,10 @@ def run_synthetic(cfg: RunConfig) -> RunOutput:
     started = time.perf_counter()
     root = RandomStream(cfg.root_seed)
     tasks = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
-    trials = _run_tasks(
+    trials, timings = _run_tasks(
         tasks, lambda task: _synthetic_trial(cfg, root, task[0], task[1]), cfg.workers
     )
-    return RunOutput(trials=trials, meta=_base_meta(cfg, "synthetic", started))
+    return RunOutput(trials=trials, timings=timings, meta=_base_meta(cfg, "synthetic", started))
 
 
 def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int):
@@ -216,7 +213,7 @@ def run_real(cfg: RunConfig) -> RunOutput:
             f"cannot split the {data.d + 1} columns of {cfg.csv_path} among m={cfg.m} parties"
         )
     root = RandomStream(cfg.root_seed)
-    trials = _run_tasks(
+    trials, timings = _run_tasks(
         range(cfg.seeds), lambda seed: _real_trial(cfg, root, data, seed), cfg.workers
     )
     meta = _base_meta(cfg, "real", started)
@@ -224,7 +221,7 @@ def run_real(cfg: RunConfig) -> RunOutput:
     meta["dataset_rows_train"] = trials[0].n  # split_normalized's training rows
     meta["dataset_features"] = data.d
     meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
-    return RunOutput(trials=trials, meta=meta)
+    return RunOutput(trials=trials, timings=timings, meta=meta)
 
 
 def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
@@ -237,9 +234,7 @@ def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
     data_path, wstar_path = (os.path.join(cfg.out_dir, name) for name in OUTPUT_FILES["export"])
     write_csv(data_path, column_names(cfg.d), chunks)
     with open(wstar_path, "w", encoding="utf-8") as fh:
-        fh.write("w_star\n")
-        for v in w_star:
-            fh.write(format(v, ".17g") + "\n")
+        fh.write(to_csv(("w_star",), ((v,) for v in w_star)))
     return data_path, wstar_path
 
 
@@ -291,8 +286,8 @@ def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
         "trials.csv": trials_to_csv(output.trials),
         "aggregates.csv": aggregates_to_csv(reports),
         "timings.csv": to_csv(
-            ("method", "seed", "n", "epsilon", "k", "wall_time"),
-            ((t.method, t.seed, t.n, t.epsilon, t.k, f"{t.wall_time:.6f}") for t in output.trials),
+            ("n", "seed", "wall_time"),
+            ((n, seed, f"{seconds:.6f}") for n, seed, seconds in output.timings),
         ),
         "best_k.csv": to_csv(("epsilon", "best_k", "mean_test_mse"), best_k_rows(reports)),
         "run_meta": "".join(f"{key} = {output.meta[key]}\n" for key in sorted(output.meta)),

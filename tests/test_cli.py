@@ -80,6 +80,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    def test_hash_inside_a_value_is_part_of_it(self, tmp_path):
+        # only a line whose first non-blank character is '#' is a comment,
+        # so a value keeps the same text as its flag
+        out = tmp_path / "res#2"
+        path = tmp_path / "run.cfg"
+        path.write_text(f"  # the output directory\nout_dir = {out}\n")
+        args = ["synthetic", "--config", str(path), "--n-grid", "100", "--eps-grid", "1.0",
+                "--methods", "ols", "--seeds", "1"]
+        assert main(args) == 0
+        assert (out / "trials.csv").is_file()
+        assert not (tmp_path / "res").exists()
+
+    def test_trailing_comment_is_part_of_the_value(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seeds = 3 # three\n")
+        assert main(["synthetic", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}:1: bad value for 'seeds'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_key_set_twice_exits_2_naming_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seeds = 3\n# more seeds\nSeeds = 4\n")
+        assert main(["synthetic", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}:3: key 'seeds' is already set on line 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             build_config({}, {"eps_grid": (2.0,)})
@@ -207,17 +233,32 @@ class TestSyntheticCommand:
         ]
         assert meta[0] == meta[1]
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        base = [
-            "synthetic",
-            "--n-grid", "800",
-            "--eps-grid", "1.0",
-            "--seeds", "4",
-            "--root-seed", "5",
-        ]
+    @pytest.mark.parametrize("base, workers", [
+        (["synthetic", "--n-grid", "800"], 3),
+        (["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5"], 2),
+    ], ids=["synthetic", "real"])
+    def test_workers_do_not_change_output(self, tmp_path, base, workers):
+        base = base + ["--eps-grid", "1.0", "--seeds", "4", "--root-seed", "5"]
         assert main(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
-        assert main(base + ["--out", str(tmp_path / "w3"), "--workers", "3"]) == 0
-        assert read(tmp_path / "w1" / "trials.csv") == read(tmp_path / "w3" / "trials.csv")
+        assert main(base + ["--out", str(tmp_path / "wn"), "--workers", str(workers)]) == 0
+        assert read(tmp_path / "w1" / "trials.csv") == read(tmp_path / "wn" / "trials.csv")
+
+    @pytest.mark.parametrize("args, tasks", [
+        (["synthetic", "--n-grid", "300,200", "--seeds", "3"],
+         [(n, seed) for n in (300, 200) for seed in range(3)]),
+        (["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
+          "--seeds", "3"], [(80, seed) for seed in range(3)]),  # 80 training rows
+    ], ids=["synthetic", "real"])
+    def test_timings_have_one_row_per_task_in_task_order(self, tmp_path, args, tasks):
+        out = tmp_path / "res"
+        assert main(args + ["--eps-grid", "1.0", "--workers", "1", "--out", str(out)]) == 0
+        header, *rows = (out / "timings.csv").read_text().strip().split("\n")
+        assert header == "n,seed,wall_time"
+        cells = [row.split(",") for row in rows]
+        assert [(int(n), int(seed)) for n, seed, _ in cells] == tasks
+        meta = dict(line.split(" = ", 1) for line in (out / "run_meta").read_text().splitlines())
+        # the tasks ran one after another inside the run; wall_s is rounded to 3 decimals
+        assert sum(float(seconds) for _, _, seconds in cells) <= float(meta["wall_s"]) + 5e-4
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -775,11 +816,14 @@ class TestStrictMode:
             assert sorted(r.rsplit(",", 1)[1] for r in rows) == ["ok"] + ["singular"] * 3
 
     def test_singular_trials_are_timed(self, monkeypatch):
-        # a row's wall time includes building its system
+        # a task's wall time includes building each of its rows' systems
         force_singular_dgm(monkeypatch, build_seconds=0.002)
         cfg = build_config(
-            {}, {"methods": ("dgm",), "n_grid": (500,), "eps_grid": (1.0,), "seeds": 2}
+            {}, {"methods": ("dgm",), "n_grid": (500,), "eps_grid": (1.0, 0.3), "seeds": 2}
         )
-        trials = run_synthetic(cfg).trials
-        assert [t.status for t in trials] == ["singular", "singular"]
-        assert all(t.wall_time >= 0.002 for t in trials)
+        output = run_synthetic(cfg)
+        assert [t.status for t in output.trials] == ["singular"] * 4
+        assert [(n, seed) for n, seed, _ in output.timings] == [(500, 0), (500, 1)]
+        for n, seed, seconds in output.timings:
+            rows = sum(1 for t in output.trials if (t.n, t.seed) == (n, seed))
+            assert rows == 2 and seconds >= 0.002 * rows

@@ -157,8 +157,7 @@ class TestCsvRendering:
     def test_trials_csv_shape_and_roundtrip_floats(self):
         text = trials_to_csv([trial(distance=1 / 3)])
         header, row = text.strip().split("\n")
-        assert header.startswith("method,seed,n,d,m,k,epsilon")
-        assert "wall_time" not in header
+        assert header == "method,seed,n,d,m,k,epsilon,delta,distance,test_mse,min_abs_eig,status"
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["distance"]) == 1 / 3
 

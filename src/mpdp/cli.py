@@ -16,14 +16,15 @@ output file that cannot be written, 3 a singular trained system under
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import (FULL_PRESET, ConfigError, RunConfig, build_config, parse_config_file,
                      parse_value)
 from .data_model import DataFormatError
+from .evaluation import METHODS
 from .linalg import SingularSystemError
-from .runner import OUTPUT_FILES, export_synthetic, run_real, run_synthetic, write_outputs
+from .rmgm import K_MODES
+from .runner import run_command
 
 __all__ = ["main", "config_from_argv"]
 
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="the paper's grid (n up to 3e6, 1000 seeds) below file and flags")
     p_syn.add_argument("--n-grid", metavar="N,N,...", help="training sizes (commas or spaces)")
     p_syn.add_argument("--eps-grid", metavar="E,E,...", help="privacy budgets (commas or spaces)")
-    p_syn.add_argument("--methods", metavar="M,M,...", help="subset of ols,dgm,rmgm,bgm")
+    p_syn.add_argument("--methods", metavar="M,M,...", help=f"subset of {','.join(METHODS)}")
 
     p_real = sub.add_parser("real", parents=[common], help="test-MSE protocol on a CSV dataset")
     p_real.add_argument("--csv", metavar="PATH", help="dataset file")
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--parties", metavar="M")
     p_real.add_argument("--eps-grid", metavar="E,E,...")
     p_real.add_argument("--methods", metavar="M,M,...")
-    p_real.add_argument("--k-mode", metavar="{synthetic,grid,rate}")
+    p_real.add_argument("--k-mode", metavar="{" + ",".join(K_MODES) + "}")
 
     p_exp = sub.add_parser("export", help="write a generated dataset + ground-truth sidecar")
     p_exp.add_argument("--d", metavar="D", help="feature count")
@@ -86,25 +87,6 @@ def _flag_values(flags: dict[str, str]) -> dict[str, object]:
     return values
 
 
-def _check_out_dir(out_dir: str, command: str) -> None:
-    """Fail before any trial runs if ``out_dir`` cannot be made a writable
-    directory (it or its nearest existing ancestor must be one) or if a
-    directory, or a symlink that leads nowhere (dangling or a loop),
-    takes the name of one of the command's output files."""
-    path = os.path.abspath(out_dir)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
-        raise ConfigError(f"cannot write to --out {out_dir!r}: {path} is not a writable directory")
-    for name in OUTPUT_FILES[command]:
-        path = os.path.join(out_dir, name)
-        if os.path.isdir(path):
-            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a directory")
-        if os.path.islink(path) and not os.path.exists(path):
-            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a symlink "
-                              "to nothing (dangling or a loop)")
-
-
 def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     """The command and the validated config that ``argv`` asks for."""
     args = vars(_build_parser().parse_args(argv))
@@ -114,7 +96,6 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     preset = FULL_PRESET if flags.pop("full", False) else {}
     file_values = parse_config_file(config_path) if config_path else {}
     cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
-    _check_out_dir(cfg.out_dir, command)
     rows = cfg.seeds * sum(cfg.n_grid)
     if command == "synthetic" and rows >= _HOURS_OF_ROWS:
         print(f"warning: {cfg.seeds} seeds at n up to {max(cfg.n_grid)} generate {rows:.2g} "
@@ -122,33 +103,16 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     return command, cfg
 
 
-def _writing(write, *args):
-    """``write(*args)``, with an OSError turned into a ConfigError (its
-    text names the file when the OSError does)."""
-    try:
-        return write(*args)
-    except OSError as exc:
-        raise ConfigError(f"cannot write the output: {exc}") from exc
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         command, cfg = config_from_argv(argv)
-        if command == "export":
-            data_path, wstar_path = _writing(export_synthetic, cfg)
-            print(f"wrote {data_path} and {wstar_path}")
-            return 0
-        output = run_synthetic(cfg) if command == "synthetic" else run_real(cfg)
-        paths = _writing(write_outputs, output, cfg)
+        print(run_command(command, cfg))
     except (ConfigError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularSystemError as exc:
         print(f"error: singular system under --strict: {exc}", file=sys.stderr)
         return 3
-
-    failed = sum(1 for t in output.trials if t.status != "ok")
-    print(f"{len(output.trials)} trials ({failed} singular) -> {paths['trials.csv']}")
     return 0
 
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, fields
 
 from .dp_core import calibrate
-from .evaluation import tail_prob_column
-from .rmgm import K_GRID
+from .evaluation import METHODS, tail_prob_column
+from .rmgm import K_GRID, K_MODES
 
 __all__ = [
     "ConfigError", "RunConfig", "parse_value", "parse_config_file", "build_config", "FULL_PRESET",
@@ -27,8 +27,6 @@ _PROTOCOL_DEFAULTS = {  # per-command defaults, below every other layer
     "real": {"k_mode": "grid"},  # the real-data protocol sweeps the k grid
     "export": {"n_grid": (1000,), "out_dir": "export"},
 }
-
-METHODS = ("ols", "dgm", "rmgm", "bgm")
 
 
 class ConfigError(ValueError):
@@ -84,8 +82,8 @@ class RunConfig:
             raise ConfigError(f"cannot split d+1={self.d + 1} columns among m={self.m} parties")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
-        if self.k_mode not in ("synthetic", "grid", "rate"):
-            raise ConfigError(f"k_mode must be synthetic, grid or rate, got {self.k_mode!r}")
+        if self.k_mode not in K_MODES:
+            raise ConfigError(f"k_mode must be one of {', '.join(K_MODES)}; got {self.k_mode!r}")
         if not 0 <= self.lam < math.inf:
             raise ConfigError("lambda must be finite and non-negative")
         if any(k < 1 for k in self.k_grid) or not self.k_grid:
@@ -123,6 +121,12 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(x.strip().lower() for x in text.split(",") if x.strip())
 
 
+def _path(text: str) -> str:
+    if not text or "\0" in text:
+        raise ValueError("a path must be non-empty and hold no NUL character")
+    return text
+
+
 def _bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -146,8 +150,8 @@ _KEYS = {
     "k_grid": ("k_grid", _numbers(int)),
     "lambda": ("lam", float),
     "label_column": ("label_column", str),
-    "csv_path": ("csv_path", str),
-    "out_dir": ("out_dir", str),
+    "csv_path": ("csv_path", _path),
+    "out_dir": ("out_dir", _path),
     "strict": ("strict", _bool),
     "root_seed": ("root_seed", int),
     "workers": ("workers", int),

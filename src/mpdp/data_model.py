@@ -19,7 +19,7 @@ from .streams import RandomStream
 
 __all__ = [
     "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed",
-    "partition_evenly", "split_normalized", "load_csv", "write_csv",
+    "partition_evenly", "split_normalized", "load_csv",
 ]
 
 
@@ -270,13 +270,3 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         names.append(names.pop(idx))
     return DataMatrix(values, tuple(names))
 
-
-def write_csv(path: str, column_names, chunks: Iterable[np.ndarray]) -> None:
-    """Write a matrix, given as its row chunks in order, in the format
-    ``load_csv`` ingests."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(column_names)
-        for chunk in chunks:
-            for row in chunk:
-                writer.writerow([format(v, ".17g") for v in row])

@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
 from .data_model import DataMatrix
 
 __all__ = [
+    "METHODS",
     "PATHOLOGY_THRESHOLD",
     "TrialReport",
     "AggregateReport",
@@ -30,11 +33,13 @@ __all__ = [
     "test_mse",
     "aggregate",
     "trial_order",
+    "csv_lines",
     "to_csv",
     "trials_to_csv",
     "aggregates_to_csv",
 ]
 
+METHODS = ("ols", "dgm", "rmgm", "bgm")
 PATHOLOGY_THRESHOLD = 1e-2
 
 
@@ -56,7 +61,7 @@ class TrialReport:
     status: str = "ok"
 
     def __post_init__(self) -> None:
-        if self.method not in ("ols", "dgm", "rmgm", "bgm"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.status not in ("ok", "singular"):
             raise ValueError(f"unknown status {self.status!r}")
@@ -200,9 +205,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_lines(header, rows) -> Iterator[str]:
+    """CSV text, each line formatted as it is read: the header, then the rows."""
+    return (",".join(map(_fmt, row)) + "\n" for row in chain((header,), rows))
+
+
 def to_csv(header, rows) -> str:
-    """CSV text: the header line, then one line per row of values."""
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+    """CSV text: ``csv_lines`` joined into one string."""
+    return "".join(csv_lines(header, rows))
 
 
 def trials_to_csv(trials) -> str:

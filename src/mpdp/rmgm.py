@@ -29,9 +29,10 @@ from .dp_core import PartyNoise, PrivacyParams
 from .linalg import NormalEquations, normal_system
 from .streams import RandomStream
 
-__all__ = ["K_GRID", "choose_k", "rmgm_release", "rmgm_system"]
+__all__ = ["K_GRID", "K_MODES", "choose_k", "rmgm_release", "rmgm_system"]
 
 K_GRID: tuple[int, ...] = (100, 300, 1000, 3000, 10000)
+K_MODES = ("synthetic", "grid", "rate")  # choose_k's modes
 
 
 def choose_k(
@@ -53,17 +54,17 @@ def choose_k(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if mode not in K_MODES:
+        raise ValueError(f"unknown k mode {mode!r}")
     if mode == "grid":
         return tuple(grid) if grid is not None else K_GRID
     if sigma <= 0:
         raise ValueError(f"sigma must be positive in {mode!r} mode, got {sigma}")
     if mode == "synthetic":
         return (max(1, round(math.sqrt(n) / sigma)),)
-    if mode == "rate":
-        if d is None or d_max is None:
-            raise ValueError("rate mode requires d and d_max")
-        return (max(1, round(math.sqrt(n * d) / (math.sqrt(d_max) * sigma))),)
-    raise ValueError(f"unknown k mode {mode!r}")
+    if d is None or d_max is None:
+        raise ValueError("rate mode requires d and d_max")
+    return (max(1, round(math.sqrt(n * d) / (math.sqrt(d_max) * sigma))),)
 
 
 def rmgm_release(

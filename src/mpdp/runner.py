@@ -14,6 +14,7 @@ import platform
 import resource
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -30,7 +31,6 @@ from .data_model import (
     load_csv,
     partition_evenly,
     split_normalized,
-    write_csv,
 )
 from .dgm import data_root, dgm_system, sample_dgm_gram
 from .dp_core import calibrate
@@ -39,6 +39,7 @@ from .evaluation import (
     TrialReport,
     aggregate,
     aggregates_to_csv,
+    csv_lines,
     test_mse,
     to_csv,
     trial_order,
@@ -54,11 +55,12 @@ from .linalg import (
     solve_symmetric,
 )
 from .rmgm import choose_k, rmgm_release, rmgm_system
-from .streams import RandomStream
+from .streams import BIT_GENERATOR, RandomStream
 from .synthetic import column_names, gen_chunks, gen_ground_truth
 
 __all__ = [
-    "OUTPUT_FILES", "RunOutput", "run_synthetic", "run_real", "export_synthetic", "write_outputs",
+    "OUTPUT_FILES", "RunOutput", "run_command", "run_synthetic", "run_real", "export_synthetic",
+    "write_outputs",
 ]
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
@@ -224,18 +226,18 @@ def run_real(cfg: RunConfig) -> RunOutput:
     return RunOutput(trials=trials, timings=timings, meta=meta)
 
 
-def export_synthetic(cfg: RunConfig) -> tuple[str, str]:
-    """Write one generated dataset of n_grid[0] rows plus a sidecar with
-    its ground truth under the configured output directory."""
+def export_synthetic(cfg: RunConfig) -> dict[str, str]:
+    """Write n_grid[0] generated rows, each formatted as it is generated,
+    and a sidecar with their ground truth; return {file name: path}."""
     root = RandomStream(cfg.root_seed).child("export")
     w_star = gen_ground_truth(cfg.d, root.child("truth"))
     chunks = gen_chunks(cfg.n_grid[0], w_star, root.child("data"))
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    data_path, wstar_path = (os.path.join(cfg.out_dir, name) for name in OUTPUT_FILES["export"])
-    write_csv(data_path, column_names(cfg.d), chunks)
-    with open(wstar_path, "w", encoding="utf-8") as fh:
-        fh.write(to_csv(("w_star",), ((v,) for v in w_star)))
-    return data_path, wstar_path
+    rows = (row.tolist() for chunk in chunks for row in chunk)
+    data_name, wstar_name = OUTPUT_FILES["export"]
+    return _write_files(cfg.out_dir, {
+        data_name: csv_lines(column_names(cfg.d), rows),
+        wstar_name: csv_lines(("w_star",), ((v,) for v in w_star)),
+    })
 
 
 def _peak_rss_mb() -> float:
@@ -254,7 +256,7 @@ def _base_meta(cfg: RunConfig, protocol: str, started: float) -> dict:
         artifact_version=__version__,
         numerics_version=NUMERICS_VERSION,
         dgm_gram="sampled from the data's Gram, exact in distribution; D + R not materialised",
-        bit_generator=type(RandomStream(0).generator().bit_generator).__name__,
+        bit_generator=BIT_GENERATOR,
         python_version=platform.python_version(),
         numpy_version=np.__version__,
         wall_s=round(time.perf_counter() - started, 3),
@@ -278,9 +280,41 @@ def best_k_rows(reports) -> list[tuple[float, int, float]]:
     return [(eps, best[eps].k, best[eps].mean_distance) for eps in sorted(best)]
 
 
+def _check_out_dir(out_dir: str, command: str) -> None:
+    """Fail before any trial runs unless ``out_dir`` or its nearest existing
+    ancestor is a writable directory, and no directory or symlink that leads
+    nowhere (dangling or a loop) takes the name of a ``command`` output file."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):  # a symlink that leads nowhere is no directory
+        path = os.path.dirname(path)
+    if not os.path.isdir(path) or not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write to --out {out_dir!r}: {path} is not a writable directory")
+    for name in OUTPUT_FILES[command]:
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a directory")
+        if os.path.islink(path) and not os.path.exists(path):
+            raise ConfigError(f"cannot write {name} under --out {out_dir!r}: it is a symlink "
+                              "to nothing (dangling or a loop)")
+
+
+def _write_files(out_dir: str, files: dict[str, Iterable[str]]) -> dict[str, str]:
+    """Make ``out_dir`` and write each file's text pieces there; return
+    {file name: path}.  An OSError becomes a ConfigError that quotes it."""
+    paths = {name: os.path.join(out_dir, name) for name in files}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, pieces in files.items():
+            with open(paths[name], "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output: {exc}") from exc
+    return paths
+
+
 def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
     """Write the run's ``OUTPUT_FILES`` under the configured output
-    directory and return {file name: path}."""
+    directory, each file in one piece, and return {file name: path}."""
     reports = aggregate(output.trials, betas=cfg.betas)
     texts = {
         "trials.csv": trials_to_csv(output.trials),
@@ -292,10 +326,16 @@ def write_outputs(output: RunOutput, cfg: RunConfig) -> dict[str, str]:
         "best_k.csv": to_csv(("epsilon", "best_k", "mean_test_mse"), best_k_rows(reports)),
         "run_meta": "".join(f"{key} = {output.meta[key]}\n" for key in sorted(output.meta)),
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = {}
-    for name in OUTPUT_FILES[output.meta["protocol"]]:
-        paths[name] = os.path.join(cfg.out_dir, name)
-        with open(paths[name], "w", encoding="utf-8", newline="") as fh:
-            fh.write(texts[name])
-    return paths
+    names = OUTPUT_FILES[output.meta["protocol"]]
+    return _write_files(cfg.out_dir, {name: (texts[name],) for name in names})
+
+
+def run_command(command: str, cfg: RunConfig) -> str:
+    """Check, run and write ``command``'s ``OUTPUT_FILES``; return the line reporting them."""
+    _check_out_dir(cfg.out_dir, command)
+    if command == "export":
+        return f"wrote {' and '.join(export_synthetic(cfg).values())}"
+    output = run_synthetic(cfg) if command == "synthetic" else run_real(cfg)
+    paths = write_outputs(output, cfg)
+    failed = sum(1 for t in output.trials if t.status != "ok")
+    return f"{len(output.trials)} trials ({failed} singular) -> {paths['trials.csv']}"

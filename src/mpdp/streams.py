@@ -33,7 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RandomStream"]
+__all__ = ["BIT_GENERATOR", "RandomStream"]
+
+# numpy.random's bit generator (see the module docstring for why SFC64),
+# by name: looking it up at import would load numpy.random on every import
+BIT_GENERATOR = "SFC64"
 
 # SeedSequence's pool size in 32-bit words: a root seed shorter than this
 # is zero-padded to it before the spawn key's words
@@ -88,9 +92,8 @@ class RandomStream:
         return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
     def generator(self) -> np.random.Generator:
-        """A fresh SFC64 generator positioned at the stream start (see the
-        module docstring for why SFC64)."""
-        return np.random.Generator(np.random.SFC64(self._seed_sequence()))
+        """A fresh ``BIT_GENERATOR`` generator positioned at the stream start."""
+        return np.random.Generator(getattr(np.random, BIT_GENERATOR)(self._seed_sequence()))
 
     def seed64(self) -> int:
         """A 64-bit seed word derived from this stream (for raw kernels)."""

@@ -1,0 +1,133 @@
+"""Mutation checks: deliberate bugs that the test suite must catch.
+
+Each entry is (file under src/mpdp, exact old text, new text, expected
+tests, note).  The old text must occur exactly once in its file;
+tests/test_mutations.py checks that in tier-1, so a refactor that moves
+the code must update this list.
+
+Run as a script (pytest does not collect it):
+
+    python tests/mutations.py            # every mutation
+    python tests/mutations.py 2 4        # mutations 2 and 4 (1-based)
+
+For each mutation it copies src/ to a temporary directory, applies the
+mutation there, runs only the expected tests against the copy and prints
+"caught" (at least one of them failed) or "missed"; it exits 1 unless
+every mutation was caught.  It never edits src/ in place.  The expected
+tests pass on the unmutated code: they are part of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Every mutation below also changes the golden digests
+# (tests/test_golden.py).  They are left out of the expected tests: a
+# change that re-pins them would hide the mutation, so each entry names
+# the tests that check the behaviour itself.  Where those are only
+# pinned constants (reference values), the note says so.
+
+MUTATIONS = (
+    (
+        "rmgm.py",
+        "product[:k] / math.sqrt(k)",
+        "product[:k] * 1.0",
+        (
+            "tests/test_rmgm.py::TestRelease",
+            "tests/test_rmgm.py::TestSharedSketch",
+            "tests/test_rmgm.py::TestSensitivity",
+        ),
+        "RMGM release without the 1/sqrt(k) scale",
+    ),
+    (
+        "dgm.py",
+        "dof = stats.n - r",
+        "dof = stats.n",
+        ("tests/test_dgm.py::TestSampler",),
+        "Wishart degrees of freedom n in place of n - r",
+    ),
+    (
+        "dgm.py",
+        "bias = 4.0 * d_max",
+        "bias = 2.0 * d_max",
+        (
+            "tests/test_dgm.py::TestTrain::test_matches_brute_force_oracle",
+            "tests/test_acceptance.py::test_criterion_1_exact_formula_suite",
+            "tests/test_acceptance.py::test_criterion_2_oracle_equivalence",
+        ),
+        "DGM de-bias shift halved",
+    ),
+    (
+        "dp_core.py",
+        "return 2.0 * math.sqrt(d_max)",
+        "return math.sqrt(d_max)",
+        (
+            "tests/test_dgm.py::TestSensitivity",
+            "tests/test_rmgm.py::TestSensitivity",
+            "tests/test_dgm.py::TestRelease::test_noise_variance_at_scale",
+        ),
+        "sensitivity_bound halved",
+    ),
+    (
+        "dp_core.py",
+        "math.sqrt(2.0 * math.log(1.25 / delta))",
+        "math.sqrt(math.log(1.25 / delta))",
+        (
+            "tests/test_dp_core.py::TestCalibrate",
+            "tests/test_rmgm.py::TestChooseK::test_synthetic_scaling",
+            "tests/test_acceptance.py::test_criterion_1_exact_formula_suite",
+        ),
+        "calibrate without the 2 under the root (noise 1/sqrt(2) of what "
+        "(epsilon, delta) needs); caught only by pinned constants",
+    ),
+)
+
+
+def apply(src_dir: str, mutation) -> None:
+    """Apply ``mutation`` to the package under ``src_dir`` (a copy)."""
+    name, old, new, _, _ = mutation
+    path = os.path.join(src_dir, "mpdp", name)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if text.count(old) != 1:
+        raise SystemExit(f"{name}: the old text {old!r} occurs {text.count(old)} times, not once")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, new))
+
+
+def run(index: int, mutation) -> bool:
+    """Apply one mutation to a fresh copy of src/ and run its expected
+    tests there; True when they fail (the mutation is caught)."""
+    name, _, _, tests, note = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        src_dir = os.path.join(tmp, "src")
+        shutil.copytree(os.path.join(REPO, "src"), src_dir,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        apply(src_dir, mutation)
+        env = dict(os.environ, PYTHONPATH=src_dir, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=REPO, env=env, capture_output=True, text=True,
+        )
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else proc.stderr
+    # pytest exits 1 when a test failed; any other non-zero exit (a
+    # collection or usage error) says nothing about the mutation
+    status = {0: "missed", 1: "caught"}.get(proc.returncode, f"error (exit {proc.returncode})")
+    print(f"{index}. {status}: {name}: {note}\n   {summary}", flush=True)
+    return status == "caught"
+
+
+def main(argv: list[str]) -> int:
+    picks = [int(a) for a in argv] or range(1, len(MUTATIONS) + 1)
+    caught = [run(i, MUTATIONS[i - 1]) for i in picks]
+    return 0 if all(caught) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

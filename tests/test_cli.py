@@ -10,7 +10,10 @@ import pytest
 import mpdp
 from mpdp.cli import config_from_argv, main
 from mpdp.config import ConfigError, build_config, parse_config_file
+from mpdp.data_model import load_csv
 from mpdp.runner import run_real, run_synthetic, write_outputs
+from mpdp.streams import RandomStream
+from mpdp.synthetic import gen_chunks, gen_ground_truth
 
 from test_golden import WIDE_CFG
 
@@ -643,6 +646,20 @@ def test_output_name_taken_by_an_unopenable_symlink_exits_2_before_any_trial(
     assert os.listdir(tmp_path) == [name]
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["link", os.path.join("link", "sub")], ids=["at", "under"])
+@pytest.mark.parametrize("kind", ["dangling", "loop"])
+def test_out_at_or_under_an_unopenable_symlink_exits_2_before_any_trial(
+    tmp_path, capsys, no_trials, command, out, kind
+):
+    # the check used to walk past the link to its directory and pass
+    make_unopenable(tmp_path / "link", kind)
+    assert main(command + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to --out") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["link"]
+
+
 @pytest.mark.parametrize("command, name", [
     (COMMANDS[0], "aggregates.csv"), (COMMANDS[1], "best_k.csv"),
     (COMMANDS[2], "synthetic_wstar.csv"),
@@ -652,14 +669,40 @@ def test_output_that_cannot_be_written_exits_2_naming_it(
 ):
     # past the up-front check (switched off here), the OSError of the
     # write itself is an exit 2 that names the file, not a traceback
-    import mpdp.cli as cli_module
+    import mpdp.runner as runner_module
 
-    monkeypatch.setattr(cli_module, "_check_out_dir", lambda out_dir, command: None)
+    monkeypatch.setattr(runner_module, "_check_out_dir", lambda out_dir, command: None)
     make_unopenable(tmp_path / name, "loop")
     assert main(command + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and str(tmp_path / name) in err
     assert "Traceback" not in err
+
+
+# (command, flag or config key, value, expected message); export takes no --config
+BAD_PATHS = [
+    *((command, "--out", "", "bad value for --out: ''") for command in COMMANDS),
+    *((command, key, value, f":1: bad value for {key!r}") for command in COMMANDS[:2]
+      for key, value in (("out_dir", "res\0x"), ("csv_path", "in\0.csv"))),
+]
+
+
+@pytest.mark.parametrize("command, key, value, message", BAD_PATHS,
+                         ids=[f"{c[0]}-{k.lstrip('-')}" for c, k, _, _ in BAD_PATHS])
+def test_empty_or_nul_path_exits_2_before_any_trial(
+    tmp_path, capsys, no_trials, command, key, value, message
+):
+    # an empty --out used to pass the check and fail at os.makedirs("")
+    # after every trial; a NUL ended in a ValueError traceback
+    if key == "--out":
+        args = [key, value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        args = ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "res")]
+    assert main(command + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "res").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -678,7 +721,9 @@ class TestExportCommand:
         out = tmp_path / "exp"
         assert main(["export", "--d", "3", "--n", "10", "--root-seed", "21",
                      "--out", str(out)]) == 0
-        data = (out / "synthetic.csv").read_text().strip().split("\n")
+        text = read(out / "synthetic.csv").decode()
+        assert "\r" not in text  # LF line ends, like every other output file
+        data = text.strip().split("\n")
         assert len(data) == 1 + 10
         assert data[0] == "x1,x2,x3,y"
         wstar = (out / "synthetic_wstar.csv").read_text().strip().split("\n")
@@ -686,6 +731,13 @@ class TestExportCommand:
         values = [float(v) for v in wstar[1:]]
         assert len(values) == 3
         assert all(abs(v) <= 1 / 3 for v in values)
+        # the file reads back, bit for bit, as the rows of the export's streams
+        root = RandomStream(21).child("export")
+        w_star = gen_ground_truth(3, root.child("truth"))
+        np.testing.assert_array_equal(values, w_star)
+        rows = [chunk.copy() for chunk in gen_chunks(10, w_star, root.child("data"))]
+        np.testing.assert_array_equal(load_csv(str(out / "synthetic.csv")).values,
+                                      np.concatenate(rows))
 
     @pytest.mark.parametrize(
         "flags", [["--n", "3"], ["--d", "0"], ["--n", "x"], ["--n", "10 20"]], ids=" ".join

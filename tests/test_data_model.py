@@ -13,8 +13,8 @@ from mpdp.data_model import (
     load_csv,
     partition_evenly,
     split_normalized,
-    write_csv,
 )
+from mpdp.evaluation import to_csv
 from mpdp.kernels import _COL_CHUNK, chunk_views
 from mpdp.streams import RandomStream
 
@@ -195,7 +195,7 @@ class TestCsv:
         rng = np.random.default_rng(4)
         m = matrix(rng.uniform(-1, 1, size=(5, 3)), ("a", "b", "y"))
         path = tmp_path / "data.csv"
-        write_csv(str(path), m.column_names, [m.values])
+        path.write_text(to_csv(m.column_names, m.values.tolist()))  # the package's CSV format
         loaded = load_csv(str(path))
         assert loaded.column_names == ("a", "b", "y")
         np.testing.assert_array_equal(loaded.values, m.values)

@@ -9,7 +9,8 @@ library passes over a held matrix (the bounds check, the DGM release)
 walk it in row chunks, so none holds a second matrix-sized temporary.
 A real CSV is parsed into the one buffer that becomes its matrix, its
 split is normalised in place, and an RMGM release adds its noise to its
-own k-row result."""
+own k-row result.  An export formats its rows one at a time as they are
+generated."""
 
 import os
 import tracemalloc
@@ -26,7 +27,8 @@ from mpdp.dgm import dgm_release
 from mpdp.dp_core import calibrate
 from mpdp.kernels import chunk_views
 from mpdp.rmgm import rmgm_release
-from mpdp.runner import _synthetic_trial, run_real, run_synthetic
+from mpdp.evaluation import METHODS
+from mpdp.runner import _synthetic_trial, export_synthetic, run_real, run_synthetic
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_chunks, gen_ground_truth
 
@@ -36,7 +38,6 @@ N = 10**6
 W_STAR = gen_ground_truth(10, RandomStream(40))
 PARTITION = partition_evenly(11, 6)
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
-METHODS = ("ols", "dgm", "rmgm", "bgm")
 
 
 def traced_peak(fn, *args):
@@ -70,6 +71,15 @@ class TestTrialMemory:
         check = BoundsCheck(PARTITION, 11)
         _, peak = traced_peak(feed, gen_chunks(N, W_STAR, RandomStream(41)), check)
         assert check.rows == N
+        assert peak < 4 * 2**20
+
+    def test_export_peak_under_4_mib(self, tmp_path):
+        # one generated chunk and one formatted row at a time: formatting
+        # a whole chunk into one string would peak near 10 MiB
+        n = 2 * 16_384 + 3
+        cfg = build_config({}, dict(n_grid=(n,), out_dir=str(tmp_path)), protocol="export")
+        paths, peak = traced_peak(export_synthetic, cfg)
+        assert len(load_csv(paths["synthetic.csv"]).values) == n
         assert peak < 4 * 2**20
 
     def test_bounds_check_peak_under_4_mib(self, data):

@@ -18,7 +18,7 @@ from .data_model import (
     split_normalized,
 )
 from .dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
-from .dp_core import PrivacyParams, calibrate, gaussian_noise, sensitivity_bound
+from .dp_core import PrivacyParams, calibrate, sensitivity_bound
 from .evaluation import (
     AggregateReport,
     TrialReport,
@@ -50,7 +50,6 @@ __all__ = [
     "data_root",
     "dgm_release",
     "dgm_system",
-    "gaussian_noise",
     "gen_ground_truth",
     "load_csv",
     "normal_equations",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .config import (FULL_PRESET, ConfigError, RunConfig, build_config, parse_config_file,
                      parse_value)
@@ -103,7 +104,15 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     return command, cfg
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
+    # only the format changes: the caller's filters (and any recorder)
+    # still decide which warnings show, and each shown one is a single
+    # "warning: ..." line, not a source file, line and echoed code
+    format_before, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         command, cfg = config_from_argv(argv)
         print(run_command(command, cfg))
@@ -113,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     except SingularSystemError as exc:
         print(f"error: singular system under --strict: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = format_before
     return 0
 
 

@@ -1,9 +1,9 @@
 """Privacy primitives shared by both release mechanisms.
 
 Noise-scale calibration for the Gaussian mechanism, the per-row L2
-sensitivity bound for bounded party blocks, seeded Gaussian noise
-matrices and the per-party noise step both releases end with.  The
-shared Rademacher mixing matrix lives in ``kernels``.
+sensitivity bound for bounded party blocks and the Gaussian mechanism
+itself: the per-party noise step both releases end with.  The shared
+Rademacher mixing matrix lives in ``kernels``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .data_model import PartyPartition
 from .streams import RandomStream
 
-__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound", "gaussian_noise"]
+__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound"]
 
 
 @dataclass(frozen=True)
@@ -64,31 +64,15 @@ def sensitivity_bound(d_max: int) -> float:
     return 2.0 * math.sqrt(d_max)
 
 
-def gaussian_noise(rows: int, cols: int, std: float, gen: np.random.Generator) -> np.ndarray:
-    """rows-by-cols matrix of independent N(0, std^2) draws from ``gen``.
-
-    std = 0 yields the exact zero matrix and draws nothing.  Successive
-    calls continue the generator's stream, so drawing a matrix in row
-    chunks yields exactly the rows of one draw.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be positive")
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    if std == 0.0:
-        return np.zeros((rows, cols))
-    entries = gen.standard_normal((rows, cols))
-    entries *= std
-    return entries
-
-
 class PartyNoise:
     """The Gaussian mechanism of both releases, added in place to a
     matrix's row blocks in order (``add_to``).  Party j adds N(0, std^2)
     noise to its own column block, std = sensitivity_bound(d_max) * sigma:
     the rows of one (n, d_j) draw from ``stream.child(j)``, whose generator
     lives across calls, so whoever holds j's stream can rebuild (and
-    remove) j's noise.
+    remove) j's noise.  Each call continues every party's stream, so
+    adding to a matrix in row chunks adds exactly the rows of one draw.
+    std = 0 adds nothing and makes no generator.
     """
 
     def __init__(self, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream):
@@ -100,7 +84,8 @@ class PartyNoise:
     def add_to(self, block: np.ndarray) -> np.ndarray:
         """Add every party's noise to ``block`` in place; returns ``block``."""
         for gen, (a, b) in zip(self._gens, self.partition.blocks):
-            noise = gaussian_noise(block.shape[0], b - a, self.std, gen)
+            noise = gen.standard_normal((block.shape[0], b - a))
+            noise *= self.std
             # one column at a time: a strided block[:, a:b] += noise runs
             # one inner loop of b - a entries per row, 3x slower
             for c in range(a, b):

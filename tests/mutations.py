@@ -86,6 +86,30 @@ MUTATIONS = (
         "calibrate without the 2 under the root (noise 1/sqrt(2) of what "
         "(epsilon, delta) needs); caught only by pinned constants",
     ),
+    (
+        "dgm.py",
+        "gram += gram_product(std * lower.T)",
+        "gram += gram_product(np.sqrt(std) * lower.T)",
+        ("tests/test_dgm.py::TestSampler",),
+        "Bartlett Wishart part scaled by s, not s^2",
+    ),
+    (
+        "dgm.py",
+        "gram[:-1, -1] = gram[-1, :-1] = stats.xty",
+        "gram[:-1, -1] = gram[-1, :-1] = 0.0",
+        ("tests/test_dgm.py::TestSampler",),
+        "data root T factored without the label's cross terms",
+    ),
+    (
+        "dp_core.py",
+        "for j in range(1, n_gens + 1)",
+        "for j in range(n_gens)",
+        (
+            "tests/test_dp_core.py::TestPartyNoiseColumns",
+            "tests/test_rmgm.py::TestSharedSketch",
+        ),
+        "party j drawing its noise from child(j - 1)",
+    ),
 )
 
 

@@ -579,6 +579,28 @@ class TestRealCommand:
         assert main(args) == 0
         assert (tmp_path / "res" / "trials.csv").exists()
 
+    def test_each_warning_prints_as_one_line(self, tmp_path):
+        # every k of the default grid is >= n = 80, so each release warns:
+        # "warning: <message>", with no source file or echoed code line
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpdp", "real", "--csv", FIXTURE, "--seeds", "2",
+             "--out", str(tmp_path / "res")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert ".py:" not in proc.stderr
+
+    def test_warning_filters_stay_the_callers(self, tmp_path, capsys):
+        args = ["real", "--csv", FIXTURE, "--seeds", "1", "--out", str(tmp_path / "res")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
 
 COMMANDS = [
     ["synthetic", "--n-grid", "20", "--seeds", "1"],
@@ -674,9 +696,10 @@ def test_output_that_cannot_be_written_exits_2_naming_it(
     monkeypatch.setattr(runner_module, "_check_out_dir", lambda out_dir, command: None)
     make_unopenable(tmp_path / name, "loop")
     assert main(command + ["--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write") and str(tmp_path / name) in err
-    assert "Traceback" not in err
+    *warned, last = capsys.readouterr().err.splitlines()
+    # any warning shown (the real run's k >= n ones) comes first, one line each
+    assert all(line.startswith("warning: ") for line in warned)
+    assert last.startswith("error: cannot write") and str(tmp_path / name) in last
 
 
 # (command, flag or config key, value, expected message); export takes no --config

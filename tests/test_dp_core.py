@@ -8,7 +8,6 @@ from mpdp.dp_core import (
     PartyNoise,
     PrivacyParams,
     calibrate,
-    gaussian_noise,
     sensitivity_bound,
 )
 from mpdp.kernels import _COL_CHUNK, chunk_views, sketch_product
@@ -86,21 +85,32 @@ class TestSensitivityBound:
             sensitivity_bound(0)
 
 
-class TestGaussianNoise:
-    def test_zero_std_is_exact_zero_matrix(self):
-        noise = gaussian_noise(3, 2, 0.0, RandomStream(7).generator())
-        assert noise.shape == (3, 2)
-        assert (noise == 0.0).all()
+class _OneColumn:
+    """One party holding one column: d_max = 1, so std = 2 * sigma."""
 
+    blocks = ((0, 1),)
+    m = 1
+    d_max = 1
+
+
+def one_column_noise(rows, std, stream):
+    """A zero column after ``PartyNoise.add_to`` at per-entry std ``std``."""
+    priv = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=std / 2)
+    return PartyNoise(_OneColumn(), priv, stream).add_to(np.zeros((rows, 1)))
+
+
+class TestGaussianNoise:
     def test_deterministic_under_fixed_stream(self):
-        a = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x").generator())
-        b = gaussian_noise(2, 2, 1.0, RandomStream(3).child("x").generator())
+        part, priv = partition_evenly(4, 2), calibrate(1.0, 1e-5)
+        a = PartyNoise(part, priv, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
+        b = PartyNoise(part, priv, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
         np.testing.assert_array_equal(a, b)
+        assert (a != 0.0).all()
 
     def test_sample_variance_at_scale(self):
         # 1e6 draws at std 2: sample variance concentrates within 1% of 4
         # (the band is ~7 standard deviations of the chi-square spread).
-        noise = gaussian_noise(10**6, 1, 2.0, RandomStream(11).generator())
+        noise = one_column_noise(10**6, 2.0, RandomStream(11))
         var = noise.var(ddof=1)
         assert abs(var - 4.0) < 0.04
 
@@ -111,13 +121,9 @@ class TestGaussianNoise:
         band = 5 * math.sqrt(2 / n)
         hits = 0
         for seed in range(100):
-            noise = gaussian_noise(n, 1, 1.0, RandomStream(500 + seed).generator())
+            noise = one_column_noise(n, 1.0, RandomStream(500 + seed))
             hits += abs(noise.var(ddof=1) - 1.0) <= band
         assert hits >= 99
-
-    def test_rejects_negative_std(self):
-        with pytest.raises(ValueError):
-            gaussian_noise(2, 2, -1.0, RandomStream(0).generator())
 
 
 class _OneParty:

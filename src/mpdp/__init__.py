@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .data_model import (
     DataFormatError,
-    DataMatrix,
     PartyPartition,
     load_csv,
     partition_evenly,
@@ -36,7 +35,6 @@ __all__ = [
     "__version__",
     "AggregateReport",
     "DataFormatError",
-    "DataMatrix",
     "K_GRID",
     "NormalEquations",
     "PartyPartition",

@@ -1,9 +1,11 @@
-"""Dataset representation, bounds validation, vertical partitioning,
-min-max normalization and train/test splitting.
+"""CSV ingest, bounds validation, vertical partitioning, min-max
+normalization and train/test splitting.
 
-Conventions: rows are aligned subjects, the label is the last column,
-and all entries must be finite.  Party blocks are contiguous column
-ranges; block j of a partition is owned by party j (1-based).
+A dataset is a plain n-by-(d+1) float64 array: rows are aligned
+subjects, the label is the last column, and all entries must be finite
+(``load_csv`` checks every cell, ``BoundsCheck`` every released entry).
+Party blocks are contiguous column ranges; block j of a partition is
+owned by party j (1-based).
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import chunk_views
 from .streams import RandomStream
 
 __all__ = [
-    "BoundsCheck", "DataMatrix", "PartyPartition", "DataFormatError", "feed",
-    "partition_evenly", "split_normalized", "load_csv",
+    "BoundsCheck", "PartyPartition", "DataFormatError", "feed", "partition_evenly",
+    "split_normalized", "load_csv",
 ]
 
 
@@ -39,45 +40,6 @@ class DataFormatError(ValueError):
         where = ", ".join(f"{name} {at}" for name, at in (("row", row), ("column", column))
                           if at is not None)
         super().__init__(message + (f" ({where})" if where else ""))
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """A dense n-by-(d+1) real matrix with named columns, label last."""
-
-    values: np.ndarray
-    column_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("values must be a 2-dimensional matrix")
-        if values.shape[1] != len(self.column_names):
-            raise ValueError(
-                f"{values.shape[1]} columns but {len(self.column_names)} column names"
-            )
-        if values.shape[1] < 1 or values.shape[0] < 1:
-            raise ValueError("matrix must have at least one row and one column")
-        if not all(np.isfinite(block).all() for block in chunk_views(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise ValueError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        """Feature count (total columns minus the label)."""
-        return self.values.shape[1] - 1
-
-    def features(self) -> np.ndarray:
-        return self.values[:, :-1]
-
-    def labels(self) -> np.ndarray:
-        return self.values[:, -1]
 
 
 @dataclass(frozen=True)
@@ -158,22 +120,23 @@ class BoundsCheck:
         self.rows += chunk.shape[0]
 
 
-def split_normalized(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix, DataMatrix]:
-    """A uniformly random 4:1 row split (train, test), |train| =
-    round(0.8 * n), with each column affine-mapped to [0, 1] using
-    train-only min/max.
+def split_normalized(data: np.ndarray, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+    """A uniformly random 4:1 row split (train, test) of an n-by-(d+1)
+    matrix, |train| = round(0.8 * n), with each column affine-mapped to
+    [0, 1] using train-only min/max.
 
     Constant training columns map to 0.5 everywhere.  Test values are
     clamped into [0, 1] since they may exceed the training range.  The
     split's fresh copies are normalised in place, so the pair holds one
     matrix of rows.
     """
-    if data.n < 5:
-        raise ValueError(f"need at least 5 rows to split 4:1, got {data.n}")
-    n_train = round(0.8 * data.n)
-    perm = stream.generator().permutation(data.n)
-    train = data.values[np.sort(perm[:n_train])]
-    test = data.values[np.sort(perm[n_train:])]
+    n = data.shape[0]
+    if n < 5:
+        raise ValueError(f"need at least 5 rows to split 4:1, got {n}")
+    n_train = round(0.8 * n)
+    perm = stream.generator().permutation(n)
+    train = data[np.sort(perm[:n_train])]
+    test = data[np.sort(perm[n_train:])]
     lo = train.min(axis=0)
     span = train.max(axis=0) - lo
     constant = span == 0.0
@@ -183,12 +146,12 @@ def split_normalized(data: DataMatrix, stream: RandomStream) -> tuple[DataMatrix
         np.divide(values, divisor, out=values)
         values[:, constant] = 0.5
     np.clip(test, 0.0, 1.0, out=test)
-    return DataMatrix(train, data.column_names), DataMatrix(test, data.column_names)
+    return train, test
 
 
-def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
+def load_csv(path: str, label_column: str | None = None) -> np.ndarray:
     """Ingest a UTF-8 (optionally BOM-prefixed), comma-separated file with
-    a header row.
+    a header row as an n-by-(d+1) float64 matrix, label last.
 
     Unreadable files, non-numeric or non-finite cells, ragged rows and a
     column whose max - min overflows are fatal, reported with 1-based
@@ -267,6 +230,5 @@ def load_csv(path: str, label_column: str | None = None) -> DataMatrix:
         for c in range(idx, len(names) - 1):
             values[:, c] = values[:, c + 1]
         values[:, -1] = label
-        names.append(names.pop(idx))
-    return DataMatrix(values, tuple(names))
+    return values
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data_model import BoundsCheck, DataMatrix, PartyPartition
+from .data_model import BoundsCheck, PartyPartition
 from .dp_core import PartyNoise, PrivacyParams, sensitivity_bound
 from .kernels import chunk_views
 from .linalg import NormalEquationSum, NormalEquations, gram_product, gram_root, normal_system
@@ -39,19 +39,21 @@ __all__ = ["data_root", "dgm_release", "dgm_system", "sample_dgm_gram"]
 
 
 def dgm_release(
-    data: DataMatrix, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
+    data: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
 ) -> NormalEquations:
-    """The normal equations of the published matrix D + R: the data plus
-    per-party Gaussian noise, party j's from the derived stream child(j).
+    """The normal equations of the published matrix D + R: the n-by-(d+1)
+    data plus per-party Gaussian noise, party j's from the derived stream
+    child(j).
 
     One pass over the data's row chunks checks each (``BoundsCheck``),
     adds the noise to a copy of it (``PartyNoise.add_to``) and sums the
     normal equations: the working memory is one chunk.  The published
     matrix is those noised copies, concatenated.
     """
-    check, noise = BoundsCheck(partition, data.d + 1), PartyNoise(partition, priv, stream)
-    release = NormalEquationSum(data.d + 1, data.n)
-    for chunk in chunk_views(data.values):
+    n, cols = data.shape
+    check, noise = BoundsCheck(partition, cols), PartyNoise(partition, priv, stream)
+    release = NormalEquationSum(cols, n)
+    for chunk in chunk_views(data):
         check.push(chunk)
         release.push(noise.add_to(chunk.copy()))
     return release.result()

@@ -20,8 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from .data_model import DataMatrix
-
 __all__ = [
     "METHODS",
     "PATHOLOGY_THRESHOLD",
@@ -125,11 +123,11 @@ def tail_probability(distances, beta: float) -> float:
     return sum(1 for v in values if v > beta) / len(values)
 
 
-def test_mse(weights: np.ndarray, test: DataMatrix) -> float:
-    """Mean squared prediction error of ``weights`` on a test matrix."""
-    if test.n < 1:
+def test_mse(weights: np.ndarray, test: np.ndarray) -> float:
+    """Mean squared prediction error of ``weights`` on a test matrix, label last."""
+    if test.shape[0] < 1:
         raise ValueError("test set is empty")
-    residual = test.features() @ np.asarray(weights, dtype=np.float64) - test.labels()
+    residual = test[:, :-1] @ np.asarray(weights, dtype=np.float64) - test[:, -1]
     return float(np.mean(residual**2))
 
 

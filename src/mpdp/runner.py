@@ -25,7 +25,6 @@ from .config import ConfigError, RunConfig
 from .data_model import (
     BoundsCheck,
     DataFormatError,
-    DataMatrix,
     PartyPartition,
     feed,
     load_csv,
@@ -191,14 +190,14 @@ def run_synthetic(cfg: RunConfig) -> RunOutput:
     return RunOutput(trials=trials, timings=timings, meta=_base_meta(cfg, "synthetic", started))
 
 
-def _real_trial(cfg: RunConfig, root: RandomStream, data: DataMatrix, seed: int):
+def _real_trial(cfg: RunConfig, root: RandomStream, data: np.ndarray, seed: int):
     """One seed of the real-data protocol: split 4:1, normalize to [0, 1]
     with train statistics, release the training matrix, score on the
     held-out rows."""
     base = root.child("real", seed)
     train, test = split_normalized(data, base.child("split"))
-    return _trial_methods(cfg, base, chunk_views(train.values), train.n,
-                          partition_evenly(data.d + 1, cfg.m), seed,
+    return _trial_methods(cfg, base, chunk_views(train), train.shape[0],
+                          partition_evenly(data.shape[1], cfg.m), seed,
                           measure=lambda weights: {"test_mse": test_mse(weights, test)})
 
 
@@ -208,20 +207,21 @@ def run_real(cfg: RunConfig) -> RunOutput:
     if not cfg.csv_path:
         raise ValueError("real-data runs need csv_path")
     data = load_csv(cfg.csv_path, label_column=cfg.label_column)
-    if data.n < 5:
-        raise DataFormatError(f"{cfg.csv_path}: {data.n} data rows; the 4:1 split needs at least 5")
-    if cfg.m > data.d + 1:
+    n, cols = data.shape
+    if n < 5:
+        raise DataFormatError(f"{cfg.csv_path}: {n} data rows; the 4:1 split needs at least 5")
+    if cfg.m > cols:
         raise ConfigError(
-            f"cannot split the {data.d + 1} columns of {cfg.csv_path} among m={cfg.m} parties"
+            f"cannot split the {cols} columns of {cfg.csv_path} among m={cfg.m} parties"
         )
     root = RandomStream(cfg.root_seed)
     trials, timings = _run_tasks(
         range(cfg.seeds), lambda seed: _real_trial(cfg, root, data, seed), cfg.workers
     )
     meta = _base_meta(cfg, "real", started)
-    meta["dataset_rows_total"] = data.n
+    meta["dataset_rows_total"] = n
     meta["dataset_rows_train"] = trials[0].n  # split_normalized's training rows
-    meta["dataset_features"] = data.d
+    meta["dataset_features"] = cols - 1
     meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
     return RunOutput(trials=trials, timings=timings, meta=meta)
 

@@ -8,7 +8,7 @@ with an explicit matrix inverse.  None of the production solve path
 ``dataset_one_shot`` and ``noise_one_shot`` make a synthetic dataset and
 a party's noise in single whole-matrix draws, as the row-chunked
 ``gen_chunks`` and ``dp_core.PartyNoise`` must reproduce bit for bit.
-``gen_matrix`` holds ``gen_chunks``' rows as one DataMatrix, for the
+``gen_matrix`` holds ``gen_chunks``' rows as one n-by-(d+1) array, for the
 tests that need the data a trial only streams.
 
 ``dgm_published`` assembles the DGM release's published matrix from
@@ -32,10 +32,10 @@ import csv
 
 import numpy as np
 
-from mpdp.data_model import BoundsCheck, DataMatrix, feed
+from mpdp.data_model import BoundsCheck, feed
 from mpdp.dp_core import PartyNoise
 from mpdp.kernels import SketchSum, chunk_views, rademacher_tile
-from mpdp.synthetic import column_names, gen_chunks
+from mpdp.synthetic import gen_chunks
 
 
 def gram_loops(x):
@@ -122,26 +122,26 @@ def sketch_product_v3(seed, data, k):
 def dgm_published(data, partition, priv, stream):
     """The n-row matrix D + R whose normal equations ``dgm_release`` returns."""
     noise = PartyNoise(partition, priv, stream)
-    return np.concatenate([noise.add_to(chunk.copy()) for chunk in chunk_views(data.values)])
+    return np.concatenate([noise.add_to(chunk.copy()) for chunk in chunk_views(data)])
 
 
 def trial_sketch(data, partition, k, stream):
     """B D at k rows, B from ``stream.child("mixing")``, as a trial's pass
     checks and sketches its data."""
-    mixer = SketchSum(stream.child("mixing").seed64(), data.n, data.d + 1, k)
-    feed(chunk_views(data.values), BoundsCheck(partition, data.d + 1), mixer)
+    mixer = SketchSum(stream.child("mixing").seed64(), len(data), data.shape[1], k)
+    feed(chunk_views(data), BoundsCheck(partition, data.shape[1]), mixer)
     return mixer.result()
 
 
 def gen_matrix(n, w_star, stream):
-    """The rows of ``gen_chunks`` as one DataMatrix: its chunks share one
+    """The rows of ``gen_chunks`` as one array: its chunks share one
     buffer, so each is copied into the matrix as it comes."""
     values = np.empty((n, np.size(w_star) + 1))
     row = 0
     for chunk in gen_chunks(n, w_star, stream):
         values[row : row + chunk.shape[0]] = chunk
         row += chunk.shape[0]
-    return DataMatrix(values, column_names(values.shape[1] - 1))
+    return values
 
 
 def dataset_one_shot(n, w_star, stream):

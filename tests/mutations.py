@@ -110,6 +110,20 @@ MUTATIONS = (
         ),
         "party j drawing its noise from child(j - 1)",
     ),
+    (
+        "data_model.py",
+        "lo = train.min(axis=0)\n    span = train.max(axis=0) - lo",
+        "lo = data.min(axis=0)\n    span = data.max(axis=0) - lo",
+        ("tests/test_data_model.py::TestNormalize::test_scaling_uses_the_training_rows_alone",),
+        "min-max statistics over all rows, test rows leaking into the scaling",
+    ),
+    (
+        "evaluation.py",
+        "np.mean(residual**2)",
+        "np.mean(np.abs(residual))",
+        ("tests/test_evaluation.py::TestMse",),
+        "test MSE as the mean absolute residual",
+    ),
 )
 
 

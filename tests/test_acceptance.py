@@ -76,7 +76,7 @@ def test_criterion_1_exact_formula_suite():
     assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
-    comp = rmgm_release(trial_sketch(data, part, 16, base.child("r2")), data.n, part, priv, 16,
+    comp = rmgm_release(trial_sketch(data, part, 16, base.child("r2")), len(data), part, priv, 16,
                         base.child("r2"))
     xc = comp[:, :-1]
     assert np.linalg.eigvalsh(xc.T @ xc).min() >= -1e-10
@@ -125,8 +125,8 @@ def test_criterion_2_oracle_equivalence():
         got, _ = solve_system(rmgm_system(normal_equations(comp), lam=lam))
         worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 
-        got, _ = solve_system(ols_system(normal_equations(data.values), lam=lam))
-        worst = max(worst, np.abs(got - ols_oracle(data.features(), data.labels(), lam)).max())
+        got, _ = solve_system(ols_system(normal_equations(data), lam=lam))
+        worst = max(worst, np.abs(got - ols_oracle(data[:, :-1], data[:, -1], lam)).max())
 
         got, _ = solve_system(ols_system(release, lam=lam))
         want = ols_oracle(public[:, :-1], public[:, -1], lam)

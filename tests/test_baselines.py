@@ -53,7 +53,7 @@ class TestBgm:
     def test_zero_noise_release_equals_plain_least_squares(self):
         data, release, _ = self._release(sigma_zero=True)
         noisy, _ = solve_system(ols_system(release, lam=1e-5))
-        clean, _ = solve_system(ols_system(normal_equations(data.values), lam=1e-5))
+        clean, _ = solve_system(ols_system(normal_equations(data), lam=1e-5))
         assert np.abs(noisy - clean).max() < 1e-12
 
     def test_matches_brute_force_oracle(self):
@@ -105,5 +105,5 @@ class TestOlsConvergence:
             base = RandomStream(41).child(seed)
             w_star = gen_ground_truth(10, base.child("t"))
             data = gen_matrix(10**4, w_star, base.child("d"))
-            weights, _ = solve_system(ols_system(normal_equations(data.values), lam=1e-5))
+            weights, _ = solve_system(ols_system(normal_equations(data), lam=1e-5))
             assert np.linalg.norm(weights - w_star) <= 1e-3

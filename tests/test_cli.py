@@ -759,7 +759,7 @@ class TestExportCommand:
         w_star = gen_ground_truth(3, root.child("truth"))
         np.testing.assert_array_equal(values, w_star)
         rows = [chunk.copy() for chunk in gen_chunks(10, w_star, root.child("data"))]
-        np.testing.assert_array_equal(load_csv(str(out / "synthetic.csv")).values,
+        np.testing.assert_array_equal(load_csv(str(out / "synthetic.csv")),
                                       np.concatenate(rows))
 
     @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from mpdp.data_model import (
     BoundsCheck,
     DataFormatError,
-    DataMatrix,
     PartyPartition,
     feed,
     load_csv,
@@ -21,44 +20,14 @@ from mpdp.streams import RandomStream
 from _oracles import csv_values
 
 
-def matrix(values, names=None):
-    values = np.asarray(values, dtype=np.float64)
-    if names is None:
-        names = tuple(f"c{i}" for i in range(values.shape[1]))
-    return DataMatrix(values, names)
-
-
 def check_bounds(data, partition):
     """A trial's bounds check, over a held matrix's row chunks."""
-    feed(chunk_views(data.values), BoundsCheck(partition, data.values.shape[1]))
+    feed(chunk_views(data), BoundsCheck(partition, data.shape[1]))
 
 
-class TestDataMatrix:
-    def test_shape_accessors(self):
-        m = matrix(np.zeros((4, 3)))
-        assert (m.n, m.d) == (4, 2)
-        assert m.features().shape == (4, 2)
-        assert m.labels().shape == (4,)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            matrix([[1.0, np.nan]])
-
-    def test_non_finite_entry_in_last_partial_row_chunk(self):
-        rows = _COL_CHUNK
-        values = np.zeros((2 * rows + 3, 3))
-        values[2 * rows + 1, 2] = np.inf
-        with pytest.raises(ValueError, match=rf"row {2 * rows + 1}, column 2"):
-            matrix(values)
-
-    def test_rejects_name_mismatch(self):
-        with pytest.raises(ValueError):
-            DataMatrix(np.zeros((2, 2)), ("only_one",))
-
-
-class TestValidateBounds:
+class TestBoundsCheck:
     def test_zeros_ok(self):
-        check_bounds(matrix(np.zeros((3, 3))), partition_evenly(3, 2))
+        check_bounds(np.zeros((3, 3)), partition_evenly(3, 2))
 
     def test_reports_offending_cell(self):
         # the error names a count and the first offender in row-major
@@ -68,7 +37,7 @@ class TestValidateBounds:
         values[3, 0] = 1.5
         values[2, :] = 7.0
         with pytest.raises(ValueError, match=r"at 5 position\(s\), first \(1, 2\)"):
-            check_bounds(matrix(values), partition_evenly(3, 2))
+            check_bounds(values, partition_evenly(3, 2))
 
     def test_lone_offender_in_last_partial_row_chunk(self):
         # the chunked scan finds it; the report matches a whole-matrix scan
@@ -76,16 +45,16 @@ class TestValidateBounds:
         values = np.zeros((2 * rows + 3, 3))
         values[2 * rows + 2, 1] = -1.25
         with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({2 * rows + 2}, 1\)"):
-            check_bounds(matrix(values), partition_evenly(3, 2))
+            check_bounds(values, partition_evenly(3, 2))
 
     def test_bound_is_inclusive(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        check_bounds(matrix(values), partition_evenly(2, 2))
+        check_bounds(values, partition_evenly(2, 2))
 
     def test_partition_must_cover_every_column(self):
         for width in (3, 5):
             with pytest.raises(ValueError, match="does not cover"):
-                check_bounds(matrix(np.zeros((2, 4))), partition_evenly(width, 2))
+                check_bounds(np.zeros((2, 4)), partition_evenly(width, 2))
 
 
 class TestPartitioning:
@@ -134,71 +103,80 @@ def placed(train_values, test_values, stream):
     train_rows, test_rows = split_rows(len(train_values) + len(test_values), stream)
     values = np.empty((len(train_rows) + len(test_rows), 1))
     values[train_rows, 0], values[test_rows, 0] = train_values, test_values
-    return matrix(values)
+    return values
 
 
 class TestNormalize:
     def test_affine_map_to_unit_interval(self):
         data = placed([0.0, 5.0, 10.0, 2.0], [2.5], RandomStream(1))
         train_n, test_n = split_normalized(data, RandomStream(1))
-        np.testing.assert_allclose(train_n.values[:, 0], [0.0, 0.5, 1.0, 0.2])
-        np.testing.assert_allclose(test_n.values[:, 0], [0.25])
+        np.testing.assert_allclose(train_n[:, 0], [0.0, 0.5, 1.0, 0.2])
+        np.testing.assert_allclose(test_n[:, 0], [0.25])
 
     def test_test_values_clamped(self):
         data = placed(np.linspace(0.0, 10.0, 8), [12.0, -3.0], RandomStream(2))
         _, test_n = split_normalized(data, RandomStream(2))
-        np.testing.assert_array_equal(test_n.values[:, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(test_n[:, 0], [1.0, 0.0])
+
+    def test_scaling_uses_the_training_rows_alone(self):
+        # a test row holds every column's extreme: min/max taken over all
+        # rows would leave each training column short of [0, 1]
+        _, test_rows = split_rows(10, RandomStream(5))
+        data = np.random.default_rng(5).uniform(-1.0, 1.0, size=(10, 3))
+        data[test_rows[0]] = [5.0, -5.0, 5.0]
+        train_n, test_n = split_normalized(data, RandomStream(5))
+        np.testing.assert_array_equal(train_n.min(axis=0), 0.0)
+        np.testing.assert_array_equal(train_n.max(axis=0), 1.0)
+        np.testing.assert_array_equal(test_n[0], [1.0, 0.0, 1.0])
 
     def test_constant_column_maps_to_half(self):
-        train_n, test_n = split_normalized(matrix(np.full((6, 1), 7.0)), RandomStream(3))
-        assert (train_n.values == 0.5).all()
-        assert (test_n.values == 0.5).all()
+        train_n, test_n = split_normalized(np.full((6, 1), 7.0), RandomStream(3))
+        assert (train_n == 0.5).all()
+        assert (test_n == 0.5).all()
 
     def test_output_always_passes_bounds_check(self):
         rng = np.random.default_rng(2)
-        data = matrix(rng.standard_cauchy(size=(50, 5)) * 100)  # test rows beyond train's range
+        data = rng.standard_cauchy(size=(50, 5)) * 100  # test rows beyond train's range
         for part in split_normalized(data, RandomStream(4)):
             check_bounds(part, partition_evenly(5, 2))
 
 
 class TestSplit:
     def test_four_to_one_counts(self):
-        m = matrix(np.zeros((10, 2)))
+        m = np.zeros((10, 2))
         train, test = split_normalized(m, RandomStream(1))
-        assert (train.n, test.n) == (8, 2)
+        assert (len(train), len(test)) == (8, 2)
 
     def test_large_count_convention(self):
-        m = matrix(np.zeros((1070, 2)))
+        m = np.zeros((1070, 2))
         train, test = split_normalized(m, RandomStream(1))
-        assert (train.n, test.n) == (856, 214)
+        assert (len(train), len(test)) == (856, 214)
 
     @pytest.mark.parametrize("seed", [0, 1, 9, 123456])
     def test_deterministic_and_disjoint(self, seed):
         # 8 rows each of 0 and 1 (more than the 7 test rows) keep train's
         # range at [0, 1] for any split, so normalising leaves every value
         rng = np.random.default_rng(3)
-        m = matrix(np.concatenate([np.zeros((8, 2)), np.ones((8, 2)), rng.uniform(size=(21, 2))]))
+        m = np.concatenate([np.zeros((8, 2)), np.ones((8, 2)), rng.uniform(size=(21, 2))])
         a_train, a_test = split_normalized(m, RandomStream(seed).child("split"))
         b_train, b_test = split_normalized(m, RandomStream(seed).child("split"))
-        np.testing.assert_array_equal(a_train.values, b_train.values)
-        np.testing.assert_array_equal(a_test.values, b_test.values)
-        stacked = np.concatenate([a_train.values, a_test.values])
-        assert sorted(map(tuple, stacked)) == sorted(map(tuple, m.values))
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_test, b_test)
+        stacked = np.concatenate([a_train, a_test])
+        assert sorted(map(tuple, stacked)) == sorted(map(tuple, m))
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            split_normalized(matrix(np.zeros((4, 2))), RandomStream(0))
+            split_normalized(np.zeros((4, 2)), RandomStream(0))
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        m = matrix(rng.uniform(-1, 1, size=(5, 3)), ("a", "b", "y"))
+        m = rng.uniform(-1, 1, size=(5, 3))
         path = tmp_path / "data.csv"
-        path.write_text(to_csv(m.column_names, m.values.tolist()))  # the package's CSV format
-        loaded = load_csv(str(path))
-        assert loaded.column_names == ("a", "b", "y")
-        np.testing.assert_array_equal(loaded.values, m.values)
+        path.write_text(to_csv(("a", "b", "y"), m.tolist()))  # the package's CSV format
+        np.testing.assert_array_equal(load_csv(str(path)), m)
 
     def test_non_numeric_cell_reports_position(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -218,9 +196,7 @@ class TestCsv:
     def test_label_column_moved_last(self, tmp_path):
         path = tmp_path / "labeled.csv"
         path.write_text("y,a,b\n1,2,3\n4,5,6\n")
-        loaded = load_csv(str(path), label_column="y")
-        assert loaded.column_names == ("a", "b", "y")
-        np.testing.assert_array_equal(loaded.values, [[2, 3, 1], [5, 6, 4]])
+        np.testing.assert_array_equal(load_csv(str(path), label_column="y"), [[2, 3, 1], [5, 6, 4]])
 
     def test_unknown_label_column(self, tmp_path):
         path = tmp_path / "labeled.csv"
@@ -236,7 +212,7 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="more than one") as err:
             load_csv(str(path), label_column="a")
         assert err.value.column == 4
-        assert load_csv(str(path), label_column="b").column_names == ("a", "c", "a", "b")
+        np.testing.assert_array_equal(load_csv(str(path), label_column="b"), [[2, 3, 4, 1]])
         path.write_text("b,a,c,a\n1,2,x,4\n")
         with pytest.raises(DataFormatError, match="non-numeric") as err:
             load_csv(str(path), label_column="a")
@@ -293,12 +269,11 @@ class TestCsvLabelNotLast:
         for label in (None, "a", "y", "d"):
             loaded = load_csv(str(path), label_column=label)
             expected = csv_values(str(path), label)
-            assert loaded.values.dtype == np.float64
-            np.testing.assert_array_equal(loaded.values, expected)
-            np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(expected))
-        assert loaded.column_names == ("a", "b", "y", "c", "d")
+            assert loaded.dtype == np.float64
+            np.testing.assert_array_equal(loaded, expected)
+            np.testing.assert_array_equal(np.signbit(loaded), np.signbit(expected))
 
     @pytest.mark.parametrize("label", [None, "bmi", "expenses"])
     def test_fixture_values_match_a_list_of_floats(self, label):
         path = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
-        np.testing.assert_array_equal(load_csv(path, label).values, csv_values(path, label))
+        np.testing.assert_array_equal(load_csv(path, label), csv_values(path, label))

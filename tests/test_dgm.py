@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 from mpdp.config import build_config
-from mpdp.data_model import DataMatrix, partition_evenly
+from mpdp.data_model import partition_evenly
 from mpdp.dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
 from mpdp.linalg import (
@@ -28,10 +28,10 @@ class TestRelease:
     def test_zero_sigma_release_is_bitwise_identity(self):
         _, data, part = small_instance(1)
         public = dgm_published(data, part, ZERO_NOISE, RandomStream(2))
-        np.testing.assert_array_equal(public, data.values)
-        assert not np.shares_memory(public, data.values)
+        np.testing.assert_array_equal(public, data)
+        assert not np.shares_memory(public, data)
         release = dgm_release(data, part, ZERO_NOISE, RandomStream(2))
-        clean = normal_equations(data.values)
+        clean = normal_equations(data)
         assert np.array_equal(release.gram, clean.gram)
         assert np.array_equal(release.xty, clean.xty)
 
@@ -64,7 +64,7 @@ class TestRelease:
         assert release.n == n
         std = sensitivity_bound(part.d_max) * priv.sigma
         expected = np.concatenate(
-            [data.values[:, a:b] + noise_one_shot(n, b - a, std, root.child(j))
+            [data[:, a:b] + noise_one_shot(n, b - a, std, root.child(j))
              for j, (a, b) in enumerate(part.blocks, start=1)],
             axis=1,
         )
@@ -81,12 +81,12 @@ class TestRelease:
         std = sensitivity_bound(part.d_max) * priv.sigma
         blocks = []
         for j, (a, b) in enumerate(part.blocks, start=1):
-            noise = noise_one_shot(data.n, b - a, std, root.child(j))
-            blocks.append(data.values[:, a:b] + noise)
+            noise = noise_one_shot(len(data), b - a, std, root.child(j))
+            blocks.append(data[:, a:b] + noise)
         np.testing.assert_array_equal(release, np.concatenate(blocks, axis=1))
 
     def test_rejects_out_of_bounds_data(self):
-        data = DataMatrix(np.array([[0.5, 2.0], [0.1, 0.2]]), ("a", "y"))
+        data = np.array([[0.5, 2.0], [0.1, 0.2]])
         with pytest.raises(ValueError, match="bound"):
             dgm_release(data, partition_evenly(2, 2), calibrate(1.0, 1e-5), RandomStream(0))
 
@@ -99,7 +99,7 @@ class TestRelease:
         priv = calibrate(1.0, 1e-5)
         part = partition_evenly(11, 6)
         public = dgm_published(data, part, priv, RandomStream(9).child("r"))
-        noise = public - data.values
+        noise = public - data
         target = 4 * part.d_max * priv.sigma**2
         assert abs(noise.var() - target) / target < 0.03
 
@@ -124,8 +124,7 @@ class TestTrain:
         # duplicated feature columns leave the de-biased matrix rank
         # deficient; with no ridge the solve must refuse
         column = np.array([0.5, -0.5, 0.25, -0.25])
-        values = np.column_stack([column, column, np.ones(4) * 0.1])
-        data = DataMatrix(values, ("a", "b", "y"))
+        data = np.column_stack([column, column, np.ones(4) * 0.1])
         release = dgm_release(data, partition_evenly(3, 2), ZERO_NOISE, RandomStream(0))
         with pytest.raises(SingularSystemError):
             solve_system(dgm_system(release, 2, ZERO_NOISE, lam=0.0))
@@ -138,13 +137,13 @@ class TestTrain:
         data = gen_matrix(10**4, w_star, RandomStream(14).child("d"))
         part = partition_evenly(6, 3)
         priv = calibrate(1.0, 1e-2)
-        x = data.features()
-        raw_gram = x.T @ x / data.n
+        x = data[:, :-1]
+        raw_gram = x.T @ x / len(data)
         bias = 4 * part.d_max * priv.sigma**2 * np.eye(5)
         samples = []
         for seed in range(200):
             release = dgm_release(data, part, priv, RandomStream(15).child(seed))
-            samples.append(release.gram / data.n - bias)
+            samples.append(release.gram / len(data) - bias)
         samples = np.asarray(samples)
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
@@ -171,7 +170,7 @@ class TestSensitivity:
         for i in (0, 17, 63):
             corner = rng.choice([-1.0, 1.0], size=7)
             other = -corner if flip else rng.choice([-1.0, 1.0], size=7)
-            values, neighbour = data.values.copy(), data.values.copy()
+            values, neighbour = data.copy(), data.copy()
             values[i], neighbour[i] = corner, other
             released = []
             for v in (values, neighbour):
@@ -230,13 +229,12 @@ class TestSampler:
     @pytest.mark.parametrize("n, exact_labels", [(10, False), (6, False), (3, False), (10, True)],
                              ids=["bartlett", "direct_factor", "n_below_p", "exact_labels"])
     def test_matches_the_literal_release_in_distribution(self, n, exact_labels):
-        values = np.random.default_rng(n).uniform(-1, 1, size=(n, 4))
+        data = np.random.default_rng(n).uniform(-1, 1, size=(n, 4))
         if exact_labels:
-            values[:, -1] = values[:, :-1] @ np.array([0.3, -0.2, 0.4])
-        data = DataMatrix(values, ("a", "b", "c", "y"))
+            data[:, -1] = data[:, :-1] @ np.array([0.3, -0.2, 0.4])
         part = partition_evenly(4, 2)
         priv = noise_of_std(self.STD, part)
-        stats = normal_equations(values)
+        stats = normal_equations(data)
         root = data_root(stats)
         upper = np.triu_indices(4)
         literal = np.array([whole_gram(dgm_release(data, part, priv, RandomStream(5).child(i)))

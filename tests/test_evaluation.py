@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpdp import evaluation
-from mpdp.data_model import DataMatrix
 from mpdp.evaluation import (
     TrialReport,
     aggregate,
@@ -77,14 +76,15 @@ class TestMse:
     def test_perfect_weights(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         w = np.array([2.0, -1.0])
-        data = DataMatrix(np.column_stack([x, x @ w]), ("a", "b", "y"))
-        assert evaluation.test_mse(w, data) == 0.0
+        assert evaluation.test_mse(w, np.column_stack([x, x @ w])) == 0.0
 
     def test_zero_weights_unit_labels(self):
-        data = DataMatrix(
-            np.column_stack([np.zeros((4, 2)), np.ones(4)]), ("a", "b", "y")
-        )
+        data = np.column_stack([np.zeros((4, 2)), np.ones(4)])
         assert evaluation.test_mse(np.zeros(2), data) == 1.0
+
+    def test_residual_is_squared(self):
+        # one residual of 2: its square is 4, its absolute value 2
+        assert evaluation.test_mse(np.array([2.0]), np.array([[1.0, 0.0]])) == 4.0
 
 
 class TestAggregate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpdp.config import build_config
-from mpdp.data_model import DataMatrix, partition_evenly
+from mpdp.data_model import partition_evenly
 from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
 from mpdp.evaluation import weight_distance
 from mpdp.kernels import rademacher_matrix, sketch_product
@@ -29,7 +29,7 @@ def small_instance(seed, n=100, d=3, m=2):
 
 def release_at(data, part, priv, k, stream):
     """One release at k rows from a sketch of exactly k rows."""
-    return rmgm_release(trial_sketch(data, part, k, stream), data.n, part, priv, k, stream)
+    return rmgm_release(trial_sketch(data, part, k, stream), len(data), part, priv, k, stream)
 
 
 class TestChooseK:
@@ -76,8 +76,8 @@ class TestRelease:
         reports = _synthetic_trial(cfg, RandomStream(4), 100, 0)
         seed = base.child("mixing").seed64()
         for i, report in enumerate(reports):  # one k per epsilon, in eps_grid order
-            product = sketch_product(seed, data.values, report.k)
-            release = rmgm_release(product, data.n, part, calibrate(report.epsilon, cfg.delta),
+            product = sketch_product(seed, data, report.k)
+            release = rmgm_release(product, len(data), part, calibrate(report.epsilon, cfg.delta),
                                    report.k, base.child("rmgm", i, report.k))
             weights, _ = solve_system(rmgm_system(normal_equations(release), lam=cfg.lam))
             assert report.distance == weight_distance(weights, w_star)
@@ -86,10 +86,10 @@ class TestRelease:
         # with B = [1 1 ... 1] and no noise the single release row is the
         # column-sum vector of the data (sqrt(1) = 1)
         _, data, part = small_instance(5, n=40)
-        product = np.ones((1, 40)) @ data.values
-        release = rmgm_release(product, data.n, part, ZERO_NOISE, 1, RandomStream(6))
+        product = np.ones((1, 40)) @ data
+        release = rmgm_release(product, len(data), part, ZERO_NOISE, 1, RandomStream(6))
         np.testing.assert_allclose(
-            release[0], data.values.sum(axis=0), rtol=1e-12
+            release[0], data.sum(axis=0), rtol=1e-12
         )
 
     def test_per_party_blockwise_consistency(self):
@@ -104,13 +104,13 @@ class TestRelease:
         mixing_seed = root.child("mixing").seed64()
         std = sensitivity_bound(part.d_max) * priv.sigma
         for j, (a, b) in enumerate(part.blocks, start=1):
-            block = np.ascontiguousarray(data.values[:, a:b])
+            block = np.ascontiguousarray(data[:, a:b])
             mixed = sketch_product(mixing_seed, block, k) / math.sqrt(k)
             mixed += noise_one_shot(k, b - a, std, root.child(j))
             np.testing.assert_array_equal(release[:, a:b], mixed)
 
     def test_rejects_out_of_bounds_data(self):
-        data = DataMatrix(np.array([[3.0, 0.0], [0.0, 0.0]]), ("a", "y"))
+        data = np.array([[3.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="bound"):
             release_at(data, partition_evenly(2, 2), ZERO_NOISE, 1, RandomStream(0))
 
@@ -130,9 +130,9 @@ class TestRelease:
             data = gen_matrix(10**4, w_star, base.child("d"))
             part = partition_evenly(11, 6)
             release = release_at(data, part, ZERO_NOISE, 4000, base.child("r"))
-            x = data.features()
+            x = data[:, :-1]
             x_mixed = release[:, :-1]
-            deviation = np.abs(x_mixed.T @ x_mixed / data.n - x.T @ x / data.n).max()
+            deviation = np.abs(x_mixed.T @ x_mixed / len(data) - x.T @ x / len(data)).max()
             hits += deviation <= 0.2
         assert hits >= 48  # 0.95 * 50, rounded up
 
@@ -147,8 +147,8 @@ class TestSharedSketch:
         sketch = trial_sketch(data, part, 41, root)
         assert sketch.shape == (41, 6)
         for k in (1, 2, 3, 6, 7, 13, 40, 41):
-            shared = rmgm_release(sketch, data.n, part, priv, k, root.child("r", k))
-            alone = rmgm_release(trial_sketch(data, part, k, root), data.n, part, priv, k,
+            shared = rmgm_release(sketch, len(data), part, priv, k, root.child("r", k))
+            alone = rmgm_release(trial_sketch(data, part, k, root), len(data), part, priv, k,
                                  root.child("r", k))
             np.testing.assert_array_equal(shared, alone)
 
@@ -161,9 +161,9 @@ class TestSharedSketch:
         sketch = trial_sketch(data, part, 33, root)
         std = sensitivity_bound(part.d_max) * priv.sigma
         for k in (2, 5, 33):
-            release = rmgm_release(sketch, data.n, part, priv, k, root.child("r", k))
+            release = rmgm_release(sketch, len(data), part, priv, k, root.child("r", k))
             for j, (a, b) in enumerate(part.blocks, start=1):
-                block = np.ascontiguousarray(data.values[:, a:b])
+                block = np.ascontiguousarray(data[:, a:b])
                 mixed = sketch_product(root.child("mixing").seed64(), block, k) / math.sqrt(k)
                 mixed += noise_one_shot(k, b - a, std, root.child("r", k, j))
                 np.testing.assert_array_equal(release[:, a:b], mixed)
@@ -173,16 +173,16 @@ class TestSharedSketch:
         sketch = trial_sketch(data, part, 8, RandomStream(26))
         for k in (0, 9):
             with pytest.raises(ValueError, match="k must be"):
-                rmgm_release(sketch, data.n, part, ZERO_NOISE, k, RandomStream(27))
+                rmgm_release(sketch, len(data), part, ZERO_NOISE, k, RandomStream(27))
 
     def test_warns_for_each_release_k_not_small(self):
         _, data, part = small_instance(28, n=20)
         sketch = trial_sketch(data, part, 30, RandomStream(29))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rmgm_release(sketch, data.n, part, ZERO_NOISE, 19, RandomStream(30))
+            rmgm_release(sketch, len(data), part, ZERO_NOISE, 19, RandomStream(30))
         with pytest.warns(UserWarning, match="k=20 "):
-            rmgm_release(sketch, data.n, part, ZERO_NOISE, 20, RandomStream(30))
+            rmgm_release(sketch, len(data), part, ZERO_NOISE, 20, RandomStream(30))
 
 
 class TestSensitivity:
@@ -197,17 +197,17 @@ class TestSensitivity:
         _, data, part = small_instance(32, n=64, d=6, m=3)
         k_max = 24
         for i in (0, 17, 63):
-            corner = rng.choice([-1.0, 1.0], size=data.d + 1)
-            other = -corner if flip else rng.choice([-1.0, 1.0], size=data.d + 1)
-            values, neighbour = data.values.copy(), data.values.copy()
+            corner = rng.choice([-1.0, 1.0], size=data.shape[1])
+            other = -corner if flip else rng.choice([-1.0, 1.0], size=data.shape[1])
+            values, neighbour = data.copy(), data.copy()
             values[i], neighbour[i] = corner, other
             root = RandomStream(33 + i)
             sketches = [
-                trial_sketch(DataMatrix(v, data.column_names), part, k_max, root)
+                trial_sketch(v, part, k_max, root)
                 for v in (values, neighbour)
             ]
             for k in (1, 2, 5, 12, k_max):
-                a_rel, b_rel = (rmgm_release(s, data.n, part, ZERO_NOISE, k, root)
+                a_rel, b_rel = (rmgm_release(s, len(data), part, ZERO_NOISE, k, root)
                                 for s in sketches)
                 for a, b in part.blocks:
                     change = np.linalg.norm(corner[a:b] - other[a:b])
@@ -226,7 +226,7 @@ class TestTrain:
         k = 10
         forced = np.zeros((k, 50))
         forced[:, :k] = np.sqrt(k) * np.eye(k)
-        release = rmgm_release(forced @ data.values, data.n, part, ZERO_NOISE, k,
+        release = rmgm_release(forced @ data, len(data), part, ZERO_NOISE, k,
                                RandomStream(15))
         weights, _ = solve_system(rmgm_system(normal_equations(release), lam=0.0))
         assert np.linalg.norm(weights - w_star) < 1e-6

@@ -30,7 +30,7 @@ from mpdp.synthetic import gen_ground_truth
 d, n = int(sys.argv[1]), int(sys.argv[2])
 w_star = gen_ground_truth(d, RandomStream(13))
 data = gen_matrix(n, w_star, RandomStream(14))
-print(np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(14))))
+print(np.array_equal(data, dataset_one_shot(n, w_star, RandomStream(14))))
 """
 
 
@@ -54,12 +54,12 @@ class TestDataset:
     def test_generated_data_is_bounded(self):
         w_star = gen_ground_truth(10, RandomStream(3))
         data = gen_matrix(500, w_star, RandomStream(4))
-        feed(chunk_views(data.values), BoundsCheck(partition_evenly(11, 6), 11))
-        assert data.values.shape == (500, 11)
+        feed(chunk_views(data), BoundsCheck(partition_evenly(11, 6), 11))
+        assert data.shape == (500, 11)
 
     def test_zero_weights_give_zero_labels(self):
         data = gen_matrix(20, np.zeros(4), RandomStream(6))
-        assert (data.labels() == 0.0).all()
+        assert (data[:, -1] == 0.0).all()
 
     @pytest.mark.parametrize("w_star", [np.zeros((2, 3)), np.zeros(0), np.float64(0.5)],
                              ids=["2d", "empty", "scalar"])
@@ -70,7 +70,7 @@ class TestDataset:
     def test_labels_are_exact_inner_products(self):
         w_star = gen_ground_truth(6, RandomStream(7))
         data = gen_matrix(50, w_star, RandomStream(8))
-        np.testing.assert_array_equal(data.labels(), data.features() @ w_star)
+        np.testing.assert_array_equal(data[:, -1], data[:, :-1] @ w_star)
 
     def test_chunks_match_one_draw_and_one_product(self):
         # two whole 8192-row label blocks and a 3-row remainder, in a
@@ -79,7 +79,7 @@ class TestDataset:
         w_star = gen_ground_truth(10, RandomStream(11))
         n = 2 * _block_rows(11) + 3
         data = gen_matrix(n, w_star, RandomStream(12))
-        assert np.array_equal(data.values, dataset_one_shot(n, w_star, RandomStream(12)))
+        assert np.array_equal(data, dataset_one_shot(n, w_star, RandomStream(12)))
 
     @pytest.mark.parametrize("d", [10, 40])
     def test_label_blocks_match_one_product_on_one_blas_thread(self, d):
@@ -98,7 +98,7 @@ class TestDataset:
         # mean of x^2 is far inside a 1% band.
         w_star = gen_ground_truth(10, RandomStream(9))
         data = gen_matrix(10**6, w_star, RandomStream(10))
-        moment = (data.features() ** 2).mean()
+        moment = (data[:, :-1] ** 2).mean()
         assert abs(moment - 1 / 3) < 1 / 300
 
 
@@ -106,14 +106,14 @@ class TestRealizability:
     def test_least_squares_recovers_generating_weights(self):
         w_star = gen_ground_truth(10, RandomStream(13))
         data = gen_matrix(5000, w_star, RandomStream(14))
-        weights, _ = solve_system(ols_system(normal_equations(data.values), lam=0.0))
+        weights, _ = solve_system(ols_system(normal_equations(data), lam=0.0))
         assert np.linalg.norm(weights - w_star) < 1e-8
 
     def test_empirical_gram_is_well_conditioned(self):
         w_star = gen_ground_truth(10, RandomStream(15))
         data = gen_matrix(10**5, w_star, RandomStream(16))
-        x = data.features()
-        gram = x.T @ x / data.n
+        x = data[:, :-1]
+        gram = x.T @ x / len(data)
         assert np.linalg.eigvalsh(gram).min() > 0.25
 
     def test_default_party_layout(self):

@@ -21,7 +21,7 @@ import pytest
 import mpdp.data_model
 from mpdp.config import build_config
 from mpdp.data_model import (
-    BoundsCheck, DataMatrix, feed, load_csv, partition_evenly, split_normalized,
+    BoundsCheck, feed, load_csv, partition_evenly, split_normalized,
 )
 from mpdp.dgm import dgm_release
 from mpdp.dp_core import calibrate
@@ -79,12 +79,12 @@ class TestTrialMemory:
         n = 2 * 16_384 + 3
         cfg = build_config({}, dict(n_grid=(n,), out_dir=str(tmp_path)), protocol="export")
         paths, peak = traced_peak(export_synthetic, cfg)
-        assert len(load_csv(paths["synthetic.csv"]).values) == n
+        assert len(load_csv(paths["synthetic.csv"])) == n
         assert peak < 4 * 2**20
 
     def test_bounds_check_peak_under_4_mib(self, data):
         check = BoundsCheck(PARTITION, 11)
-        _, peak = traced_peak(feed, chunk_views(data.values), check)
+        _, peak = traced_peak(feed, chunk_views(data), check)
         assert check.rows == N
         assert peak < 4 * 2**20
 
@@ -105,16 +105,15 @@ class TestTrialMemory:
                    header=",".join(f"c{i}" for i in range(13)))
         assert os.path.getsize(path) >= 2 * 2**20
         data, peak = traced_peak(load_csv, path, "c6")
-        np.testing.assert_array_equal(data.values, table[:, [*range(6), *range(7, 13), 6]])
-        assert peak <= 1.5 * data.values.nbytes
+        np.testing.assert_array_equal(data, table[:, [*range(6), *range(7, 13), 6]])
+        assert peak <= 1.5 * data.nbytes
 
     def test_split_normalized_peak_within_one_and_a_half_matrices(self):
         # normalising the split into fresh arrays, while the split's copies
         # are alive, would peak near 2x
         values = np.random.default_rng(47).uniform(-1e3, 1e3, size=(20_000, 13))
-        data = DataMatrix(values, tuple(f"c{i}" for i in range(13)))
-        (train, test), peak = traced_peak(split_normalized, data, RandomStream(48))
-        assert (train.n, test.n) == (16_000, 4_000)
+        (train, test), peak = traced_peak(split_normalized, values, RandomStream(48))
+        assert (len(train), len(test)) == (16_000, 4_000)
         assert peak <= 1.5 * values.nbytes
 
     def test_rmgm_release_allocates_the_release_and_one_party_noise(self):

@@ -17,7 +17,7 @@ from .data_model import (
     split_normalized,
 )
 from .dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
-from .dp_core import PrivacyParams, calibrate, sensitivity_bound
+from .dp_core import calibrate, sensitivity_bound
 from .evaluation import (
     AggregateReport,
     TrialReport,
@@ -38,7 +38,6 @@ __all__ = [
     "K_GRID",
     "NormalEquations",
     "PartyPartition",
-    "PrivacyParams",
     "RandomStream",
     "SingularSystemError",
     "TrialReport",

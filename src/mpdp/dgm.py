@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data_model import BoundsCheck, PartyPartition
-from .dp_core import PartyNoise, PrivacyParams, sensitivity_bound
+from .dp_core import PartyNoise, noise_std
 from .kernels import chunk_views
 from .linalg import NormalEquationSum, NormalEquations, gram_product, gram_root, normal_system
 from .streams import RandomStream
@@ -39,7 +39,7 @@ __all__ = ["data_root", "dgm_release", "dgm_system", "sample_dgm_gram"]
 
 
 def dgm_release(
-    data: np.ndarray, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream
+    data: np.ndarray, partition: PartyPartition, sigma: float, stream: RandomStream
 ) -> NormalEquations:
     """The normal equations of the published matrix D + R: the n-by-(d+1)
     data plus per-party Gaussian noise, party j's from the derived stream
@@ -51,7 +51,7 @@ def dgm_release(
     matrix is those noised copies, concatenated.
     """
     n, cols = data.shape
-    check, noise = BoundsCheck(partition, cols), PartyNoise(partition, priv, stream)
+    check, noise = BoundsCheck(partition, cols), PartyNoise(partition, sigma, stream)
     release = NormalEquationSum(cols, n)
     for chunk in chunk_views(data):
         check.push(chunk)
@@ -70,7 +70,7 @@ def data_root(stats: NormalEquations) -> np.ndarray:
 
 
 def sample_dgm_gram(
-    stats: NormalEquations, root: np.ndarray, partition: PartyPartition, priv: PrivacyParams,
+    stats: NormalEquations, root: np.ndarray, partition: PartyPartition, sigma: float,
     stream: RandomStream,
 ) -> NormalEquations:
     """Normal equations distributed exactly as ``dgm_release``'s, drawn
@@ -84,7 +84,7 @@ def sample_dgm_gram(
     (n - r)-by-p Gaussian factor F when 0 < n - r < p.  With no noise
     (s = 0) the data's equations are the release, returned as they are.
     """
-    std = sensitivity_bound(partition.d_max) * priv.sigma
+    std = noise_std(partition.d_max, sigma)
     if std == 0.0:
         return stats
     r, p = root.shape
@@ -101,9 +101,9 @@ def sample_dgm_gram(
 
 
 def dgm_system(
-    release: NormalEquations, d_max: int, priv: PrivacyParams, lam: float
+    release: NormalEquations, d_max: int, sigma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The de-biased system (H + lam*I, (1/n) X'Y) of a release, with
     H = (1/n) X'X - 4*d_max*sigma^2 * I from the public features X."""
-    bias = 4.0 * d_max * priv.sigma**2
+    bias = 4.0 * d_max * sigma**2
     return normal_system(release, lam, scale=release.n, shift=bias)

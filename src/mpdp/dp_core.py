@@ -1,47 +1,29 @@
 """Privacy primitives shared by both release mechanisms.
 
-Noise-scale calibration for the Gaussian mechanism, the per-row L2
-sensitivity bound for bounded party blocks and the Gaussian mechanism
-itself: the per-party noise step both releases end with.  The shared
-Rademacher mixing matrix lives in ``kernels``.
+A privacy budget is its noise multiplier sigma: ``calibrate`` turns an
+(epsilon, delta) budget into sigma, and every release takes sigma alone.
+A release's per-entry noise std is ``noise_std(d_max, sigma)``, the
+per-row L2 sensitivity bound for bounded party blocks times sigma, and
+``PartyNoise`` is the Gaussian mechanism itself: the per-party noise step
+both releases end with.  The shared Rademacher mixing matrix lives in
+``kernels``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import PartyPartition
 from .streams import RandomStream
 
-__all__ = ["PartyNoise", "PrivacyParams", "calibrate", "sensitivity_bound"]
+__all__ = ["PartyNoise", "calibrate", "noise_std", "sensitivity_bound"]
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
-    """An (epsilon, delta) privacy budget with its derived noise multiplier.
-
-    ``sigma`` is the Gaussian-mechanism multiplier sqrt(2*ln(1.25/delta))/epsilon;
-    a release's per-entry noise std is ``sensitivity_bound(d_max) * sigma``.
-    """
-
-    epsilon: float
-    delta: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-
-
-def calibrate(epsilon: float, delta: float) -> PrivacyParams:
-    """Noise multiplier for an (epsilon, delta) budget.
+def calibrate(epsilon: float, delta: float) -> float:
+    """The Gaussian-mechanism noise multiplier sigma = sqrt(2*ln(1.25/delta))/epsilon
+    of an (epsilon, delta) budget.
 
     Requires 0 < epsilon <= 1 (the Gaussian-mechanism guarantee holds only
     in that range), 0 < delta < 1 and a finite sigma^2 (DGM's de-biasing
@@ -54,7 +36,7 @@ def calibrate(epsilon: float, delta: float) -> PrivacyParams:
     sigma = math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
     if not math.isfinite(sigma * sigma):
         raise ValueError(f"epsilon {epsilon:g} is too small: the noise variance overflows")
-    return PrivacyParams(epsilon=float(epsilon), delta=float(delta), sigma=sigma)
+    return sigma
 
 
 def sensitivity_bound(d_max: int) -> float:
@@ -64,10 +46,18 @@ def sensitivity_bound(d_max: int) -> float:
     return 2.0 * math.sqrt(d_max)
 
 
+def noise_std(d_max: int, sigma: float) -> float:
+    """A release's per-entry noise std, ``sensitivity_bound(d_max) * sigma``.
+    Requires 0 <= sigma < inf: a NaN sigma would release the data unnoised."""
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    return sensitivity_bound(d_max) * sigma
+
+
 class PartyNoise:
     """The Gaussian mechanism of both releases, added in place to a
     matrix's row blocks in order (``add_to``).  Party j adds N(0, std^2)
-    noise to its own column block, std = sensitivity_bound(d_max) * sigma:
+    noise to its own column block, std = noise_std(d_max, sigma):
     the rows of one (n, d_j) draw from ``stream.child(j)``, whose generator
     lives across calls, so whoever holds j's stream can rebuild (and
     remove) j's noise.  Each call continues every party's stream, so
@@ -75,9 +65,9 @@ class PartyNoise:
     std = 0 adds nothing and makes no generator.
     """
 
-    def __init__(self, partition: PartyPartition, priv: PrivacyParams, stream: RandomStream):
+    def __init__(self, partition: PartyPartition, sigma: float, stream: RandomStream):
         self.partition = partition
-        self.std = sensitivity_bound(partition.d_max) * priv.sigma
+        self.std = noise_std(partition.d_max, sigma)
         n_gens = partition.m if self.std > 0.0 else 0
         self._gens = [stream.child(j).generator() for j in range(1, n_gens + 1)]
 

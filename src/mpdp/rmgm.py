@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 
 from .data_model import PartyPartition
-from .dp_core import PartyNoise, PrivacyParams
+from .dp_core import PartyNoise
 from .linalg import NormalEquations, normal_system
 from .streams import RandomStream
 
@@ -58,8 +58,8 @@ def choose_k(
         raise ValueError(f"unknown k mode {mode!r}")
     if mode == "grid":
         return tuple(grid) if grid is not None else K_GRID
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive in {mode!r} mode, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and positive in {mode!r} mode, got {sigma}")
     if mode == "synthetic":
         return (max(1, round(math.sqrt(n) / sigma)),)
     if d is None or d_max is None:
@@ -68,7 +68,7 @@ def choose_k(
 
 
 def rmgm_release(
-    product: np.ndarray, n: int, partition: PartyPartition, priv: PrivacyParams, k: int,
+    product: np.ndarray, n: int, partition: PartyPartition, sigma: float, k: int,
     stream: RandomStream,
 ) -> np.ndarray:
     """The published k-row matrix B_k D^j / sqrt(k) + R^j of every party.
@@ -87,7 +87,7 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    return PartyNoise(partition, priv, stream).add_to(product[:k] / math.sqrt(k))
+    return PartyNoise(partition, sigma, stream).add_to(product[:k] / math.sqrt(k))
 
 
 def rmgm_system(release: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -126,10 +126,10 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     rows = []  # (method, epsilon, k, system)
     d = partition.total_columns - 1
 
-    privs = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
+    sigmas = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
     sums = NormalEquationSum(d + 1, n) if dgm or "ols" in cfg.methods else None
-    ks = [choose_k(n, priv.sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for priv in privs]
+    ks = [choose_k(n, sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for sigma in sigmas]
     # one shared B per trial: every (eps, k) release is a prefix of its sketch
     mixer = (SketchSum(base.child("mixing").seed64(), n, d + 1, max(map(max, ks)))
              if "rmgm" in cfg.methods else None)
@@ -139,17 +139,17 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     root = data_root(stats) if dgm else None
     if "ols" in cfg.methods:
         rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))
-    for eps_index, (eps, priv) in enumerate(zip(cfg.eps_grid, privs)):
+    for eps_index, (eps, sigma) in enumerate(zip(cfg.eps_grid, sigmas)):
         if dgm:
-            release = sample_dgm_gram(stats, root, partition, priv, base.child("dgm", eps_index))
+            release = sample_dgm_gram(stats, root, partition, sigma, base.child("dgm", eps_index))
             if "dgm" in cfg.methods:
                 rows.append(("dgm", eps, None,
-                             dgm_system(release, partition.d_max, priv, lam=cfg.lam)))
+                             dgm_system(release, partition.d_max, sigma, lam=cfg.lam)))
             if "bgm" in cfg.methods:
                 rows.append(("bgm", eps, None, ols_system(release, lam=cfg.lam)))
         if mixer is not None:
             for k in ks[eps_index]:
-                release = rmgm_release(mixer.result(), n, partition, priv, k,
+                release = rmgm_release(mixer.result(), n, partition, sigma, k,
                                        base.child("rmgm", eps_index, k))
                 rows.append(("rmgm", eps, k, rmgm_system(normal_equations(release), lam=cfg.lam)))
 

@@ -119,9 +119,9 @@ def sketch_product_v3(seed, data, k):
     return out
 
 
-def dgm_published(data, partition, priv, stream):
+def dgm_published(data, partition, sigma, stream):
     """The n-row matrix D + R whose normal equations ``dgm_release`` returns."""
-    noise = PartyNoise(partition, priv, stream)
+    noise = PartyNoise(partition, sigma, stream)
     return np.concatenate([noise.add_to(chunk.copy()) for chunk in chunk_views(data)])
 
 

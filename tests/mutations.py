@@ -124,6 +124,14 @@ MUTATIONS = (
         ("tests/test_evaluation.py::TestMse",),
         "test MSE as the mean absolute residual",
     ),
+    (
+        "dp_core.py",
+        "if not 0.0 <= sigma < math.inf:",
+        "if sigma < 0.0:",
+        ("tests/test_dp_core.py::TestNoiseStd::test_invalid_sigma_rejected_by_every_release",),
+        "noise_std letting a NaN or infinite sigma through (a NaN sigma releases "
+        "the data unnoised)",
+    ),
 )
 
 

@@ -56,8 +56,8 @@ def test_criterion_1_exact_formula_suite():
     rng = np.random.default_rng(0)
 
     sigma_ref = math.sqrt(2 * math.log(1.25e5))
-    assert abs(calibrate(1.0, 1e-5).sigma - sigma_ref) < 1e-10
-    assert abs(calibrate(0.1, 1e-5).sigma - 10 * sigma_ref) < 1e-10
+    assert abs(calibrate(1.0, 1e-5) - sigma_ref) < 1e-10
+    assert abs(calibrate(0.1, 1e-5) - 10 * sigma_ref) < 1e-10
     for d_max in (1, 2, 4, 10, 37):
         assert abs(sensitivity_bound(d_max) - 2 * math.sqrt(d_max)) < 1e-10
 
@@ -66,17 +66,17 @@ def test_criterion_1_exact_formula_suite():
     w_star = gen_ground_truth(4, base.child("t"))
     data = gen_matrix(300, w_star, base.child("d"))
     part = partition_evenly(5, 2)
-    priv = calibrate(1.0, 0.5)
-    release = dgm_release(data, part, priv, base.child("r"))
-    got, _ = solve_system(dgm_system(release, part.d_max, priv, lam=1e-5))
-    public = dgm_published(data, part, priv, base.child("r"))
+    sigma = calibrate(1.0, 0.5)
+    release = dgm_release(data, part, sigma, base.child("r"))
+    got, _ = solve_system(dgm_system(release, part.d_max, sigma, lam=1e-5))
+    public = dgm_published(data, part, sigma, base.child("r"))
     x, y = public[:, :-1], public[:, -1]
-    debiased = x.T @ x / 300 - 4 * part.d_max * priv.sigma**2 * np.eye(4)
+    debiased = x.T @ x / 300 - 4 * part.d_max * sigma**2 * np.eye(4)
     want = np.linalg.solve(debiased + 1e-5 * np.eye(4), x.T @ y / 300)
     assert np.abs(got - want).max() < 1e-10
 
     # PSD Gram of a compressed release
-    comp = rmgm_release(trial_sketch(data, part, 16, base.child("r2")), len(data), part, priv, 16,
+    comp = rmgm_release(trial_sketch(data, part, 16, base.child("r2")), len(data), part, sigma, 16,
                         base.child("r2"))
     xc = comp[:, :-1]
     assert np.linalg.eigvalsh(xc.T @ xc).min() >= -1e-10
@@ -110,18 +110,18 @@ def test_criterion_2_oracle_equivalence():
         w_star = gen_ground_truth(d, base.child("t"))
         data = gen_matrix(n, w_star, base.child("d"))
         part = partition_evenly(d + 1, m)
-        priv = calibrate(eps, delta)
+        sigma = calibrate(eps, delta)
 
-        release = dgm_release(data, part, priv, base.child("dgm"))
-        public = dgm_published(data, part, priv, base.child("dgm"))
-        got, _ = solve_system(dgm_system(release, part.d_max, priv, lam=lam))
-        want = dgm_oracle(public, part.d_max, priv.sigma, lam)
+        release = dgm_release(data, part, sigma, base.child("dgm"))
+        public = dgm_published(data, part, sigma, base.child("dgm"))
+        got, _ = solve_system(dgm_system(release, part.d_max, sigma, lam=lam))
+        want = dgm_oracle(public, part.d_max, sigma, lam)
         worst = max(worst, np.abs(got - want).max())
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sketch = trial_sketch(data, part, k, base.child("rmgm"))
-            comp = rmgm_release(sketch, n, part, priv, k, base.child("rmgm"))
+            comp = rmgm_release(sketch, n, part, sigma, k, base.child("rmgm"))
         got, _ = solve_system(rmgm_system(normal_equations(comp), lam=lam))
         worst = max(worst, np.abs(got - rmgm_oracle(comp, lam)).max())
 

@@ -3,14 +3,14 @@ import pytest
 
 from mpdp.data_model import partition_evenly
 from mpdp.dgm import dgm_release
-from mpdp.dp_core import PrivacyParams, calibrate
+from mpdp.dp_core import calibrate
 from mpdp.linalg import SingularSystemError, normal_equations, ols_system, solve_system
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_ground_truth
 
 from _oracles import dgm_published, gen_matrix, ols_oracle
 
-ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
+ZERO_NOISE = 0.0
 
 
 def ols_fit(x, y, lam):
@@ -45,10 +45,10 @@ class TestBgm:
     def _release(self, sigma_zero, seed=5, n=200):
         w_star = gen_ground_truth(4, RandomStream(seed).child("t"))
         data = gen_matrix(n, w_star, RandomStream(seed).child("d"))
-        priv = ZERO_NOISE if sigma_zero else calibrate(1.0, 0.5)
+        sigma = ZERO_NOISE if sigma_zero else calibrate(1.0, 0.5)
         part = partition_evenly(5, 2)
-        release = dgm_release(data, part, priv, RandomStream(seed).child("r"))
-        return data, release, dgm_published(data, part, priv, RandomStream(seed).child("r"))
+        release = dgm_release(data, part, sigma, RandomStream(seed).child("r"))
+        return data, release, dgm_published(data, part, sigma, RandomStream(seed).child("r"))
 
     def test_zero_noise_release_equals_plain_least_squares(self):
         data, release, _ = self._release(sigma_zero=True)
@@ -68,9 +68,9 @@ class TestBgm:
         # the distance to them stays macroscopic.
         w_star = gen_ground_truth(10, RandomStream(77).child("t"))
         data = gen_matrix(20000, w_star, RandomStream(77).child("d"))
-        priv = calibrate(1.0, 1e-5)
+        sigma = calibrate(1.0, 1e-5)
         release = dgm_release(
-            data, partition_evenly(11, 6), priv, RandomStream(77).child("r")
+            data, partition_evenly(11, 6), sigma, RandomStream(77).child("r")
         )
         weights, _ = solve_system(ols_system(release, lam=1e-5))
         assert np.linalg.norm(weights) < 0.5 * np.linalg.norm(w_star)
@@ -82,7 +82,7 @@ class TestBgmNonConvergence:
         # medians at n=1e4, 1e5 and 1e6 stay within 25% of each other:
         # the un-debiased solution converges to a biased limit, not to
         # the generating weights.
-        priv = calibrate(1.0, 1e-5)
+        sigma = calibrate(1.0, 1e-5)
         part = partition_evenly(11, 6)
         medians = []
         for n in (10**4, 10**5, 10**6):
@@ -91,7 +91,7 @@ class TestBgmNonConvergence:
                 base = RandomStream(31337).child(n, seed)
                 w_star = gen_ground_truth(10, base.child("t"))
                 data = gen_matrix(n, w_star, base.child("d"))
-                release = dgm_release(data, part, priv, base.child("r"))
+                release = dgm_release(data, part, sigma, base.child("r"))
                 weights, _ = solve_system(ols_system(release, lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))

@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 from mpdp.config import build_config
 from mpdp.data_model import partition_evenly
 from mpdp.dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
-from mpdp.dp_core import PartyNoise, PrivacyParams, calibrate, sensitivity_bound
+from mpdp.dp_core import PartyNoise, calibrate, sensitivity_bound
 from mpdp.linalg import (
     NormalEquations, SingularSystemError, _block_rows, normal_equations, solve_system,
 )
@@ -14,7 +14,7 @@ from mpdp.synthetic import gen_ground_truth
 
 from _oracles import dgm_oracle, dgm_published, gen_matrix, noise_one_shot
 
-ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
+ZERO_NOISE = 0.0
 
 
 def small_instance(seed, n=60, d=3):
@@ -37,11 +37,11 @@ class TestRelease:
 
     def test_shape_and_metadata(self):
         _, data, part = small_instance(3, n=40, d=5)
-        priv = calibrate(0.5, 1e-5)
-        release = dgm_release(data, part, priv, RandomStream(4))
+        sigma = calibrate(0.5, 1e-5)
+        release = dgm_release(data, part, sigma, RandomStream(4))
         assert release.gram.shape == (5, 5) and release.xty.shape == (5,)
         assert release.n == 40
-        public = dgm_published(data, part, priv, RandomStream(4))
+        public = dgm_published(data, part, sigma, RandomStream(4))
         assert public.shape == (40, 6)
         assert public.dtype == np.float64
 
@@ -54,15 +54,15 @@ class TestRelease:
         w_star = gen_ground_truth(10, RandomStream(16).child("t"))
         data = gen_matrix(n, w_star, RandomStream(16).child("d"))
         part = partition_evenly(11, 6)
-        priv = calibrate(1.0, 1e-5)
+        sigma = calibrate(1.0, 1e-5)
         root = RandomStream(17)
-        release = dgm_release(data, part, priv, root)
-        public = dgm_published(data, part, priv, root)
+        release = dgm_release(data, part, sigma, root)
+        public = dgm_published(data, part, sigma, root)
         held = normal_equations(public)
         assert np.array_equal(release.gram, held.gram)
         assert np.array_equal(release.xty, held.xty)
         assert release.n == n
-        std = sensitivity_bound(part.d_max) * priv.sigma
+        std = sensitivity_bound(part.d_max) * sigma
         expected = np.concatenate(
             [data[:, a:b] + noise_one_shot(n, b - a, std, root.child(j))
              for j, (a, b) in enumerate(part.blocks, start=1)],
@@ -75,10 +75,10 @@ class TestRelease:
         # sensitivity_bound(d_max) * sigma, and concatenating reproduces
         # the single-call release bit for bit
         _, data, part = small_instance(7, n=30, d=6)  # blocks (4, 3): d_max is not every d_j
-        priv = calibrate(1.0, 1e-4)
+        sigma = calibrate(1.0, 1e-4)
         root = RandomStream(8)
-        release = dgm_published(data, part, priv, root)
-        std = sensitivity_bound(part.d_max) * priv.sigma
+        release = dgm_published(data, part, sigma, root)
+        std = sensitivity_bound(part.d_max) * sigma
         blocks = []
         for j, (a, b) in enumerate(part.blocks, start=1):
             noise = noise_one_shot(len(data), b - a, std, root.child(j))
@@ -96,11 +96,11 @@ class TestRelease:
         # within 3%.
         w_star = gen_ground_truth(10, RandomStream(9).child("t"))
         data = gen_matrix(10**5, w_star, RandomStream(9).child("d"))
-        priv = calibrate(1.0, 1e-5)
+        sigma = calibrate(1.0, 1e-5)
         part = partition_evenly(11, 6)
-        public = dgm_published(data, part, priv, RandomStream(9).child("r"))
+        public = dgm_published(data, part, sigma, RandomStream(9).child("r"))
         noise = public - data
-        target = 4 * part.d_max * priv.sigma**2
+        target = 4 * part.d_max * sigma**2
         assert abs(noise.var() - target) / target < 0.03
 
 
@@ -113,11 +113,11 @@ class TestTrain:
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(12, n=50, d=3)
-        priv = calibrate(1.0, 0.9)
-        release = dgm_release(data, part, priv, RandomStream(13))
-        weights, _ = solve_system(dgm_system(release, part.d_max, priv, lam=1e-5))
-        public = dgm_published(data, part, priv, RandomStream(13))
-        expected = dgm_oracle(public, part.d_max, priv.sigma, 1e-5)
+        sigma = calibrate(1.0, 0.9)
+        release = dgm_release(data, part, sigma, RandomStream(13))
+        weights, _ = solve_system(dgm_system(release, part.d_max, sigma, lam=1e-5))
+        public = dgm_published(data, part, sigma, RandomStream(13))
+        expected = dgm_oracle(public, part.d_max, sigma, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
 
     def test_singular_system_raises(self):
@@ -136,13 +136,13 @@ class TestTrain:
         w_star = gen_ground_truth(5, RandomStream(14).child("t"))
         data = gen_matrix(10**4, w_star, RandomStream(14).child("d"))
         part = partition_evenly(6, 3)
-        priv = calibrate(1.0, 1e-2)
+        sigma = calibrate(1.0, 1e-2)
         x = data[:, :-1]
         raw_gram = x.T @ x / len(data)
-        bias = 4 * part.d_max * priv.sigma**2 * np.eye(5)
+        bias = 4 * part.d_max * sigma**2 * np.eye(5)
         samples = []
         for seed in range(200):
-            release = dgm_release(data, part, priv, RandomStream(15).child(seed))
+            release = dgm_release(data, part, sigma, RandomStream(15).child(seed))
             samples.append(release.gram / len(data) - bias)
         samples = np.asarray(samples)
         mean = samples.mean(axis=0)
@@ -189,10 +189,10 @@ class TestSensitivity:
         # (n, d_j) standard normal draw from its stream, scaled by
         # sensitivity_bound(d_max) * sigma, bit for bit
         part = partition_evenly(7, 3)
-        priv = calibrate(0.5, 1e-5)
-        std = sensitivity_bound(part.d_max) * priv.sigma
+        sigma = calibrate(0.5, 1e-5)
+        std = sensitivity_bound(part.d_max) * sigma
         values = RandomStream(44).generator().uniform(-1, 1, size=(1000, 7))
-        noise = PartyNoise(part, priv, RandomStream(45))
+        noise = PartyNoise(part, sigma, RandomStream(45))
         assert noise.std == std
         released = np.concatenate([noise.add_to(values[r0:r1].copy())
                                    for r0, r1 in ((0, 1), (1, 600), (600, 1000))])
@@ -211,8 +211,8 @@ def whole_gram(eqs):
 
 
 def noise_of_std(std, part):
-    """Privacy parameters whose release noise has standard deviation std."""
-    return PrivacyParams(epsilon=1.0, delta=1e-5, sigma=std / sensitivity_bound(part.d_max))
+    """The noise multiplier sigma whose release noise has standard deviation std."""
+    return std / sensitivity_bound(part.d_max)
 
 
 class TestSampler:
@@ -233,13 +233,13 @@ class TestSampler:
         if exact_labels:
             data[:, -1] = data[:, :-1] @ np.array([0.3, -0.2, 0.4])
         part = partition_evenly(4, 2)
-        priv = noise_of_std(self.STD, part)
+        sigma = noise_of_std(self.STD, part)
         stats = normal_equations(data)
         root = data_root(stats)
         upper = np.triu_indices(4)
-        literal = np.array([whole_gram(dgm_release(data, part, priv, RandomStream(5).child(i)))
+        literal = np.array([whole_gram(dgm_release(data, part, sigma, RandomStream(5).child(i)))
                             for i in range(self.DRAWS)])
-        sampled = np.array([whole_gram(sample_dgm_gram(stats, root, part, priv,
+        sampled = np.array([whole_gram(sample_dgm_gram(stats, root, part, sigma,
                                                        RandomStream(6).child(i)))
                             for i in range(self.DRAWS)])
         # the 10 upper-triangle entries: means within 4.5 standard errors

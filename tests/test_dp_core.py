@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from mpdp.data_model import partition_evenly
-from mpdp.dp_core import (
-    PartyNoise,
-    PrivacyParams,
-    calibrate,
-    sensitivity_bound,
-)
+from mpdp.dgm import data_root, dgm_release, sample_dgm_gram
+from mpdp.dp_core import PartyNoise, calibrate, sensitivity_bound
 from mpdp.kernels import _COL_CHUNK, chunk_views, sketch_product
+from mpdp.linalg import normal_equations
+from mpdp.rmgm import rmgm_release
 from mpdp.streams import RandomStream
 
 from _oracles import noise_one_shot
@@ -19,12 +17,12 @@ from _oracles import noise_one_shot
 class TestCalibrate:
     def test_reference_values(self):
         # sqrt(2*ln(1.25e5)) evaluated at high precision: 4.8448052626053894...
-        assert calibrate(1.0, 1e-5).sigma == pytest.approx(4.844805262605389, abs=1e-12)
-        assert calibrate(0.1, 1e-5).sigma == pytest.approx(48.44805262605389, abs=1e-11)
+        assert calibrate(1.0, 1e-5) == pytest.approx(4.844805262605389, abs=1e-12)
+        assert calibrate(0.1, 1e-5) == pytest.approx(48.44805262605389, abs=1e-11)
 
     def test_inverse_epsilon_scaling(self):
-        ten_x = calibrate(0.1, 1e-5).sigma
-        assert ten_x == pytest.approx(10 * calibrate(1.0, 1e-5).sigma, rel=1e-15)
+        ten_x = calibrate(0.1, 1e-5)
+        assert ten_x == pytest.approx(10 * calibrate(1.0, 1e-5), rel=1e-15)
 
     def test_deterministic(self):
         assert calibrate(0.37, 1e-4) == calibrate(0.37, 1e-4)
@@ -39,7 +37,7 @@ class TestCalibrate:
         # sigma^2 is inf (eps = 1e-300) or sigma itself is (1e-320, 5e-324)
         with pytest.raises(ValueError, match="noise variance overflows"):
             calibrate(eps, 1e-5)
-        assert math.isfinite(calibrate(1e-153, 1e-5).sigma ** 2)
+        assert math.isfinite(calibrate(1e-153, 1e-5) ** 2)
 
     @pytest.mark.parametrize("delta", [0.0, -1e-5, 1.0, 1.5])
     def test_delta_domain(self, delta):
@@ -52,25 +50,17 @@ class TestCalibrate:
         for delta in (1e-6, 1e-5, 1e-3, 0.1):
             target = math.sqrt(2 * math.log(1.25 / delta))
             for eps in np.linspace(0.01, 1.0, 25):
-                assert calibrate(eps, delta).sigma * eps == pytest.approx(target, rel=1e-15)
+                assert calibrate(eps, delta) * eps == pytest.approx(target, rel=1e-15)
 
     def test_monotone_in_epsilon_and_delta(self):
         epsilons = np.linspace(0.05, 1.0, 12)
         deltas = np.geomspace(1e-8, 0.5, 10)
         for delta in deltas:
-            sigmas = [calibrate(e, delta).sigma for e in epsilons]
+            sigmas = [calibrate(e, delta) for e in epsilons]
             assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
         for eps in epsilons:
-            sigmas = [calibrate(eps, d).sigma for d in deltas]
+            sigmas = [calibrate(eps, d) for d in deltas]
             assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
-
-    def test_invalid_budgets_unrepresentable(self):
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=2.0, delta=1e-5, sigma=1.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=0.5, delta=1.0, sigma=1.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(epsilon=0.5, delta=1e-5, sigma=-1.0)
 
 
 class TestSensitivityBound:
@@ -85,6 +75,33 @@ class TestSensitivityBound:
             sensitivity_bound(0)
 
 
+def _dgm_sample(data, part, sigma, stream):
+    stats = normal_equations(data)
+    return sample_dgm_gram(stats, data_root(stats), part, sigma, stream)
+
+
+# every release that turns sigma into noise, called as (data, partition, sigma, stream)
+RELEASES = {
+    "party_noise": lambda data, part, sigma, stream:
+        PartyNoise(part, sigma, stream).add_to(data.copy()),
+    "dgm_release": dgm_release,
+    "sample_dgm_gram": _dgm_sample,
+    "rmgm_release": lambda data, part, sigma, stream:
+        rmgm_release(sketch_product(stream.seed64(), data, 4), len(data), part, sigma, 4, stream),
+}
+
+
+class TestNoiseStd:
+    # a NaN sigma fails every comparison: unchecked, each release would
+    # publish the data with no noise at all
+    @pytest.mark.parametrize("release", RELEASES.values(), ids=RELEASES)
+    @pytest.mark.parametrize("sigma", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_invalid_sigma_rejected_by_every_release(self, release, sigma):
+        data = RandomStream(50).generator().uniform(-1, 1, size=(20, 4))
+        with pytest.raises(ValueError, match="sigma"):
+            release(data, partition_evenly(4, 2), sigma, RandomStream(51))
+
+
 class _OneColumn:
     """One party holding one column: d_max = 1, so std = 2 * sigma."""
 
@@ -94,16 +111,16 @@ class _OneColumn:
 
 
 def one_column_noise(rows, std, stream):
-    """A zero column after ``PartyNoise.add_to`` at per-entry std ``std``."""
-    priv = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=std / 2)
-    return PartyNoise(_OneColumn(), priv, stream).add_to(np.zeros((rows, 1)))
+    """A zero column after ``PartyNoise.add_to`` at per-entry std ``std``
+    (noise multiplier std / 2)."""
+    return PartyNoise(_OneColumn(), std / 2, stream).add_to(np.zeros((rows, 1)))
 
 
 class TestGaussianNoise:
     def test_deterministic_under_fixed_stream(self):
-        part, priv = partition_evenly(4, 2), calibrate(1.0, 1e-5)
-        a = PartyNoise(part, priv, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
-        b = PartyNoise(part, priv, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
+        part, sigma = partition_evenly(4, 2), calibrate(1.0, 1e-5)
+        a = PartyNoise(part, sigma, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
+        b = PartyNoise(part, sigma, RandomStream(3).child("x")).add_to(np.zeros((2, 4)))
         np.testing.assert_array_equal(a, b)
         assert (a != 0.0).all()
 
@@ -143,9 +160,9 @@ class TestPartyNoiseColumns:
     def test_chunks_match_one_draw_per_party(self, part):
         n = _COL_CHUNK + 5
         values = RandomStream(40).generator().uniform(-1, 1, size=(n, 11))
-        priv = calibrate(0.5, 1e-5)
-        std = sensitivity_bound(part.d_max) * priv.sigma
-        noise = PartyNoise(part, priv, RandomStream(41))
+        sigma = calibrate(0.5, 1e-5)
+        std = sensitivity_bound(part.d_max) * sigma
+        noise = PartyNoise(part, sigma, RandomStream(41))
         released = np.concatenate([noise.add_to(chunk.copy()) for chunk in chunk_views(values)])
         expected = np.concatenate(
             [values[:, a:b] + noise_one_shot(n, b - a, std, RandomStream(41).child(j))

@@ -6,7 +6,7 @@ import pytest
 
 from mpdp.config import build_config
 from mpdp.data_model import partition_evenly
-from mpdp.dp_core import PrivacyParams, calibrate, sensitivity_bound
+from mpdp.dp_core import calibrate, sensitivity_bound
 from mpdp.evaluation import weight_distance
 from mpdp.kernels import rademacher_matrix, sketch_product
 from mpdp.linalg import SingularSystemError, normal_equations, solve_system
@@ -17,7 +17,7 @@ from mpdp.synthetic import gen_ground_truth
 
 from _oracles import gen_matrix, noise_one_shot, rmgm_oracle, trial_sketch
 
-ZERO_NOISE = PrivacyParams(epsilon=1.0, delta=1e-5, sigma=0.0)
+ZERO_NOISE = 0.0
 
 
 def small_instance(seed, n=100, d=3, m=2):
@@ -27,14 +27,14 @@ def small_instance(seed, n=100, d=3, m=2):
     return w_star, data, partition_evenly(d + 1, m)
 
 
-def release_at(data, part, priv, k, stream):
+def release_at(data, part, sigma, k, stream):
     """One release at k rows from a sketch of exactly k rows."""
-    return rmgm_release(trial_sketch(data, part, k, stream), len(data), part, priv, k, stream)
+    return rmgm_release(trial_sketch(data, part, k, stream), len(data), part, sigma, k, stream)
 
 
 class TestChooseK:
     def test_synthetic_scaling(self):
-        sigma = calibrate(1.0, 1e-5).sigma
+        sigma = calibrate(1.0, 1e-5)
         assert choose_k(10**6, sigma, mode="synthetic") == (206,)
 
     def test_clamped_to_one(self):
@@ -46,13 +46,15 @@ class TestChooseK:
         assert K_GRID == (100, 300, 1000, 3000, 10000)
 
     def test_rate_mode_includes_dimension_factors(self):
-        sigma = calibrate(1.0, 1e-5).sigma
+        sigma = calibrate(1.0, 1e-5)
         expected = max(1, round(math.sqrt(10**6 * 10) / (math.sqrt(2) * sigma)))
         assert choose_k(10**6, sigma, d=10, d_max=2, mode="rate") == (expected,)
 
     def test_zero_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            choose_k(100, 0.0, mode="synthetic")
+        # nan fails every comparison, and inf would round sqrt(n)/sigma to k = 1
+        for sigma in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                choose_k(100, sigma, mode="synthetic")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -97,12 +99,12 @@ class TestRelease:
         # mixing seed plus its own noise stream reproduces the joint
         # release bit for bit
         _, data, part = small_instance(9, n=64, d=6, m=3)  # blocks (3, 2, 2)
-        priv = calibrate(0.5, 1e-4)
+        sigma = calibrate(0.5, 1e-4)
         root = RandomStream(10)
         k = 6
-        release = release_at(data, part, priv, k, root)
+        release = release_at(data, part, sigma, k, root)
         mixing_seed = root.child("mixing").seed64()
-        std = sensitivity_bound(part.d_max) * priv.sigma
+        std = sensitivity_bound(part.d_max) * sigma
         for j, (a, b) in enumerate(part.blocks, start=1):
             block = np.ascontiguousarray(data[:, a:b])
             mixed = sketch_product(mixing_seed, block, k) / math.sqrt(k)
@@ -142,13 +144,13 @@ class TestSharedSketch:
         # one sketch at k_max serves every smaller k: the release equals
         # the one from a sketch of exactly k rows, for every k
         _, data, part = small_instance(21, n=300, d=5, m=3)
-        priv = calibrate(0.5, 1e-4)
+        sigma = calibrate(0.5, 1e-4)
         root = RandomStream(22)
         sketch = trial_sketch(data, part, 41, root)
         assert sketch.shape == (41, 6)
         for k in (1, 2, 3, 6, 7, 13, 40, 41):
-            shared = rmgm_release(sketch, len(data), part, priv, k, root.child("r", k))
-            alone = rmgm_release(trial_sketch(data, part, k, root), len(data), part, priv, k,
+            shared = rmgm_release(sketch, len(data), part, sigma, k, root.child("r", k))
+            alone = rmgm_release(trial_sketch(data, part, k, root), len(data), part, sigma, k,
                                  root.child("r", k))
             np.testing.assert_array_equal(shared, alone)
 
@@ -156,12 +158,12 @@ class TestSharedSketch:
         # party j sketches only its own block at k rows and adds its own
         # noise: that is its block of a release cut from a k_max sketch
         _, data, part = small_instance(23, n=70, d=6, m=3)  # blocks (3, 2, 2)
-        priv = calibrate(0.5, 1e-4)
+        sigma = calibrate(0.5, 1e-4)
         root = RandomStream(24)
         sketch = trial_sketch(data, part, 33, root)
-        std = sensitivity_bound(part.d_max) * priv.sigma
+        std = sensitivity_bound(part.d_max) * sigma
         for k in (2, 5, 33):
-            release = rmgm_release(sketch, len(data), part, priv, k, root.child("r", k))
+            release = rmgm_release(sketch, len(data), part, sigma, k, root.child("r", k))
             for j, (a, b) in enumerate(part.blocks, start=1):
                 block = np.ascontiguousarray(data[:, a:b])
                 mixed = sketch_product(root.child("mixing").seed64(), block, k) / math.sqrt(k)
@@ -233,8 +235,8 @@ class TestTrain:
 
     def test_matches_brute_force_oracle(self):
         _, data, part = small_instance(16, n=100, d=3)
-        priv = calibrate(1.0, 0.5)
-        release = release_at(data, part, priv, 20, RandomStream(17))
+        sigma = calibrate(1.0, 0.5)
+        release = release_at(data, part, sigma, 20, RandomStream(17))
         weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
         expected = rmgm_oracle(release, 1e-5)
         assert np.abs(weights - expected).max() < 1e-10
@@ -260,7 +262,7 @@ class TestConvergenceTendency:
         # noise-free path: k = round(sqrt(n)/sigma) grows with n, and the
         # compression error alone shrinks; 30 seeds at two sizes separate
         # cleanly
-        sigma = calibrate(1.0, 1e-5).sigma
+        sigma = calibrate(1.0, 1e-5)
         medians = []
         for n in (10**4, 9 * 10**4):
             distances = []
@@ -269,9 +271,8 @@ class TestConvergenceTendency:
                 w_star = gen_ground_truth(10, base.child("t"))
                 data = gen_matrix(n, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
-                priv = calibrate(1.0, 1e-5)
                 (k,) = choose_k(n, sigma, mode="synthetic")
-                release = release_at(data, part, priv, k, base.child("r"))
+                release = release_at(data, part, sigma, k, base.child("r"))
                 weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))
@@ -281,15 +282,15 @@ class TestConvergenceTendency:
         # fixed n = 1e5: shrinking the budget (growing sigma) never helps
         medians = []
         for eps in (1.0, 0.3, 0.1):
-            priv = calibrate(eps, 1e-5)
+            sigma = calibrate(eps, 1e-5)
             distances = []
             for seed in range(100):
                 base = RandomStream(70000 + seed)
                 w_star = gen_ground_truth(10, base.child("t"))
                 data = gen_matrix(10**5, w_star, base.child("d"))
                 part = partition_evenly(11, 6)
-                (k,) = choose_k(10**5, priv.sigma, mode="synthetic")
-                release = release_at(data, part, priv, k, base.child("r", int(eps * 10)))
+                (k,) = choose_k(10**5, sigma, mode="synthetic")
+                release = release_at(data, part, sigma, k, base.child("r", int(eps * 10)))
                 weights, _ = solve_system(rmgm_system(normal_equations(release), lam=1e-5))
                 distances.append(np.linalg.norm(weights - w_star))
             medians.append(np.median(distances))

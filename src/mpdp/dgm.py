@@ -32,7 +32,9 @@ import numpy as np
 from .data_model import BoundsCheck, PartyPartition
 from .dp_core import PartyNoise, noise_std
 from .kernels import chunk_views
-from .linalg import NormalEquationSum, NormalEquations, gram_product, gram_root, normal_system
+from .linalg import (
+    NormalEquationSum, NormalEquations, _strict_lower, gram_product, gram_root, normal_system,
+)
 from .streams import RandomStream
 
 __all__ = ["data_root", "dgm_release", "dgm_system", "sample_dgm_gram"]
@@ -93,7 +95,7 @@ def sample_dgm_gram(
     dof = stats.n - r
     if dof >= p:
         lower = np.diag(np.sqrt(gen.chisquare(dof - np.arange(p))))
-        lower[np.tril_indices(p, -1)] = gen.standard_normal(p * (p - 1) // 2)
+        lower[_strict_lower(p)] = gen.standard_normal(p * (p - 1) // 2)
         gram += gram_product(std * lower.T)
     elif dof > 0:
         gram += gram_product(std * gen.standard_normal((dof, p)))

@@ -17,6 +17,7 @@ import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -41,7 +42,7 @@ METHODS = ("ols", "dgm", "rmgm", "bgm")
 PATHOLOGY_THRESHOLD = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialReport:
     """The outcome of one seeded trial of one method."""
 
@@ -107,12 +108,15 @@ AGGREGATE_COLUMNS = tuple(f.name for f in fields(AggregateReport) if f.name != "
 
 
 def weight_distance(w_hat: np.ndarray, w_star: np.ndarray) -> float:
-    """Euclidean distance between two weight vectors of equal length."""
+    """Euclidean distance between two weight vectors of equal length:
+    the square root of the difference's dot with itself, as
+    ``np.linalg.norm`` computes it."""
     w_hat = np.asarray(w_hat, dtype=np.float64)
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_hat.shape != w_star.shape or w_hat.ndim != 1:
         raise ValueError(f"length mismatch: {w_hat.shape} vs {w_star.shape}")
-    return float(np.linalg.norm(w_hat - w_star))
+    diff = w_hat - w_star
+    return math.sqrt(diff.dot(diff))
 
 
 def tail_probability(distances, beta: float) -> float:
@@ -195,17 +199,15 @@ def aggregate(trials, betas) -> list[AggregateReport]:
     return out
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def csv_lines(header, rows) -> Iterator[str]:
-    """CSV text, each line formatted as it is read: the header, then the rows."""
-    return (",".join(map(_fmt, row)) + "\n" for row in chain((header,), rows))
+    """CSV text, each line formatted as it is read: the header, then the
+    rows.  A float (numpy's float64 too) is written with 17 significant
+    digits, None as an empty field and anything else by ``str``."""
+    return (
+        ",".join(["" if v is None else "%.17g" % v if isinstance(v, float) else str(v)
+                  for v in row]) + "\n"
+        for row in chain((header,), rows)
+    )
 
 
 def to_csv(header, rows) -> str:
@@ -215,7 +217,7 @@ def to_csv(header, rows) -> str:
 
 def trials_to_csv(trials) -> str:
     """Render trials as CSV text, one column per ``TrialReport`` field."""
-    return to_csv(TRIAL_COLUMNS, ([getattr(t, c) for c in TRIAL_COLUMNS] for t in trials))
+    return to_csv(TRIAL_COLUMNS, map(attrgetter(*TRIAL_COLUMNS), trials))
 
 
 def tail_prob_column(beta: float) -> str:

@@ -14,7 +14,9 @@ and it refuses numerically singular systems instead of returning garbage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +55,23 @@ def _block_rows(cols: int) -> int:
     return rows
 
 
+@lru_cache(maxsize=16)
+def _identity(p: int) -> np.ndarray:
+    """The p-by-p identity, one read-only array per size."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=16)
+def _strict_lower(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(p, -1)``, the strict lower triangle of a p-by-p
+    matrix in row-major order, as one read-only pair per size."""
+    rows, cols = np.tril_indices(p, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 class SingularSystemError(ArithmeticError):
     """The (regularized) system matrix is numerically singular."""
 
@@ -71,29 +90,33 @@ def solve_symmetric(
     Returns one outcome per system, in order: (x = V ((V' rhs) / e),
     min |e|), or the SingularSystemError of a system whose
     eigenvalue-based condition estimate exceeds COND_LIMIT or that has a
-    non-finite entry (its eigenvalues are then unknown: nan).  Each
-    system's outcome has the bits it has when solved alone, a stack of one.
+    non-finite entry (its eigenvalues are then unknown: nan).  The
+    back-substitution is two stacked products, each one gemv per system,
+    so each system's outcome has the bits it has when solved alone, a
+    stack of one.
     """
     matrices = np.array([matrix for matrix, _ in systems], dtype=np.float64)
     rhs = np.array([b for _, b in systems], dtype=np.float64)
     finite = np.isfinite(matrices).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
     # a non-finite matrix would fail the whole stack's eigh; it gets the identity
-    eigs, vecs = np.linalg.eigh(np.where(finite[:, None, None], matrices, np.eye(rhs.shape[1])))
+    matrices[~finite] = _identity(rhs.shape[1])
+    eigs, vecs = np.linalg.eigh(matrices)
     abs_eigs = np.abs(eigs)
+    with np.errstate(all="ignore"):  # a singular system's x is dropped below
+        xs = np.matmul(vecs, np.matmul(vecs.transpose(0, 2, 1), rhs[:, :, None]) / eigs[:, :, None])
     outcomes = []
-    for ok, e, v, b, lo, hi in zip(finite, eigs, vecs, rhs, abs_eigs.min(axis=1),
-                                   abs_eigs.max(axis=1)):
+    for ok, x, lo, hi in zip(finite.tolist(), xs[:, :, 0], abs_eigs.min(axis=1).tolist(),
+                             abs_eigs.max(axis=1).tolist()):
         if not ok:
             outcomes.append(SingularSystemError("system has a non-finite entry", min_abs_eig=np.nan))
             continue
-        lo, hi = float(lo), float(hi)
-        cond = np.inf if lo == 0.0 else hi / lo
-        if not np.isfinite(cond) or cond > COND_LIMIT:
+        cond = math.inf if lo == 0.0 else hi / lo
+        if not cond <= COND_LIMIT:  # nan too
             outcomes.append(SingularSystemError(
                 f"system is numerically singular (condition estimate {cond:.3g})", min_abs_eig=lo
             ))
         else:
-            outcomes.append((v @ ((v.T @ b) / e), lo))
+            outcomes.append((x, lo))
     return outcomes
 
 
@@ -129,7 +152,7 @@ def gram_product(x: np.ndarray) -> np.ndarray:
             for b in range(a, cols, _PANEL):
                 panel = rows[:, a : a + _PANEL].T @ rows[:, b : b + _PANEL]
                 out[a : a + _PANEL, b : b + _PANEL] += panel
-    lower = np.tril_indices(cols, -1)
+    lower = _strict_lower(cols)
     out[lower] = out.T[lower]
     return out
 
@@ -148,13 +171,15 @@ def gram_root(gram: np.ndarray, max_rows: int) -> np.ndarray:
     bits under two OpenBLAS threads at most p tried from 145 on.
     """
     rest = np.array(gram, dtype=np.float64)
-    tol = rest.shape[0] * np.finfo(np.float64).eps * rest.diagonal().max(initial=0.0)
+    diagonal = rest.diagonal()  # a view: it follows the updates of rest
+    tol = rest.shape[0] * np.finfo(np.float64).eps * diagonal.max(initial=0.0)
     rows = []
     while len(rows) < max_rows:
-        k = int(rest.diagonal().argmax())
-        if not rest[k, k] > tol:
+        k = int(diagonal.argmax())
+        pivot = float(diagonal[k])
+        if not pivot > tol:
             break
-        row = rest[k] / np.sqrt(rest[k, k])
+        row = rest[k] / math.sqrt(pivot)
         rest -= np.multiply.outer(row, row)
         rest[k, :] = rest[:, k] = 0.0
         rows.append(row)
@@ -239,7 +264,7 @@ def normal_system(
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    eye = np.eye(eqs.gram.shape[0])
+    eye = _identity(eqs.gram.shape[0])
     hessian = eqs.gram / scale - shift * eye
     return hessian + lam * eye, eqs.xty / scale
 

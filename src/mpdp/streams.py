@@ -61,7 +61,7 @@ def _words(value: int) -> list[int]:
     return words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomStream:
     """An immutable handle on one derived random stream.
 
@@ -79,7 +79,7 @@ class RandomStream:
 
     def child(self, *tags: int | str) -> "RandomStream":
         """Derive a sub-stream; tags extend the derivation path."""
-        return RandomStream(self.entropy, self.path + tuple(_tag_to_int(t) for t in tags))
+        return RandomStream(self.entropy, (*self.path, *map(_tag_to_int, tags)))
 
     def _seed_sequence(self) -> np.random.SeedSequence:
         """``SeedSequence(entropy, spawn_key=path)``'s pool, from its

@@ -1,11 +1,12 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-Criteria 3-5 share one desk-scale sweep (n up to 3e5, 200 seeds) driven
-through the public runner; it takes a few minutes on a laptop.  The
-real-data spot check (criterion 7) runs only when the user has fetched
-the insurance dataset (set MPDP_INSURANCE_CSV or place it at
-data/insurance.csv); CI falls back to the bundled 100-row fixture.
+Criteria 3-5, and the check of RMGM's predicted rate and constant that
+sharpens criterion 3, share one desk-scale sweep (n up to 3e5, 200
+seeds) driven through the public runner; it takes a few minutes on a
+laptop.  The real-data spot check (criterion 7) runs only when the user
+has fetched the insurance dataset (set MPDP_INSURANCE_CSV or place it
+at data/insurance.csv); CI falls back to the bundled 100-row fixture.
 """
 
 import math
@@ -157,6 +158,65 @@ def test_criterion_3_rmgm_convergence(sweep):
         f"mean@3e5 {means[300_000]:.4f} vs 0.5*mean@1e4 {0.5 * means[10_000]:.4f}"
     )
     report(3, tolerable and halved, detail)
+
+
+def test_rmgm_rate_and_constant_match_the_prediction(sweep):
+    """RMGM's distance falls as n^(-1/2), with the constant its noise
+    level predicts.
+
+    Prediction.  The features are U(-1, 1), so X'X ~ (n/3) I, and the
+    labels are noiseless, y = X w*.  The release of [X | y] is
+    Z = B D / sqrt(k) + R, k = round(sqrt(n) / sigma) rows, R i.i.d.
+    N(0, s^2) with s = 2 sqrt(d_max) sigma and sigma = sqrt(2 ln(1.25 /
+    delta)) / eps, the paper's formula (not ``calibrate``, which a wrong
+    constant would move on both sides).  Given X, the k rows of the
+    features Z_x are independent, about N(0, (c + s^2) I) with
+    c = n / (3k), and z_y = Z_x beta + r: plain least squares on k rows,
+    with beta = w* c / (c + s^2) and a residual of variance
+    v = s^2 (1 + |w*|^2 c / (c + s^2)).  So
+
+        E|w_hat - w*|^2 = v d / ((k - d - 1)(c + s^2)) + |w* - beta|^2.
+
+    Its leading term is 3 d s^2 / n: the RMS distance is about
+    sqrt(3d) s / sqrt(n), and the slope in n is -1/2.  Relative to that
+    constant, the next order is a factor f^2 = (k / (k - d - 1)) /
+    (1 + s^2 / c) (the k s^2 term and the finite k), and the neglected
+    terms only add: v / s^2 is at most 1 + 1/d (|w*|^2 <= 1/d) and the
+    shrinkage bias |w* - beta|^2 is at most (s^2 / (c + s^2))^2 / d.
+
+    Bands.  The RMS ratio at each n lies in [f, sqrt(f^2 (1 + 1/d) +
+    bias)], widened by four standard errors of the 200-seed mean square
+    (each about 2%).  On this grid f moves within about 0.92-0.98 and the
+    upper end stays below 1.1, so the fitted log-log slope of the RMS
+    may leave -1/2 by ln(1.2)/ln(30) < 0.06, plus four standard errors
+    of the slope (about 0.01 each): the band is -1/2 +- 0.1.  A release
+    noised at 1/sqrt(2) of the calibrated level reads about 0.7; one
+    without the 1/sqrt(k) scale reads 0.1-0.3, with a slope near -0.8.
+    """
+    d, d_max, eps, delta = 10, 2, 1.0, 1e-5
+    sigma = math.sqrt(2 * math.log(1.25 / delta)) / eps
+    s = 2 * math.sqrt(d_max) * sigma
+    rms, checks = [], []
+    for n in SWEEP_N_GRID:
+        dist = np.array([t.distance for t in by_method(sweep, "rmgm", n)])
+        assert dist.size == 200 and np.isfinite(dist).all()
+        k = max(1, round(math.sqrt(n) / sigma))
+        c = n / (3 * k)
+        leading = 3 * d * s**2 / n
+        f2 = k / (k - d - 1) / (1 + s**2 / c)
+        bias = (s**2 / (c + s**2)) ** 2 / d / leading
+        mean_square = float(np.mean(dist**2))
+        se = float(np.std(dist**2, ddof=1)) / math.sqrt(dist.size) / mean_square / 2
+        lo = math.sqrt(f2) * (1 - 4 * se)
+        hi = math.sqrt(f2 * (1 + 1 / d) + bias) * (1 + 4 * se)
+        ratio = math.sqrt(mean_square / leading)
+        rms.append(math.sqrt(mean_square))
+        checks.append((lo <= ratio <= hi, f"{ratio:.3f} in [{lo:.3f}, {hi:.3f}]"))
+    slope = float(np.polyfit(np.log(SWEEP_N_GRID), np.log(rms), 1)[0])
+    passed = abs(slope + 0.5) <= 0.1 and all(ok for ok, _ in checks)
+    print(f"\n[rmgm rate] {'PASS' if passed else 'FAIL'}: slope {slope:.3f} (band -0.5 +- 0.1), "
+          f"RMS / (sqrt(3d) s / sqrt(n)) {', '.join(text for _, text in checks)}")
+    assert passed, f"slope {slope:.3f}, ratios {[text for _, text in checks]}"
 
 
 def test_criterion_4_bgm_non_convergence(sweep):

@@ -161,6 +161,22 @@ class TestCsvRendering:
         cells = dict(zip(header.split(","), row.split(",")))
         assert float(cells["distance"]) == 1 / 3
 
+    def test_csv_line_bytes_are_pinned(self):
+        # every kind of value a row can hold, and the bytes it is written
+        # as: a float, numpy's float64 included, has 17 significant digits
+        # (np.float64(0.1) by str would be "0.1"), None is an empty field
+        rows = [
+            (None, 7, "rmgm", 0.1, np.float64(0.1)),
+            (-0.0, math.nan, math.inf, -math.inf),
+            (5e-324, 1e308, np.float64(1) / 3, -2),
+        ]
+        assert list(evaluation.csv_lines(("a", "b", "c", "d", "e"), rows)) == [
+            "a,b,c,d,e\n",
+            ",7,rmgm,0.10000000000000001,0.10000000000000001\n",
+            "-0,nan,inf,-inf\n",
+            "4.9406564584124654e-324,1e+308,0.33333333333333331,-2\n",
+        ]
+
     def test_trial_report_validation(self):
         with pytest.raises(ValueError):
             trial(method="nope")

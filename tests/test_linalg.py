@@ -254,7 +254,7 @@ class TestStackedSolve:
             return "singular", lo
         return vecs @ ((vecs.T @ rhs) / eigs), lo
 
-    @pytest.mark.parametrize("p", [2, 11, 41, 96])
+    @pytest.mark.parametrize("p", [2, 11, 41, 96, 151, 201])
     def test_stack_equals_per_system_solves(self, p):
         rng = np.random.default_rng(p)
         systems = []

@@ -1,10 +1,11 @@
 """Experiment orchestration: wiring generation, release, training and
 metrics into the synthetic and real-data protocols.
 
-Every trial is a pure function of (config, root seed): the random state
-for trial t is derived as root.child(protocol, t) and split further into
-named sub-streams, so trials can run on any number of workers in any
-order and still produce identical output files.
+A task, an (n, seed) pair or a real-data seed, is one call of a
+module-level function whose record depends only on (config, task): its
+random state is derived from the root seed as child(protocol, seed) and
+split further into named sub-streams, so tasks can run on any number of
+workers in any order and still produce identical output files.
 """
 
 from __future__ import annotations
@@ -67,10 +68,12 @@ __all__ = [
 NUMERICS_VERSION = 7
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
-# setup.  Up to d = 144 trials.csv does not depend on them:
-# tests/test_cli.py and tests/test_kernels.py check it under one and two
-# OpenBLAS threads, the solves at d = 120 and 200.  From d = 145 on,
-# the solve's eigendecomposition (LAPACK) may round differently.
+# setup.  Up to d = 144 trials.csv does not depend on them.  Under one and
+# two OpenBLAS threads, tests/test_linalg.py compares the solve at d = 10,
+# 40, 96 and 200 (an LU solve changed bits at 120 and 200), and
+# tests/test_cli.py and tests/test_kernels.py compare trials.csv at d = 120
+# and 200, wider than one 64-column Gram panel.  From d = 145 on, the
+# solve's eigendecomposition (LAPACK) may round differently.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The files each command writes under its output directory, in writing order.
@@ -88,26 +91,23 @@ class RunOutput:
     meta: dict
 
 
-def _run_tasks(tasks, worker, workers: int):
-    """Run ``worker`` on every task, on ``workers`` threads; return the
-    trials in ``trial_order`` and each task's (n, seed, wall seconds)."""
-    def timed(task):
-        start = time.perf_counter()
-        reports = worker(task)
-        return reports, time.perf_counter() - start
-
-    if workers <= 1:
-        results = list(map(timed, tasks))
+def _sweep(cfg: RunConfig, protocol: str, trial, tasks, started: float) -> RunOutput:
+    """Run ``trial(cfg, *task)`` for every task on ``cfg.workers`` threads;
+    its records (n, seed, reports, seconds) give the run's trials in
+    ``trial_order`` and its timings in task order."""
+    if cfg.workers <= 1:
+        records = [trial(cfg, *task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(timed, tasks))
-    trials = sorted((t for reports, _ in results for t in reports), key=trial_order)
-    timings = tuple((reports[0].n, reports[0].seed, seconds) for reports, seconds in results)
-    return tuple(trials), timings
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(trial, cfg, *task) for task in tasks]
+            records = [future.result() for future in futures]
+    trials = sorted((t for _, _, reports, _ in records for t in reports), key=trial_order)
+    timings = tuple((n, seed, seconds) for n, seed, _, seconds in records)
+    return RunOutput(tuple(trials), timings, _base_meta(cfg, protocol, started))
 
 
 def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition: PartyPartition,
-                   seed: int, measure) -> list[TrialReport]:
+                   seed: int, metric: str, reference: np.ndarray) -> list[TrialReport]:
     """Run every configured method once against the n rows that
     ``chunks`` yields in ``chunk_views`` chunks, in one pass: each chunk
     goes to the bounds check, the data's normal equations and the RMGM
@@ -118,8 +118,8 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     (``ols_system`` for ols and bgm, ``dgm_system``, ``rmgm_system``), and
     all of them are solved as one stack (``solve_symmetric``); under
     ``cfg.strict`` the first singular one in row order raises.
-    ``measure(weights)`` maps a weight vector to the trial's metric field
-    (a dict with either ``distance`` or ``test_mse``).  All methods see
+    ``metric`` is the metric field, ``distance`` to the ground truth or
+    ``test_mse`` on the held-out rows (``reference``).  All methods see
     the same data; dgm and bgm share one release per epsilon, and every
     rmgm release mixes with the same B, so their comparisons are paired.
     """
@@ -154,6 +154,7 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
                 rows.append(("rmgm", eps, k, rmgm_system(normal_equations(release), lam=cfg.lam)))
 
     outcomes = solve_symmetric([system for _, _, _, system in rows])
+    score = weight_distance if metric == "distance" else test_mse
     reports = []
     for (method, eps, k, _), outcome in zip(rows, outcomes):
         if isinstance(outcome, SingularSystemError):
@@ -162,7 +163,7 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
             fields = dict(status="singular", min_abs_eig=outcome.min_abs_eig)
         else:
             weights, min_eig = outcome
-            fields = dict(measure(weights), min_abs_eig=min_eig)
+            fields = {metric: score(weights, reference), "min_abs_eig": min_eig}
         reports.append(TrialReport(
             method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
             delta=None if eps is None else cfg.delta, k=k, **fields,
@@ -170,35 +171,36 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     return reports
 
 
-def _synthetic_trial(cfg: RunConfig, root: RandomStream, n: int, seed: int):
-    base = root.child("synthetic", seed)
+def _synthetic_trial(cfg: RunConfig, n: int, seed: int):
+    """One (n, seed) task of the synthetic protocol; returns its record
+    (n, seed, reports, wall seconds)."""
+    started = time.perf_counter()
+    base = RandomStream(cfg.root_seed).child("synthetic", seed)
     w_star = gen_ground_truth(cfg.d, base.child("truth"))
     chunks = gen_chunks(n, w_star, base.child("data"))
-    return _trial_methods(cfg, base, chunks, n, partition_evenly(cfg.d + 1, cfg.m), seed,
-                          measure=lambda weights: {"distance": weight_distance(weights, w_star)})
+    reports = _trial_methods(cfg, base, chunks, n, partition_evenly(cfg.d + 1, cfg.m), seed,
+                             "distance", w_star)
+    return n, seed, reports, time.perf_counter() - started
 
 
 def run_synthetic(cfg: RunConfig) -> RunOutput:
     """The convergence protocol: a (method, n, epsilon, seed) sweep on
     generated data, measuring weight-space distance to the ground truth."""
-    started = time.perf_counter()
-    root = RandomStream(cfg.root_seed)
     tasks = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
-    trials, timings = _run_tasks(
-        tasks, lambda task: _synthetic_trial(cfg, root, task[0], task[1]), cfg.workers
-    )
-    return RunOutput(trials=trials, timings=timings, meta=_base_meta(cfg, "synthetic", started))
+    return _sweep(cfg, "synthetic", _synthetic_trial, tasks, time.perf_counter())
 
 
-def _real_trial(cfg: RunConfig, root: RandomStream, data: np.ndarray, seed: int):
+def _real_trial(cfg: RunConfig, data: np.ndarray, seed: int):
     """One seed of the real-data protocol: split 4:1, normalize to [0, 1]
     with train statistics, release the training matrix, score on the
-    held-out rows."""
-    base = root.child("real", seed)
+    held-out rows.  Returns the record (training rows, seed, reports, seconds)."""
+    started = time.perf_counter()
+    base = RandomStream(cfg.root_seed).child("real", seed)
     train, test = split_normalized(data, base.child("split"))
-    return _trial_methods(cfg, base, chunk_views(train), train.shape[0],
-                          partition_evenly(data.shape[1], cfg.m), seed,
-                          measure=lambda weights: {"test_mse": test_mse(weights, test)})
+    n = train.shape[0]
+    reports = _trial_methods(cfg, base, chunk_views(train), n,
+                             partition_evenly(data.shape[1], cfg.m), seed, "test_mse", test)
+    return n, seed, reports, time.perf_counter() - started
 
 
 def run_real(cfg: RunConfig) -> RunOutput:
@@ -214,16 +216,13 @@ def run_real(cfg: RunConfig) -> RunOutput:
         raise ConfigError(
             f"cannot split the {cols} columns of {cfg.csv_path} among m={cfg.m} parties"
         )
-    root = RandomStream(cfg.root_seed)
-    trials, timings = _run_tasks(
-        range(cfg.seeds), lambda seed: _real_trial(cfg, root, data, seed), cfg.workers
-    )
-    meta = _base_meta(cfg, "real", started)
-    meta["dataset_rows_total"] = n
-    meta["dataset_rows_train"] = trials[0].n  # split_normalized's training rows
-    meta["dataset_features"] = cols - 1
-    meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
-    return RunOutput(trials=trials, timings=timings, meta=meta)
+    output = _sweep(cfg, "real", _real_trial, [(data, seed) for seed in range(cfg.seeds)],
+                    started)
+    output.meta["dataset_rows_total"] = n
+    output.meta["dataset_rows_train"] = output.trials[0].n  # split_normalized's training rows
+    output.meta["dataset_features"] = cols - 1
+    output.meta["k_selection_metric"] = "test_mse (optimistic: no separate validation split)"
+    return output
 
 
 def export_synthetic(cfg: RunConfig) -> dict[str, str]:

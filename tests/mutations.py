@@ -27,7 +27,7 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Every mutation below but the last also changes the golden digests
+# Every mutation below but the twelfth also changes the golden digests
 # (tests/test_golden.py).  They are left out of the expected tests: a
 # change that re-pins them would hide the mutation, so each entry names
 # the tests that check the behaviour itself.  Where those are only
@@ -141,6 +141,24 @@ MUTATIONS = (
         ("tests/test_evaluation.py::TestCsvRendering::test_csv_line_bytes_are_pinned",),
         "numpy's float64 written by str, not with 17 significant digits; no run's "
         "CSV holds a float64 today, so the golden digests do not move",
+    ),
+    (
+        "runner.py",
+        '    base = RandomStream(cfg.root_seed).child("synthetic", seed)',
+        '    _synthetic_trial.__dict__.setdefault("calls", []).append(seed)\n'
+        '    base = RandomStream(cfg.root_seed).child("synthetic", len(_synthetic_trial.calls))',
+        ("tests/test_cli.py::TestTaskIsOneCall::test_synthetic_task_alone",),
+        "a synthetic task's stream indexed by a call count that every task in the "
+        "process shares, not by its seed",
+    ),
+    (
+        "runner.py",
+        '    train, test = split_normalized(data, base.child("split"))',
+        '    base.child("split").generator().shuffle(data)\n'
+        '    train, test = split_normalized(data, base.child("split"))',
+        ("tests/test_cli.py::TestTaskIsOneCall::test_real_task_alone",),
+        "a real task shuffling the CSV rows that every task shares in place before "
+        "its split, so a seed's split depends on the seeds run before it",
     ),
 )
 

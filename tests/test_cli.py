@@ -11,7 +11,8 @@ import mpdp
 from mpdp.cli import config_from_argv, main
 from mpdp.config import ConfigError, build_config, parse_config_file
 from mpdp.data_model import load_csv
-from mpdp.runner import run_real, run_synthetic, write_outputs
+from mpdp.evaluation import trial_order, trials_to_csv
+from mpdp.runner import _real_trial, _synthetic_trial, run_real, run_synthetic, write_outputs
 from mpdp.streams import RandomStream
 from mpdp.synthetic import gen_chunks, gen_ground_truth
 
@@ -192,6 +193,15 @@ class TestConfig:
         assert cfg.k_mode == "rate"
 
 
+# (args, tasks in task order) of small runs of both protocols
+TIMED_RUNS = [
+    (["synthetic", "--n-grid", "300,200", "--seeds", "3"],
+     [(n, seed) for n in (300, 200) for seed in range(3)]),
+    (["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
+      "--seeds", "3"], [(80, seed) for seed in range(3)]),  # 80 training rows
+]
+
+
 class TestSyntheticCommand:
     def test_minimal_run_row_counts(self, tmp_path):
         out = tmp_path / "res"
@@ -246,22 +256,21 @@ class TestSyntheticCommand:
         assert main(base + ["--out", str(tmp_path / "wn"), "--workers", str(workers)]) == 0
         assert read(tmp_path / "w1" / "trials.csv") == read(tmp_path / "wn" / "trials.csv")
 
-    @pytest.mark.parametrize("args, tasks", [
-        (["synthetic", "--n-grid", "300,200", "--seeds", "3"],
-         [(n, seed) for n in (300, 200) for seed in range(3)]),
-        (["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
-          "--seeds", "3"], [(80, seed) for seed in range(3)]),  # 80 training rows
-    ], ids=["synthetic", "real"])
-    def test_timings_have_one_row_per_task_in_task_order(self, tmp_path, args, tasks):
+    @pytest.mark.parametrize("args, tasks, workers", [
+        (args, tasks, workers) for workers in (1, 2) for args, tasks in TIMED_RUNS
+    ], ids=["synthetic", "real", "synthetic-2-workers", "real-2-workers"])
+    def test_timings_have_one_row_per_task_in_task_order(self, tmp_path, args, tasks, workers):
         out = tmp_path / "res"
-        assert main(args + ["--eps-grid", "1.0", "--workers", "1", "--out", str(out)]) == 0
+        argv = args + ["--eps-grid", "1.0", "--workers", str(workers), "--out", str(out)]
+        assert main(argv) == 0
         header, *rows = (out / "timings.csv").read_text().strip().split("\n")
         assert header == "n,seed,wall_time"
         cells = [row.split(",") for row in rows]
         assert [(int(n), int(seed)) for n, seed, _ in cells] == tasks
-        meta = dict(line.split(" = ", 1) for line in (out / "run_meta").read_text().splitlines())
-        # the tasks ran one after another inside the run; wall_s is rounded to 3 decimals
-        assert sum(float(seconds) for _, _, seconds in cells) <= float(meta["wall_s"]) + 5e-4
+        if workers == 1:
+            meta = dict(line.split(" = ", 1) for line in (out / "run_meta").read_text().splitlines())
+            # the tasks ran one after another inside the run; wall_s is rounded to 3 decimals
+            assert sum(float(seconds) for _, _, seconds in cells) <= float(meta["wall_s"]) + 5e-4
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -303,6 +312,45 @@ class TestSyntheticCommand:
         assert "scipy_version" not in meta
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             assert meta[var] == os.environ.get(var, "unset")
+
+
+class TestTaskIsOneCall:
+    """A task's record depends only on (config, task): one task run alone
+    renders the same trials.csv rows, byte for byte, as in the whole sweep."""
+
+    @staticmethod
+    def sweep_rows(argv, n, seed):
+        """Run ``argv``; return its config and task (n, seed)'s trials.csv rows."""
+        assert main(argv) == 0
+        _, cfg = config_from_argv(argv)
+        header, *rows = (read(os.path.join(cfg.out_dir, "trials.csv")).decode()
+                         .splitlines(keepends=True))
+        at_n, at_seed = (header.rstrip("\n").split(",").index(name) for name in ("n", "seed"))
+        task_rows = [row for row in rows
+                     if (row.split(",")[at_n], row.split(",")[at_seed]) == (str(n), str(seed))]
+        assert task_rows and len(task_rows) < len(rows)
+        return cfg, task_rows
+
+    @staticmethod
+    def alone_rows(record):
+        _, _, reports, _ = record
+        return trials_to_csv(sorted(reports, key=trial_order)).splitlines(keepends=True)[1:]
+
+    def test_synthetic_task_alone(self, tmp_path):
+        argv = ["synthetic", "--n-grid", "300,200", "--seeds", "3", "--eps-grid", "1.0",
+                "--workers", "2", "--out", str(tmp_path)]
+        cfg, rows = self.sweep_rows(argv, 200, 1)  # the fifth of six tasks
+        record = _synthetic_trial(cfg, 200, 1)
+        assert record[:2] == (200, 1)
+        assert self.alone_rows(record) == rows
+
+    def test_real_task_alone(self, tmp_path):
+        argv = ["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
+                "--seeds", "3", "--eps-grid", "1.0", "--out", str(tmp_path)]
+        cfg, rows = self.sweep_rows(argv, 80, 1)  # 80 training rows; the second of three seeds
+        record = _real_trial(cfg, load_csv(cfg.csv_path, label_column=cfg.label_column), 1)
+        assert record[:2] == (80, 1)
+        assert self.alone_rows(record) == rows
 
 
 def test_package_does_not_import_scipy():
@@ -619,6 +667,14 @@ def no_trials(monkeypatch):
 
     for name in ("_synthetic_trial", "_real_trial", "gen_chunks"):
         monkeypatch.setattr(runner_module, name, no_trial)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+def test_no_trials_stops_a_run_with_a_valid_out(tmp_path, no_trials, command):
+    # the "before any trial" tests below prove something only if a run
+    # that passes every check does reach a patched trial
+    with pytest.raises(AssertionError, match="a trial ran"):
+        main(command + ["--out", str(tmp_path / "res")])
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])

@@ -291,11 +291,10 @@ class TestTrialDraws:
         # stream draws Z (10 x 11: the labels are X w*, so [X | y] has
         # rank 10), 11 chi-squares and L's 55 normals, where adding the
         # noise to the rows drew 70 001 x 11
-        cfg = build_config({}, dict(eps_grid=(1.0, 0.3, 0.1), seeds=1))
-        root = RandomStream(10)
-        reports = _synthetic_trial(cfg, root, 70_001, 0)
+        cfg = build_config({}, dict(eps_grid=(1.0, 0.3, 0.1), seeds=1, root_seed=10))
+        _, _, reports, _ = _synthetic_trial(cfg, 70_001, 0)
         assert sum(r.method in ("dgm", "bgm") for r in reports) == 6
-        base = root.child("synthetic", 0)
+        base = RandomStream(10).child("synthetic", 0)
         for i in range(3):
             prefix = base.child("dgm", i).path
             drawn = sum(e for path, _, e in draws if path[: len(prefix)] == prefix)

@@ -60,8 +60,9 @@ class TestTrialMemory:
     def test_whole_synthetic_trial_peak_under_8_mib(self):
         # three eps, four methods: the data alone would be 84 MiB; the
         # trial holds one 16 384-row chunk (1.4 MiB) and its temporaries
-        cfg = build_config({}, dict(methods=METHODS, eps_grid=(1.0, 0.3, 0.1), seeds=1))
-        reports, peak = traced_peak(_synthetic_trial, cfg, RandomStream(43), N, 0)
+        cfg = build_config({}, dict(methods=METHODS, eps_grid=(1.0, 0.3, 0.1), seeds=1,
+                                    root_seed=43))
+        (_, _, reports, _), peak = traced_peak(_synthetic_trial, cfg, N, 0)
         assert len(reports) == 1 + 3 * 3
         assert all(r.n == N and r.status == "ok" for r in reports)
         assert peak < 8 * 2**20

@@ -122,8 +122,9 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 def _path(text: str) -> str:
-    if not text or "\0" in text:
-        raise ValueError("a path must be non-empty and hold no NUL character")
+    # run_meta echoes a path on one "key = value" line
+    if not text or any(c in text for c in "\0\n\r"):
+        raise ValueError("a path must be non-empty and hold no NUL, LF or CR character")
     return text
 
 

@@ -56,8 +56,10 @@ _COL_CHUNK = _TILE_BYTES // (8 * _MIN_ROWS)
 # fresh 1 MiB tile per tile is re-faulted by the allocator, and a buffer
 # kept for the sketch's life is resident while the trial's other
 # consumers run (1.3 MiB more peak RSS on the desk grid with two workers).
-# The tiles and their matvecs do not depend on the band, so neither do
-# the bits.
+# The (c, chunk) transpose buffer is kept across pushes, and the push that
+# completes the n rows frees it, so neither buffer is resident during the
+# trial's releases and solve.  The tiles and their matvecs do not depend
+# on the band, so neither do the bits.
 _BAND_WORDS = 1 << 14
 
 # The tile buffer and the transposed chunk start on a cache line.  From
@@ -149,8 +151,9 @@ class SketchSum:
     column chunks (``chunk_views``) pushed in order, none of them kept.
     The k-by-c result is bit for bit the first k rows of that for any
     larger k.  B is never materialised: the working memory is the result,
-    one band of sign words (about 128 KiB), one float64 tile (at most
-    1 MiB) and one (c, chunk) transpose buffer."""
+    one (c, chunk) transpose buffer that the push completing the n rows
+    frees, and within each push one band of sign words (about 128 KiB)
+    and one float64 tile (at most 1 MiB)."""
 
     def __init__(self, seed: int, n: int, cols: int, k: int):
         if k < 1:
@@ -161,7 +164,8 @@ class SketchSum:
         per_band = max(1, _BAND_WORDS // (tiles[0][1] * -(-width // 64)))
         self._bands = [tiles[t : t + per_band] for t in range(0, len(tiles), per_band)]
         self._out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
-        # reused: a fresh 1.4 MiB copy per chunk made glibc re-fault its heap
+        # reused until the last push: a fresh 1.4 MiB copy per chunk made
+        # glibc re-fault its heap
         self._transposed = _aligned_empty(cols * width).reshape(cols, width)
 
     def push(self, chunk: np.ndarray) -> None:
@@ -169,6 +173,8 @@ class SketchSum:
         width = i1 - i0
         if width != min(_COL_CHUNK, self.n - i0):
             raise ValueError(f"rows {i0}:{i1} are not a column chunk of {self.n} columns")
+        if width == 0:  # an empty chunk past the last one
+            return
         transposed = self._transposed[:, :width]
         transposed[...] = chunk.T  # each row, a matvec operand, is contiguous
         # i0 is a multiple of _COL_CHUNK, so the chunk starts on a word
@@ -186,10 +192,16 @@ class SketchSum:
                 # it (party blocks are sliced out and reconstructed bitwise).
                 # np.dot, not @: both run the same gemv with the same bits,
                 # but matmul holds the GIL through it, so --workers threads
-                # could not run their matvecs at the same time
+                # could not run their matvecs at the same time.  A stacked
+                # np.matmul(tile, columns[:, :, None]) holds it too: numpy's
+                # gufunc loop lets it go only past 500 outer iterations, and
+                # one tile has 11-13 columns (7-10% faster alone, but a
+                # two-worker desk sweep went from 244 to 282 ms)
                 for j, column in enumerate(transposed):
                     self._out[t0:t1, j] += np.dot(tile, column)
         self._i0 = i1
+        if i1 == self.n:  # the last chunk: the releases and solves run without the buffer
+            self._transposed = None
 
     def result(self) -> np.ndarray:
         return self._out[: self.k]

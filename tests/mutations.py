@@ -27,11 +27,11 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Every mutation below but the twelfth also changes the golden digests
-# (tests/test_golden.py).  They are left out of the expected tests: a
-# change that re-pins them would hide the mutation, so each entry names
-# the tests that check the behaviour itself.  Where those are only
-# pinned constants (reference values), the note says so.
+# Every mutation below but the twelfth and the fifteenth also changes
+# the golden digests (tests/test_golden.py).  They are left out of the
+# expected tests: a change that re-pins them would hide the mutation, so
+# each entry names the tests that check the behaviour itself.  Where
+# those are only pinned constants (reference values), the note says so.
 
 MUTATIONS = (
     (
@@ -43,6 +43,7 @@ MUTATIONS = (
             "tests/test_rmgm.py::TestSharedSketch",
             "tests/test_rmgm.py::TestSensitivity",
             "tests/test_acceptance.py::test_rmgm_rate_and_constant_match_the_prediction",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
         ),
         "RMGM release without the 1/sqrt(k) scale",
     ),
@@ -72,6 +73,7 @@ MUTATIONS = (
             "tests/test_dgm.py::TestSensitivity",
             "tests/test_rmgm.py::TestSensitivity",
             "tests/test_dgm.py::TestRelease::test_noise_variance_at_scale",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
         ),
         "sensitivity_bound halved",
     ),
@@ -84,6 +86,7 @@ MUTATIONS = (
             "tests/test_rmgm.py::TestChooseK::test_synthetic_scaling",
             "tests/test_acceptance.py::test_criterion_1_exact_formula_suite",
             "tests/test_acceptance.py::test_rmgm_rate_and_constant_match_the_prediction",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
         ),
         "calibrate without the 2 under the root (noise 1/sqrt(2) of what "
         "(epsilon, delta) needs)",
@@ -159,6 +162,59 @@ MUTATIONS = (
         ("tests/test_cli.py::TestTaskIsOneCall::test_real_task_alone",),
         "a real task shuffling the CSV rows that every task shares in place before "
         "its split, so a seed's split depends on the seeds run before it",
+    ),
+    (
+        "kernels.py",
+        "            self._transposed = None",
+        "            pass",
+        ("tests/test_kernels.py::TestWorkingMemory::test_only_the_result_outlives_the_last_push",),
+        "a sketch keeping its (c, chunk) transpose buffer after the push that completes "
+        "the n rows, resident through the trial's releases and solve; no bit moves",
+    ),
+    (
+        "runner.py",
+        'seed, "test_mse", test)',
+        'seed, "test_mse", train)',
+        ("tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",),
+        "a real trial scored on its training rows, not the held-out ones",
+    ),
+    (
+        "data_model.py",
+        "for values in (train, test):",
+        "for values in (train,):",
+        (
+            "tests/test_data_model.py::TestNormalize::test_affine_map_to_unit_interval",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
+        ),
+        "the held-out rows left unscaled (then clamped into [0, 1])",
+    ),
+    (
+        "data_model.py",
+        "np.subtract(values, lo, out=values)",
+        "np.subtract(values, 0.0, out=values)",
+        (
+            "tests/test_data_model.py::TestNormalize::test_scaling_uses_the_training_rows_alone",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
+        ),
+        "min-max scaling that divides by the span without first subtracting the minimum",
+    ),
+    (
+        "runner.py",
+        "partition_evenly(data.shape[1], cfg.m)",
+        "partition_evenly(data.shape[1], 2)",
+        ("tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",),
+        "a real trial splitting the columns between 2 parties whatever m is, so each "
+        "release is noised for wider blocks than the run reports",
+    ),
+    (
+        "data_model.py",
+        "test = data[np.sort(perm[n_train:])]",
+        "test = data[np.sort(perm[: n - n_train])]",
+        (
+            "tests/test_data_model.py::TestSplit::test_deterministic_and_disjoint",
+            "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
+        ),
+        "held-out rows drawn from the training rows",
     ),
 )
 

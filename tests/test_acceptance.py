@@ -9,6 +9,7 @@ has fetched the insurance dataset (set MPDP_INSURANCE_CSV or place it
 at data/insurance.csv); CI falls back to the bundled 100-row fixture.
 """
 
+import itertools
 import math
 import os
 import time
@@ -315,6 +316,111 @@ def test_criterion_7_real_data_spot_check():
         f"ols mse {ols_mse:.4f} (band [0.004, 0.02]), "
         f"best-k={best_k} rmgm mse {best_mse:.4f} (band [0.05, 0.12])",
     )
+
+
+# y = x . LINEAR_WEIGHTS + LINEAR_NOISE * r with binary features x and a
+# Rademacher sign r: see test_real_protocol_mse_against_the_noise_floor
+LINEAR_WEIGHTS = (3.0, -2.0, 1.5, -1.0)
+LINEAR_NOISE = 1.0
+
+
+def write_linear_csv(path, rows, seed):
+    """``rows`` rows of the linear model above, with the label in the
+    middle (so ingest moves it last) and a constant last column: a small
+    cousin of the benchmark's generated real-protocol CSV."""
+    rng = np.random.default_rng([seed, rows])
+    x = rng.integers(0, 2, size=(rows, len(LINEAR_WEIGHTS))).astype(np.float64)
+    y = x @ np.array(LINEAR_WEIGHTS) + LINEAR_NOISE * rng.choice((-1.0, 1.0), size=rows)
+    table = np.column_stack([x[:, :2], y, x[:, 2:], np.ones(rows)])
+    np.savetxt(path, table, fmt="%g", delimiter=",", header="x1,x2,label,x3,x4,one", comments="")
+
+
+def test_real_protocol_mse_against_the_noise_floor(tmp_path):
+    """OLS's held-out MSE sits just above the noise floor, and RMGM's
+    at each k sits where its noise level puts it: both from the model in
+    closed form, on 4000 and 16 000 training rows.
+
+    Floor.  The split scales each column to [0, 1] with its training
+    min and max.  The binary features map to themselves, the constant
+    column to 0.5 (an intercept), and the label to y' = (y - y_min) /
+    span with y_min = sum of the negative weights - tau and span =
+    sum |w| + 2 tau: each extreme of y has probability 1/32 per row, so
+    the training rows hold both (4000 of them miss one with probability
+    below 1e-54).  So y' = x' w' + e, linear in the scaled columns
+    x = (features, 0.5) with w' = (w, -2 y_min) / span, plus the noise
+    e = tau r / span, whose square is the floor f = tau^2 / span^2 on
+    every row.  A scaled row (x, y') takes 32 equally likely values,
+    whose second moments M are exact.
+
+    OLS.  On n training rows and p = 5 columns its held-out MSE is
+    f (1 + p / (n - p - 1)) in expectation, and its mean over S seeds
+    has a standard error of about f sqrt(4p / (n n_test) + 2p / n^2) /
+    sqrt(S) (the cross term with the test noise, and the spread of the
+    weight error).  The band is [f, expectation + 4 standard errors].
+    Its lower edge is the floor itself: scored on its own training rows,
+    OLS reads below f in every seed (the residual e'(I - H)e <= e'e),
+    while held out its mean over S = 40 seeds sits p / n, about 3.3
+    standard errors, above it.
+
+    RMGM.  A row of B D / sqrt(k) has mean 0 and covariance D'D / k,
+    about n M / k, so the k released rows are near N(0, A) with
+    A = n M / k + s^2 I, where s = 2 sqrt(d_max) sigma and sigma is the
+    paper's formula (not ``calibrate``): about 9.7 with six one-column
+    parties at epsilon = 1, delta = 1e-5.  Least squares over k such
+    rows estimates beta = A_xx^-1 A_xy with residual variance v = A_yy -
+    A_xy' beta and covariance C = v A_xx^-1 / (k - p - 1).  So with
+    mu = beta - w' (the shrinkage toward zero), the held-out MSE is
+    f + mu' M_xx mu + tr(M_xx C), with a per-seed variance of
+    2 tr((M_xx C)^2) + 4 mu' M_xx C M_xx mu.  The band at each k is that
+    mean +- 4 standard errors of the S-seed mean, widened by 5% for the
+    neglected terms (D'D against n M, mixed rows near Gaussian, not
+    Gaussian): over 200 seeds the means read 0.96-0.99 of it.  At
+    k = 30, 100 and 300 it is about 12, 16 and 22 f on 4000 rows, and
+    6, 8 and 13 f on 16 000.  The best-k MSE must also lie above OLS's
+    and fall when the rows grow 4x.
+    """
+    w, tau, p, seeds = np.array(LINEAR_WEIGHTS), LINEAR_NOISE, len(LINEAR_WEIGHTS) + 1, 40
+    y_min = w[w < 0].sum() - tau
+    span = np.abs(w).sum() + 2 * tau
+    floor = tau**2 / span**2
+    w_scaled = np.r_[w, -2 * y_min] / span
+    cells = np.array([np.r_[x, 0.5, (np.dot(x, w) - y_min + tau * r) / span]
+                      for x in itertools.product((0.0, 1.0), repeat=len(w)) for r in (-1.0, 1.0)])
+    moments = cells.T @ cells / len(cells)
+    m_xx = moments[:p, :p]
+    s = 2 * math.sqrt(2 * math.log(1.25 / 1e-5))  # d_max = 1, epsilon = 1
+    best, lines, ok = [], [], True
+    for rows in (5000, 20_000):
+        path = tmp_path / f"linear_{rows}.csv"
+        write_linear_csv(path, rows, seed=3)
+        cfg = build_config({}, dict(
+            methods=("ols", "rmgm"), eps_grid=(1.0,), delta=1e-5, m=6, seeds=seeds,
+            k_mode="grid", k_grid=(30, 100, 300), csv_path=str(path), label_column="label",
+            root_seed=2024,
+        ))
+        out = run_real(cfg)
+        n = out.trials[0].n
+        ols = np.array([t.test_mse for t in out.trials if t.method == "ols"])
+        se = floor * math.sqrt(4 * p / (n * (rows - n)) + 2 * p / n**2) / math.sqrt(seeds)
+        hi = floor * (1 + p / (n - p - 1)) + 4 * se
+        ok &= ols.size == seeds and floor <= ols.mean() <= hi
+        lines.append(f"{n} rows: ols {ols.mean() / floor:.4f} f in [1, {hi / floor:.4f}]")
+        for k in cfg.k_grid:
+            a = n / k * moments + s**2 * np.eye(p + 1)
+            beta = np.linalg.solve(a[:p, :p], a[:p, p])
+            cov = (a[p, p] - a[:p, p] @ beta) * np.linalg.inv(a[:p, :p]) / (k - p - 1)
+            mu, mc = beta - w_scaled, m_xx @ cov
+            mean = floor + mu @ m_xx @ mu + np.trace(mc)
+            se = math.sqrt(2 * np.trace(mc @ mc) + 4 * mu @ mc @ m_xx @ mu) / math.sqrt(seeds)
+            lo, hi = 0.95 * mean - 4 * se, 1.05 * mean + 4 * se
+            rmgm = np.mean([t.test_mse for t in out.trials if t.method == "rmgm" and t.k == k])
+            ok &= lo <= rmgm <= hi
+            lines.append(f"k={k} rmgm {rmgm / floor:.2f} f in [{lo / floor:.2f}, {hi / floor:.2f}]")
+        ((_, _, rmgm),) = best_k_rows(aggregate(out.trials, betas=(0.1,)))
+        ok &= rmgm > ols.mean()
+        best.append(rmgm)
+    ok &= best[1] < best[0]
+    report("real", ok, f"f = {floor:.5f}; " + "; ".join(lines))
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):

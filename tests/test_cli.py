@@ -763,18 +763,30 @@ BAD_PATHS = [
     *((command, "--out", "", "bad value for --out: ''") for command in COMMANDS),
     *((command, key, value, f":1: bad value for {key!r}") for command in COMMANDS[:2]
       for key, value in (("out_dir", "res\0x"), ("csv_path", "in\0.csv"))),
+    *((command, "--out", value, f"bad value for --out: {value!r}") for command in COMMANDS
+      for value in ("res\nx", "res\rx")),
+    (COMMANDS[1], "--csv", "in\n.csv", "bad value for --csv: 'in\\n.csv'"),
 ]
 
 
+def bad_path_id(case):
+    command, key, value, _ = case
+    line_break = "-LF" if "\n" in value else "-CR" if "\r" in value else ""
+    return f"{command[0]}-{key.lstrip('-')}{line_break}"
+
+
 @pytest.mark.parametrize("command, key, value, message", BAD_PATHS,
-                         ids=[f"{c[0]}-{k.lstrip('-')}" for c, k, _, _ in BAD_PATHS])
+                         ids=[bad_path_id(case) for case in BAD_PATHS])
 def test_empty_or_nul_path_exits_2_before_any_trial(
     tmp_path, capsys, no_trials, command, key, value, message
 ):
     # an empty --out used to pass the check and fail at os.makedirs("")
-    # after every trial; a NUL ended in a ValueError traceback
+    # after every trial; a NUL ended in a ValueError traceback; a line
+    # break in a flag's path wrote a broken run_meta line
     if key == "--out":
         args = [key, value]
+    elif key.startswith("--"):
+        args = [key, value, "--out", str(tmp_path / "res")]
     else:
         (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
         args = ["--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "res")]

@@ -292,3 +292,24 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_only_the_result_outlives_the_last_push(self):
+        # the (13, 16 000) transpose buffer, 1.6 MiB, is freed by the push
+        # that completes the rows, before a trial's releases and solve;
+        # what stays is the result and the tile list (about 45 KiB here)
+        n, c, k = 16_000, 13, 3000
+        data = np.random.default_rng(4).uniform(-1, 1, size=(n, c))
+        tracemalloc.start()
+        try:
+            sketch = kernels.SketchSum(6, n, c, k)
+            for chunk in kernels.chunk_views(data):
+                sketch.push(chunk)
+            held = tracemalloc.get_traced_memory()[0]
+            before = sketch.result().copy()
+            sketch.push(data[n:])  # an empty chunk after the last one is a no-op
+            with pytest.raises(ValueError, match="not a column chunk"):
+                sketch.push(data[:1])
+        finally:
+            tracemalloc.stop()
+        assert held < sketch.result().nbytes + 64 * 2**10
+        assert np.array_equal(sketch.result(), before)

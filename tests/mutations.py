@@ -27,11 +27,12 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Every mutation below but the twelfth and the fifteenth also changes
-# the golden digests (tests/test_golden.py).  They are left out of the
-# expected tests: a change that re-pins them would hide the mutation, so
-# each entry names the tests that check the behaviour itself.  Where
-# those are only pinned constants (reference values), the note says so.
+# Every mutation below but the twelfth, the fifteenth, the twenty-first
+# and the twenty-second also changes the golden digests
+# (tests/test_golden.py).  They are left out of the expected tests: a
+# change that re-pins them would hide the mutation, so each entry names
+# the tests that check the behaviour itself.  Where those are only
+# pinned constants (reference values), the note says so.
 
 MUTATIONS = (
     (
@@ -215,6 +216,23 @@ MUTATIONS = (
             "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
         ),
         "held-out rows drawn from the training rows",
+    ),
+    (
+        "data_model.py",
+        "values.shape != (rows, len(names))",
+        "values.shape[1] != len(names)",
+        ("tests/test_data_model.py::TestPlainReader",),
+        "numpy's reader kept at any row count, so an empty line that it skips and the csv "
+        "module reads as a 0-cell record is lost",
+    ),
+    (
+        "data_model.py",
+        "    limit = csv.field_size_limit()\n",
+        "    limit = 1 << 62\n",
+        ("tests/test_data_model.py::TestPlainReader::"
+         "test_numpy_reader_matches_the_csv_module_reader",),
+        "a plain-file scan without its long-line check, so numpy's reader takes a cell "
+        "longer than csv.field_size_limit(), which the csv-module reader rejects",
     ),
 )
 

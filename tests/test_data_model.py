@@ -1,9 +1,13 @@
+import csv
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import mpdp.data_model
 from mpdp.data_model import (
     BoundsCheck,
     DataFormatError,
@@ -277,3 +281,119 @@ class TestCsvLabelNotLast:
     def test_fixture_values_match_a_list_of_floats(self, label):
         path = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.csv")
         np.testing.assert_array_equal(load_csv(path, label), csv_values(path, label))
+
+
+# cells both readers take, then cells only float() takes, quoted cells and
+# cells neither takes; "nan" and the overflows pass both parsers and fail
+# the shared finiteness check
+PLAIN_CELLS = ("0", "1", "-2.5", "0.125", "1e3", "5e-324", "-0.0", "+7", ".5", "1.", "-1e308",
+               "0.30000000000000004", " 4", "4 ", "\t5", " 6\t")
+NON_FINITE_CELLS = ("nan", "-inf", "1e999")
+ODD_CELLS = ("1_0", "\u0663", '"5\n"', ' "6"', '"7"8', '"1,2"', "", "x", "1\x002")
+
+
+@st.composite
+def csv_files(draw):
+    """(CSV text, csv.field_size_limit() to read it under or None, label
+    column or None).  One file in two is plain: LF or CRLF lines of plain
+    cells under a header.  The others may add odd or non-finite cells,
+    ragged rows, blank, whitespace-only or NUL lines, bare CRs, a BOM, a
+    blank header or a missing last line end.  One file in two, plain or
+    not, is read under a lowered field size limit."""
+    plain = draw(st.booleans())
+    odd = st.just(False) if plain else st.booleans()
+    cols = draw(st.integers(1, 4))
+    names = [f"c{j}" for j in range(cols)]
+    cells = st.sampled_from(PLAIN_CELLS)
+    if draw(odd):
+        cells = st.one_of(cells, st.sampled_from(ODD_CELLS + NON_FINITE_CELLS))
+    elif draw(odd):
+        cells = st.one_of(cells, st.sampled_from(NON_FINITE_CELLS))
+    lines = [",".join(names) if not draw(odd) else draw(st.sampled_from(("", " , ", "c0,c0")))]
+    for _ in range(draw(st.integers(1 if plain else 0, 5))):
+        width = cols + (draw(st.sampled_from((-1, 1))) if draw(odd) else 0)
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    if draw(odd):  # a blank, whitespace-only or NUL line anywhere after the header
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(("", " ", "\t", " \t ", "\x00"))))
+    ends = ("\n", "\r\n", "\r") if draw(odd) else ("\n", "\r\n")
+    end = draw(st.sampled_from(ends))
+    mixed = draw(odd)
+    text = "".join(line + (draw(st.sampled_from(ends)) if mixed else end) for line in lines)
+    if draw(odd):
+        text = text[: -len(end)] if text.endswith(end) else text
+    if draw(odd):
+        text = "\ufeff" + text
+    limit = draw(st.sampled_from((None, None, None, 4, 8, 16)))
+    label = draw(st.sampled_from((None, *names)))
+    return text, limit, label
+
+
+def csv_outcome(path, label):
+    """``load_csv``'s matrix, or its error's (message, row, column)."""
+    try:
+        return load_csv(path, label)
+    except DataFormatError as exc:
+        return str(exc), exc.row, exc.column
+
+
+class TestPlainReader:
+    """A plain file is read by numpy's C reader; the csv-module reader
+    defines every value and error, so both must give the same outcome."""
+
+    def test_numpy_reader_matches_the_csv_module_reader(self):
+        runs, kept = [], []
+        read_plain = mpdp.data_model._read_plain
+
+        def counted(path, rows):
+            parsed = read_plain(path, rows)
+            kept.append(parsed is not None)
+            return parsed
+
+        @settings(max_examples=300, deadline=None)
+        @given(csv_files())
+        def check(case):
+            text, limit, label = case
+            runs.append(case)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            old_limit = csv.field_size_limit()
+            try:
+                if limit is not None:
+                    csv.field_size_limit(limit)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(mpdp.data_model, "_plain_rows", lambda _: 0)
+                    expected = csv_outcome(path, label)
+                with warnings.catch_warnings(record=True) as seen, \
+                        pytest.MonkeyPatch.context() as mp:
+                    warnings.simplefilter("always")
+                    mp.setattr(mpdp.data_model, "_read_plain", counted)
+                    outcome = csv_outcome(path, label)
+                assert not seen, [str(w.message) for w in seen]
+                if isinstance(expected, tuple):
+                    assert outcome == expected
+                else:
+                    assert isinstance(outcome, np.ndarray) and outcome.dtype == np.float64
+                    reference = csv_values(path, label)
+                    np.testing.assert_array_equal(outcome, reference)
+                    np.testing.assert_array_equal(np.signbit(outcome), np.signbit(reference))
+            finally:
+                csv.field_size_limit(old_limit)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cells.csv")
+            check()
+        # numpy's reader must have produced a fair share of the results
+        assert sum(kept) >= 0.2 * len(runs), (sum(kept), len(kept), len(runs))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_numpy_rows_kept_only_at_the_scanned_line_count(self, tmp_path, end):
+        # numpy's reader skips an empty line that the csv module reads as
+        # a 0-cell record, so its row count must match the file's lines
+        path = tmp_path / "gap.csv"
+        path.write_bytes(end.join(["a,b", "1,2", "", "3,4", ""]).encode())
+        assert mpdp.data_model._read_plain(str(path), 3) is None
+        path.write_bytes(end.join(["a,b", "1,2", "3,4", ""]).encode())
+        names, values = mpdp.data_model._read_plain(str(path), 2)
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1, 2], [3, 4]])

@@ -16,7 +16,7 @@ from .data_model import (
     partition_evenly,
     split_normalized,
 )
-from .dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
+from .dgm import dgm_release, dgm_system, sample_dgm_gram
 from .dp_core import calibrate, sensitivity_bound
 from .evaluation import (
     AggregateReport,
@@ -44,7 +44,6 @@ __all__ = [
     "aggregate",
     "calibrate",
     "choose_k",
-    "data_root",
     "dgm_release",
     "dgm_system",
     "gen_ground_truth",

@@ -95,7 +95,7 @@ def config_from_argv(argv: list[str] | None = None) -> tuple[str, RunConfig]:
     command = flags.pop("command")
     config_path = flags.pop("config", None)
     preset = FULL_PRESET if flags.pop("full", False) else {}
-    file_values = parse_config_file(config_path) if config_path else {}
+    file_values = parse_config_file(config_path) if config_path is not None else {}
     cfg = build_config(preset, file_values, _flag_values(flags), protocol=command)
     rows = cfg.seeds * sum(cfg.n_grid)
     if command == "synthetic" and rows >= _HOURS_OF_ROWS:

@@ -33,11 +33,11 @@ from .data_model import BoundsCheck, PartyPartition
 from .dp_core import PartyNoise, noise_std
 from .kernels import chunk_views
 from .linalg import (
-    NormalEquationSum, NormalEquations, _strict_lower, gram_product, gram_root, normal_system,
+    NormalEquationSum, NormalEquations, _strict_lower, gram_product, normal_system,
 )
 from .streams import RandomStream
 
-__all__ = ["data_root", "dgm_release", "dgm_system", "sample_dgm_gram"]
+__all__ = ["dgm_release", "dgm_system", "sample_dgm_gram"]
 
 
 def dgm_release(
@@ -61,24 +61,15 @@ def dgm_release(
     return release.result()
 
 
-def data_root(stats: NormalEquations) -> np.ndarray:
-    """T, with at most n rows and T'T the Gram of the data [X | y]
-    (``linalg.gram_root`` of the normal equations, with y'y)."""
-    p = stats.xty.size + 1
-    gram = np.empty((p, p))
-    gram[:-1, :-1], gram[-1, -1] = stats.gram, stats.yty
-    gram[:-1, -1] = gram[-1, :-1] = stats.xty
-    return gram_root(gram, stats.n)
-
-
 def sample_dgm_gram(
     stats: NormalEquations, root: np.ndarray, partition: PartyPartition, sigma: float,
     stream: RandomStream,
 ) -> NormalEquations:
     """Normal equations distributed exactly as ``dgm_release``'s, drawn
-    from the data's own (``stats``), T = ``root`` = ``data_root(stats)``
-    (made once for every epsilon of a trial) and one generator of
-    ``stream``: G = (T + Z)'(T + Z) + W, see the module docstring.
+    from the data's own (``stats``), T = ``root``, a ``linalg.gram_root``
+    of ``stats.gram`` with at most n rows (made once for every epsilon of
+    a trial), and one generator of ``stream``: their Gram is
+    G = (T + Z)'(T + Z) + W, see the module docstring.
 
     Z is drawn first, then W, whose n - r degrees of freedom decide how:
     by the Bartlett decomposition W = L L' (L lower triangular,
@@ -99,7 +90,7 @@ def sample_dgm_gram(
         gram += gram_product(std * lower.T)
     elif dof > 0:
         gram += gram_product(std * gen.standard_normal((dof, p)))
-    return NormalEquations(gram=gram[:-1, :-1], xty=gram[-1, :-1], n=stats.n, yty=gram[-1, -1])
+    return NormalEquations(gram=gram, n=stats.n)
 
 
 def dgm_system(

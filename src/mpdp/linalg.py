@@ -1,15 +1,16 @@
 """Normal equations, each method's system, and the one symmetric solve.
 
-Every method needs only X'X and X'y of the matrix [X | y] it trains on
-(``NormalEquations``, which also keep y'y), summed over fixed row blocks
-in order (``NormalEquationSum``), and reduces to solving H w = b for a small
-symmetric H, built by one function per rule: ``ols_system`` (OLS, and BGM
-on a DGM release), ``dgm.dgm_system`` and ``rmgm.rmgm_system``, each a
-``normal_system``.  H may be indefinite after de-biasing, so the solve is one
-eigendecomposition (not Cholesky), whose eigenvalues also give the diagnostic,
-and it refuses numerically singular systems instead of returning garbage.
-``solve_symmetric`` solves a stack of systems (a trial's every method) and
-``solve_system`` one.
+Every method needs only the Gram of the matrix [X | y] it trains on, X'X,
+X'y and y'y in one matrix with the label last (``NormalEquations``),
+summed over fixed row blocks in order (``NormalEquationSum``); no other
+module reads or writes where the label sits.  Each method reduces to
+solving H w = b for a small symmetric H, built by one function per rule:
+``ols_system`` (OLS, and BGM on a DGM release), ``dgm.dgm_system`` and
+``rmgm.rmgm_system``, each a ``normal_system``.  H may be indefinite after
+de-biasing, so the solve is one eigendecomposition (not Cholesky), whose
+eigenvalues also give the diagnostic, and it refuses numerically singular
+systems instead of returning garbage.  ``solve_symmetric`` solves a stack
+of systems (a trial's every method) and ``solve_system`` one.
 """
 
 from __future__ import annotations
@@ -188,36 +189,35 @@ def gram_root(gram: np.ndarray, max_rows: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """X'X (``gram``), X'y (``xty``) and y'y (``yty``) of an n-row matrix
-    [X | y] with its label last: everything a method needs of what it
-    trains on, and the whole Gram of [X | y]."""
+    """The (d+1)-by-(d+1) Gram ``gram`` of an n-row matrix [X | y], label
+    last: X'X, X'y and y'y, everything a method needs of what it trains
+    on."""
 
     gram: np.ndarray
-    xty: np.ndarray
     n: int
-    yty: float
 
     def __post_init__(self) -> None:
-        if self.xty.ndim != 1 or self.gram.shape != self.xty.shape * 2 or self.n < 1:
+        shape = self.gram.shape
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 2 or self.n < 1:
             raise ValueError(
-                f"need a d-by-d gram, a length-d xty and n >= 1, got shapes "
-                f"{self.gram.shape} and {self.xty.shape}, n = {self.n}"
+                f"need a p-by-p gram with p >= 2 and n >= 1, got shape {shape}, n = {self.n}"
             )
 
 
 class NormalEquationSum:
     """The normal equations of an n-row matrix [X | y], label last, pushed
-    in order.  X'X (``gram_product``), X'y and y'y are one product each
-    per ``_block_rows`` block, cut at absolute row offsets and summed in
-    order, so the bits depend on the matrix alone.
+    in order.  Each ``_block_rows`` block, cut at absolute row offsets,
+    makes X'X (``gram_product``), X'y and y'y as one product each, written
+    into that block's Gram; the block Grams are summed in order, so the
+    bits depend on the matrix alone.
     No chunk is kept, so every push but the last must be whole blocks
     (``chunk_views`` chunks are)."""
 
     def __init__(self, cols: int, n: int):
         if cols < 2:
             raise ValueError("need an n-by-(d+1) matrix with the label last")
-        self.n, self._block = n, _block_rows(cols)
-        self._gram = self._xty = self._yty = None
+        self.n, self._cols, self._block = n, cols, _block_rows(cols)
+        self._gram = None
         self._pushed = 0
 
     def push(self, chunk: np.ndarray) -> None:
@@ -226,24 +226,25 @@ class NormalEquationSum:
                              f"{self._block}-row block")
         for b0 in range(0, chunk.shape[0], self._block):
             x, y = chunk[b0 : b0 + self._block, :-1], chunk[b0 : b0 + self._block, -1]
+            gram = np.empty((self._cols, self._cols))
+            gram[:-1, :-1], gram[-1, -1] = gram_product(x), y @ y
+            gram[:-1, -1] = gram[-1, :-1] = x.T @ y
             if self._gram is None:
-                self._gram, self._xty, self._yty = gram_product(x), x.T @ y, y @ y
+                self._gram = gram
             else:
-                self._gram += gram_product(x)
-                self._xty += x.T @ y
-                self._yty += y @ y
+                self._gram += gram
         self._pushed += chunk.shape[0]
 
     def result(self) -> NormalEquations:
         if self._gram is None or self._pushed != self.n:
             raise ValueError(f"{self._pushed} of {self.n} rows pushed")
-        return NormalEquations(gram=self._gram, xty=self._xty, n=self.n, yty=float(self._yty))
+        return NormalEquations(gram=self._gram, n=self.n)
 
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:
     """The normal equations of a held n-by-(d+1) matrix, label last (up
     to one ``_block_rows`` block and 64 feature columns: exactly
-    ``x.T @ x``, ``x.T @ y`` and ``y @ y``)."""
+    ``x.T @ x``, ``x.T @ y`` and ``y @ y`` in the Gram's blocks)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("need an n-by-(d+1) matrix with the label last")
@@ -255,7 +256,8 @@ def normal_equations(matrix: np.ndarray) -> NormalEquations:
 def normal_system(
     eqs: NormalEquations, lam: float, scale: float = 1.0, shift: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The system (H + lam*I, X'y / scale) with H = X'X / scale - shift*I.
+    """The system (H + lam*I, X'y / scale) with H = X'X / scale - shift*I,
+    X'X and X'y read from ``eqs.gram``.
 
     The one core of every method's system: OLS and BGM use scale = n,
     DGM also subtracts its known noise variance as ``shift``, RMGM uses
@@ -264,9 +266,9 @@ def normal_system(
     """
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    eye = _identity(eqs.gram.shape[0])
-    hessian = eqs.gram / scale - shift * eye
-    return hessian + lam * eye, eqs.xty / scale
+    eye = _identity(eqs.gram.shape[0] - 1)
+    hessian = eqs.gram[:-1, :-1] / scale - shift * eye
+    return hessian + lam * eye, eqs.gram[:-1, -1] / scale
 
 
 def ols_system(eqs: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:

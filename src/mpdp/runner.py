@@ -32,7 +32,7 @@ from .data_model import (
     partition_evenly,
     split_normalized,
 )
-from .dgm import data_root, dgm_system, sample_dgm_gram
+from .dgm import dgm_system, sample_dgm_gram
 from .dp_core import calibrate
 from .evaluation import (
     AggregateReport,
@@ -50,6 +50,7 @@ from .kernels import SketchSum, chunk_views
 from .linalg import (
     NormalEquationSum,
     SingularSystemError,
+    gram_root,
     normal_equations,
     ols_system,
     solve_symmetric,
@@ -100,7 +101,11 @@ def _sweep(cfg: RunConfig, protocol: str, trial, tasks, started: float) -> RunOu
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(trial, cfg, *task) for task in tasks]
-            records = [future.result() for future in futures]
+            try:
+                records = [future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # no pending task starts
+                raise
     trials = sorted((t for _, _, reports, _ in records for t in reports), key=trial_order)
     timings = tuple((n, seed, seconds) for n, seed, _, seconds in records)
     return RunOutput(tuple(trials), timings, _base_meta(cfg, protocol, started))
@@ -136,7 +141,7 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition
     feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), sums, mixer)))
 
     stats = sums.result() if sums is not None else None
-    root = data_root(stats) if dgm else None
+    root = gram_root(stats.gram, stats.n) if dgm else None
     if "ols" in cfg.methods:
         rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))
     for eps_index, (eps, sigma) in enumerate(zip(cfg.eps_grid, sigmas)):

@@ -765,14 +765,17 @@ BAD_PATHS = [
       for key, value in (("out_dir", "res\0x"), ("csv_path", "in\0.csv"))),
     *((command, "--out", value, f"bad value for --out: {value!r}") for command in COMMANDS
       for value in ("res\nx", "res\rx")),
+    *((command, "--config", value, f"cannot read config file {value!r}") for command in COMMANDS[:2]
+      for value in ("", "run\0.cfg")),
     (COMMANDS[1], "--csv", "in\n.csv", "bad value for --csv: 'in\\n.csv'"),
 ]
 
 
 def bad_path_id(case):
     command, key, value, _ = case
-    line_break = "-LF" if "\n" in value else "-CR" if "\r" in value else ""
-    return f"{command[0]}-{key.lstrip('-')}{line_break}"
+    kind = ("-LF" if "\n" in value else "-CR" if "\r" in value
+            else "-NUL" if "\0" in value and key == "--config" else "")
+    return f"{command[0]}-{key.lstrip('-')}{kind}"
 
 
 @pytest.mark.parametrize("command, key, value, message", BAD_PATHS,
@@ -781,8 +784,9 @@ def test_empty_or_nul_path_exits_2_before_any_trial(
     tmp_path, capsys, no_trials, command, key, value, message
 ):
     # an empty --out used to pass the check and fail at os.makedirs("")
-    # after every trial; a NUL ended in a ValueError traceback; a line
-    # break in a flag's path wrote a broken run_meta line
+    # after every trial, and an empty --config was ignored; a NUL ended in
+    # a ValueError traceback; a line break in a flag's path wrote a broken
+    # run_meta line
     if key == "--out":
         args = [key, value]
     elif key.startswith("--"):
@@ -901,31 +905,45 @@ class TestRunnerSweep:
 
 def force_singular_dgm(monkeypatch, build_seconds=0.0):
     """Make every dgm row's system singular (the zero matrix); building
-    it takes at least ``build_seconds``."""
+    it takes at least ``build_seconds``.  Returns the list that each
+    build appends to."""
     import time
 
     import mpdp.runner as runner_module
 
+    built = []
+
     def singular_system(release, *args, **kwargs):
         time.sleep(build_seconds)
-        return np.zeros_like(release.gram), np.ones_like(release.xty)
+        built.append(release.n)
+        d = release.gram.shape[0] - 1
+        return np.zeros((d, d)), np.ones(d)
 
     monkeypatch.setattr(runner_module, "dgm_system", singular_system)
+    return built
 
 
 class TestStrictMode:
-    def test_singular_system_aborts_with_exit_3(self, tmp_path, monkeypatch):
-        force_singular_dgm(monkeypatch)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singular_system_aborts_with_exit_3(self, tmp_path, monkeypatch, workers):
+        # the first singular task ends the sweep: with 2 workers the
+        # pending tasks used to run to the end before the exit
+        built = force_singular_dgm(monkeypatch, build_seconds=0.01)
         args = [
             "synthetic",
             "--n-grid", "500",
             "--eps-grid", "1.0",
             "--methods", "dgm",
-            "--seeds", "1",
+            "--seeds", "100",
             "--root-seed", "1",
+            "--workers", str(workers),
             "--out", str(tmp_path / "res"),
         ]
         assert main(args + ["--strict"]) == 3
+        # two workers: the two started tasks, and at most two more started
+        # before the cancel
+        assert 1 <= len(built) <= (1 if workers == 1 else 4)
+        assert not (tmp_path / "res").exists()
 
     def test_non_strict_records_failure(self, tmp_path, monkeypatch):
         force_singular_dgm(monkeypatch)

@@ -3,10 +3,10 @@ import pytest
 from scipy.stats import ks_2samp
 from mpdp.config import build_config
 from mpdp.data_model import partition_evenly
-from mpdp.dgm import data_root, dgm_release, dgm_system, sample_dgm_gram
+from mpdp.dgm import dgm_release, dgm_system, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, calibrate, sensitivity_bound
 from mpdp.linalg import (
-    NormalEquations, SingularSystemError, _block_rows, normal_equations, solve_system,
+    NormalEquations, SingularSystemError, _block_rows, gram_root, normal_equations, solve_system,
 )
 from mpdp.runner import _synthetic_trial
 from mpdp.streams import RandomStream
@@ -33,13 +33,12 @@ class TestRelease:
         release = dgm_release(data, part, ZERO_NOISE, RandomStream(2))
         clean = normal_equations(data)
         assert np.array_equal(release.gram, clean.gram)
-        assert np.array_equal(release.xty, clean.xty)
 
     def test_shape_and_metadata(self):
         _, data, part = small_instance(3, n=40, d=5)
         sigma = calibrate(0.5, 1e-5)
         release = dgm_release(data, part, sigma, RandomStream(4))
-        assert release.gram.shape == (5, 5) and release.xty.shape == (5,)
+        assert release.gram.shape == (6, 6)
         assert release.n == 40
         public = dgm_published(data, part, sigma, RandomStream(4))
         assert public.shape == (40, 6)
@@ -60,7 +59,6 @@ class TestRelease:
         public = dgm_published(data, part, sigma, root)
         held = normal_equations(public)
         assert np.array_equal(release.gram, held.gram)
-        assert np.array_equal(release.xty, held.xty)
         assert release.n == n
         std = sensitivity_bound(part.d_max) * sigma
         expected = np.concatenate(
@@ -143,7 +141,7 @@ class TestTrain:
         samples = []
         for seed in range(200):
             release = dgm_release(data, part, sigma, RandomStream(15).child(seed))
-            samples.append(release.gram / len(data) - bias)
+            samples.append(release.gram[:-1, :-1] / len(data) - bias)
         samples = np.asarray(samples)
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
@@ -201,15 +199,6 @@ class TestSensitivity:
             assert np.array_equal(released[:, a:b], values[:, a:b] + draws * std)
 
 
-def whole_gram(eqs):
-    """The Gram of [X | y] from normal equations that keep y'y."""
-    p = eqs.xty.size + 1
-    gram = np.empty((p, p))
-    gram[:-1, :-1], gram[-1, -1] = eqs.gram, eqs.yty
-    gram[:-1, -1] = gram[-1, :-1] = eqs.xty
-    return gram
-
-
 def noise_of_std(std, part):
     """The noise multiplier sigma whose release noise has standard deviation std."""
     return std / sensitivity_bound(part.d_max)
@@ -235,12 +224,12 @@ class TestSampler:
         part = partition_evenly(4, 2)
         sigma = noise_of_std(self.STD, part)
         stats = normal_equations(data)
-        root = data_root(stats)
+        root = gram_root(stats.gram, stats.n)
         upper = np.triu_indices(4)
-        literal = np.array([whole_gram(dgm_release(data, part, sigma, RandomStream(5).child(i)))
+        literal = np.array([dgm_release(data, part, sigma, RandomStream(5).child(i)).gram
                             for i in range(self.DRAWS)])
-        sampled = np.array([whole_gram(sample_dgm_gram(stats, root, part, sigma,
-                                                       RandomStream(6).child(i)))
+        sampled = np.array([sample_dgm_gram(stats, root, part, sigma,
+                                            RandomStream(6).child(i)).gram
                             for i in range(self.DRAWS)])
         # the 10 upper-triangle entries: means within 4.5 standard errors
         # of their difference, variances within 20%
@@ -264,25 +253,25 @@ class TestSampler:
     def test_draws_of_each_branch(self, draws, n, normals, chisquares):
         stats = normal_equations(np.random.default_rng(n).uniform(-1, 1, size=(n, 4)))
         part = partition_evenly(4, 2)
-        release = sample_dgm_gram(stats, data_root(stats), part, noise_of_std(self.STD, part),
-                                  RandomStream(7))
-        assert release.n == n and np.isfinite(whole_gram(release)).all()
+        release = sample_dgm_gram(stats, gram_root(stats.gram, stats.n), part,
+                                  noise_of_std(self.STD, part), RandomStream(7))
+        assert release.n == n and np.isfinite(release.gram).all()
         assert [e for _, method, e in draws if method == "standard_normal"] == normals
         assert [e for _, method, e in draws if method == "chisquare"] == chisquares
 
     def test_zero_noise_returns_the_data_equations(self, draws):
         # bit for bit: no Gram rebuilt from T
         stats = normal_equations(np.random.default_rng(8).uniform(-1, 1, size=(30, 5)))
-        release = sample_dgm_gram(stats, data_root(stats), partition_evenly(5, 2), ZERO_NOISE,
-                                  RandomStream(9))
+        release = sample_dgm_gram(stats, gram_root(stats.gram, stats.n), partition_evenly(5, 2),
+                                  ZERO_NOISE, RandomStream(9))
         assert release is stats and draws == []
 
     def test_needs_y_transpose_y(self):
-        # data_root factors the whole Gram of [X | y], so no normal
-        # equations come without y'y
+        # gram_root factors the whole Gram of [X | y], so no normal
+        # equations come without y'y: the X'X and X'y rows alone are rejected
         held = normal_equations(np.ones((5, 3)) / 2)
-        with pytest.raises(TypeError, match="yty"):
-            NormalEquations(gram=held.gram, xty=held.xty, n=held.n)
+        with pytest.raises(ValueError, match="p-by-p gram"):
+            NormalEquations(gram=held.gram[:-1], n=held.n)
 
 
 class TestTrialDraws:

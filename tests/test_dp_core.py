@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mpdp.data_model import partition_evenly
-from mpdp.dgm import data_root, dgm_release, sample_dgm_gram
+from mpdp.dgm import dgm_release, sample_dgm_gram
 from mpdp.dp_core import PartyNoise, calibrate, sensitivity_bound
 from mpdp.kernels import _COL_CHUNK, chunk_views, sketch_product
-from mpdp.linalg import normal_equations
+from mpdp.linalg import gram_root, normal_equations
 from mpdp.rmgm import rmgm_release
 from mpdp.streams import RandomStream
 
@@ -77,7 +77,7 @@ class TestSensitivityBound:
 
 def _dgm_sample(data, part, sigma, stream):
     stats = normal_equations(data)
-    return sample_dgm_gram(stats, data_root(stats), part, sigma, stream)
+    return sample_dgm_gram(stats, gram_root(stats.gram, stats.n), part, sigma, stream)
 
 
 # every release that turns sigma into noise, called as (data, partition, sigma, stream)

@@ -63,24 +63,31 @@ class TestNormalEquations:
             matrix = np.random.default_rng(n).uniform(-1, 1, size=(n, cols))
             x, y = matrix[:, :-1], matrix[:, -1]
             eqs = normal_equations(matrix)
-            assert np.array_equal(eqs.gram, x.T @ x) and np.array_equal(eqs.xty, x.T @ y)
-            assert eqs.yty == y @ y and eqs.n == n
+            assert np.array_equal(eqs.gram[:-1, :-1], x.T @ x)
+            assert np.array_equal(eqs.gram[:-1, -1], x.T @ y)
+            assert np.array_equal(eqs.gram[-1, :-1], x.T @ y)
+            assert eqs.gram[-1, -1] == y @ y and eqs.n == n
 
-    def test_blocks_are_summed_in_order(self):
-        # two whole blocks and a 3-row remainder
-        rows = _block_rows(4)
+    @pytest.mark.parametrize("cols", [4, 66, 130])
+    def test_blocks_are_summed_in_order(self, cols):
+        # two whole blocks and a 3-row remainder; 66 and 130 columns
+        # form X'X in Gram panels (``gram_product``)
+        rows = _block_rows(cols)
         n = 2 * rows + 3
-        matrix = np.random.default_rng(1).uniform(-1, 1, size=(n, 4))
+        matrix = np.random.default_rng(1).uniform(-1, 1, size=(n, cols))
         eqs = normal_equations(matrix)
         gram, xty, yty = 0.0, 0.0, 0.0
         for r0 in range(0, n, rows):
             x, y = matrix[r0 : r0 + rows, :-1], matrix[r0 : r0 + rows, -1]
-            gram, xty, yty = gram + x.T @ x, xty + x.T @ y, yty + y @ y
-        assert np.array_equal(eqs.gram, gram) and np.array_equal(eqs.xty, xty)
-        assert eqs.yty == yty and eqs.n == n
-        np.testing.assert_allclose(eqs.gram, gram_loops(matrix[:, :-1]), rtol=1e-12)
-        np.testing.assert_allclose(eqs.xty, xty_loops(matrix[:, :-1], matrix[:, -1]),
-                                   rtol=1e-10, atol=1e-10)
+            gram, xty, yty = gram + gram_product(x), xty + x.T @ y, yty + y @ y
+        assert np.array_equal(eqs.gram[:-1, :-1], gram)
+        assert np.array_equal(eqs.gram[:-1, -1], xty)
+        assert eqs.gram[-1, -1] == yty and eqs.n == n
+        assert np.array_equal(eqs.gram, eqs.gram.T)
+        if cols == 4:
+            np.testing.assert_allclose(gram, gram_loops(matrix[:, :-1]), rtol=1e-12)
+            np.testing.assert_allclose(xty, xty_loops(matrix[:, :-1], matrix[:, -1]),
+                                       rtol=1e-10, atol=1e-10)
 
     def test_streamed_blocks_equal_the_held_matrix(self):
         # a trial's chunks pushed through one buffer that is overwritten
@@ -98,7 +105,6 @@ class TestNormalEquations:
                 buffer.fill(np.nan)
             streamed, held = eqs.result(), normal_equations(matrix)
             assert np.array_equal(streamed.gram, held.gram)
-            assert np.array_equal(streamed.xty, held.xty)
             assert streamed.n == n
 
     def test_push_off_a_block_boundary_raises(self):
@@ -189,10 +195,16 @@ class TestSolveNormalEquations:
     def test_rejects_negative_lambda_and_mismatched_shapes(self):
         with pytest.raises(ValueError, match="lam"):
             solve_normal_equations(eqs_of(np.eye(3), np.ones(3)), -1.0)
-        with pytest.raises(ValueError):
-            NormalEquations(gram=np.eye(3), xty=np.ones(2), n=3, yty=1.0)
-        with pytest.raises(ValueError):
-            NormalEquations(gram=np.eye(3), xty=np.ones(3), n=0, yty=1.0)
+        # a Gram must be square, with the label and at least one feature
+        for gram in (np.ones(3), np.ones((3, 2)), np.ones((1, 1)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="p-by-p gram"):
+                NormalEquations(gram=gram, n=3)
+        with pytest.raises(ValueError, match="n >= 1"):
+            NormalEquations(gram=np.eye(3), n=0)
+        # X'y and y'y are the Gram's label row and column, with no field of
+        # their own, so no normal equations come without y'y
+        with pytest.raises(TypeError):
+            NormalEquations(gram=np.eye(3), xty=np.ones(3), n=3)
 
     def test_shift_to_singular_raises(self):
         # shifting the identity Gram matrix by exactly 1 leaves the zero matrix

@@ -32,8 +32,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # one matvec with it.  _COL_CHUNK is the widest a _MIN_ROWS tile can be
 # within _TILE_BYTES, so every tile is at most 1 MiB and stays in a 2 MiB
 # per-core L2 across the matvecs of all of D's columns; past n = 16 384
-# the tile is 8 rows by 16 384 columns.  Each column chunk adds its
-# matvec into the result, in chunk order.
+# the tile is 8 rows by 16 384 columns.  The first column chunk writes
+# its matvec into the result and each later one adds its own, in chunk
+# order.
 #
 # OpenBLAS's gemv reduces rows in groups of _ROW_GROUP, and rounds a
 # trailing group of 2 or 3 rows differently; numpy hands a 1-row product
@@ -90,14 +91,18 @@ def backend_name() -> str:
 def _splitmix_words(seed: int, nblk: int, row0: int, rows: int, b0: int, b1: int) -> np.ndarray:
     """The (rows, b1 - b0) mixed words ``b0:b1`` of rows ``row0:row0 + rows``
     of a matrix with ``nblk`` words per row, in little-endian byte order."""
-    r = np.arange(row0, row0 + rows, dtype=np.uint64)[:, None]
-    b = np.arange(b0, b1, dtype=np.uint64)[None, :]
-    z = np.uint64(seed) + (r * np.uint64(nblk) + b + np.uint64(1)) * _GOLDEN
-    z ^= z >> np.uint64(30)
+    # in place, with one scratch array for the shifts: uint64 arithmetic
+    # wraps, so the order of the sums does not change a word
+    r = np.arange(row0, row0 + rows, dtype=np.uint64) * np.uint64(nblk) + np.uint64(1)
+    z = np.add.outer(r, np.arange(b0, b1, dtype=np.uint64))
+    z *= _GOLDEN
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     if sys.byteorder == "big":  # pragma: no cover - little-endian everywhere we run
         z = z.byteswap()
     return z
@@ -163,7 +168,8 @@ class SketchSum:
         tiles = _row_tiles(k, width)
         per_band = max(1, _BAND_WORDS // (tiles[0][1] * -(-width // 64)))
         self._bands = [tiles[t : t + per_band] for t in range(0, len(tiles), per_band)]
-        self._out = np.zeros((tiles[-1][1], cols), dtype=np.float64)
+        # column j's sketch is row j, so each matvec writes one contiguous run
+        self._acc = np.zeros((cols, tiles[-1][1]), dtype=np.float64)
         # reused until the last push: a fresh 1.4 MiB copy per chunk made
         # glibc re-fault its heap
         self._transposed = _aligned_empty(cols * width).reshape(cols, width)
@@ -197,14 +203,21 @@ class SketchSum:
                 # gufunc loop lets it go only past 500 outer iterations, and
                 # one tile has 11-13 columns (7-10% faster alone, but a
                 # two-worker desk sweep went from 244 to 282 ms)
-                for j, column in enumerate(transposed):
-                    self._out[t0:t1, j] += np.dot(tile, column)
+                rows = self._acc[:, t0:t1]
+                if i0 == 0:
+                    for column, row in zip(transposed, rows):
+                        np.dot(tile, column, out=row)
+                else:
+                    for column, row in zip(transposed, rows):
+                        np.add(row, np.dot(tile, column), out=row)
         self._i0 = i1
         if i1 == self.n:  # the last chunk: the releases and solves run without the buffer
             self._transposed = None
 
     def result(self) -> np.ndarray:
-        return self._out[: self.k]
+        """The k-by-c sketch: a transposed view of the accumulator, not a
+        C-contiguous array (``rmgm_release`` copies it C-ordered)."""
+        return self._acc[:, : self.k].T
 
 
 def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:

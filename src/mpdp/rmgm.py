@@ -77,7 +77,7 @@ def rmgm_release(
     rows (``SketchSum.result()``); B_k D is its first k rows.  Party j's
     noise on its ``partition`` block comes from child(j).  The noise is
     added in place to the scaled rows, so a release allocates its k-row
-    result and one party's noise draw.
+    result, C-ordered, and one party's noise draw.
     """
     if not 1 <= k <= product.shape[0]:
         raise ValueError(f"k must be in [1, {product.shape[0]}], got {k}")
@@ -87,7 +87,11 @@ def rmgm_release(
             "only vanishes in the k = o(n) regime",
             stacklevel=2,
         )
-    return PartyNoise(partition, sigma, stream).add_to(product[:k] / math.sqrt(k))
+    # C-ordered whatever the layout of ``product`` (the sketch is a
+    # transposed view): the release's Gram is a BLAS product whose bits
+    # depend on its operand's memory order
+    return PartyNoise(partition, sigma, stream).add_to(
+        np.divide(product[:k], math.sqrt(k), order="C"))
 
 
 def rmgm_system(release: NormalEquations, lam: float) -> tuple[np.ndarray, np.ndarray]:

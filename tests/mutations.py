@@ -39,8 +39,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUTATIONS = (
     (
         "rmgm.py",
-        "product[:k] / math.sqrt(k)",
-        "product[:k] * 1.0",
+        'np.divide(product[:k], math.sqrt(k), order="C")',
+        'np.divide(product[:k], 1.0, order="C")',
         (
             "tests/test_rmgm.py::TestRelease",
             "tests/test_rmgm.py::TestSharedSketch",

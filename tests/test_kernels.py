@@ -250,10 +250,10 @@ class TestReleasesTheGil:
         calls = 0
         dot = np.dot
 
-        def counting_dot(*args):
+        def counting_dot(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return dot(*args)
+            return dot(*args, **kwargs)
 
         monkeypatch.setattr(np, "dot", counting_dot)
         assert np.array_equal(kernels.sketch_product(9, data, 20), expected)
@@ -269,9 +269,9 @@ class TestCacheLineOperands:
         offsets = set()
         dot = np.dot
 
-        def recording_dot(tile, column):
+        def recording_dot(tile, column, **kwargs):
             offsets.add((tile.ctypes.data % 64, column.ctypes.data % 64))
-            return dot(tile, column)
+            return dot(tile, column, **kwargs)
 
         monkeypatch.setattr(np, "dot", recording_dot)
         kernels.sketch_product(9, data, 20)

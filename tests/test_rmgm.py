@@ -171,6 +171,23 @@ class TestSharedSketch:
                 mixed += noise_one_shot(k, b - a, std, root.child("r", k, j))
                 np.testing.assert_array_equal(release[:, a:b], mixed)
 
+    def test_release_from_the_sketch_view_is_c_ordered(self):
+        # SketchSum.result() is a transposed view of one row per column; a
+        # release in that order would change the bits of its Gram, which
+        # is a BLAS product that rounds by its operand's memory order
+        _, data, part = small_instance(31, n=300, d=6, m=3)
+        sigma = calibrate(0.5, 1e-4)
+        root = RandomStream(32)
+        sketch = trial_sketch(data, part, 40, root)
+        assert not sketch.flags.c_contiguous
+        for k in (2, 7, 40):
+            release = rmgm_release(sketch, len(data), part, sigma, k, root.child("r", k))
+            copied = rmgm_release(np.ascontiguousarray(sketch), len(data), part, sigma, k,
+                                  root.child("r", k))
+            assert release.flags.c_contiguous
+            assert (normal_equations(release).gram.tobytes()
+                    == normal_equations(copied).gram.tobytes())
+
     def test_k_beyond_sketch_rejected(self):
         _, data, part = small_instance(25)
         sketch = trial_sketch(data, part, 8, RandomStream(26))

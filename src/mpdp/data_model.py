@@ -165,21 +165,20 @@ def load_csv(path: str, label_column: str | None = None) -> np.ndarray:
     Two readers parse the cells, each into one float64 buffer that becomes
     the returned matrix, with no Python object per cell and no copy of the
     matrix.  The csv-module reader (``_read_records``) defines every value
-    and every error: a cell's value is ``float(cell)``.  A plain file
-    (``_plain_rows``: no quote, no NUL, no CR outside CRLF, no blank line,
-    no line of ``csv.field_size_limit()`` or more bytes, and at least one
-    data line) is read by numpy's C reader instead, in about 0.4x the
-    time; its result is kept only if it raised and warned nothing and has
-    one row per data line and one column per header cell, and then it
-    holds the same bits.  Anything else, such as underscored or non-ASCII
-    digits, quoted cells and every malformed file, goes to the csv-module
-    reader.  On 20 000 x 13 files the ingest's tracemalloc peak is
-    1.18-1.19x the matrix with numpy's reader and 1.16-1.17x with the
+    and every error: a cell's value is ``float(cell)``.  numpy's C reader
+    (``_read_plain``) tries first, in about 0.4x the time, on the same
+    lines (a file opened with ``newline=""`` ends them at LF, CR and CRLF,
+    where csv records end).  Its result is kept only if it raised and
+    warned nothing, no data line has ``csv.field_size_limit()`` or more
+    characters, and it has one row per data line and one column per
+    header cell; then it holds the same bits.  numpy skips empty lines
+    (a row short) and rejects quoted, NUL, blank, underscored and
+    non-ASCII-digit cells, so those files and every malformed one go to
+    the csv-module reader.  On 20 000 x 13 files the ingest's tracemalloc
+    peak is 1.19x the matrix with numpy's reader and 1.18x with the
     csv-module one (buffer growth slack and the finiteness mask).
     """
-    rows = _plain_rows(path)
-    parsed = _read_plain(path, rows) if rows else None
-    names, values = parsed or _read_records(path)
+    names, values = _read_plain(path) or _read_records(path)
     finite = np.isfinite(values)
     if not finite.all():  # float() accepts "nan" and "inf"
         r, c = np.unravel_index(int(finite.argmin()), finite.shape)
@@ -207,72 +206,32 @@ def load_csv(path: str, label_column: str | None = None) -> np.ndarray:
     return values
 
 
-_SCAN_BYTES = 1 << 16  # the plain-file scan's block
+def _read_plain(path: str) -> tuple[list[str], np.ndarray] | None:
+    """(header names, matrix) by numpy's C reader, or None where that
+    result could differ from the csv-module reader's: numpy raised or
+    warned, a data line has ``csv.field_size_limit()`` or more characters,
+    or the matrix is not one row per data line (numpy skips an empty line
+    that the csv module reads as a 0-cell record) and one column per
+    header cell."""
+    limit, lines = csv.field_size_limit(), 0
 
+    def data_lines(fh):
+        nonlocal lines
+        for line in fh:  # newline="": ends at LF, CR and CRLF, as csv records do
+            if len(line) >= limit:
+                raise ValueError("a line as long as csv.field_size_limit()")
+            lines += 1
+            yield line
 
-def _plain_rows(path: str) -> int:
-    """The number of data lines of a plain file (see ``load_csv``), else 0.
-
-    In a plain file numpy's reader and the csv module split the same
-    records and cells.  A blank line is empty or holds only bytes <= 0x20
-    (spaces, tabs, a CRLF's CR, control bytes).  The scan reads fixed
-    blocks, so it holds one block and one unfinished line at a time.
-    """
-    limit = csv.field_size_limit()
-    lines = 0
-    tail = b""  # the block's unfinished last line, carried into the next
-    try:
-        with open(path, "rb") as fh:
-            while block := fh.read(_SCAN_BYTES):
-                text = tail + block
-                if b'"' in text or b"\0" in text:
-                    return 0
-                cut = text.rfind(b"\n") + 1
-                tail = text[cut:]
-                if len(tail) >= limit:
-                    return 0
-                if cut:
-                    ends = _line_ends(np.frombuffer(text, np.uint8, cut), limit)
-                    if ends is None:
-                        return 0
-                    lines += ends
-    except OSError:
-        return 0
-    if tail:  # a last line without a line end
-        if b"\r" in tail or max(tail) <= 0x20:
-            return 0
-        lines += 1
-    return max(lines - 1, 0)
-
-
-def _line_ends(text: np.ndarray, limit: int) -> int | None:
-    """The LF count of whole lines of bytes, or None if one of them is
-    blank, holds a CR that does not end it, or has ``limit`` or more
-    bytes."""
-    ends = np.flatnonzero(text == 0x0A)
-    lengths = np.diff(ends, prepend=-1)  # each with its LF
-    if lengths.max() > limit:
-        return None
-    if not np.logical_or.reduceat(text > 0x20, ends - lengths + 1).all():
-        return None
-    crs = np.flatnonzero(text == 0x0D)
-    if (text[crs + 1] != 0x0A).any():  # a whole line's last byte is its LF
-        return None
-    return ends.size
-
-
-def _read_plain(path: str, rows: int) -> tuple[list[str], np.ndarray] | None:
-    """(header names, matrix) of a plain file with ``rows`` data lines by
-    numpy's C reader, or None where that result could differ from the
-    csv-module reader's."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
             names = [h.strip() for h in next(csv.reader(fh), [])]
-            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            values = np.loadtxt(data_lines(fh), delimiter=",", comments=None, ndmin=2,
+                                dtype=np.float64)
     except (OSError, ValueError, csv.Error, Warning):
         return None
-    if not any(names) or values.shape != (rows, len(names)):
+    if not any(names) or values.shape != (lines, len(names)):
         return None
     return names, values
 

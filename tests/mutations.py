@@ -222,7 +222,7 @@ MUTATIONS = (
     ),
     (
         "data_model.py",
-        "values.shape != (rows, len(names))",
+        "values.shape != (lines, len(names))",
         "values.shape[1] != len(names)",
         ("tests/test_data_model.py::TestPlainReader",),
         "numpy's reader kept at any row count, so an empty line that it skips and the csv "
@@ -230,11 +230,11 @@ MUTATIONS = (
     ),
     (
         "data_model.py",
-        "    limit = csv.field_size_limit()\n",
-        "    limit = 1 << 62\n",
+        "limit, lines = csv.field_size_limit(), 0",
+        "limit, lines = 1 << 62, 0",
         ("tests/test_data_model.py::TestPlainReader::"
          "test_numpy_reader_matches_the_csv_module_reader",),
-        "a plain-file scan without its long-line check, so numpy's reader takes a cell "
+        "numpy's reader without its long-line check, so it takes a cell "
         "longer than csv.field_size_limit(), which the csv-module reader rejects",
     ),
 )

@@ -295,8 +295,8 @@ ODD_CELLS = ("1_0", "\u0663", '"5\n"', ' "6"', '"7"8', '"1,2"', "", "x", "1\x002
 @st.composite
 def csv_files(draw):
     """(CSV text, csv.field_size_limit() to read it under or None, label
-    column or None).  One file in two is plain: LF or CRLF lines of plain
-    cells under a header.  The others may add odd or non-finite cells,
+    column or None).  One file in two is plain: LF, CRLF or CR lines of
+    plain cells under a header.  The others may add odd or non-finite cells,
     ragged rows, blank, whitespace-only or NUL lines, bare CRs, a BOM, a
     blank header or a missing last line end.  One file in two, plain or
     not, is read under a lowered field size limit."""
@@ -316,7 +316,7 @@ def csv_files(draw):
     if draw(odd):  # a blank, whitespace-only or NUL line anywhere after the header
         at = draw(st.integers(1, len(lines)))
         lines.insert(at, draw(st.sampled_from(("", " ", "\t", " \t ", "\x00"))))
-    ends = ("\n", "\r\n", "\r") if draw(odd) else ("\n", "\r\n")
+    ends = ("\n", "\r\n", "\r")
     end = draw(st.sampled_from(ends))
     mixed = draw(odd)
     text = "".join(line + (draw(st.sampled_from(ends)) if mixed else end) for line in lines)
@@ -345,8 +345,8 @@ class TestPlainReader:
         runs, kept = [], []
         read_plain = mpdp.data_model._read_plain
 
-        def counted(path, rows):
-            parsed = read_plain(path, rows)
+        def counted(path):
+            parsed = read_plain(path)
             kept.append(parsed is not None)
             return parsed
 
@@ -362,7 +362,7 @@ class TestPlainReader:
                 if limit is not None:
                     csv.field_size_limit(limit)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(mpdp.data_model, "_plain_rows", lambda _: 0)
+                    mp.setattr(mpdp.data_model, "_read_plain", lambda _: None)
                     expected = csv_outcome(path, label)
                 with warnings.catch_warnings(record=True) as seen, \
                         pytest.MonkeyPatch.context() as mp:
@@ -386,14 +386,16 @@ class TestPlainReader:
         # numpy's reader must have produced a fair share of the results
         assert sum(kept) >= 0.2 * len(runs), (sum(kept), len(kept), len(runs))
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_numpy_rows_kept_only_at_the_scanned_line_count(self, tmp_path, end):
         # numpy's reader skips an empty line that the csv module reads as
         # a 0-cell record, so its row count must match the file's lines
         path = tmp_path / "gap.csv"
         path.write_bytes(end.join(["a,b", "1,2", "", "3,4", ""]).encode())
-        assert mpdp.data_model._read_plain(str(path), 3) is None
+        assert mpdp.data_model._read_plain(str(path)) is None
+        path.write_bytes(b"a,b\r\n1,2\r\n\r3,4\r\n")  # a bare CR after a CRLF: an empty line
+        assert mpdp.data_model._read_plain(str(path)) is None
         path.write_bytes(end.join(["a,b", "1,2", "3,4", ""]).encode())
-        names, values = mpdp.data_model._read_plain(str(path), 2)
+        names, values = mpdp.data_model._read_plain(str(path))
         assert names == ["a", "b"]
         np.testing.assert_array_equal(values, [[1, 2], [3, 4]])

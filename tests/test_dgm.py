@@ -209,18 +209,23 @@ class TestSampler:
     on one fixed 4-column D per branch: n = 10 (W by Bartlett), n = 6 (W
     from its 2-by-4 factor), n = 3 < p (no W), and n = 10 with labels
     that are a combination of the features, as in a synthetic trial (T
-    has 3 rows, W 7 degrees of freedom).  The noise std is 1.3, so a
-    variance used as a std shows."""
+    has 3 rows, W 7 degrees of freedom), once with features a third as
+    wide, so the label's Gram diagonal is the largest and ``gram_root``
+    pivots on the label row first.  The noise std is 1.3, so a variance
+    used as a std shows."""
 
     DRAWS = 3000
     STD = 1.3
 
-    @pytest.mark.parametrize("n, exact_labels", [(10, False), (6, False), (3, False), (10, True)],
-                             ids=["bartlett", "direct_factor", "n_below_p", "exact_labels"])
-    def test_matches_the_literal_release_in_distribution(self, n, exact_labels):
+    @pytest.mark.parametrize("n, scale, weights", [
+        (10, 1, None), (6, 1, None), (3, 1, None),
+        (10, 1, (0.3, -0.2, 0.4)), (10, 3, (0.9, -0.9, 0.9)),  # every |entry| <= 0.9
+    ], ids=["bartlett", "direct_factor", "n_below_p", "exact_labels", "label_pivots_first"])
+    def test_matches_the_literal_release_in_distribution(self, n, scale, weights):
         data = np.random.default_rng(n).uniform(-1, 1, size=(n, 4))
-        if exact_labels:
-            data[:, -1] = data[:, :-1] @ np.array([0.3, -0.2, 0.4])
+        if weights is not None:
+            data[:, :-1] /= scale
+            data[:, -1] = data[:, :-1] @ np.array(weights)
         part = partition_evenly(4, 2)
         sigma = noise_of_std(self.STD, part)
         stats = normal_equations(data)

@@ -97,20 +97,22 @@ class TestTrialMemory:
         assert release.n == N
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("header", ["plain", "quoted"])
-    def test_load_csv_peak_within_one_and_a_half_matrices(self, tmp_path, header):
+    @pytest.mark.parametrize("first_cell", ["plain", "quoted"])
+    def test_load_csv_peak_within_one_and_a_half_matrices(self, tmp_path, first_cell):
         # 17-digit cells, label in the middle: 5 MiB of text for a 2 MiB
         # matrix; per-cell floats and a reordering copy would peak near 7x.
-        # numpy's reader takes the plain file; one quoted header cell sends
-        # the same table to the csv-module reader
+        # numpy's reader takes the plain file; quoting the first data row's
+        # first cell sends the same table to the csv-module reader
         table = np.random.default_rng(44).uniform(-1e3, 1e3, size=(20_000, 13))
-        names = [f"c{i}" for i in range(13)]
-        if header == "quoted":
-            names[0] = '"c0"'
         path = str(tmp_path / "wide.csv")
-        np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="", header=",".join(names))
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            first = [f"{v:.17g}" for v in table[0]]
+            if first_cell == "quoted":
+                first[0] = f'"{first[0]}"'
+            fh.write(",".join(f"c{i}" for i in range(13)) + "\n" + ",".join(first) + "\n")
+            np.savetxt(fh, table[1:], fmt="%.17g", delimiter=",")
         assert os.path.getsize(path) >= 2 * 2**20
-        assert mpdp.data_model._plain_rows(path) == (20_000 if header == "plain" else 0)
+        assert (mpdp.data_model._read_plain(path) is None) == (first_cell == "quoted")
         data, peak = traced_peak(load_csv, path, "c6")
         np.testing.assert_array_equal(data, table[:, [*range(6), *range(7, 13), 6]])
         assert peak <= 1.5 * data.nbytes

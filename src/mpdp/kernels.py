@@ -1,12 +1,13 @@
 """Hot numeric kernels for the Rademacher mixing matrix.
 
-The k-by-n mixing matrix is defined entry-wise by a counter-based
-splitmix64 scheme: one mixed 64-bit word covers 64 consecutive columns
-(word index ``r * ceil(n/64) + col//64``, entry = bit ``col % 64``,
-bit 1 -> +1.0, bit 0 -> -1.0).  Because entries are pure integer
-functions of (seed, row, column, n), any tile of the matrix can be
-generated independently, which lets the sketch product ``B @ D`` stream
-through D without ever materialising B (k*n can reach 3e10 entries).
+The mixing matrix is defined entry-wise by a counter-based splitmix64
+scheme: one mixed 64-bit word covers 64 consecutive columns (word index
+``r * 2**32 + col//64``, entry = bit ``col % 64``, bit 1 -> +1.0, bit 0
+-> -1.0).  Because entries are pure integer functions of (seed, row,
+column), any tile of the matrix can be generated independently, which
+lets the sketch product ``B @ D`` stream through D without ever
+materialising B (k*n can reach 3e10 entries), and the k-by-n matrix B_n
+is the first n columns of one seed-defined matrix.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ _COL_CHUNK = _TILE_BYTES // (8 * _MIN_ROWS)
 # on the band, so neither do the bits.
 _BAND_WORDS = 1 << 14
 
+# Row r of B starts at word r * _ROW_WORDS whatever n is, so B_n is the
+# first n columns of one matrix and a sketch of D's first n rows can be
+# taken out of a pass over more rows (``SketchSum``'s smaller n).  A row
+# is then at most 64 * _ROW_WORDS = 2**38 columns.
+_ROW_WORDS = 1 << 32
+
 # The tile buffer and the transposed chunk start on a cache line.  From
 # malloc they start wherever the allocator's history puts them, 16 bytes
 # past a page when freshly mapped, and a gemv over an (8, 16 000) tile
@@ -88,12 +95,12 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _splitmix_words(seed: int, nblk: int, row0: int, rows: int, b0: int, b1: int) -> np.ndarray:
+def _splitmix_words(seed: int, row0: int, rows: int, b0: int, b1: int) -> np.ndarray:
     """The (rows, b1 - b0) mixed words ``b0:b1`` of rows ``row0:row0 + rows``
-    of a matrix with ``nblk`` words per row, in little-endian byte order."""
+    of B, in little-endian byte order."""
     # in place, with one scratch array for the shifts: uint64 arithmetic
     # wraps, so the order of the sums does not change a word
-    r = np.arange(row0, row0 + rows, dtype=np.uint64) * np.uint64(nblk) + np.uint64(1)
+    r = np.arange(row0, row0 + rows, dtype=np.uint64) * np.uint64(_ROW_WORDS) + np.uint64(1)
     z = np.add.outer(r, np.arange(b0, b1, dtype=np.uint64))
     z *= _GOLDEN
     z += np.uint64(seed)
@@ -119,20 +126,22 @@ def _signs(words: np.ndarray, off: int, cols: int) -> np.ndarray:
     return bits[:, off : off + cols].view(np.int8)
 
 
-def rademacher_tile(seed: int, n: int, row0: int, rows: int, col0: int, cols: int) -> np.ndarray:
-    """One tile of the k-by-n mixing matrix, as float64 entries in {-1, +1}.
-
-    ``n`` is the full column count of the conceptual matrix; tiles taken
-    at any offset agree entry-wise with the full matrix.
-    """
+def rademacher_tile(seed: int, row0: int, rows: int, col0: int, cols: int) -> np.ndarray:
+    """One tile of the mixing matrix, as float64 entries in {-1, +1}; tiles
+    taken at any offset agree entry-wise with the full matrix."""
     b0 = col0 // 64
-    words = _splitmix_words(seed, (n + 63) // 64, row0, rows, b0, (col0 + cols - 1) // 64 + 1)
+    words = _splitmix_words(seed, row0, rows, b0, (col0 + cols - 1) // 64 + 1)
     return _signs(words, col0 - b0 * 64, cols).astype(np.float64)
 
 
 def rademacher_matrix(seed: int, k: int, n: int) -> np.ndarray:
     """The full k-by-n mixing matrix (use only when k*n is small)."""
-    return rademacher_tile(seed, n, 0, k, 0, n)
+    return rademacher_tile(seed, 0, k, 0, n)
+
+
+def _whole_groups(rows: int) -> int:
+    """``rows`` rounded up to a whole number of _ROW_GROUP rows."""
+    return -(-rows // _ROW_GROUP) * _ROW_GROUP
 
 
 def _row_tiles(k: int, width: int) -> list[tuple[int, int]]:
@@ -142,7 +151,7 @@ def _row_tiles(k: int, width: int) -> list[tuple[int, int]]:
     rows = _MAX_ROWS
     while rows > _MIN_ROWS and rows * width * 8 > _TILE_BYTES:
         rows //= 2
-    padded = -(-k // _ROW_GROUP) * _ROW_GROUP
+    padded = _whole_groups(k)
     return [(r0, min(r0 + rows, padded)) for r0 in range(0, padded, rows)]
 
 
@@ -151,25 +160,52 @@ def chunk_views(matrix: np.ndarray) -> Iterator[np.ndarray]:
     return (matrix[r0 : r0 + _COL_CHUNK] for r0 in range(0, matrix.shape[0], _COL_CHUNK))
 
 
-class SketchSum:
-    """``B @ D`` for the seed-defined k-by-n mixing matrix B, with D's
-    column chunks (``chunk_views``) pushed in order, none of them kept.
-    The k-by-c result is bit for bit the first k rows of that for any
-    larger k.  B is never materialised: the working memory is the result,
-    one (c, chunk) transpose buffer that the push completing the n rows
-    frees, and within each push one band of sign words (about 128 KiB)
-    and one float64 tile (at most 1 MiB)."""
+def _matvecs(tile: np.ndarray, columns: np.ndarray, rows: np.ndarray, first: bool) -> None:
+    """Each ``tile @ column`` written into (``first``) or added to its
+    accumulator row."""
+    # one matvec per column: the bits of each output column must not
+    # depend on which other columns were sketched alongside it (party
+    # blocks are sliced out and reconstructed bitwise).  np.dot, not @:
+    # both run the same gemv with the same bits, but matmul holds the GIL
+    # through it, so --workers threads could not run their matvecs at the
+    # same time.  A stacked np.matmul(tile, columns[:, :, None]) holds it
+    # too: numpy's gufunc loop lets it go only past 500 outer iterations,
+    # and one tile has 11-13 columns (7-10% faster alone, but a two-worker
+    # desk sweep went from 244 to 282 ms)
+    if first:
+        for column, row in zip(columns, rows):
+            np.dot(tile, column, out=row)
+    else:
+        for column, row in zip(columns, rows):
+            np.add(row, np.dot(tile, column), out=row)
 
-    def __init__(self, seed: int, n: int, cols: int, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.seed, self.n, self.k, self._i0 = int(seed), n, k, 0
-        width = min(n, _COL_CHUNK)
-        tiles = _row_tiles(k, width)
+
+class SketchSum:
+    """``B_n @ D_n`` at each n of ``ks`` ({n: k}), for B_n the first n
+    columns of the seed-defined mixing matrix B and D_n the first n rows
+    of D, whose column chunks (``chunk_views``) up to the largest n are
+    pushed in order, none of them kept.  Each n's k-by-c result is bit for
+    bit the first k rows of that for any larger k, and that of a sketch of
+    D_n alone: a smaller n copies the accumulator's rows before the chunk
+    that holds its last row and takes that chunk's product over its own
+    columns alone.  B is never materialised: the working memory is the
+    results, one (c, chunk) transpose buffer that the push completing the
+    rows frees, and within each push one band of sign words (about
+    128 KiB) and one float64 tile (at most 1 MiB)."""
+
+    def __init__(self, seed: int, cols: int, ks: dict[int, int]):
+        if min(ks.values()) < 1:
+            raise ValueError(f"k must be >= 1, got {min(ks.values())}")
+        self.seed, self.n, self._ks, self._i0 = int(seed), max(ks), dict(ks), 0
+        if self.n > 64 * _ROW_WORDS:
+            raise ValueError(f"n = {self.n} is more than the {64 * _ROW_WORDS} columns of B")
+        width = min(self.n, _COL_CHUNK)
+        tiles = _row_tiles(max(ks.values()), width)
         per_band = max(1, _BAND_WORDS // (tiles[0][1] * -(-width // 64)))
         self._bands = [tiles[t : t + per_band] for t in range(0, len(tiles), per_band)]
         # column j's sketch is row j, so each matvec writes one contiguous run
         self._acc = np.zeros((cols, tiles[-1][1]), dtype=np.float64)
+        self._smaller: dict[int, np.ndarray] = {}  # a smaller n's rows, from its last chunk on
         # reused until the last push: a fresh 1.4 MiB copy per chunk made
         # glibc re-fault its heap
         self._transposed = _aligned_empty(cols * width).reshape(cols, width)
@@ -183,41 +219,36 @@ class SketchSum:
             return
         transposed = self._transposed[:, :width]
         transposed[...] = chunk.T  # each row, a matvec operand, is contiguous
+        ending = []  # (accumulator, columns up to n) of each smaller n ending in this chunk
+        for n, k in self._ks.items():
+            if i0 < n <= i1 and n < self.n:
+                self._smaller[n] = self._acc[:, : _whole_groups(k)].copy()
+                ending.append((self._smaller[n], n - i0))
         # i0 is a multiple of _COL_CHUNK, so the chunk starts on a word
-        b0, b1, nblk = i0 // 64, (i1 + 63) // 64, (self.n + 63) // 64
+        b0, b1 = i0 // 64, (i1 + 63) // 64
         buffer = _aligned_empty(self._bands[0][0][1] * width)  # the tallest tile, the first
         for band in self._bands:
             r0 = band[0][0]
-            words = _splitmix_words(self.seed, nblk, r0, band[-1][1] - r0, b0, b1)
+            words = _splitmix_words(self.seed, r0, band[-1][1] - r0, b0, b1)
             for t0, t1 in band:
                 # a prefix of the flat buffer, so C-contiguous whatever its shape
                 tile = buffer[: (t1 - t0) * width].reshape(t1 - t0, width)
                 np.copyto(tile, _signs(words[t0 - r0 : t1 - r0], 0, width))
-                # one matvec per column: the bits of each output column must
-                # not depend on which other columns were sketched alongside
-                # it (party blocks are sliced out and reconstructed bitwise).
-                # np.dot, not @: both run the same gemv with the same bits,
-                # but matmul holds the GIL through it, so --workers threads
-                # could not run their matvecs at the same time.  A stacked
-                # np.matmul(tile, columns[:, :, None]) holds it too: numpy's
-                # gufunc loop lets it go only past 500 outer iterations, and
-                # one tile has 11-13 columns (7-10% faster alone, but a
-                # two-worker desk sweep went from 244 to 282 ms)
-                rows = self._acc[:, t0:t1]
-                if i0 == 0:
-                    for column, row in zip(transposed, rows):
-                        np.dot(tile, column, out=row)
-                else:
-                    for column, row in zip(transposed, rows):
-                        np.add(row, np.dot(tile, column), out=row)
+                _matvecs(tile, transposed, self._acc[:, t0:t1], i0 == 0)
+                for acc, cols in ending:  # whole groups of 4, views of the same operands
+                    if t0 < acc.shape[1]:
+                        _matvecs(tile[: acc.shape[1] - t0, :cols], transposed[:, :cols],
+                                 acc[:, t0:t1], i0 == 0)
         self._i0 = i1
         if i1 == self.n:  # the last chunk: the releases and solves run without the buffer
             self._transposed = None
 
-    def result(self) -> np.ndarray:
-        """The k-by-c sketch: a transposed view of the accumulator, not a
-        C-contiguous array (``rmgm_release`` copies it C-ordered)."""
-        return self._acc[:, : self.k].T
+    def result(self, n: int | None = None) -> np.ndarray:
+        """The k-by-c sketch at ``n`` (by default the largest): a transposed
+        view of its accumulator, not a C-contiguous array (``rmgm_release``
+        copies it C-ordered)."""
+        n = self.n if n is None else n
+        return (self._acc if n == self.n else self._smaller[n])[:, : self._ks[n]].T
 
 
 def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
@@ -226,7 +257,8 @@ def sketch_product(seed: int, data: np.ndarray, k: int) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ValueError("data must be 2-dimensional")
-    sketch = SketchSum(seed, *data.shape, k)
+    n, cols = data.shape
+    sketch = SketchSum(seed, cols, {n: k})
     for chunk in chunk_views(data):
         sketch.push(chunk)
     return sketch.result()

@@ -211,7 +211,8 @@ class NormalEquationSum:
     into that block's Gram; the block Grams are summed in order, so the
     bits depend on the matrix alone.
     No chunk is kept, so every push but the last must be whole blocks
-    (``chunk_views`` chunks are)."""
+    (``chunk_views`` chunks are).  Rows pushed past the n-th are dropped,
+    so the chunks of a longer matrix give those of its first n rows."""
 
     def __init__(self, cols: int, n: int):
         if cols < 2:
@@ -221,6 +222,9 @@ class NormalEquationSum:
         self._pushed = 0
 
     def push(self, chunk: np.ndarray) -> None:
+        chunk = chunk[: self.n - self._pushed]
+        if not len(chunk):
+            return
         if self._pushed % self._block:
             raise ValueError(f"a push at row {self._pushed} does not start a "
                              f"{self._block}-row block")

@@ -7,11 +7,12 @@ is consistent without any de-biasing; the Gram matrix is PSD by
 construction, so the small-eigenvalue failure mode of the additive-noise
 release cannot occur.
 
-B is public and drawn independently of the data, and its row r depends
-only on (mixing seed, r, n).  So a trial mixes once, at the largest k it
-needs (a ``kernels.SketchSum`` in its one pass over the data), and every
-release takes the first k rows of that sketch, scales them by 1/sqrt(k)
-and adds its own noise (``rmgm_release``).  Each release is still the
+B is public and drawn independently of the data, and its entry (r, c)
+depends only on (mixing seed, r, c).  So a seed mixes once, at the
+largest k it needs (a ``kernels.SketchSum`` in its one pass over the
+data, which also gives each smaller n's sketch), and every release takes
+the first k rows of its n's sketch, scales them by 1/sqrt(k) and adds
+its own noise (``rmgm_release``).  Each release is still the
 Gaussian mechanism on B_k D^j / sqrt(k): every column of B_k has norm
 sqrt(k), so a changed row moves party j's block by exactly the row's
 change in that block.

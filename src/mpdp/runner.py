@@ -1,11 +1,13 @@
 """Experiment orchestration: wiring generation, release, training and
 metrics into the synthetic and real-data protocols.
 
-A task, an (n, seed) pair or a real-data seed, is one call of a
-module-level function whose record depends only on (config, task): its
-random state is derived from the root seed as child(protocol, seed) and
-split further into named sub-streams, so tasks can run on any number of
-workers in any order and still produce identical output files.
+A task is one seed: a synthetic seed over the whole n grid, whose one
+generated pass at the largest n serves every n, or a real-data seed.  It
+is one call of a module-level function whose record depends only on
+(config, task): its random state is derived from the root seed as
+child(protocol, seed) and split further into named sub-streams, so tasks
+can run on any number of workers in any order and still produce
+identical output files.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ __all__ = [
 
 # Bumped by any change that alters trials.csv bytes on purpose, together
 # with the digests in tests/test_golden.py.
-NUMERICS_VERSION = 7
+NUMERICS_VERSION = 8
 
 # Recorded in run_meta ("unset" when absent) so a run states its BLAS
 # setup.  Up to d = 144 trials.csv does not depend on them.  Under one and
@@ -93,9 +95,10 @@ class RunOutput:
 
 
 def _sweep(cfg: RunConfig, protocol: str, trial, tasks, started: float) -> RunOutput:
-    """Run ``trial(cfg, *task)`` for every task on ``cfg.workers`` threads;
-    its records (n, seed, reports, seconds) give the run's trials in
-    ``trial_order`` and its timings in task order."""
+    """Run ``trial(cfg, *task)`` for every task, one seed each, on
+    ``cfg.workers`` threads; its records (n, seed, reports, seconds), n the
+    largest n the task generated or its training rows, give the run's
+    trials in ``trial_order`` and its timings in task order."""
     if cfg.workers <= 1:
         records = [trial(cfg, *task) for task in tasks]
     else:
@@ -111,87 +114,97 @@ def _sweep(cfg: RunConfig, protocol: str, trial, tasks, started: float) -> RunOu
     return RunOutput(tuple(trials), timings, _base_meta(cfg, protocol, started))
 
 
-def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, n: int, partition: PartyPartition,
+def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, ns, partition: PartyPartition,
                    seed: int, metric: str, reference: np.ndarray) -> list[TrialReport]:
-    """Run every configured method once against the n rows that
-    ``chunks`` yields in ``chunk_views`` chunks, in one pass: each chunk
-    goes to the bounds check, the data's normal equations and the RMGM
-    sketch; only the releases and solves run after it.  OLS trains on the
-    data's normal equations, and each epsilon's DGM release Gram is
-    sampled from them (``sample_dgm_gram``), never materialised.
+    """Run every configured method once at each n of ``ns`` against the
+    first n of the max(ns) rows that ``chunks`` yields in ``chunk_views``
+    chunks, in one pass: each chunk goes to the bounds check, each n's
+    normal equations (which keep its rows up to n) and the RMGM sketch
+    (which takes each smaller n's out of the pass); only the releases and
+    solves run after it.  So each n's trials are those of a pass over its
+    own n rows, bit for bit.  OLS trains on the data's normal equations,
+    and each epsilon's DGM release Gram is sampled from them
+    (``sample_dgm_gram``), never materialised.
     Every method's system is built by the one function of its rule
     (``ols_system`` for ols and bgm, ``dgm_system``, ``rmgm_system``), and
-    all of them are solved as one stack (``solve_symmetric``); under
+    each n's are solved as one stack (``solve_symmetric``); under
     ``cfg.strict`` the first singular one in row order raises.
     ``metric`` is the metric field, ``distance`` to the ground truth or
     ``test_mse`` on the held-out rows (``reference``).  All methods see
     the same data; dgm and bgm share one release per epsilon, and every
     rmgm release mixes with the same B, so their comparisons are paired.
     """
-    rows = []  # (method, epsilon, k, system)
     d = partition.total_columns - 1
-
     sigmas = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
-    sums = NormalEquationSum(d + 1, n) if dgm or "ols" in cfg.methods else None
-    ks = [choose_k(n, sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for sigma in sigmas]
-    # one shared B per trial: every (eps, k) release is a prefix of its sketch
-    mixer = (SketchSum(base.child("mixing").seed64(), n, d + 1, max(map(max, ks)))
+    sums = ({n: NormalEquationSum(d + 1, n) for n in ns}
+            if dgm or "ols" in cfg.methods else {})
+    ks = {n: [choose_k(n, sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for sigma in sigmas]
+          for n in ns}
+    # one shared B per seed: every (n, eps, k) release is a prefix of n's sketch
+    mixer = (SketchSum(base.child("mixing").seed64(), d + 1,
+                       {n: max(map(max, ks[n])) for n in ns})
              if "rmgm" in cfg.methods else None)
-    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), sums, mixer)))
+    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), *sums.values(), mixer)))
 
-    stats = sums.result() if sums is not None else None
-    root = gram_root(stats.gram, stats.n) if dgm else None
-    if "ols" in cfg.methods:
-        rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))
-    for eps_index, (eps, sigma) in enumerate(zip(cfg.eps_grid, sigmas)):
-        if dgm:
-            release = sample_dgm_gram(stats, root, partition, sigma, base.child("dgm", eps_index))
-            if "dgm" in cfg.methods:
-                rows.append(("dgm", eps, None,
-                             dgm_system(release, partition.d_max, sigma, lam=cfg.lam)))
-            if "bgm" in cfg.methods:
-                rows.append(("bgm", eps, None, ols_system(release, lam=cfg.lam)))
-        if mixer is not None:
-            for k in ks[eps_index]:
-                release = rmgm_release(mixer.result(), n, partition, sigma, k,
-                                       base.child("rmgm", eps_index, k))
-                rows.append(("rmgm", eps, k, rmgm_system(normal_equations(release), lam=cfg.lam)))
-
-    outcomes = solve_symmetric([system for _, _, _, system in rows])
     score = weight_distance if metric == "distance" else test_mse
     reports = []
-    for (method, eps, k, _), outcome in zip(rows, outcomes):
-        if isinstance(outcome, SingularSystemError):
-            if cfg.strict:
-                raise outcome
-            fields = dict(status="singular", min_abs_eig=outcome.min_abs_eig)
-        else:
-            weights, min_eig = outcome
-            fields = {metric: score(weights, reference), "min_abs_eig": min_eig}
-        reports.append(TrialReport(
-            method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
-            delta=None if eps is None else cfg.delta, k=k, **fields,
-        ))
+    for n in ns:
+        rows = []  # (method, epsilon, k, system)
+        stats = sums[n].result() if sums else None
+        root = gram_root(stats.gram, stats.n) if dgm else None
+        if "ols" in cfg.methods:
+            rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))
+        for eps_index, (eps, sigma) in enumerate(zip(cfg.eps_grid, sigmas)):
+            if dgm:
+                release = sample_dgm_gram(stats, root, partition, sigma,
+                                          base.child("dgm", eps_index))
+                if "dgm" in cfg.methods:
+                    rows.append(("dgm", eps, None,
+                                 dgm_system(release, partition.d_max, sigma, lam=cfg.lam)))
+                if "bgm" in cfg.methods:
+                    rows.append(("bgm", eps, None, ols_system(release, lam=cfg.lam)))
+            if mixer is not None:
+                for k in ks[n][eps_index]:
+                    release = rmgm_release(mixer.result(n), n, partition, sigma, k,
+                                           base.child("rmgm", eps_index, k))
+                    rows.append(("rmgm", eps, k,
+                                 rmgm_system(normal_equations(release), lam=cfg.lam)))
+
+        outcomes = solve_symmetric([system for _, _, _, system in rows])
+        for (method, eps, k, _), outcome in zip(rows, outcomes):
+            if isinstance(outcome, SingularSystemError):
+                if cfg.strict:
+                    raise outcome
+                fields = dict(status="singular", min_abs_eig=outcome.min_abs_eig)
+            else:
+                weights, min_eig = outcome
+                fields = {metric: score(weights, reference), "min_abs_eig": min_eig}
+            reports.append(TrialReport(
+                method=method, seed=seed, n=n, d=d, m=cfg.m, epsilon=eps,
+                delta=None if eps is None else cfg.delta, k=k, **fields,
+            ))
     return reports
 
 
-def _synthetic_trial(cfg: RunConfig, n: int, seed: int):
-    """One (n, seed) task of the synthetic protocol; returns its record
-    (n, seed, reports, wall seconds)."""
+def _synthetic_trial(cfg: RunConfig, seed: int):
+    """One seed of the synthetic protocol over the whole ``n_grid``: one
+    generated pass at the largest n, whose first n rows are each n's data.
+    Returns its record (largest n, seed, reports, wall seconds); a single
+    n is this task over a one-entry grid."""
     started = time.perf_counter()
     base = RandomStream(cfg.root_seed).child("synthetic", seed)
     w_star = gen_ground_truth(cfg.d, base.child("truth"))
-    chunks = gen_chunks(n, w_star, base.child("data"))
-    reports = _trial_methods(cfg, base, chunks, n, partition_evenly(cfg.d + 1, cfg.m), seed,
-                             "distance", w_star)
-    return n, seed, reports, time.perf_counter() - started
+    chunks = gen_chunks(max(cfg.n_grid), w_star, base.child("data"))
+    reports = _trial_methods(cfg, base, chunks, cfg.n_grid, partition_evenly(cfg.d + 1, cfg.m),
+                             seed, "distance", w_star)
+    return max(cfg.n_grid), seed, reports, time.perf_counter() - started
 
 
 def run_synthetic(cfg: RunConfig) -> RunOutput:
     """The convergence protocol: a (method, n, epsilon, seed) sweep on
     generated data, measuring weight-space distance to the ground truth."""
-    tasks = [(n, seed) for n in cfg.n_grid for seed in range(cfg.seeds)]
+    tasks = [(seed,) for seed in range(cfg.seeds)]
     return _sweep(cfg, "synthetic", _synthetic_trial, tasks, time.perf_counter())
 
 
@@ -203,7 +216,7 @@ def _real_trial(cfg: RunConfig, data: np.ndarray, seed: int):
     base = RandomStream(cfg.root_seed).child("real", seed)
     train, test = split_normalized(data, base.child("split"))
     n = train.shape[0]
-    reports = _trial_methods(cfg, base, chunk_views(train), n,
+    reports = _trial_methods(cfg, base, chunk_views(train), (n,),
                              partition_evenly(data.shape[1], cfg.m), seed, "test_mse", test)
     return n, seed, reports, time.perf_counter() - started
 

@@ -11,7 +11,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .kernels import _COL_CHUNK
+from .kernels import _COL_CHUNK, _whole_groups
 from .linalg import _block_rows
 from .streams import RandomStream
 
@@ -33,11 +33,13 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
     """n rows of U(-1, 1) features with noiseless labels y = w*.x, in
     ``chunk_views`` chunks that share one buffer (copy what you keep).
     The draws continue one generator across chunks, so the features are
-    those of one (n, d) draw from ``stream``.  The labels are one product
-    per ``linalg._block_rows`` block (a power of two, so whole groups of 4
-    rows: gemv rounds a trailing 1-3 rows differently); under any BLAS
-    thread count they are the bits of one product over all rows on one
-    thread."""
+    the first n rows of one draw from ``stream``.  The labels are one
+    product per ``linalg._block_rows`` block (a power of two, so whole
+    groups of 4 rows: gemv rounds a trailing 1-3 rows differently), and
+    the last chunk draws and labels its rows up to a whole group, then
+    drops the extra ones.  So a row's bits do not depend on n, the first n
+    rows are those at any larger n, and under any BLAS thread count they
+    are the bits of one product over whole groups on one thread."""
     w_star = np.asarray(w_star, dtype=np.float64)
     if w_star.ndim != 1 or w_star.size < 1:
         raise ValueError("w_star must be a non-empty vector")
@@ -45,11 +47,12 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
         raise ValueError(f"n must be >= 1, got {n}")
     gen, d = stream.generator(), w_star.size
     block_rows = _block_rows(d + 1)
-    buffer = np.empty((min(n, _COL_CHUNK), d + 1))
+    buffer = np.empty((min(_whole_groups(n), _COL_CHUNK), d + 1))
     for r0 in range(0, n, _COL_CHUNK):
-        chunk = buffer[: min(_COL_CHUNK, n - r0)]
+        rows = min(_COL_CHUNK, n - r0)
+        chunk = buffer[: _whole_groups(rows)]
         chunk[:, :d] = gen.uniform(-1.0, 1.0, size=(chunk.shape[0], d))
         for b0 in range(0, chunk.shape[0], block_rows):
             block = chunk[b0 : b0 + block_rows]
             block[:, d] = block[:, :d] @ w_star
-        yield chunk
+        yield chunk[:rows]

@@ -100,7 +100,7 @@ def sketch_product_v1(seed, data, k):
         r1 = min(r0 + 512, k)
         for i0 in range(0, n, 1 << 16):
             i1 = min(i0 + (1 << 16), n)
-            tile = rademacher_tile(seed, n, r0, r1 - r0, i0, i1 - i0)
+            tile = rademacher_tile(seed, r0, r1 - r0, i0, i1 - i0)
             for j in range(cols):
                 out[r0:r1, j] += tile @ np.ascontiguousarray(data[i0:i1, j])
     return out
@@ -113,7 +113,7 @@ def sketch_product_v3(seed, data, k):
     out = np.zeros((k, cols))
     for i0 in range(0, n, 1 << 14):
         i1 = min(i0 + (1 << 14), n)
-        b = rademacher_tile(seed, n, 0, k, i0, i1 - i0)
+        b = rademacher_tile(seed, 0, k, i0, i1 - i0)
         for j in range(cols):
             out[:, j] += np.dot(b, np.ascontiguousarray(data[i0:i1, j]))
     return out
@@ -128,7 +128,7 @@ def dgm_published(data, partition, sigma, stream):
 def trial_sketch(data, partition, k, stream):
     """B D at k rows, B from ``stream.child("mixing")``, as a trial's pass
     checks and sketches its data."""
-    mixer = SketchSum(stream.child("mixing").seed64(), len(data), data.shape[1], k)
+    mixer = SketchSum(stream.child("mixing").seed64(), data.shape[1], {len(data): k})
     feed(chunk_views(data), BoundsCheck(partition, data.shape[1]), mixer)
     return mixer.result()
 
@@ -145,9 +145,10 @@ def gen_matrix(n, w_star, stream):
 
 
 def dataset_one_shot(n, w_star, stream):
-    """Features in one (n, d) draw, labels as one product, side by side."""
-    features = stream.generator().uniform(-1.0, 1.0, size=(n, w_star.size))
-    return np.column_stack([features, features @ w_star])
+    """Features in one draw of n rows rounded up to a whole group of 4,
+    labels as one product over them, side by side; the first n rows."""
+    features = stream.generator().uniform(-1.0, 1.0, size=(-(-n // 4) * 4, w_star.size))
+    return np.column_stack([features, features @ w_star])[:n]
 
 
 def noise_one_shot(rows, cols, std, stream):

@@ -164,8 +164,9 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "argv, warns",
-        [(["--full"], True), (["--full", "--n-grid", "1000", "--seeds", "2"], False)],
-        ids=["full", "full_replaced_by_flags"],
+        [(["--full"], True), (["--full", "--n-grid", "1000", "--seeds", "2"], False),
+         (["--n-grid", "600000,500000", "--seeds", "1000"], False)],
+        ids=["full", "full_replaced_by_flags", "sum_over_but_largest_under"],
     )
     def test_hours_warning_follows_built_config(self, capsys, argv, warns):
         config_from_argv(["synthetic", *argv])
@@ -196,7 +197,7 @@ class TestConfig:
 # (args, tasks in task order) of small runs of both protocols
 TIMED_RUNS = [
     (["synthetic", "--n-grid", "300,200", "--seeds", "3"],
-     [(n, seed) for n in (300, 200) for seed in range(3)]),
+     [(300, seed) for seed in range(3)]),  # a seed over the grid, at its largest n
     (["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
       "--seeds", "3"], [(80, seed) for seed in range(3)]),  # 80 training rows
 ]
@@ -319,17 +320,23 @@ class TestTaskIsOneCall:
     renders the same trials.csv rows, byte for byte, as in the whole sweep."""
 
     @staticmethod
-    def sweep_rows(argv, n, seed):
-        """Run ``argv``; return its config and task (n, seed)'s trials.csv rows."""
+    def sweep_rows(argv):
+        """Run ``argv``; return its config and its trials.csv rows in file
+        order, each as (n, seed, row)."""
         assert main(argv) == 0
         _, cfg = config_from_argv(argv)
         header, *rows = (read(os.path.join(cfg.out_dir, "trials.csv")).decode()
                          .splitlines(keepends=True))
         at_n, at_seed = (header.rstrip("\n").split(",").index(name) for name in ("n", "seed"))
-        task_rows = [row for row in rows
-                     if (row.split(",")[at_n], row.split(",")[at_seed]) == (str(n), str(seed))]
-        assert task_rows and len(task_rows) < len(rows)
-        return cfg, task_rows
+        return cfg, [(int(row.split(",")[at_n]), int(row.split(",")[at_seed]), row)
+                     for row in rows]
+
+    @staticmethod
+    def rows_at(rows, seed, n=None):
+        """The rows of ``seed``, at ``n`` or at every n."""
+        picked = [row for at_n, at_seed, row in rows if at_seed == seed and n in (None, at_n)]
+        assert picked and len(picked) < len(rows)
+        return picked
 
     @staticmethod
     def alone_rows(record):
@@ -337,20 +344,32 @@ class TestTaskIsOneCall:
         return trials_to_csv(sorted(reports, key=trial_order)).splitlines(keepends=True)[1:]
 
     def test_synthetic_task_alone(self, tmp_path):
-        argv = ["synthetic", "--n-grid", "300,200", "--seeds", "3", "--eps-grid", "1.0",
-                "--workers", "2", "--out", str(tmp_path)]
-        cfg, rows = self.sweep_rows(argv, 200, 1)  # the fifth of six tasks
-        record = _synthetic_trial(cfg, 200, 1)
-        assert record[:2] == (200, 1)
-        assert self.alone_rows(record) == rows
+        # a seed's one pass at the largest n serves the whole grid: below,
+        # across and past one 16 384-row chunk, n % 4 in {0, 1, 3}.  Each
+        # (n, seed)'s rows are those of a run over that n alone, under one
+        # and two workers, and a seed's task alone gives its rows at every n
+        grid = (1_001, 16_387, 40_001, 70_000)
+        base = ["synthetic", "--seeds", "3", "--eps-grid", "1.0"]
+        alone = {n: self.sweep_rows([*base, "--n-grid", str(n), "--out", str(tmp_path / str(n))])[1]
+                 for n in grid}
+        for workers in (1, 2):
+            argv = base + ["--n-grid", ",".join(map(str, grid)), "--workers", str(workers),
+                           "--out", str(tmp_path / f"w{workers}")]
+            cfg, rows = self.sweep_rows(argv)
+            for n in grid:
+                for seed in range(3):
+                    assert self.rows_at(rows, seed, n) == self.rows_at(alone[n], seed)
+        record = _synthetic_trial(cfg, 1)  # the second of three tasks
+        assert record[:2] == (70_000, 1)
+        assert self.alone_rows(record) == self.rows_at(rows, 1)
 
     def test_real_task_alone(self, tmp_path):
         argv = ["real", "--csv", FIXTURE, "--label-column", "expenses", "--parties", "5",
                 "--seeds", "3", "--eps-grid", "1.0", "--out", str(tmp_path)]
-        cfg, rows = self.sweep_rows(argv, 80, 1)  # 80 training rows; the second of three seeds
+        cfg, rows = self.sweep_rows(argv)  # 80 training rows
         record = _real_trial(cfg, load_csv(cfg.csv_path, label_column=cfg.label_column), 1)
         assert record[:2] == (80, 1)
-        assert self.alone_rows(record) == rows
+        assert self.alone_rows(record) == self.rows_at(rows, 1)  # the second of three seeds
 
 
 def test_package_does_not_import_scipy():

@@ -285,8 +285,9 @@ class TestTrialDraws:
         # stream draws Z (10 x 11: the labels are X w*, so [X | y] has
         # rank 10), 11 chi-squares and L's 55 normals, where adding the
         # noise to the rows drew 70 001 x 11
-        cfg = build_config({}, dict(eps_grid=(1.0, 0.3, 0.1), seeds=1, root_seed=10))
-        _, _, reports, _ = _synthetic_trial(cfg, 70_001, 0)
+        cfg = build_config({}, dict(n_grid=(70_001,), eps_grid=(1.0, 0.3, 0.1), seeds=1,
+                                    root_seed=10))
+        _, _, reports, _ = _synthetic_trial(cfg, 0)
         assert sum(r.method in ("dgm", "bgm") for r in reports) == 6
         base = RandomStream(10).child("synthetic", 0)
         for i in range(3):

@@ -32,11 +32,16 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "insurance_sample.
 # of eigvalsh and a symmetric LDL' solve, so every digest changed.
 # 7: a trial samples each DGM release's Gram from the data's own in place
 # of adding n rows of noise, so the dgm and bgm rows changed; the other
-# rows, and best_k.csv, are those of version 6
-# (``test_only_dgm_and_bgm_rows_left_version_6``).  X'X of more than 64
+# rows, and best_k.csv, are those of version 6.  X'X of more than 64
 # feature columns became a sum of panel products; no config here is that
 # wide.
-NUMERICS_VERSION = 7
+# 8: row r of the mixing matrix B starts at splitmix word r * 2**32, not
+# r * ceil(n/64), so B_n is the first n columns of one matrix, and the
+# last generated chunk draws and labels its rows up to a whole group of 4.
+# The rmgm rows and best_k.csv changed; the other rows are those of
+# version 7 (``test_only_rmgm_rows_left_version_7``: here the 3 rows past
+# the last group of 4 at n = 20 011 kept their label bits).
+NUMERICS_VERSION = 8
 
 SYNTHETIC_CFG = (
     "methods = ols, dgm, rmgm, bgm\n"
@@ -45,8 +50,8 @@ SYNTHETIC_CFG = (
     "seeds = 5\n"
     "root_seed = 7\n"
 )
-SYNTHETIC_DIGEST = "85ca793b06638f1e779e48f4b40bf02ba50f5d72e11570d2920aeebb47cf19de"
-SYNTHETIC_AGGREGATES_DIGEST = "1d53d953d8c77d5b86cace63ac24387f8dccf4a8966a391c4e5bac5ddf0016eb"
+SYNTHETIC_DIGEST = "da03b6e748dddae0d9776b3394180e90703ed8bc5c7f67babc052399267b6562"
+SYNTHETIC_AGGREGATES_DIGEST = "d9eccf88a2705636761855c6c28ab954a77e23e8d0bea1503b9df3bc6373a8e4"
 
 REAL_CFG = (
     f"csv_path = {FIXTURE}\n"
@@ -56,9 +61,9 @@ REAL_CFG = (
     "seeds = 3\n"
     "m = 3\n"
 )
-REAL_DIGEST = "d370d44d0b23ebd162e7ac161206cde64f98d1aa420b98da4b0955aa77d89969"
-REAL_AGGREGATES_DIGEST = "dd6f2fbf495374f8a54180848254af7d32d69ad6f286424baedeed9ddd551ff9"
-REAL_BEST_K_DIGEST = "d6c33b9b63619cab58b274bf15e75db87037c11f4941ecaec3977061ef075fe8"
+REAL_DIGEST = "1ffd65347dc9b49c265fe42fb985725eee7000dc2b13a27f26ae53ac25c7fc78"
+REAL_AGGREGATES_DIGEST = "93bb04d8335f634f4844c5e2216088344616ab33f495e2c425c4d81268fcfe74"
+REAL_BEST_K_DIGEST = "8072d5219fd707b702f9825edb33ce6dcb5acd0164e2c080e6efe04846e04481"
 
 # n = 20 011 rows of 11 columns: three row blocks (8192, 8192, 3627) for
 # the normal equations and two sketch column chunks (16 384, 3627)
@@ -68,8 +73,8 @@ CHUNKED_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-CHUNKED_DIGEST = "d6815d32b1e6f5f598a48623ef40307a9c759ed1cad9d59840b15db745fe5b2b"
-CHUNKED_AGGREGATES_DIGEST = "33c037873baec4d4991a32695ad6ddb555ac8914f51ba0bb6599feec6af2f245"
+CHUNKED_DIGEST = "d96f5d499d762d07549f7dd598fc42e5ed7a308a7a9c6ce1dc54b802792905be"
+CHUNKED_AGGREGATES_DIGEST = "5940f828ed03b4e7eef4bb2d96f2bca303d21b5efdde6ce34e61f4248a703bbf"
 
 # d + 1 = 41 columns: normal-equation blocks of 2048 rows (3196 in
 # version 4, when a block straddled two chunks)
@@ -81,16 +86,16 @@ WIDE_CFG = (
     "seeds = 2\n"
     "root_seed = 7\n"
 )
-WIDE_DIGEST = "64e6bdf1227ec918749e081291d0c05e7fbd5f70f24ecb31f50d7c2a766e0f5b"
-WIDE_AGGREGATES_DIGEST = "2b302df4924861f4a057835090fdec0f2ce1161be0caf84c222da8da1e82c165"
+WIDE_DIGEST = "c8df3eeb29532dbbbd7b68e1ef47ddde3d8f5c7ce56c9bf85aea381abaf49b70"
+WIDE_AGGREGATES_DIGEST = "2d04a342824fa7ae9c4d59a0bddbd6abf2790cce80d15775dbf3a2a6b29c47b4"
 
-# sha256 of each config's trials.csv at version 6 without its dgm and
-# bgm rows, header included, lines joined by newlines
-VERSION_6_OTHER_ROWS = {
-    "synthetic": "b808e3bc5197c907408605b56c5d93890a03e209714461c8103ee46701d992f7",
-    "chunked": "3882d10d17c78df1f946a33e7dc2bd8c579f91138f3f26ec62c1a959c4481385",
-    "wide": "c42fdcc2111dcce79eb0547802dca29338be88288d1bc0dfeb75738209573904",
-    "real": "fe986d1783b4181130e8a3077578f4bfcda53afa6cd61aedb254b42bccab79cb",
+# sha256 of each config's trials.csv at version 7 without its rmgm rows,
+# header included, lines joined by newlines
+VERSION_7_OTHER_ROWS = {
+    "synthetic": "b877738a3e8c7d4100b825f99447f9a29027d1796294e333cb87a42045b18c42",
+    "chunked": "96ab5bfcf6104117ca8675635109156f8869b8572d506663e4ebd799f66a21d9",
+    "wide": "1593e33cc4e47aceda098996a4c053a3beb3df4ce5e9d327dbcd2e81c9606e3e",
+    "real": "ffaef2102285bbdfb57db964933dbfb49aa988615861f44e321db6585eedeaee",
 }
 
 # name -> (command, config)
@@ -160,9 +165,9 @@ def test_best_k_csv_digest(run_outputs):
     assert _sha256(run_outputs("real") / "best_k.csv") == REAL_BEST_K_DIGEST
 
 
-@pytest.mark.parametrize("name", sorted(VERSION_6_OTHER_ROWS))
-def test_only_dgm_and_bgm_rows_left_version_6(run_outputs, name):
-    # the ols and rmgm rows come from the same data sums and sketches
+@pytest.mark.parametrize("name", sorted(VERSION_7_OTHER_ROWS))
+def test_only_rmgm_rows_left_version_7(run_outputs, name):
+    # the ols, dgm and bgm rows come from the same data and DGM draws
     lines = (run_outputs(name) / "trials.csv").read_bytes().split(b"\n")
-    other = b"\n".join(line for line in lines if not line.startswith((b"dgm,", b"bgm,")))
-    assert hashlib.sha256(other).hexdigest() == VERSION_6_OTHER_ROWS[name]
+    other = b"\n".join(line for line in lines if not line.startswith(b"rmgm,"))
+    assert hashlib.sha256(other).hexdigest() == VERSION_7_OTHER_ROWS[name]

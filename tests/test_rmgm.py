@@ -70,13 +70,13 @@ class TestRelease:
     def test_single_mixing_seed_shared(self):
         # a trial's rmgm rows train on releases of B D, B from the one
         # seed child("mixing").seed64() of the trial's stream
-        cfg = build_config({}, dict(d=3, m=2, methods=("rmgm",), eps_grid=(1.0, 0.5), seeds=1,
-                                    root_seed=4))
+        cfg = build_config({}, dict(d=3, m=2, methods=("rmgm",), n_grid=(100,),
+                                    eps_grid=(1.0, 0.5), seeds=1, root_seed=4))
         base = RandomStream(4).child("synthetic", 0)
         w_star = gen_ground_truth(3, base.child("truth"))
         data = gen_matrix(100, w_star, base.child("data"))
         part = partition_evenly(4, 2)
-        _, _, reports, _ = _synthetic_trial(cfg, 100, 0)
+        _, _, reports, _ = _synthetic_trial(cfg, 0)
         seed = base.child("mixing").seed64()
         for i, report in enumerate(reports):  # one k per epsilon, in eps_grid order
             product = sketch_product(seed, data, report.k)

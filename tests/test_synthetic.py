@@ -73,9 +73,10 @@ class TestDataset:
         np.testing.assert_array_equal(data[:, -1], data[:, :-1] @ w_star)
 
     def test_chunks_match_one_draw_and_one_product(self):
-        # two whole 8192-row label blocks and a 3-row remainder, in a
-        # 16 384-row chunk and a short one: the chunked features and the
-        # labels are bit for bit a single draw and a single product
+        # two whole 8192-row label blocks and a 3-row remainder (drawn and
+        # labelled as a group of 4), in a 16 384-row chunk and a short one:
+        # the chunked features and the labels are bit for bit a single
+        # draw and a single product
         w_star = gen_ground_truth(10, RandomStream(11))
         n = 2 * _block_rows(11) + 3
         data = gen_matrix(n, w_star, RandomStream(12))
@@ -83,8 +84,8 @@ class TestDataset:
 
     @pytest.mark.parametrize("d", [10, 40])
     def test_label_blocks_match_one_product_on_one_blas_thread(self, d):
-        # two whole 8192-row label blocks and a 3-row remainder, in one
-        # 16 384-row chunk and a short one
+        # two whole 8192-row label blocks and a 3-row remainder (drawn and
+        # labelled as a group of 4), in one 16 384-row chunk and a short one
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC_DIR, TESTS_DIR]),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run(

@@ -60,11 +60,23 @@ class TestTrialMemory:
     def test_whole_synthetic_trial_peak_under_8_mib(self):
         # three eps, four methods: the data alone would be 84 MiB; the
         # trial holds one 16 384-row chunk (1.4 MiB) and its temporaries
-        cfg = build_config({}, dict(methods=METHODS, eps_grid=(1.0, 0.3, 0.1), seeds=1,
-                                    root_seed=43))
-        (_, _, reports, _), peak = traced_peak(_synthetic_trial, cfg, N, 0)
+        cfg = build_config({}, dict(methods=METHODS, n_grid=(N,), eps_grid=(1.0, 0.3, 0.1),
+                                    seeds=1, root_seed=43))
+        (_, _, reports, _), peak = traced_peak(_synthetic_trial, cfg, 0)
         assert len(reports) == 1 + 3 * 3
         assert all(r.n == N and r.status == "ok" for r in reports)
+        assert peak < 8 * 2**20
+
+    def test_seed_over_a_grid_peak_under_8_mib(self):
+        # one pass at n = 1e6 serves n = 16 387 too, which copies its few
+        # sketch rows and takes views of the chunk's transposed columns and
+        # sign tile: no chunk, transposed or tile buffer of its own
+        cfg = build_config({}, dict(methods=METHODS, n_grid=(16_387, N), eps_grid=(1.0, 0.3, 0.1),
+                                    seeds=1, root_seed=43))
+        (_, _, reports, _), peak = traced_peak(_synthetic_trial, cfg, 0)
+        assert sorted({r.n for r in reports}) == [16_387, N]
+        assert len(reports) == 2 * (1 + 3 * 3)
+        assert all(r.status == "ok" for r in reports)
         assert peak < 8 * 2**20
 
     def test_gen_chunks_peak_under_4_mib(self):

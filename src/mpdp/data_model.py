@@ -113,8 +113,10 @@ class BoundsCheck:
         self.rows = 0
 
     def push(self, chunk: np.ndarray) -> None:
-        mask = ~(np.abs(chunk) <= 1.0)  # NaN fails the comparison too
-        if mask.any():
+        # NaN fails both comparisons, so only a chunk with an offender
+        # makes the mask, which alone reports it
+        if chunk.size and not (chunk.min() >= -1.0 and chunk.max() <= 1.0):
+            mask = ~(np.abs(chunk) <= 1.0)
             row, col = np.unravel_index(int(mask.argmax()), mask.shape)
             raise ValueError(f"data violates the |entry| <= 1 bound at {np.count_nonzero(mask)} "
                              f"position(s), first ({self.rows + row}, {col}); normalize first")

@@ -205,21 +205,38 @@ class NormalEquations:
 
 
 class NormalEquationSum:
-    """The normal equations of an n-row matrix [X | y], label last, pushed
-    in order.  Each ``_block_rows`` block, cut at absolute row offsets,
-    makes X'X (``gram_product``), X'y and y'y as one product each, written
-    into that block's Gram; the block Grams are summed in order, so the
-    bits depend on the matrix alone.
+    """The normal equations of the first n rows of a matrix [X | y], label
+    last, at each n of ``ns``, from one pass of its chunks up to the
+    largest n, pushed in order.  Each ``_block_rows`` block, cut at
+    absolute row offsets, makes X'X (``gram_product``), X'y and y'y as one
+    product each, written into that block's Gram; the block Grams are
+    summed in order, so the bits depend on the matrix alone.  A smaller
+    n takes its snapshot when the block holding its last row arrives: the
+    running sum plus the Gram of its own partial block, so each n's sums
+    are bit for bit those of its n rows alone.
     No chunk is kept, so every push but the last must be whole blocks
-    (``chunk_views`` chunks are).  Rows pushed past the n-th are dropped,
-    so the chunks of a longer matrix give those of its first n rows."""
+    (``chunk_views`` chunks are).  Rows pushed past the largest n are
+    dropped, so the chunks of a longer matrix give those of its first n
+    rows."""
 
-    def __init__(self, cols: int, n: int):
+    def __init__(self, cols: int, *ns: int):
         if cols < 2:
             raise ValueError("need an n-by-(d+1) matrix with the label last")
-        self.n, self._cols, self._block = n, cols, _block_rows(cols)
+        if not ns:
+            raise ValueError("need at least one row count n")
+        self.n, self._cols, self._block = max(ns), cols, _block_rows(cols)
         self._gram = None
         self._pushed = 0
+        smaller = sorted(set(ns) - {self.n})
+        self._snapshots = dict.fromkeys(smaller)  # each smaller n's sums, once its block is in
+        self._pending = smaller  # the smaller ns whose block has not arrived, ascending
+
+    def _block_gram(self, block: np.ndarray) -> np.ndarray:
+        x, y = block[:, :-1], block[:, -1]
+        gram = np.empty((self._cols, self._cols))
+        gram[:-1, :-1], gram[-1, -1] = gram_product(x), y @ y
+        gram[:-1, -1] = gram[-1, :-1] = x.T @ y
+        return gram
 
     def push(self, chunk: np.ndarray) -> None:
         chunk = chunk[: self.n - self._pushed]
@@ -229,20 +246,28 @@ class NormalEquationSum:
             raise ValueError(f"a push at row {self._pushed} does not start a "
                              f"{self._block}-row block")
         for b0 in range(0, chunk.shape[0], self._block):
-            x, y = chunk[b0 : b0 + self._block, :-1], chunk[b0 : b0 + self._block, -1]
-            gram = np.empty((self._cols, self._cols))
-            gram[:-1, :-1], gram[-1, -1] = gram_product(x), y @ y
-            gram[:-1, -1] = gram[-1, :-1] = x.T @ y
+            block = chunk[b0 : b0 + self._block]
+            r0 = self._pushed + b0
+            r1 = r0 + block.shape[0]
+            gram = self._block_gram(block)
+            while self._pending and self._pending[0] <= r1:
+                n = self._pending.pop(0)
+                part = gram if n == r1 else self._block_gram(block[: n - r0])
+                self._snapshots[n] = part.copy() if self._gram is None else self._gram + part
             if self._gram is None:
                 self._gram = gram
             else:
                 self._gram += gram
         self._pushed += chunk.shape[0]
 
-    def result(self) -> NormalEquations:
-        if self._gram is None or self._pushed != self.n:
-            raise ValueError(f"{self._pushed} of {self.n} rows pushed")
-        return NormalEquations(gram=self._gram, n=self.n)
+    def result(self, n: int | None = None) -> NormalEquations:
+        """The normal equations of the first ``n`` rows (by default the
+        largest n), once they are pushed."""
+        n = self.n if n is None else n
+        gram = self._gram if n == self.n else self._snapshots[n]
+        if gram is None or self._pushed < n:
+            raise ValueError(f"{min(self._pushed, n)} of {n} rows pushed")
+        return NormalEquations(gram=gram, n=n)
 
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:

@@ -118,11 +118,11 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, ns, partition: Pa
                    seed: int, metric: str, reference: np.ndarray) -> list[TrialReport]:
     """Run every configured method once at each n of ``ns`` against the
     first n of the max(ns) rows that ``chunks`` yields in ``chunk_views``
-    chunks, in one pass: each chunk goes to the bounds check, each n's
-    normal equations (which keep its rows up to n) and the RMGM sketch
-    (which takes each smaller n's out of the pass); only the releases and
-    solves run after it.  So each n's trials are those of a pass over its
-    own n rows, bit for bit.  OLS trains on the data's normal equations,
+    chunks, in one pass: each chunk goes to the bounds check, the normal
+    equations and the RMGM sketch, one each for the whole grid, which take
+    each smaller n's sums out of the pass; only the releases and solves
+    run after it.  So each n's trials are those of a pass over its own n
+    rows, bit for bit.  OLS trains on the data's normal equations,
     and each epsilon's DGM release Gram is sampled from them
     (``sample_dgm_gram``), never materialised.
     Every method's system is built by the one function of its rule
@@ -137,21 +137,20 @@ def _trial_methods(cfg: RunConfig, base: RandomStream, chunks, ns, partition: Pa
     d = partition.total_columns - 1
     sigmas = [calibrate(eps, cfg.delta) for eps in cfg.eps_grid]
     dgm = "dgm" in cfg.methods or "bgm" in cfg.methods
-    sums = ({n: NormalEquationSum(d + 1, n) for n in ns}
-            if dgm or "ols" in cfg.methods else {})
+    sums = NormalEquationSum(d + 1, *ns) if dgm or "ols" in cfg.methods else None
     ks = {n: [choose_k(n, sigma, d, partition.d_max, cfg.k_mode, cfg.k_grid) for sigma in sigmas]
           for n in ns}
     # one shared B per seed: every (n, eps, k) release is a prefix of n's sketch
     mixer = (SketchSum(base.child("mixing").seed64(), d + 1,
                        {n: max(map(max, ks[n])) for n in ns})
              if "rmgm" in cfg.methods else None)
-    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), *sums.values(), mixer)))
+    feed(chunks, *filter(None, (BoundsCheck(partition, d + 1), sums, mixer)))
 
     score = weight_distance if metric == "distance" else test_mse
     reports = []
     for n in ns:
         rows = []  # (method, epsilon, k, system)
-        stats = sums[n].result() if sums else None
+        stats = sums.result(n) if sums is not None else None
         root = gram_root(stats.gram, stats.n) if dgm else None
         if "ols" in cfg.methods:
             rows.append(("ols", None, None, ols_system(stats, lam=cfg.lam)))

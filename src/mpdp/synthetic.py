@@ -33,7 +33,8 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
     """n rows of U(-1, 1) features with noiseless labels y = w*.x, in
     ``chunk_views`` chunks that share one buffer (copy what you keep).
     The draws continue one generator across chunks, so the features are
-    the first n rows of one draw from ``stream``.  The labels are one
+    the first n rows of one draw from ``stream``; while a chunk is out the
+    buffer is all the generator holds.  The labels are one
     product per ``linalg._block_rows`` block (a power of two, so whole
     groups of 4 rows: gemv rounds a trailing 1-3 rows differently), and
     the last chunk draws and labels its rows up to a whole group, then
@@ -51,7 +52,12 @@ def gen_chunks(n: int, w_star: np.ndarray, stream: RandomStream) -> Iterator[np.
     for r0 in range(0, n, _COL_CHUNK):
         rows = min(_COL_CHUNK, n - r0)
         chunk = buffer[: _whole_groups(rows)]
-        chunk[:, :d] = gen.uniform(-1.0, 1.0, size=(chunk.shape[0], d))
+        # U(-1, 1) is -1 + 2u, and 2u is exact: uniform(-1.0, 1.0)'s bits,
+        # without its per-entry loop
+        draws = gen.random((chunk.shape[0], d))
+        draws *= 2.0
+        np.subtract(draws, 1.0, out=chunk[:, :d])
+        del draws  # not held while the chunk is out
         for b0 in range(0, chunk.shape[0], block_rows):
             block = chunk[b0 : b0 + block_rows]
             block[:, d] = block[:, :d] @ w_star

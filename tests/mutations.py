@@ -27,11 +27,11 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Every mutation below but the seventh, the twelfth, the fifteenth, the
-# twenty-first, the twenty-second and the twenty-third also changes the
-# golden digests (tests/test_golden.py).  (The seventh shows only where
+# Every mutation below but the seventh, the twelfth, the fifteenth and
+# the twenty-first to the twenty-sixth also changes the golden digests (tests/test_golden.py).  (The seventh shows only where
 # the DGM root pivots on the label before a feature, and no golden run
-# does; the twenty-third only where a run has more than one n.)
+# does; the twenty-third and twenty-fourth only where a run has more than
+# one n; the twenty-fifth only on an entry that is NaN.)
 # They are left out of the expected tests: a
 # change that re-pins them would hide the mutation, so each entry names
 # the tests that check the behaviour itself.  Where those are only
@@ -248,6 +248,34 @@ MUTATIONS = (
         ),
         "a smaller n's sketch taking the whole product of its last chunk, so the "
         "columns past n, which are not its data, are mixed into its releases",
+    ),
+    (
+        "linalg.py",
+        "part = gram if n == r1 else self._block_gram(block[: n - r0])",
+        "part = gram",
+        (
+            "tests/test_linalg.py::TestNormalEquations::test_one_pass_gives_every_smaller_n_alone",
+            "tests/test_cli.py::TestTaskIsOneCall::test_synthetic_task_alone",
+        ),
+        "a smaller n's normal equations snapshot taken after its whole block, so the "
+        "rows past n, which are not its data, are summed into its Gram",
+    ),
+    (
+        "data_model.py",
+        "if chunk.size and not (chunk.min() >= -1.0 and chunk.max() <= 1.0):",
+        "if chunk.size and (chunk.min() < -1.0 or chunk.max() > 1.0):",
+        ("tests/test_data_model.py::TestBoundsCheck::test_lone_offender_at_a_chunk_edge",),
+        "the bounds check's fast path letting a NaN entry through: NaN fails every "
+        "comparison, so it is neither below -1 nor above 1",
+    ),
+    (
+        "synthetic.py",
+        "        del draws  # not held while the chunk is out\n",
+        "",
+        ("tests/test_trial_memory.py::TestTrialMemory::"
+         "test_gen_chunks_holds_only_its_buffer_while_a_chunk_is_out",),
+        "the generator holding its 1.3 MiB feature draw across each yield, beside "
+        "every consumer's working memory; no bit moves",
     ),
 )
 

@@ -51,6 +51,22 @@ class TestBoundsCheck:
         with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({2 * rows + 2}, 1\)"):
             check_bounds(values, partition_evenly(3, 2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, np.nextafter(1.0, 2.0),
+                                       np.nextafter(-1.0, -2.0)],
+                             ids=["nan", "inf", "-inf", "above_1", "below_-1"])
+    @pytest.mark.parametrize("row, col", [(0, 0), (_COL_CHUNK, 0), (_COL_CHUNK - 1, 2),
+                                          (2 * _COL_CHUNK + 1, 1), (2 * _COL_CHUNK + 2, 2)],
+                             ids=["first_cell", "chunk_first_cell", "chunk_last_cell",
+                                  "partial_chunk", "last_cell"])
+    def test_lone_offender_at_a_chunk_edge(self, value, row, col):
+        # a non-finite entry, or the nearest float past either bound, alone
+        # at a chunk's first or last cell or in the last partial chunk
+        values = np.full((2 * _COL_CHUNK + 3, 3), -1.0)
+        values[::2] = 1.0
+        values[row, col] = value
+        with pytest.raises(ValueError, match=rf"at 1 position\(s\), first \({row}, {col}\)"):
+            check_bounds(values, partition_evenly(3, 2))
+
     def test_bound_is_inclusive(self):
         values = np.array([[1.0, -1.0], [-1.0, 1.0]])
         check_bounds(values, partition_evenly(2, 2))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import mpdp
+import mpdp.linalg
+from mpdp.config import build_config, parse_config_file
 from mpdp.kernels import _COL_CHUNK, chunk_views
 from mpdp.linalg import (
     NormalEquationSum,
@@ -20,11 +22,13 @@ from mpdp.linalg import (
     solve_symmetric,
     solve_system,
 )
+from mpdp.runner import _synthetic_trial
 
 from _oracles import gram_loops, xty_loops
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(mpdp.__file__)))
+DESK_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_desk.cfg")
 
 # 20 seeded indefinite systems per size, solved as one stack and hashed
 # with their min |eigenvalue|
@@ -107,6 +111,53 @@ class TestNormalEquations:
             assert np.array_equal(streamed.gram, held.gram)
             assert streamed.n == n
 
+    @pytest.mark.parametrize("cols", [11, 41])
+    def test_one_pass_gives_every_smaller_n_alone(self, cols):
+        # inside the first 8192-row block, at its end and one past it,
+        # around the 16 384-row chunk's end, and n % 4 in {1, 3}; 41
+        # columns cut 2048-row blocks.  Each n's sums are those of its
+        # rows alone, bit for bit, from chunks whose buffer is overwritten
+        n_max = 20_011
+        ns = (5_001, 8_192, 8_193, 16_383, 16_384, 16_385, n_max)
+        matrix = np.random.default_rng(cols).uniform(-1, 1, size=(n_max, cols))
+        eqs = NormalEquationSum(cols, *reversed(ns))
+        buffer = np.empty((_COL_CHUNK, cols))
+        for chunk in chunk_views(matrix):
+            buffer[: len(chunk)] = chunk
+            eqs.push(buffer[: len(chunk)])
+            buffer.fill(np.nan)
+        assert eqs.result().n == n_max
+        for n in ns:
+            grid, alone = eqs.result(n), normal_equations(matrix[:n])
+            assert np.array_equal(grid.gram, alone.gram), n
+            assert grid.n == n
+
+    def test_a_smaller_n_is_ready_once_its_rows_are_in(self):
+        eqs = NormalEquationSum(4, 9_000, 20_000)
+        eqs.push(np.zeros((8_192, 4)))
+        with pytest.raises(ValueError, match="8192 of 9000 rows pushed"):
+            eqs.result(9_000)
+        eqs.push(np.zeros((8_192, 4)))
+        assert eqs.result(9_000).n == 9_000
+        with pytest.raises(ValueError, match="16384 of 20000 rows pushed"):
+            eqs.result()
+        with pytest.raises(KeyError):
+            eqs.result(10_000)
+
+    def test_a_desk_seed_sums_one_gram_per_block(self, monkeypatch):
+        # one running sum over 37 blocks to 3e5, and one partial-block
+        # Gram for each of 1e4, 3e4 and 1e5: 40 products over 3.09e5 rows,
+        # where one sum per n made 2 + 4 + 13 + 37 = 56 over 4.4e5
+        rows = []
+        product = mpdp.linalg.gram_product
+        monkeypatch.setattr(mpdp.linalg, "gram_product",
+                            lambda x: rows.append(len(x)) or product(x))
+        cfg = build_config(parse_config_file(DESK_CFG), dict(methods=("ols",), seeds=1))
+        assert cfg.n_grid == (10_000, 30_000, 100_000, 300_000)
+        _synthetic_trial(cfg, 0)
+        assert len(rows) == 40
+        assert sum(rows) == 300_000 + (10_000 - 8_192) + (30_000 - 24_576) + (100_000 - 98_304)
+
     def test_push_off_a_block_boundary_raises(self):
         eqs = NormalEquationSum(41, 20_011)
         eqs.push(np.zeros((1000, 41)))
@@ -120,6 +171,8 @@ class TestNormalEquations:
     def test_rejects_empty_and_malformed_input(self):
         with pytest.raises(ValueError, match="0 of 10 rows"):
             NormalEquationSum(4, 10).result()
+        with pytest.raises(ValueError, match="at least one"):
+            NormalEquationSum(4)
         short = NormalEquationSum(4, 10)
         short.push(np.ones((3, 4)))
         with pytest.raises(ValueError, match="3 of 10 rows"):

@@ -86,6 +86,19 @@ class TestTrialMemory:
         assert check.rows == N
         assert peak < 4 * 2**20
 
+    def test_gen_chunks_holds_only_its_buffer_while_a_chunk_is_out(self):
+        # a feature draw (16 384 x 10 doubles, 1.3 MiB) held across the
+        # yield would sit beside every consumer's own working memory
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            extra = [tracemalloc.get_traced_memory()[0] - before - chunk.base.nbytes
+                     for chunk in gen_chunks(2 * 16_384 + 5, W_STAR, RandomStream(41))]
+        finally:
+            tracemalloc.stop()
+        assert len(extra) == 3
+        assert max(extra) < 2**16
+
     def test_export_peak_under_4_mib(self, tmp_path):
         # one generated chunk and one formatted row at a time: formatting
         # a whole chunk into one string would peak near 10 MiB

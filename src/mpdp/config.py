@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 from .dp_core import calibrate
 from .evaluation import METHODS, tail_prob_column
+from .kernels import B_COLUMNS
 from .rmgm import K_GRID, K_MODES
 
 __all__ = [
@@ -65,8 +66,9 @@ class RunConfig:
                 raise ConfigError(f"unknown method {method!r}; choose from {METHODS}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
-        if any(n < 5 for n in self.n_grid) or not self.n_grid:
-            raise ConfigError("n_grid entries must be >= 5")
+        if not all(5 <= n <= B_COLUMNS for n in self.n_grid) or not self.n_grid:
+            # whatever the methods: an RMGM sketch mixes one column of B per row
+            raise ConfigError(f"n_grid entries must be from 5 to {B_COLUMNS}")
         if not self.eps_grid:
             raise ConfigError("eps_grid must not be empty")
         for eps in self.eps_grid:  # calibrate checks the epsilon and delta ranges

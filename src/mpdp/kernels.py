@@ -18,8 +18,8 @@ from collections.abc import Iterator
 import numpy as np
 
 __all__ = [
-    "SketchSum", "backend_name", "chunk_views", "rademacher_matrix", "rademacher_tile",
-    "sketch_product",
+    "B_COLUMNS", "SketchSum", "backend_name", "chunk_views", "rademacher_matrix",
+    "rademacher_tile", "sketch_product",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -67,8 +67,9 @@ _BAND_WORDS = 1 << 14
 # Row r of B starts at word r * _ROW_WORDS whatever n is, so B_n is the
 # first n columns of one matrix and a sketch of D's first n rows can be
 # taken out of a pass over more rows (``SketchSum``'s smaller n).  A row
-# is then at most 64 * _ROW_WORDS = 2**38 columns.
+# is then B_COLUMNS = 64 * _ROW_WORDS = 2**38 columns, the largest n.
 _ROW_WORDS = 1 << 32
+B_COLUMNS = 64 * _ROW_WORDS
 
 # The tile buffer and the transposed chunk start on a cache line.  From
 # malloc they start wherever the allocator's history puts them, 16 bytes
@@ -184,21 +185,22 @@ class SketchSum:
     """``B_n @ D_n`` at each n of ``ks`` ({n: k}), for B_n the first n
     columns of the seed-defined mixing matrix B and D_n the first n rows
     of D, whose column chunks (``chunk_views``) up to the largest n are
-    pushed in order, none of them kept.  Each n's k-by-c result is bit for
-    bit the first k rows of that for any larger k, and that of a sketch of
-    D_n alone: a smaller n copies the accumulator's rows before the chunk
-    that holds its last row and takes that chunk's product over its own
-    columns alone.  B is never materialised: the working memory is the
-    results, one (c, chunk) transpose buffer that the push completing the
-    rows frees, and within each push one band of sign words (about
-    128 KiB) and one float64 tile (at most 1 MiB)."""
+    pushed in order, none of them kept, and ``result(n)`` waits for n's
+    rows (the rule of ``linalg.NormalEquationSum``).  Each n's k-by-c
+    result is bit for bit the first k rows of that for any larger k, and
+    that of a sketch of D_n alone: a smaller n copies the accumulator's
+    rows before the chunk that holds its last row and takes that chunk's
+    product over its own columns alone.  B is never materialised: the
+    working memory is the results, one (c, chunk) transpose buffer that
+    the push completing the rows frees, and within each push one band of
+    sign words (about 128 KiB) and one float64 tile (at most 1 MiB)."""
 
     def __init__(self, seed: int, cols: int, ks: dict[int, int]):
         if min(ks.values()) < 1:
             raise ValueError(f"k must be >= 1, got {min(ks.values())}")
         self.seed, self.n, self._ks, self._i0 = int(seed), max(ks), dict(ks), 0
-        if self.n > 64 * _ROW_WORDS:
-            raise ValueError(f"n = {self.n} is more than the {64 * _ROW_WORDS} columns of B")
+        if self.n > B_COLUMNS:
+            raise ValueError(f"n = {self.n} is more than the {B_COLUMNS} columns of B")
         width = min(self.n, _COL_CHUNK)
         tiles = _row_tiles(max(ks.values()), width)
         per_band = max(1, _BAND_WORDS // (tiles[0][1] * -(-width // 64)))
@@ -244,10 +246,12 @@ class SketchSum:
             self._transposed = None
 
     def result(self, n: int | None = None) -> np.ndarray:
-        """The k-by-c sketch at ``n`` (by default the largest): a transposed
-        view of its accumulator, not a C-contiguous array (``rmgm_release``
-        copies it C-ordered)."""
+        """The k-by-c sketch at ``n`` (by default the largest), once its n
+        rows are pushed: a transposed view of its accumulator, not a
+        C-contiguous array (``rmgm_release`` copies it C-ordered)."""
         n = self.n if n is None else n
+        if self._i0 < n:
+            raise ValueError(f"{self._i0} of {n} rows pushed")
         return (self._acc if n == self.n else self._smaller[n])[:, : self._ks[n]].T
 
 

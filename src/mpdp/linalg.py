@@ -210,14 +210,14 @@ class NormalEquationSum:
     largest n, pushed in order.  Each ``_block_rows`` block, cut at
     absolute row offsets, makes X'X (``gram_product``), X'y and y'y as one
     product each, written into that block's Gram; the block Grams are
-    summed in order, so the bits depend on the matrix alone.  A smaller
-    n takes its snapshot when the block holding its last row arrives: the
-    running sum plus the Gram of its own partial block, so each n's sums
-    are bit for bit those of its n rows alone.
-    No chunk is kept, so every push but the last must be whole blocks
-    (``chunk_views`` chunks are).  Rows pushed past the largest n are
-    dropped, so the chunks of a longer matrix give those of its first n
-    rows."""
+    summed in order from zero, so the bits depend on the matrix alone.  A
+    smaller n takes its snapshot when the block holding its last row
+    arrives: the running sum plus the Gram of its own partial block, so
+    each n's sums are bit for bit those of its n rows alone.  A push must
+    continue the pass within the largest n, and ``result(n)`` waits for
+    n's rows (the rule of ``kernels.SketchSum`` too).  No chunk is kept,
+    so every push but the last must be whole blocks (``chunk_views``
+    chunks are)."""
 
     def __init__(self, cols: int, *ns: int):
         if cols < 2:
@@ -225,11 +225,10 @@ class NormalEquationSum:
         if not ns:
             raise ValueError("need at least one row count n")
         self.n, self._cols, self._block = max(ns), cols, _block_rows(cols)
-        self._gram = None
+        self._gram = np.zeros((cols, cols))
         self._pushed = 0
-        smaller = sorted(set(ns) - {self.n})
-        self._snapshots = dict.fromkeys(smaller)  # each smaller n's sums, once its block is in
-        self._pending = smaller  # the smaller ns whose block has not arrived, ascending
+        self._snapshots = {}  # each smaller n's sums, once its block is in
+        self._pending = sorted(set(ns) - {self.n})  # the smaller ns not yet in, ascending
 
     def _block_gram(self, block: np.ndarray) -> np.ndarray:
         x, y = block[:, :-1], block[:, -1]
@@ -239,9 +238,9 @@ class NormalEquationSum:
         return gram
 
     def push(self, chunk: np.ndarray) -> None:
-        chunk = chunk[: self.n - self._pushed]
-        if not len(chunk):
-            return
+        if self._pushed + chunk.shape[0] > self.n:
+            raise ValueError(f"rows {self._pushed}:{self._pushed + chunk.shape[0]} run past "
+                             f"n = {self.n}")
         if self._pushed % self._block:
             raise ValueError(f"a push at row {self._pushed} does not start a "
                              f"{self._block}-row block")
@@ -253,21 +252,17 @@ class NormalEquationSum:
             while self._pending and self._pending[0] <= r1:
                 n = self._pending.pop(0)
                 part = gram if n == r1 else self._block_gram(block[: n - r0])
-                self._snapshots[n] = part.copy() if self._gram is None else self._gram + part
-            if self._gram is None:
-                self._gram = gram
-            else:
-                self._gram += gram
+                self._snapshots[n] = self._gram + part
+            self._gram += gram
         self._pushed += chunk.shape[0]
 
     def result(self, n: int | None = None) -> NormalEquations:
         """The normal equations of the first ``n`` rows (by default the
         largest n), once they are pushed."""
         n = self.n if n is None else n
-        gram = self._gram if n == self.n else self._snapshots[n]
-        if gram is None or self._pushed < n:
-            raise ValueError(f"{min(self._pushed, n)} of {n} rows pushed")
-        return NormalEquations(gram=gram, n=n)
+        if self._pushed < n:
+            raise ValueError(f"{self._pushed} of {n} rows pushed")
+        return NormalEquations(gram=self._gram if n == self.n else self._snapshots[n], n=n)
 
 
 def normal_equations(matrix: np.ndarray) -> NormalEquations:

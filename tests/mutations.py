@@ -28,14 +28,16 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Every mutation below but the seventh, the twelfth, the fifteenth and
-# the twenty-first to the twenty-sixth also changes the golden digests (tests/test_golden.py).  (The seventh shows only where
-# the DGM root pivots on the label before a feature, and no golden run
-# does; the twenty-third and twenty-fourth only where a run has more than
-# one n; the twenty-fifth only on an entry that is NaN.)
-# They are left out of the expected tests: a
-# change that re-pins them would hide the mutation, so each entry names
-# the tests that check the behaviour itself.  Where those are only
-# pinned constants (reference values), the note says so.
+# the twenty-first to the twenty-eighth also changes the golden digests
+# (tests/test_golden.py).  (The seventh shows only where the DGM root
+# pivots on the label before a feature, and no golden run does; the
+# twenty-third and twenty-fourth only where a run has more than one n;
+# the twenty-fifth only on an entry that is NaN; the last two only where
+# a caller pushes past n or asks too early, which no run does.)  They
+# are left out of the expected tests: a change that re-pins them would
+# hide the mutation, so each entry names the tests that check the
+# behaviour itself.  Where those are only pinned constants (reference
+# values), the note says so.
 
 MUTATIONS = (
     (
@@ -66,6 +68,7 @@ MUTATIONS = (
             "tests/test_dgm.py::TestTrain::test_matches_brute_force_oracle",
             "tests/test_acceptance.py::test_criterion_1_exact_formula_suite",
             "tests/test_acceptance.py::test_criterion_2_oracle_equivalence",
+            "tests/test_dgm.py::TestSmallEigenvalueThreshold",
         ),
         "DGM de-bias shift halved",
     ),
@@ -78,6 +81,7 @@ MUTATIONS = (
             "tests/test_rmgm.py::TestSensitivity",
             "tests/test_dgm.py::TestRelease::test_noise_variance_at_scale",
             "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
+            "tests/test_dgm.py::TestSmallEigenvalueThreshold",
         ),
         "sensitivity_bound halved",
     ),
@@ -91,6 +95,7 @@ MUTATIONS = (
             "tests/test_acceptance.py::test_criterion_1_exact_formula_suite",
             "tests/test_acceptance.py::test_rmgm_rate_and_constant_match_the_prediction",
             "tests/test_acceptance.py::test_real_protocol_mse_against_the_noise_floor",
+            "tests/test_dgm.py::TestSmallEigenvalueThreshold",
         ),
         "calibrate without the 2 under the root (noise 1/sqrt(2) of what "
         "(epsilon, delta) needs)",
@@ -99,7 +104,7 @@ MUTATIONS = (
         "dgm.py",
         "gram += gram_product(std * lower.T)",
         "gram += gram_product(np.sqrt(std) * lower.T)",
-        ("tests/test_dgm.py::TestSampler",),
+        ("tests/test_dgm.py::TestSampler", "tests/test_dgm.py::TestSmallEigenvalueThreshold"),
         "Bartlett Wishart part scaled by s, not s^2",
     ),
     (
@@ -276,6 +281,21 @@ MUTATIONS = (
          "test_gen_chunks_holds_only_its_buffer_while_a_chunk_is_out",),
         "the generator holding its 1.3 MiB feature draw across each yield, beside "
         "every consumer's working memory; no bit moves",
+    ),
+    (
+        "kernels.py",
+        "if self._i0 < n:",
+        "if False:",
+        ("tests/test_kernels.py::TestSmallerN::test_an_n_is_ready_once_its_rows_are_in",),
+        "a sketch handing out an n's result before its n rows are in: the largest n's "
+        "half-summed accumulator",
+    ),
+    (
+        "linalg.py",
+        "if self._pushed + chunk.shape[0] > self.n:",
+        "if False:",
+        ("tests/test_linalg.py::TestNormalEquations::test_rows_past_n_raise",),
+        "normal equations summing rows pushed past the largest n, which are no n's data",
     ),
 )
 

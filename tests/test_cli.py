@@ -150,6 +150,18 @@ class TestConfig:
         assert "noise variance overflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_n_past_the_columns_of_b_exits_2(self, tmp_path, capsys):
+        # refused before any trial, whatever the methods: an OLS-only run
+        # would otherwise generate its 3e11 rows
+        out = tmp_path / "res"
+        argv = ["synthetic", "--n-grid", "300000000000", "--seeds", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"n_grid entries must be from 5 to {2**38}" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=f"n_grid entries must be from 5 to {2**38}"):
+            build_config({}, {"methods": ("ols",), "n_grid": (1000, 2**38 + 1)})
+        assert build_config({}, {"n_grid": (2**38,)}).n_grid == (2**38,)
+
     def test_full_flag_expands_grid(self, tmp_path):
         # --full is a preset below the config file, which is below the flags
         _, cfg = config_from_argv(["synthetic", "--full"])

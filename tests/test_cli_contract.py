@@ -11,7 +11,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mpdp.cli import main
 
@@ -74,7 +74,7 @@ def invocations(draw):
         args += draw(_flag("--label-column", ("c0", "y"), ("zz",)))
         args += draw(_flag("--k-mode", ("synthetic", "grid", "rate"), ("bogus",)))
     else:  # always a small n grid: the default runs n up to 3e5
-        n_grid = draw(_pick(("5", "12,20", "12 20", "5,"), ("0", "x", "")))
+        n_grid = draw(_pick(("5", "12,20", "12 20", "5,"), ("0", "x", "", "300000000000")))
         args = ["synthetic", "--n-grid", n_grid]
     eps_good = ("1.0", "0.5,1", "0.5 1", "1.0,", "1e-153")  # 1e-153: finite sigma^2, huge Gram
     eps_bad = ("0", "2", "abc", "1,,1", "nan", "1e-300", "1e-320", "5e-324")
@@ -104,6 +104,10 @@ def _exit_code(argv):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+# an n past the columns of B with every other flag valid, which the
+# draws above reach only now and then
+@example((["synthetic", "--n-grid", "300000000000", "--seeds", "1", "--out",
+           os.path.join("{tmp}", "out")], "c0,y\n1,1\n", None))
 def test_exit_code_is_0_2_or_3(invocation):
     args, csv_text, config = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -296,3 +298,89 @@ class TestTrialDraws:
             assert drawn == 10 * 11 + 11 + 55
         dgm = base.child("dgm").path
         assert sum(e for path, _, e in draws if path[: len(dgm)] == dgm) == 3 * 176
+
+
+class TestSmallEigenvalueThreshold:
+    """Where DGM's pathology ends and what DGM does after it, as
+    predictions over its whole n range: a release Gram costs O(p^2) draws
+    whatever n is (``sample_dgm_gram``), here from the population Gram
+    n E[[x, y]'[x, y]], with no data pass.
+
+    Setup.  x ~ U(-1/2, 1/2)^d, so M = E[x x'] = I/12, and y = w*.x with
+    w* = (0.6, -0.6, 0.6, 0, ...), |w*|^2 = 1.08 and |y| <= 0.9: the
+    label's diagonal |w*|^2 / 12 is the largest, so ``gram_root`` pivots
+    on the label row first, and T has d rows.  d = 10, m = 6 (d_max = 2),
+    eps = 1, delta = 1e-5: s^2 = 4 d_max sigma^2 = 187.8 with the paper's
+    sigma = sqrt(2 ln(1.25 / delta)) / eps (not ``calibrate``, which a
+    wrong constant would move on both sides).
+
+    Threshold.  The de-biased H = X'X / n - s^2 I of a release is
+    M + E/n, E the feature block of (T'Z + Z'T) + (Z'Z + W - n s^2 I).
+    Z'Z + W is Wishart(n, s^2 I): less its mean, it is sqrt(n) s^2 times
+    a symmetric matrix of N(0, 1) entries (N(0, 2) on the diagonal),
+    whose smallest eigenvalue is about -2 sqrt(d).  T'Z's entries have
+    variance n s^2 / 12, 12 s^2 times less.  So
+    lambda_min(H) ~ lambda_min(M) - 2 sqrt(d) s^2 / sqrt(n): H is
+    indefinite well below, and positive definite well past,
+
+        n* = (2 sqrt(d) s^2 / lambda_min(M))^2 = 2.03e8.
+
+    At n*/4 that edge sits lambda_min(M) below 0, at 2 n* 0.29 of it
+    above.
+
+    Rate.  Past n*, w_hat - w* = H^-1 E_x v / n with v = (-w*, 1), where
+    T v = 0 (y = X w*), so only the Wishart part and T'Z v are left.
+    To first order H^-1 = M^-1 = 12 I, and for Wishart(n, s^2 I) each
+    (E v)_i has variance n s^4 (|v|^2 + v_i^2), so
+
+        n E|w_hat - w*|^2 = 144 s^4 (d (1 + |w*|^2) + |w*|^2),
+
+    an RMS sqrt(n) of 12 s^2 sqrt(d (1 + |w*|^2) + |w*|^2) = 10 540:
+    order s^2, where RMGM's is order s (sqrt(3d) s).
+
+    Bands.  The neglected terms add to the mean square: T'Z v a share
+    1/(12 s^2), and H^-1's next order a multiple of n*/n, 0.83 n*/n from
+    the variance of E/n alone and as much again at most from its entries
+    shared with E v (8000 releases read 1.5 n*/n at 10 n*).  So at
+    n >= 100 n* the ratio of RMS sqrt(n) to the prediction lies in
+    [1, sqrt(1 + 2 n*/n + 1/(12 s^2))], widened by four standard errors
+    of the 400-release mean square (each about 1.1%).
+    """
+
+    D, EPS, DELTA = 10, 1.0, 1e-5
+    PART = partition_evenly(D + 1, 6)
+    W_STAR = np.array([0.6, -0.6, 0.6] + [0.0] * 7)
+
+    def releases(self, n, count):
+        """(H, b) of ``count`` DGM systems at n, each a release sampled
+        from the population Gram."""
+        lifted = np.vstack([np.eye(self.D), self.W_STAR])  # [x, y] = lifted @ x
+        stats = NormalEquations(gram=n * lifted @ lifted.T / 12, n=n)
+        root = gram_root(stats.gram, n)
+        assert root.shape == (self.D, self.D + 1)
+        sigma = calibrate(self.EPS, self.DELTA)
+        systems = [dgm_system(sample_dgm_gram(stats, root, self.PART, sigma,
+                                              RandomStream(19).child(n, i)),
+                              self.PART.d_max, sigma, lam=0.0)
+                   for i in range(count)]
+        return np.array([h for h, _ in systems]), np.array([b for _, b in systems])
+
+    def test_indefinite_below_the_threshold_and_rate_past_it(self):
+        d, w_norm2 = self.D, float(self.W_STAR @ self.W_STAR)
+        sigma2 = 2 * math.log(1.25 / self.DELTA) / self.EPS**2
+        s2 = 4 * self.PART.d_max * sigma2
+        n_star = (2 * math.sqrt(d) * s2 * 12) ** 2
+        for n, lo, hi in ((round(n_star / 4), 0.99, 1.0), (round(2 * n_star), 0.0, 0.01)):
+            hessians, _ = self.releases(n, 2000)
+            share = float((np.linalg.eigvalsh(hessians).min(axis=1) < 0).mean())
+            assert lo <= share <= hi, (n, share)
+        predicted = 12 * s2 * math.sqrt(d * (1 + w_norm2) + w_norm2)
+        for n in (round(100 * n_star), round(1000 * n_star), round(10_000 * n_star)):
+            hessians, rhs = self.releases(n, 400)
+            dist = np.linalg.norm(np.linalg.solve(hessians, rhs[:, :, None])[:, :, 0]
+                                  - self.W_STAR, axis=1)
+            mean_square = float(np.mean(dist**2))
+            se = float(np.std(dist**2, ddof=1)) / math.sqrt(dist.size) / mean_square / 2
+            ratio = math.sqrt(mean_square * n) / predicted
+            hi = math.sqrt(1 + 2 * n_star / n + 1 / (12 * s2)) * (1 + 4 * se)
+            assert 1 - 4 * se <= ratio <= hi, (n, ratio, 1 - 4 * se, hi)

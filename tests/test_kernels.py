@@ -210,6 +210,18 @@ class TestSmallerN:
                if not np.array_equal(sketch.result(n), kernels.sketch_product(9, data[:n], k))]
         assert bad == []
 
+    def test_an_n_is_ready_once_its_rows_are_in(self):
+        # after the first 16 384-row chunk of a 20 000-row pass, the n
+        # inside it is out, and the largest n, or one past the chunk, is not
+        data = np.random.default_rng(5).uniform(-1, 1, size=(20_000, 3))
+        sketch = kernels.SketchSum(5, 3, {20_000: 8, 10_000: 4})
+        sketch.push(data[:16_384])
+        assert np.array_equal(sketch.result(10_000), kernels.sketch_product(5, data[:10_000], 4))
+        with pytest.raises(ValueError, match="16384 of 20000 rows pushed"):
+            sketch.result()
+        with pytest.raises(ValueError, match="16384 of 16385 rows pushed"):
+            sketch.result(16_385)
+
 
 class TestBlasThreads:
     def test_trials_csv_same_under_one_and_two_blas_threads(self, tmp_path):

@@ -164,6 +164,17 @@ class TestNormalEquations:
         with pytest.raises(ValueError, match="push at row 1000 does not start a 2048-row block"):
             eqs.push(np.zeros((1000, 41)))
 
+    def test_rows_past_n_raise(self):
+        # rows past the largest n are no n's data: the push is refused
+        # whole, and the pass goes on
+        eqs = NormalEquationSum(4, 100)
+        with pytest.raises(ValueError, match="rows 0:16384 run past n = 100"):
+            eqs.push(np.ones((16_384, 4)))
+        eqs.push(np.ones((100, 4)))
+        with pytest.raises(ValueError, match="rows 100:101 run past n = 100"):
+            eqs.push(np.ones((1, 4)))
+        assert np.array_equal(eqs.result().gram, normal_equations(np.ones((100, 4))).gram)
+
     def test_every_block_divides_a_trial_chunk(self):
         for cols in range(2, 401):
             assert _COL_CHUNK % _block_rows(cols) == 0, cols

@@ -1,7 +1,9 @@
 """The mutation list (tests/mutations.py) cannot rot silently: every
 mutation's old text occurs exactly once in its file, and every test it
-expects to catch it exists."""
+expects to catch it exists, as an attribute of its imported test module
+(not run here)."""
 
+import importlib
 import os
 
 import pytest
@@ -17,4 +19,8 @@ def test_old_text_occurs_once_and_expected_tests_exist(mutation):
         assert fh.read().count(old) == 1
     assert old != new and tests
     for test in tests:
-        assert os.path.isfile(os.path.join(REPO, test.split("::")[0]))
+        path, *names = test.split("::")
+        assert os.path.isfile(os.path.join(REPO, path))
+        target = importlib.import_module(os.path.splitext(os.path.basename(path))[0])
+        for name in names:  # a class, then a test, without a parametrize suffix
+            target = getattr(target, name.split("[")[0])
